@@ -59,7 +59,6 @@ from .planners import (
 )
 from .bellwether import (
     BellwetherReport,
-    belltree_plan,
     discover,
     g_score,
     make_belltree_planner,
@@ -92,7 +91,7 @@ __all__ = [
     "compliance_rate", "make_planner", "oliveira_thresholds",
     "shatnawi_thresholds", "suggest_refactorings", "threshold_plan", "varl",
     "weighted_percentile", "xtree_plan",
-    "BellwetherReport", "belltree_plan", "discover", "g_score",
+    "BellwetherReport", "discover", "g_score",
     "make_belltree_planner", "validate",
     "ChangesSummary", "CurvePoint", "KTestResult", "changes_count",
     "evaluate_windows", "ktest", "overlap",

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Optional
 
-from .datasets import ClassRecord, Community, Project, VersionedDataset, pool_versions
-from .planners import DEFAULT_GAMMA, DEFAULT_SEED, Plan, XTreePlanner
-from .tree import build_tree, fit_bins, predict_defective
+from .datasets import Community, Project, VersionedDataset, pool_versions
+from .planners import DEFAULT_GAMMA, DEFAULT_SEED, XTreePlanner
+from .tree import DEFAULT_MAX_DEPTH, build_tree, fit_bins, predict_defective
 
 
 def g_score(tp: int, fp: int, tn: int, fn: int) -> float:
@@ -137,23 +137,11 @@ def discover(
     )
 
 
-def belltree_plan(
-    bellwether_data: VersionedDataset,
-    record: ClassRecord,
-    gamma: float = DEFAULT_GAMMA,
-    seed: int = DEFAULT_SEED,
-) -> Plan:
-    """Cross-project plan: the contrast-set pipeline trained on exemplar data."""
-    planner = XTreePlanner(gamma=gamma, seed=seed, name="belltree")
-    planner.fit(bellwether_data)
-    return planner.plan(record)
-
-
 def make_belltree_planner(
     project: Project,
     gamma: float = DEFAULT_GAMMA,
     seed: int = DEFAULT_SEED,
-    max_depth: int = 10,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     min_leaf: int | None = None,
 ) -> XTreePlanner:
     """A reusable cross-project planner fitted on a project's pooled data."""

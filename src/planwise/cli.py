@@ -15,10 +15,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .bellwether import QUALITY_MEASURES, discover, make_belltree_planner
+from .bellwether import QUALITY_MEASURES, discover
 from .datasets import (
     DatasetError,
     METRICS,
+    Community,
+    VersionedDataset,
     load_community,
     load_csv,
     load_project,
@@ -45,6 +47,10 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 BASELINE_NAMES = ("alves", "shatnawi", "oliveira")
+PLANNER_OPTIONS = frozenset({
+    "gamma", "seed", "max_depth", "min_leaf",
+    "percentile", "p0", "p1", "min_compliance", "tail",
+})
 
 
 def _env(name: str, fallback, cast):
@@ -86,6 +92,12 @@ def _add_planner_options(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=_env("SEED", DEFAULT_SEED, int),
         help="seed for suggested in-range values (fixed for reproducibility)",
     )
+    _add_tree_options(parser)
+    _add_baseline_options(parser)
+
+
+def _add_tree_options(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("tree options")
     group.add_argument(
         "--max-depth", type=int, default=_env("MAX_DEPTH", DEFAULT_MAX_DEPTH, int),
         help="tree depth limit",
@@ -94,6 +106,10 @@ def _add_planner_options(parser: argparse.ArgumentParser) -> None:
         "--min-leaf", type=int, default=_env("MIN_LEAF", None, int),
         help="minimum records per leaf (default: max(5, N/50))",
     )
+
+
+def _add_baseline_options(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("threshold baseline options")
     group.add_argument(
         "--percentile", type=float,
         default=_env("PERCENTILE", DEFAULT_PERCENTILE, float),
@@ -119,25 +135,19 @@ def _add_planner_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _planner_options(args: argparse.Namespace) -> dict:
-    return {
-        "gamma": args.gamma,
-        "seed": args.seed,
-        "max_depth": args.max_depth,
-        "min_leaf": args.min_leaf,
-        "percentile": args.percentile,
-        "p0": args.p0,
-        "p1": args.p1,
-        "min_compliance": args.min_compliance,
-        "tail": args.tail,
-    }
+    """The planner options this subcommand registered, as keyword arguments."""
+    return {k: v for k, v in vars(args).items() if k in PLANNER_OPTIONS}
+
+
+def _load_train(paths: list[str]) -> VersionedDataset:
+    """One training CSV as is; several are pooled as releases of one project."""
+    if len(paths) == 1:
+        return load_csv(paths[0])
+    return pool_versions(load_project(paths))
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    train = (
-        load_csv(args.train[0])
-        if len(args.train) == 1
-        else pool_versions(load_project(args.train))
-    )
+    train = _load_train(args.train)
     test = load_csv(args.test)
     planner = make_planner(args.planner, **_planner_options(args))
     planner.fit(train)
@@ -168,9 +178,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_bellwether(args: argparse.Namespace) -> int:
     community = load_community(args.community)
-    if len(community.projects) < 2:
-        print("planwise: community needs at least two projects", file=sys.stderr)
-        return EXIT_FAILURE
     report = discover(community, quality_measure=args.quality_measure)
     doc = dict(report.to_dict(), schema_version=SCHEMA_VERSION)
     _write_text(Path(args.out), _dump_json(doc))
@@ -186,34 +193,6 @@ def _result_paths(out_dir: Path, result) -> tuple[Path, Path]:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    if args.project_dir:
-        project = load_project(sorted(Path(args.project_dir).glob("*.csv")))
-    elif args.community and args.target:
-        community = load_community(args.community)
-        try:
-            project = community.get(args.target)
-        except KeyError:
-            print(
-                f"planwise: no project {args.target!r} in the community "
-                f"(have: {', '.join(community.project_names())})",
-                file=sys.stderr,
-            )
-            return EXIT_FAILURE
-    else:
-        print(
-            "planwise: give --project-dir, or --community with --target",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if len(project.versions) < 3:
-        print(
-            f"planwise: {project.name} has {len(project.versions)} release(s); "
-            "evaluation trains on one, plans for the next, and validates on a "
-            "third, so at least 3 are required",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
-
     names = list(PLANNER_NAMES) if args.planner == "all" else [args.planner]
     if "belltree" in names and not args.community:
         if args.planner == "all":
@@ -225,18 +204,55 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
+    if not args.project_dir and not (args.community and args.target):
+        print(
+            "planwise: give --project-dir, or --community with --target",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+
+    community = None
+    if "belltree" in names or not args.project_dir:
+        community = load_community(args.community)
+    if args.project_dir:
+        project = load_project(sorted(Path(args.project_dir).glob("*.csv")))
+    else:
+        try:
+            project = community.get(args.target)
+        except KeyError:
+            print(
+                f"planwise: no project {args.target!r} in the community "
+                f"(have: {', '.join(community.project_names())})",
+                file=sys.stderr,
+            )
+            return EXIT_FAILURE
+    if len(project.versions) < 3:
+        print(
+            f"planwise: {project.name} has {len(project.versions)} release(s); "
+            "evaluation trains on one, plans for the next, and validates on a "
+            "third, so at least 3 are required",
+            file=sys.stderr,
+        )
+        return EXIT_FAILURE
+
+    belltree_train = None
+    if "belltree" in names:
+        # Leave the target out: the exemplar serves the other projects, so
+        # belltree never trains on the releases it is scored against.
+        others = tuple(p for p in community.projects if p.name != project.name)
+        if len(others) < 2:
+            raise ValueError(
+                f"belltree needs two community projects besides {project.name}"
+            )
+        candidates = Community(others)
+        report = discover(candidates, quality_measure=args.quality_measure)
+        belltree_train = pool_versions(candidates.get(report.bellwether))
 
     options = _planner_options(args)
     summary_rows = []
     for name in names:
-        train = None
-        if name == "belltree":
-            community = load_community(args.community)
-            report = discover(community, quality_measure=args.quality_measure)
-            planner = make_planner(name, **options)
-            train = pool_versions(community.get(report.bellwether))
-        else:
-            planner = make_planner(name, **options)
+        planner = make_planner(name, **options)
+        train = belltree_train if name == "belltree" else None
         results = evaluate_windows(project, planner, epsilon=args.epsilon, train=train)
         for window, result in enumerate(results, start=1):
             json_path, curve_path = _result_paths(out_dir, result)
@@ -280,11 +296,7 @@ def _format_score(value) -> str:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
-    train = (
-        load_csv(args.train[0])
-        if len(args.train) == 1
-        else pool_versions(load_project(args.train))
-    )
+    train = _load_train(args.train)
     planner = make_planner(args.planner, **_planner_options(args))
     rules = planner.derive_rules(train)
     doc = {
@@ -308,11 +320,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    train = (
-        load_csv(args.train[0])
-        if len(args.train) == 1
-        else pool_versions(load_project(args.train))
-    )
+    train = _load_train(args.train)
     bins = fit_bins(train)
     tree = build_tree(train, bins, max_depth=args.max_depth, min_leaf=args.min_leaf)
     doc = {"schema_version": SCHEMA_VERSION, "tree": tree_to_dict(tree)}
@@ -372,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     thresholds.add_argument("--planner", required=True, choices=BASELINE_NAMES)
     thresholds.add_argument("--train", nargs="+", required=True)
     thresholds.add_argument("--out", required=True)
-    _add_planner_options(thresholds)
+    _add_baseline_options(thresholds)
     thresholds.set_defaults(func=_cmd_thresholds)
 
     tree = sub.add_parser("tree", help="dump the fitted defect tree as JSON",
                           **fmt)
     tree.add_argument("--train", nargs="+", required=True)
     tree.add_argument("--out", required=True)
-    _add_planner_options(tree)
+    _add_tree_options(tree)
     tree.set_defaults(func=_cmd_tree)
 
     return parser

@@ -7,6 +7,7 @@ Datasets follow the PROMISE/Jureczko CSV layout: one row per code class,
 from __future__ import annotations
 
 import csv
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -130,13 +131,18 @@ def _normalize_header(name: str) -> str:
     return name.strip().lower().replace(" ", "_")
 
 
-def _parse_number(cell: str, row: int, column: str) -> float:
+def _parse_number(cell: str, path: Path, row: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DatasetError(
-            f"row {row}: non-numeric value {cell!r} in column {column!r}"
+            f"{path}: row {row}: non-numeric value {cell!r} in column {column!r}"
         ) from None
+    if not math.isfinite(value):
+        raise DatasetError(
+            f"{path}: row {row}: non-finite value {cell!r} in column {column!r}"
+        )
+    return value
 
 
 def load_csv(path: str | Path, released_order: int = 0) -> VersionedDataset:
@@ -146,6 +152,7 @@ def load_csv(path: str | Path, released_order: int = 0) -> VersionedDataset:
     (``name``; in the Jureczko layout the first ``name`` column is the
     project and the last is the class), and a defect column (``bug``,
     ``bugs``, or ``defects``). Extra columns are ignored with a warning.
+    Metric and defect cells must be finite numbers.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -209,9 +216,12 @@ def load_csv(path: str | Path, released_order: int = 0) -> VersionedDataset:
                 version = row[version_col].strip()
 
             metrics = {
-                m: _parse_number(row[i], row_no, m) for m, i in metric_cols.items()
+                m: _parse_number(row[i], path, row_no, m)
+                for m, i in metric_cols.items()
             }
-            raw_defects = _parse_number(row[defect_col], row_no, raw_header[defect_col])
+            raw_defects = _parse_number(
+                row[defect_col], path, row_no, raw_header[defect_col]
+            )
             if raw_defects < 0 or raw_defects != int(raw_defects):
                 raise DatasetError(
                     f"{path}: row {row_no}: defect count must be a non-negative "

@@ -13,6 +13,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .stats import _entropy_of_counts
+
 
 @dataclass(frozen=True)
 class BinMap:
@@ -50,16 +52,6 @@ def apply_bins(bins: BinMap, value: float) -> int:
     return bisect_left(bins.cut_points, value)
 
 
-def _counts_entropy(counts: Counter) -> float:
-    total = sum(counts.values())
-    result = 0.0
-    for c in counts.values():
-        if c:
-            p = c / total
-            result -= p * math.log2(p)
-    return result
-
-
 def _group_by_value(
     values: Sequence[float], labels: Sequence[int]
 ) -> tuple[list[float], list[Counter]]:
@@ -82,9 +74,9 @@ def _mdl_accepts(
     k = len(whole)
     k1, k2 = len(left), len(right)
     delta = math.log2(3.0**k - 2.0) - (
-        k * _counts_entropy(whole)
-        - k1 * _counts_entropy(left)
-        - k2 * _counts_entropy(right)
+        k * _entropy_of_counts(whole)
+        - k1 * _entropy_of_counts(left)
+        - k2 * _entropy_of_counts(right)
     )
     return gain > (math.log2(n - 1) + delta) / n
 
@@ -99,7 +91,7 @@ def _split_interval(
     n = sum(whole.values())
     if len(whole) < 2 or n < 2:
         return []
-    whole_entropy = _counts_entropy(whole)
+    whole_entropy = _entropy_of_counts(whole)
 
     best = None  # (gain, cut, split_index, left, right)
     left = Counter()
@@ -118,7 +110,7 @@ def _split_interval(
         right = whole - left
         n_right = n - n_left
         gain = whole_entropy - (
-            n_left * _counts_entropy(left) + n_right * _counts_entropy(right)
+            n_left * _entropy_of_counts(left) + n_right * _entropy_of_counts(right)
         ) / n
         cut = (distinct[i] + distinct[i + 1]) / 2.0
         if best is None or gain > best[0] + 1e-15:

@@ -26,6 +26,7 @@ from .datasets import (
 from .refactorings import table as refactoring_table
 from .stats import LogisticFit, fit_univariate_logistic
 from .tree import (
+    DEFAULT_MAX_DEPTH,
     Branch,
     TreeNode,
     build_tree,
@@ -119,15 +120,6 @@ class ThresholdRule:
 
 def no_change_plan(class_name: str, source_planner: str) -> Plan:
     return Plan(class_name, {m: Action() for m in METRICS}, source_planner)
-
-
-def format_plan_row(plan: Plan) -> str:
-    """Compact one-line rendering of the action vector, in metric order."""
-    return " ".join(plan.actions[m].direction for m in METRICS)
-
-
-def format_row_header() -> str:
-    return " ".join(METRICS)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +301,20 @@ def shatnawi_thresholds(
     return rules
 
 
-def compliance_rate(values: np.ndarray, p: float, k: float) -> float:
+def compliance_rate(
+    values: np.ndarray, p: float | np.ndarray, k: float | np.ndarray
+) -> float | np.ndarray:
     """Percentage of entities below ``k``, zeroed when the rule itself fails.
 
     The rule "p% of entities must have M <= k" holds system-wide when at
     least p percent of values are <= k; a system that violates its own rule
-    contributes no compliance.
+    contributes no compliance. ``p`` and ``k`` broadcast against each other;
+    scalar ``p`` and ``k`` give a float.
     """
-    frac = 100.0 * float(np.count_nonzero(values <= k)) / len(values)
-    return frac if frac >= p else 0.0
+    counts = np.searchsorted(np.sort(values), k, side="right")
+    frac = 100.0 * counts / len(values)
+    rate = np.where(frac >= p, frac, 0.0)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def oliveira_thresholds(
@@ -341,8 +338,6 @@ def oliveira_thresholds(
     for metric in METRICS:
         values = np.array([r.metrics[metric] for r in train.records], dtype=float)
         ks = np.unique(values)
-        counts = np.searchsorted(np.sort(values), ks, side="right")
-        frac_le = 100.0 * counts / len(values)
 
         tail_cut = float(np.percentile(values, tail))
         above = values[values > tail_cut]
@@ -350,7 +345,7 @@ def oliveira_thresholds(
         denominator = tail_median if tail_median > 0 else 1.0
         penalty2 = np.abs(ks - tail_median) / denominator
 
-        rate = np.where(frac_le[None, :] >= ps[:, None], frac_le[None, :], 0.0)
+        rate = compliance_rate(values, ps[:, None], ks[None, :])
         penalty1 = np.maximum(0.0, min_compliance - rate)
         total = penalty1 + penalty2[None, :]
 
@@ -433,7 +428,7 @@ class XTreePlanner(PlannerBase):
         self,
         gamma: float = DEFAULT_GAMMA,
         seed: int = DEFAULT_SEED,
-        max_depth: int = 10,
+        max_depth: int = DEFAULT_MAX_DEPTH,
         min_leaf: int | None = None,
         name: str | None = None,
     ):
@@ -524,7 +519,7 @@ def make_planner(name: str, **options) -> PlannerBase:
         return XTreePlanner(
             gamma=options.get("gamma", DEFAULT_GAMMA),
             seed=options.get("seed", DEFAULT_SEED),
-            max_depth=options.get("max_depth", 10),
+            max_depth=options.get("max_depth", DEFAULT_MAX_DEPTH),
             min_leaf=options.get("min_leaf"),
             name=name,
         )

@@ -26,13 +26,19 @@ class LogisticFit:
 def entropy(labels: Iterable) -> float:
     """Shannon entropy of a label multiset, in bits."""
     counts = Counter(labels)
-    total = sum(counts.values())
-    if total == 0:
+    if not counts:
         raise ValueError("entropy of an empty multiset is undefined")
+    return _entropy_of_counts(counts)
+
+
+def _entropy_of_counts(counts: Counter) -> float:
+    """Shannon entropy, in bits, of a label-to-count mapping."""
+    total = sum(counts.values())
     result = 0.0
     for count in counts.values():
-        p = count / total
-        result -= p * math.log2(p)
+        if count:
+            p = count / total
+            result -= p * math.log2(p)
     return result
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from planwise.bellwether import (
-    belltree_plan,
     discover,
     g_score,
     make_belltree_planner,
@@ -89,10 +88,10 @@ class TestBelltreePlan:
     def test_own_project_data_reproduces_the_local_planner(self):
         community = planted_community(seed=4)
         exemplar = community.get("exemplar")
-        pooled = pool_versions(exemplar)
-        local = XTreePlanner(seed=11).fit(pooled)
+        local = XTreePlanner(seed=11).fit(pool_versions(exemplar))
+        belltree = make_belltree_planner(exemplar, seed=11)
         for record in exemplar.versions[0].records[:20]:
-            cross = belltree_plan(pooled, record, seed=11)
+            cross = belltree.plan(record)
             own = local.plan(record)
             assert cross.actions == own.actions
             assert cross.expected_score_drop == own.expected_score_drop

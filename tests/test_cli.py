@@ -3,10 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from planwise.cli import EXIT_FAILURE, EXIT_OK, build_parser, main
-from planwise.datasets import METRICS, write_csv
+from planwise.bellwether import discover
+from planwise.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
+from planwise.datasets import (
+    METRICS,
+    Community,
+    load_community,
+    pool_versions,
+    write_csv,
+)
+from planwise.evaluate import evaluate_windows
+from planwise.planners import make_planner
 
-from conftest import make_dataset, make_record
+from conftest import make_dataset, make_record, planted_community
 
 
 def toy_version(version, order, n=60, seed=0):
@@ -125,6 +134,21 @@ class TestPlanCommand:
         assert "planwise:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def exemplar_community_dir(tmp_path):
+    """Three releases each of alpha, beta and exemplar (the bellwether)."""
+    root = tmp_path / "planted"
+    releases = [planted_community(seed=20 + order, n=120) for order in range(3)]
+    for name in ("alpha", "beta", "exemplar"):
+        (root / name).mkdir(parents=True)
+        for order, community in enumerate(releases):
+            version = str(order + 1)
+            records = list(community.get(name).versions[0].records)
+            ds = make_dataset(records, project=name, version=version, order=order)
+            write_csv(ds, root / name / f"{name}-{version}.csv")
+    return root
+
+
 class TestBellwetherCommand:
     def test_toy_community_report(self, toy_community_dir, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -148,6 +172,7 @@ class TestBellwetherCommand:
              "--out", str(tmp_path / "r.json")]
         )
         assert code == EXIT_FAILURE
+        assert "two projects" in capsys.readouterr().err
 
     def test_malformed_csv_names_the_file(self, toy_community_dir, tmp_path, capsys):
         bad = toy_community_dir / "apple" / "apple-1.csv"
@@ -243,7 +268,114 @@ class TestEvaluateCommand:
         assert outputs[0] == outputs[1]
 
 
+class TestBelltreeEvaluation:
+    @pytest.mark.parametrize("select", ["target", "project-dir"])
+    def test_discovery_leaves_the_target_out(
+        self, exemplar_community_dir, tmp_path, select
+    ):
+        community = load_community(exemplar_community_dir)
+        assert discover(community).bellwether == "exemplar"
+        target = community.get("exemplar")
+        others = Community(tuple(p for p in community.projects if p.name != "exemplar"))
+        source = others.get(discover(others).bellwether)
+        expected = evaluate_windows(
+            target, make_planner("belltree"), train=pool_versions(source)
+        )
+
+        out_dir = tmp_path / "out"
+        selection = (
+            ["--target", "exemplar"]
+            if select == "target"
+            else ["--project-dir", str(exemplar_community_dir / "exemplar")]
+        )
+        code = main(
+            [
+                "evaluate",
+                "--planner", "belltree",
+                "--community", str(exemplar_community_dir),
+                *selection,
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        doc = json.loads((out_dir / "exemplar-1-2-3-belltree.json").read_text())
+        want = json.loads(json.dumps(expected[0].to_dict()))
+        assert doc == dict(want, schema_version="1")
+
+    @pytest.mark.parametrize("removed", [["beta"], ["alpha", "beta"]])
+    def test_fewer_than_two_other_projects_fails(
+        self, exemplar_community_dir, tmp_path, capsys, removed
+    ):
+        import shutil
+
+        for name in removed:
+            shutil.rmtree(exemplar_community_dir / name)
+        code = main(
+            [
+                "evaluate",
+                "--planner", "belltree",
+                "--community", str(exemplar_community_dir),
+                "--target", "exemplar",
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_FAILURE
+        assert "two community projects besides exemplar" in capsys.readouterr().err
+
+
 class TestOtherCommands:
+    def test_several_train_files_are_pooled(self, toy_project_dir, tmp_path):
+        train = [str(toy_project_dir / f"toy-{v}.csv") for v in ("1.0", "1.1")]
+        test = str(toy_project_dir / "toy-1.2.csv")
+        runs = {
+            "plan": ["--planner", "xtree", "--test", test],
+            "thresholds": ["--planner", "alves"],
+            "tree": [],
+        }
+        for command, extra in runs.items():
+            out = tmp_path / f"{command}.json"
+            argv = [command, "--train", *train, *extra, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+        tree = json.loads((tmp_path / "tree.json").read_text())
+        assert tree["tree"]["support"] == 120
+        plans = json.loads((tmp_path / "plan.json").read_text())
+        assert plans["train"] == train
+        assert len(plans["plans"]) == 60
+        assert json.loads((tmp_path / "thresholds.json").read_text())["rules"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "--gamma", "0.3"],
+            ["thresholds", "--planner", "alves", "--max-depth", "3"],
+        ],
+    )
+    def test_commands_reject_options_they_do_not_read(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--train", "t.csv", "--out", str(tmp_path / "o.json")])
+        assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("wmc", "nan"), ("cbo", "inf"), ("bug", "inf"), ("bug", "nan"), ("wmc", "x")],
+    )
+    def test_bad_cell_fails_with_file_and_row(self, tmp_path, capsys, column, cell):
+        ds = toy_version("1.0", 0, n=3)
+        path = tmp_path / "toy-1.0.csv"
+        write_csv(ds, path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        row[header.index(column)] = cell
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["tree", "--train", str(path), "--out", str(tmp_path / "t.json")])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert f"{path}: row 3:" in err
+        assert repr(cell) in err and repr(column) in err
+        assert "Traceback" not in err
+
     def test_thresholds_dump(self, toy_project_dir, tmp_path):
         out = tmp_path / "rules.json"
         code = main(

@@ -86,6 +86,32 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2.*wmc"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, cell, problem",
+        [
+            ("wmc", "nan", "non-finite"),
+            ("cbo", "inf", "non-finite"),
+            ("bug", "inf", "non-finite"),
+            ("bug", "nan", "non-finite"),
+            ("wmc", "x", "non-numeric"),
+        ],
+    )
+    def test_bad_cell_names_file_row_and_column(self, tmp_path, column, cell, problem):
+        path = tmp_path / "ant-1.7.csv"
+        bad = ["ant", "1.7", "B"] + ["1"] * len(METRICS) + ["0"]
+        bad[HEADER.split(",").index(column)] = cell
+        write_rows(path, [jureczko_row("A"), ",".join(bad)])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: row 3: {problem} value {cell!r} in column {column!r}"
+        )
+
+    def test_negative_metrics_stay_legal(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write_rows(path, [jureczko_row("A", value=-2.5)])
+        assert load_csv(path).records[0].metrics["wmc"] == -2.5
+
     def test_duplicate_class_name_rejected(self, tmp_path):
         path = tmp_path / "v.csv"
         write_rows(path, [jureczko_row("A"), jureczko_row("A")])

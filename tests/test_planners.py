@@ -305,6 +305,20 @@ class TestOliveira:
         assert rules["loc"].upper == k
         assert rules["loc"].p_fraction == pytest.approx(p / 100.0)
 
+    def test_broadcast_matches_the_scalar_rule(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 12, 37).astype(float)
+        ps = np.arange(1, 100, dtype=float)
+        ks = np.unique(values)
+        grid = compliance_rate(values, ps[:, None], ks[None, :])
+        assert grid.shape == (99, ks.size)
+        for i, p in enumerate(ps):
+            for j, k in enumerate(ks):
+                scalar = compliance_rate(values, p, k)
+                assert type(scalar) is float
+                frac = 100.0 * float(np.count_nonzero(values <= k)) / len(values)
+                assert scalar == grid[i, j] == (frac if frac >= p else 0.0)
+
     def test_all_metrics_get_rules(self):
         train = make_dataset([make_record(f"c{i}", loc=float(i)) for i in range(10)])
         rules = oliveira_thresholds(train)
