@@ -70,6 +70,7 @@ class BellwetherReport:
 def _score_against(tree, target: VersionedDataset, measure) -> Optional[float]:
     """Score a fitted defect tree on one target's confusion counts.
 
+    Each target record is scored by its own ``predict_defective`` call.
     Returns None when the target has single-label ground truth, where the
     measure is undefined.
     """

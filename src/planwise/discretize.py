@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,25 +53,36 @@ def apply_bins(bins: BinMap, value: float) -> int:
 
 def _group_by_value(
     values: Sequence[float], labels: Sequence[int]
-) -> tuple[list[float], list[Counter]]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
+) -> tuple[list[float], list[list[int]]]:
+    """Sorted distinct values, each with its ``[negatives, positives]`` count."""
+    order = sorted(range(len(values)), key=values.__getitem__)
     distinct: list[float] = []
-    counts: list[Counter] = []
+    counts: list[list[int]] = []
+    last = None
     for i in order:
         v = float(values[i])
-        if distinct and distinct[-1] == v:
-            counts[-1][labels[i]] += 1
-        else:
+        if v != last:
+            last = v
             distinct.append(v)
-            counts.append(Counter({labels[i]: 1}))
+            pair = [0, 0]
+            counts.append(pair)
+        pair[1 if labels[i] else 0] += 1
     return distinct, counts
 
 
+def _classes(counts: tuple[int, int]) -> int:
+    return (counts[0] > 0) + (counts[1] > 0)
+
+
 def _mdl_accepts(
-    gain: float, n: int, whole: Counter, left: Counter, right: Counter
+    gain: float,
+    n: int,
+    whole: tuple[int, int],
+    left: tuple[int, int],
+    right: tuple[int, int],
 ) -> bool:
-    k = len(whole)
-    k1, k2 = len(left), len(right)
+    k = _classes(whole)
+    k1, k2 = _classes(left), _classes(right)
     delta = math.log2(3.0**k - 2.0) - (
         k * _entropy_of_counts(whole)
         - k1 * _entropy_of_counts(left)
@@ -82,49 +92,47 @@ def _mdl_accepts(
 
 
 def _split_interval(
-    distinct: list[float], counts: list[Counter], lo: int, hi: int
+    distinct: list[float], counts: list[list[int]], lo: int, hi: int
 ) -> list[float]:
     """Recursively find accepted cut points within groups ``[lo, hi)``."""
-    whole = Counter()
-    for i in range(lo, hi):
-        whole += counts[i]
-    n = sum(whole.values())
-    if len(whole) < 2 or n < 2:
+    w0 = w1 = 0
+    for c0, c1 in counts[lo:hi]:
+        w0 += c0
+        w1 += c1
+    if not (w0 and w1):
         return []
-    whole_entropy = _entropy_of_counts(whole)
+    n = w0 + w1
+    whole_entropy = _entropy_of_counts((w0, w1))
 
-    best = None  # (gain, cut, split_index, left, right)
-    left = Counter()
-    n_left = 0
+    best = None  # (gain, last group of the left side, left counts)
+    l0 = l1 = 0
     for i in range(lo, hi - 1):
-        left += counts[i]
-        n_left += sum(counts[i].values())
+        c0, c1 = counts[i]
+        l0 += c0
+        l1 += c1
         # Boundary points only: skip midpoints between two pure groups of
         # the same class (the optimal split never lies there).
-        if (
-            len(counts[i]) == 1
-            and len(counts[i + 1]) == 1
-            and next(iter(counts[i])) == next(iter(counts[i + 1]))
-        ):
+        d0, d1 = counts[i + 1]
+        if (c0 == 0 and d0 == 0) or (c1 == 0 and d1 == 0):
             continue
-        right = whole - left
-        n_right = n - n_left
+        n_left = l0 + l1
         gain = whole_entropy - (
-            n_left * _entropy_of_counts(left) + n_right * _entropy_of_counts(right)
+            n_left * _entropy_of_counts((l0, l1))
+            + (n - n_left) * _entropy_of_counts((w0 - l0, w1 - l1))
         ) / n
-        cut = (distinct[i] + distinct[i + 1]) / 2.0
         if best is None or gain > best[0] + 1e-15:
-            best = (gain, cut, i + 1, Counter(left), right)
+            best = (gain, i, (l0, l1))
 
     if best is None:
         return []
-    gain, cut, split_index, left_counts, right_counts = best
-    if not _mdl_accepts(gain, n, whole, left_counts, right_counts):
+    gain, i, (l0, l1) = best
+    if not _mdl_accepts(gain, n, (w0, w1), (l0, l1), (w0 - l0, w1 - l1)):
         return []
+    cut = (distinct[i] + distinct[i + 1]) / 2.0
     return (
-        _split_interval(distinct, counts, lo, split_index)
+        _split_interval(distinct, counts, lo, i + 1)
         + [cut]
-        + _split_interval(distinct, counts, split_index, hi)
+        + _split_interval(distinct, counts, i + 1, hi)
     )
 
 
@@ -136,9 +144,14 @@ def mdlp_cuts(
     Recursive binary splitting at class-boundary midpoints, each split
     accepted only if its information gain exceeds the MDL threshold. Ties
     between equal-gain cuts are broken toward the smallest cut value.
+    Labels must be 0 or 1 (bools are fine); anything else raises
+    ``ValueError``.
     """
     if len(values) != len(labels):
         raise ValueError("values and labels must have equal length")
+    if not set(labels) <= {0, 1}:
+        bad = next(label for label in labels if label not in (0, 1))
+        raise ValueError(f"labels must be binary 0/1, got {bad!r}")
     if len(values) < 2:
         return BinMap(
             metric,

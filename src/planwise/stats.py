@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +28,19 @@ def entropy(labels: Iterable) -> float:
     counts = Counter(labels)
     if not counts:
         raise ValueError("entropy of an empty multiset is undefined")
-    return _entropy_of_counts(counts)
+    return _entropy_of_counts(counts.values())
 
 
-def _entropy_of_counts(counts: Counter) -> float:
-    """Shannon entropy, in bits, of a label-to-count mapping."""
-    total = sum(counts.values())
+def _entropy_of_counts(counts: Collection[int]) -> float:
+    """Shannon entropy, in bits, of the per-class counts of a multiset.
+
+    With two classes the result does not depend on the order of the counts
+    (``-x - y == -y - x`` in IEEE arithmetic), so ``(negatives, positives)``
+    pairs give the same bits as a first-appearance ``Counter``.
+    """
+    total = sum(counts)
     result = 0.0
-    for count in counts.values():
+    for count in counts:
         if count:
             p = count / total
             result -= p * math.log2(p)

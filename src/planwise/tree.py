@@ -7,12 +7,14 @@ tree doubles as the defect predictor used for exemplar-project discovery.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .datasets import METRICS, ClassRecord, VersionedDataset
-from .discretize import BinMap, apply_bins, mdlp_cuts
-from .stats import entropy
+from .discretize import BinMap, mdlp_cuts
+from .stats import _entropy_of_counts
 
 DEFAULT_MAX_DEPTH = 10
 DEFAULT_PREDICT_THRESHOLD = 0.5
@@ -69,22 +71,11 @@ def default_min_leaf(n_records: int) -> int:
 def fit_bins(train: VersionedDataset) -> dict[str, BinMap]:
     """Discretize every metric of a training set against defectiveness."""
     labels = [1 if r.is_defective() else 0 for r in train.records]
-    bins = {}
-    for metric in METRICS:
-        values = [r.metrics[metric] for r in train.records]
-        bins[metric] = mdlp_cuts(values, labels, metric=metric)
-    return bins
-
-
-def _mean_defects(records: list[ClassRecord]) -> float:
-    return sum(r.defects for r in records) / len(records)
-
-
-def _gain_of_partition(labels: list[int], groups: dict[int, list[int]]) -> float:
-    total = len(labels)
-    parent = entropy(labels)
-    weighted = sum(len(g) * entropy(g) for g in groups.values()) / total
-    return parent - weighted
+    rows = [r.metrics for r in train.records]
+    return {
+        metric: mdlp_cuts([row[metric] for row in rows], labels, metric=metric)
+        for metric in METRICS
+    }
 
 
 def build_tree(
@@ -102,72 +93,79 @@ def build_tree(
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    records = train.records
     if min_leaf is None:
-        min_leaf = default_min_leaf(len(train.records))
+        min_leaf = default_min_leaf(len(records))
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
-    return _grow(list(train.records), bins, 0, max_depth, min_leaf, frozenset())
-
-
-def _grow(
-    records: list[ClassRecord],
-    bins: dict[str, BinMap],
-    level: int,
-    max_depth: int,
-    min_leaf: int,
-    used: frozenset[str],
-) -> TreeNode:
-    score = _mean_defects(records)
-    support = len(records)
-    leaf = TreeNode(score=score, support=support, level=level)
-    if level >= max_depth:
-        return leaf
-    labels = [1 if r.is_defective() else 0 for r in records]
-    if len(set(labels)) < 2:
-        return leaf
-
-    best_metric = None
-    best_gain = 0.0
-    best_groups: dict[int, list[ClassRecord]] = {}
-    for metric in METRICS:
-        if metric in used or bins[metric].n_ranges < 2:
-            continue
-        groups: dict[int, list[ClassRecord]] = {}
-        for rec in records:
-            idx = apply_bins(bins[metric], rec.metrics[metric])
-            groups.setdefault(idx, []).append(rec)
-        if len(groups) < 2 or min(len(g) for g in groups.values()) < min_leaf:
-            continue
-        label_groups = {
-            idx: [1 if r.is_defective() else 0 for r in g]
-            for idx, g in groups.items()
-        }
-        gain = _gain_of_partition(labels, label_groups)
-        if gain > best_gain + 1e-12:
-            best_metric, best_gain, best_groups = metric, gain, groups
-    if best_metric is None:
-        return leaf
-
-    children = {
-        idx: _grow(
-            grp, bins, level + 1, max_depth, min_leaf, used | {best_metric}
-        )
-        for idx, grp in sorted(best_groups.items())
+    # Each row's defect count, label and range index per splittable metric
+    # (apply_bins) are computed once; nodes hold lists of row positions.
+    defects = [r.defects for r in records]
+    labels = [1 if d > 0 else 0 for d in defects]
+    columns = {
+        metric: [bisect_left(bins[metric].cut_points, r.metrics[metric])
+                 for r in records]
+        for metric in METRICS
+        if bins[metric].n_ranges >= 2
     }
-    return TreeNode(
-        score=score,
-        support=support,
-        level=level,
-        split_metric=best_metric,
-        split_bins=bins[best_metric],
-        children=children,
-    )
+
+    def grow(rows: list[int], level: int, used: frozenset[str]) -> TreeNode:
+        support = len(rows)
+        score = sum([defects[i] for i in rows]) / support
+        leaf = TreeNode(score=score, support=support, level=level)
+        if level >= max_depth:
+            return leaf
+        here = [labels[i] for i in rows]
+        positives = sum(here)
+        if positives == 0 or positives == support:
+            return leaf
+        parent = _entropy_of_counts((support - positives, positives))
+
+        best_metric = None
+        best_gain = 0.0
+        best_keys: list[int] = []
+        for metric, column in columns.items():
+            if metric in used:
+                continue
+            keys = [column[i] for i in rows]
+            # Groups in first-appearance order: with three or more groups
+            # the weighted-entropy sum depends on the order of its terms.
+            groups = list(dict.fromkeys(keys))
+            sizes = [keys.count(key) for key in groups]
+            if len(groups) < 2 or min(sizes) < min_leaf:
+                continue
+            positive_keys = list(compress(keys, here))
+            weighted = sum(
+                size * _entropy_of_counts((size - p, p))
+                for size, p in zip(sizes, map(positive_keys.count, groups))
+            ) / support
+            gain = parent - weighted
+            if gain > best_gain + 1e-12:
+                best_metric, best_gain, best_keys = metric, gain, groups
+        if best_metric is None:
+            return leaf
+
+        column = columns[best_metric]
+        parts: dict[int, list[int]] = {key: [] for key in sorted(best_keys)}
+        for i in rows:
+            parts[column[i]].append(i)
+        used = used | {best_metric}
+        return TreeNode(
+            score=score,
+            support=support,
+            level=level,
+            split_metric=best_metric,
+            split_bins=bins[best_metric],
+            children={key: grow(part, level + 1, used) for key, part in parts.items()},
+        )
+
+    return grow(list(range(len(records))), 0, frozenset())
 
 
 def _route_index(node: TreeNode, record: ClassRecord) -> int:
-    """Child key for a record, falling back to the nearest populated range."""
-    assert node.children is not None and node.split_bins is not None
-    idx = apply_bins(node.split_bins, record.metrics[node.split_metric])
+    """Child key for a record: its range of the split metric, or the nearest
+    child when that range had no training rows (ties to the smaller key)."""
+    idx = bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
     if idx in node.children:
         return idx
     return min(node.children, key=lambda k: (abs(k - idx), k))
@@ -221,10 +219,17 @@ def predict_defective(
     record: ClassRecord,
     threshold: float = DEFAULT_PREDICT_THRESHOLD,
 ) -> bool:
-    """True when the located leaf's mean defect count exceeds the threshold."""
+    """True when the located leaf's mean defect count exceeds the threshold.
+
+    Routes exactly like ``locate`` (same ``_route_index`` at every node) but
+    allocates nothing: no ``Condition``, ``Branch`` or range bounds.
+    """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    return locate(tree, record).score > threshold
+    node = tree
+    while node.split_metric is not None:  # is_leaf, minus a property call per level
+        node = node.children[_route_index(node, record)]
+    return node.score > threshold
 
 
 def tree_to_dict(node: TreeNode) -> dict:

@@ -95,6 +95,52 @@ def planted_community(seed: int, n: int = 200) -> Community:
     )
 
 
+# Upper bounds (exclusive) of each metric's integer range in
+# ``tie_heavy_community``: small ranges tie heavily, larger ones leave room
+# for several cuts.
+TIE_HEAVY_RANGES = dict(zip(METRICS, (
+    40, 6, 4, 25, 80, 60, 15, 20, 30, 2,
+    900, 2, 5, 2, 2, 3, 3, 50, 12, 6,
+)))
+
+
+def _tie_heavy_project(name: str, seed: int, weights: dict[str, float]) -> Project:
+    rng = np.random.default_rng(seed)
+    releases = []
+    for order in range(2):
+        records = []
+        for i in range(250):
+            metrics = {
+                m: float(rng.integers(0, hi)) for m, hi in TIE_HEAVY_RANGES.items()
+            }
+            risk = sum(w * metrics[m] / TIE_HEAVY_RANGES[m] for m, w in weights.items())
+            p = 1.0 / (1.0 + np.exp(-12.0 * (risk - 0.9)))
+            defects = int(rng.binomial(3, p))
+            records.append(make_record(f"{name}.C{i}", defects=defects, **metrics))
+        releases.append(
+            make_dataset(records, project=name, version=str(order + 1), order=order)
+        )
+    return Project(name, tuple(releases))
+
+
+def tie_heavy_community() -> Community:
+    """Three projects of two 250-class releases with integer-valued metrics.
+
+    Many values tie. Defect risk rises with a different mix of metrics in
+    each project, so pooled trees have 18-31 leaves and some nodes have
+    three children.
+    """
+    return Community((
+        _tie_heavy_project("p0", 101, {"wmc": 0.5, "loc": 0.4, "dit": 0.3,
+                                       "lcom3": 0.2, "cbm": 0.2, "npm": 0.2}),
+        _tie_heavy_project("p1", 202, {"cbo": 0.5, "rfc": 0.4, "max_cc": 0.3,
+                                       "dam": 0.2, "ic": 0.2, "noc": 0.2}),
+        _tie_heavy_project("p2", 303, {"wmc": 0.3, "cbo": 0.3, "lcom": 0.3,
+                                       "ce": 0.3, "mfa": 0.2, "avg_cc": 0.2,
+                                       "amc": 0.2}),
+    ))
+
+
 @pytest.fixture
 def jureczko_root() -> Path:
     root = Path(os.environ.get(DATA_DIR_ENV, DEFAULT_DATA_DIR))

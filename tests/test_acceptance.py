@@ -8,7 +8,6 @@ import time
 from statistics import median
 
 import numpy as np
-import pytest
 
 from planwise.bellwether import discover
 from planwise.cli import main

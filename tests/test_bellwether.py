@@ -1,5 +1,6 @@
 import pytest
 
+from planwise import bellwether
 from planwise.bellwether import (
     discover,
     g_score,
@@ -9,6 +10,7 @@ from planwise.bellwether import (
 from planwise.datasets import Community, Project, pool_versions
 from planwise.evaluate import ChangesSummary, CurvePoint, KTestResult
 from planwise.planners import XTreePlanner
+from planwise.tree import predict_defective
 
 from conftest import make_dataset, make_record, planted_community
 
@@ -48,6 +50,35 @@ class TestDiscover:
         b = discover(reversed_community)
         assert a.bellwether == b.bellwether
         assert a.per_source_median == b.per_source_median
+
+    def test_scores_one_record_per_predict_defective_call(self, monkeypatch):
+        # Per-record prediction is a contract: traces count these calls, so
+        # batching the predictions must fail here.
+        community = planted_community(seed=2, n=60)
+        clean = Project(
+            "allclean",
+            (make_dataset([make_record(f"z{i}") for i in range(25)], project="allclean"),),
+        )
+        community = Community(community.projects + (clean,))
+        calls = []
+
+        def counting(tree, record, *args, **kwargs):
+            calls.append(record)
+            return predict_defective(tree, record, *args, **kwargs)
+
+        monkeypatch.setattr(bellwether, "predict_defective", counting)
+        discover(community)
+        pooled = {p.name: pool_versions(p) for p in community.projects}
+        scorable = [
+            name for name, ds in pooled.items()
+            if len({r.is_defective() for r in ds.records}) == 2
+        ]
+        expected = sum(
+            len(pooled[target]) for source in pooled for target in scorable
+            if target != source
+        )
+        assert "allclean" not in scorable
+        assert len(calls) == expected
 
     def test_single_label_target_excluded_from_medians(self):
         community = planted_community(seed=5)

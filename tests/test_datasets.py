@@ -11,7 +11,6 @@ from planwise.datasets import (
     Community,
     DatasetError,
     Project,
-    VersionedDataset,
     diff_versions,
     load_csv,
     load_project,

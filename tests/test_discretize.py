@@ -83,6 +83,22 @@ def random_dataset(seed):
     return list(values), list(labels)
 
 
+def random_large_dataset(seed):
+    """200-600 rows with many duplicate values and labels that follow the
+    value often enough for the MDL criterion to accept cuts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 601))
+    if seed % 2:
+        values = rng.integers(0, int(rng.integers(5, 60)), n).astype(float)
+    else:
+        values = np.round(rng.random(n) * 10.0, 1)
+    span = values.max() - values.min() or 1.0
+    ramp = (values - values.min()) / span
+    p = 1.0 / (1.0 + np.exp(-rng.uniform(2.0, 12.0) * (ramp - rng.uniform(0.2, 0.8))))
+    labels = (rng.random(n) < p).astype(int)
+    return list(values), list(labels)
+
+
 class TestMdlpCuts:
     def test_pure_labels_yield_no_cuts(self):
         bins = mdlp_cuts([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
@@ -104,6 +120,24 @@ class TestMdlpCuts:
             got = mdlp_cuts(values, labels).cut_points
             expected = tuple(oracle_cuts(values, labels))
             assert got == expected, f"seed {seed}: {got} != {expected}"
+
+    def test_matches_oracle_on_large_tie_heavy_datasets(self):
+        with_cuts = 0
+        for seed in range(40):
+            values, labels = random_large_dataset(seed)
+            got = mdlp_cuts(values, labels).cut_points
+            expected = tuple(oracle_cuts(values, labels))
+            assert got == expected, f"seed {seed}: {got} != {expected}"
+            with_cuts += bool(got)
+        assert with_cuts >= 30  # the oracle is exercised beyond "no cuts"
+
+    def test_labels_must_be_binary(self):
+        with pytest.raises(ValueError, match="got 2"):
+            mdlp_cuts([1.0, 2.0, 3.0], [0, 1, 2])
+        with pytest.raises(ValueError, match="got -1"):
+            mdlp_cuts([1.0, 2.0], [-1, 1])
+        bools = mdlp_cuts([1.0, 2.0, 3.0, 4.0], [False, False, True, True])
+        assert bools == mdlp_cuts([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
 
     def test_rerun_is_bit_identical(self):
         values, labels = random_dataset(123)

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwise.datasets import DECREASE, METRICS, NO_CHANGE
+from planwise.datasets import DECREASE, METRICS
 from planwise.evaluate import (
     BUCKET_MIDPOINTS,
     bucket_index,
@@ -11,7 +12,7 @@ from planwise.evaluate import (
     ktest,
     overlap,
 )
-from planwise.planners import Action, Plan, PlannerBase
+from planwise.planners import Action, Plan, PlannerBase, XTreePlanner
 
 from conftest import make_dataset, make_project, make_record
 
@@ -245,6 +246,32 @@ class TestWindows:
             ("2", "3", "4"),
             ("3", "4", "5"),
         ]
+
+    def test_xtree_plans_each_planned_release_row_once(self, monkeypatch):
+        # One plan call per row of release j in every window: traces count
+        # these calls, so batching the plans must fail here.
+        rng = np.random.default_rng(4)
+        versions = []
+        for i, size in enumerate((30, 40, 50, 60)):
+            records = []
+            for c in range(size):
+                wmc = float(rng.integers(0, 40))
+                records.append(make_record(
+                    f"C{c}", defects=int(wmc > 20), wmc=wmc,
+                    loc=float(rng.integers(10, 500)),
+                ))
+            versions.append(make_dataset(records, version=str(i + 1), order=i))
+        project = make_project(versions)
+        calls = []
+        plan = XTreePlanner.plan
+
+        def counting(self, record):
+            calls.append(record)
+            return plan(self, record)
+
+        monkeypatch.setattr(XTreePlanner, "plan", counting)
+        evaluate_windows(project, XTreePlanner(min_leaf=2))
+        assert len(calls) == sum(len(v) for v in versions[1:-1]) == 90
 
     def test_too_few_releases_explains_the_requirement(self):
         project = make_project(

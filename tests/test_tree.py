@@ -1,10 +1,13 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planwise.datasets import METRICS
+from planwise.datasets import pool_versions
 from planwise.discretize import BinMap
 from planwise.tree import (
-    Branch,
     Condition,
     TreeNode,
     build_tree,
@@ -16,7 +19,7 @@ from planwise.tree import (
     tree_to_dict,
 )
 
-from conftest import make_dataset, make_record
+from conftest import make_dataset, make_record, tie_heavy_community
 
 
 def two_leaf_tree():
@@ -60,6 +63,18 @@ def planted_dataset(n_per_side=20, seed=0):
                         rfc=float(rng.uniform(0, 40)))
         )
     return make_dataset(records)
+
+
+def unpopulated_middle_tree():
+    bins = BinMap("loc", (10.0, 50.0), 0.0, 100.0)
+    return TreeNode(
+        score=3.0, support=10, level=0,
+        split_metric="loc", split_bins=bins,
+        children={
+            0: TreeNode(score=0.0, support=5, level=1),
+            2: TreeNode(score=6.0, support=5, level=1),
+        },
+    )
 
 
 def walk_depth(doc, depth=0):
@@ -163,13 +178,7 @@ class TestLocate:
             }
 
     def test_unpopulated_range_falls_to_nearest_child(self):
-        bins = BinMap("loc", (10.0, 50.0), 0.0, 100.0)
-        low = TreeNode(score=0.0, support=5, level=1)
-        high = TreeNode(score=6.0, support=5, level=1)
-        root = TreeNode(
-            score=3.0, support=10, level=0,
-            split_metric="loc", split_bins=bins, children={0: low, 2: high},
-        )
+        root = unpopulated_middle_tree()
         branch = locate(root, make_record("A", loc=30.0))  # middle range empty
         assert branch.conditions[0].range_index in (0, 2)
         assert branch.conditions[0].range_index == 0  # nearest, tie to smaller
@@ -232,3 +241,78 @@ class TestPredict:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             predict_defective(TreeNode(0.0, 1, 0), make_record("A"), threshold=-1)
+
+
+def gapped_tree():
+    """Five ranges, children only at 1 and 3: values in ranges 0, 2 and 4 fall
+    back to a neighbour, and range 2 is equidistant from both."""
+    bins = BinMap("wmc", (5.0, 10.0, 20.0, 40.0), 0.0, 80.0)
+    return TreeNode(
+        score=2.0, support=10, level=0,
+        split_metric="wmc", split_bins=bins,
+        children={
+            1: TreeNode(score=0.5, support=5, level=1),
+            3: TreeNode(score=3.5, support=5, level=1),
+        },
+    )
+
+
+@lru_cache(maxsize=None)
+def oracle_trees():
+    trees = [two_leaf_tree(), three_level_tree(), gapped_tree(),
+             unpopulated_middle_tree()]
+    planted = planted_dataset(seed=5)
+    trees.append(build_tree(planted, fit_bins(planted), min_leaf=3))
+    for project in tie_heavy_community().projects:
+        pooled = pool_versions(project)
+        trees.append(build_tree(pooled, fit_bins(pooled), min_leaf=2))
+    return tuple(trees)
+
+
+def split_nodes(node):
+    if node.is_leaf:
+        return []
+    out = [node]
+    for child in node.children.values():
+        out.extend(split_nodes(child))
+    return out
+
+
+class TestPredictMatchesLocate:
+    """predict_defective routes without building a Branch; locate is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_answer_as_the_located_leaf(self, data):
+        tree = data.draw(st.sampled_from(oracle_trees()))
+        nodes = split_nodes(tree)
+        # Values inside, outside and exactly on every cut of the split
+        # metrics; the other metrics never affect routing.
+        metrics = {}
+        for metric in sorted({n.split_metric for n in nodes}):
+            edges = [
+                v for n in nodes if n.split_metric == metric
+                for v in (*n.split_bins.cut_points, n.split_bins.vmin,
+                          n.split_bins.vmax)
+            ]
+            metrics[metric] = data.draw(st.one_of(
+                st.sampled_from(edges),
+                st.floats(min(edges) - 100.0, max(edges) + 100.0),
+            ))
+        record = make_record("r", **metrics)
+        threshold = data.draw(st.one_of(
+            st.sampled_from(
+                [0.0] + [leaf["score"] for leaf in iter_leaves(tree_to_dict(tree))]
+            ),
+            st.floats(0.0, 5.0),
+        ))
+        assert predict_defective(tree, record, threshold) == (
+            locate(tree, record).score > threshold
+        )
+
+    def test_fallbacks_route_like_locate(self):
+        tree = gapped_tree()
+        for wmc, expected in ((1.0, 0.5), (7.0, 0.5), (15.0, 0.5), (60.0, 3.5)):
+            record = make_record("r", wmc=wmc)
+            assert locate(tree, record).score == expected
+            assert predict_defective(tree, record, 0.5) == (expected > 0.5)
