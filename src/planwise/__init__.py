@@ -32,9 +32,9 @@ from .tree import (
     TreeNode,
     build_tree,
     fit_bins,
+    leaves,
     locate,
     predict_defective,
-    siblings_at,
     tree_to_dict,
 )
 from .planners import (
@@ -50,6 +50,7 @@ from .planners import (
     compliance_rate,
     make_planner,
     oliveira_thresholds,
+    plan_targets,
     shatnawi_thresholds,
     suggest_refactorings,
     threshold_plan,
@@ -84,11 +85,11 @@ __all__ = [
     "pool_versions", "write_csv",
     "LogisticFit", "entropy", "fit_univariate_logistic", "simpson_integrate",
     "BinMap", "apply_bins", "mdlp_cuts",
-    "Branch", "Condition", "TreeNode", "build_tree", "fit_bins", "locate",
-    "predict_defective", "siblings_at", "tree_to_dict",
+    "Branch", "Condition", "TreeNode", "build_tree", "fit_bins", "leaves",
+    "locate", "predict_defective", "tree_to_dict",
     "Action", "AlvesPlanner", "OliveiraPlanner", "Plan", "PlannerBase",
     "ShatnawiPlanner", "ThresholdRule", "XTreePlanner", "alves_thresholds",
-    "compliance_rate", "make_planner", "oliveira_thresholds",
+    "compliance_rate", "make_planner", "oliveira_thresholds", "plan_targets",
     "shatnawi_thresholds", "suggest_refactorings", "threshold_plan", "varl",
     "weighted_percentile", "xtree_plan",
     "BellwetherReport", "discover", "g_score",

@@ -1,9 +1,11 @@
 """Command-line surface for planning, exemplar discovery, and evaluation.
 
 Every command is a pure function of its input files and options: re-running
-with the same configuration produces byte-identical outputs. All numeric
-options can also be set through ``PLANWISE_``-prefixed environment
-variables (e.g. ``PLANWISE_GAMMA=0.4``); explicit flags win.
+with the same configuration produces byte-identical outputs. Every numeric
+option can also be set through its ``PLANWISE_``-prefixed environment
+variable (e.g. ``PLANWISE_GAMMA=0.4``, ``PLANWISE_MIN_LEAF=8``); explicit
+flags win, and ``--format``/``--quality-measure`` have no such twin. A bad
+value fails only the commands that take that option, with a usage error.
 """
 
 from __future__ import annotations
@@ -53,16 +55,10 @@ PLANNER_OPTIONS = frozenset({
 })
 
 
-def _env(name: str, fallback, cast):
-    raw = os.environ.get(f"PLANWISE_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(
-            f"planwise: invalid value {raw!r} for PLANWISE_{name}"
-        ) from None
+def _env(name: str, fallback):
+    # A raw string: argparse casts a string default with the option's type
+    # only for the subcommand being parsed, so a bad value fails only there.
+    return os.environ.get(f"PLANWISE_{name}", fallback)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -85,11 +81,11 @@ def _dump_json(doc: dict) -> str:
 def _add_planner_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("planner options")
     group.add_argument(
-        "--gamma", type=float, default=_env("GAMMA", DEFAULT_GAMMA, float),
+        "--gamma", type=float, default=_env("GAMMA", DEFAULT_GAMMA),
         help="better-sibling score factor for the tree planners",
     )
     group.add_argument(
-        "--seed", type=int, default=_env("SEED", DEFAULT_SEED, int),
+        "--seed", type=int, default=_env("SEED", DEFAULT_SEED),
         help="seed for suggested in-range values (fixed for reproducibility)",
     )
     _add_tree_options(parser)
@@ -99,11 +95,11 @@ def _add_planner_options(parser: argparse.ArgumentParser) -> None:
 def _add_tree_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("tree options")
     group.add_argument(
-        "--max-depth", type=int, default=_env("MAX_DEPTH", DEFAULT_MAX_DEPTH, int),
+        "--max-depth", type=int, default=_env("MAX_DEPTH", DEFAULT_MAX_DEPTH),
         help="tree depth limit",
     )
     group.add_argument(
-        "--min-leaf", type=int, default=_env("MIN_LEAF", None, int),
+        "--min-leaf", type=int, default=_env("MIN_LEAF", None),
         help="minimum records per leaf (default: max(5, N/50))",
     )
 
@@ -112,24 +108,24 @@ def _add_baseline_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("threshold baseline options")
     group.add_argument(
         "--percentile", type=float,
-        default=_env("PERCENTILE", DEFAULT_PERCENTILE, float),
+        default=_env("PERCENTILE", DEFAULT_PERCENTILE),
         help="size-weighted percentile for the alves baseline",
     )
     group.add_argument(
-        "--p0", type=float, default=_env("P0", DEFAULT_P0, float),
+        "--p0", type=float, default=_env("P0", DEFAULT_P0),
         help="significance level of the shatnawi logistic screen",
     )
     group.add_argument(
-        "--p1", type=float, default=_env("P1", DEFAULT_P1, float),
+        "--p1", type=float, default=_env("P1", DEFAULT_P1),
         help="risk probability defining the shatnawi threshold",
     )
     group.add_argument(
         "--min-compliance", type=float,
-        default=_env("MIN_COMPLIANCE", DEFAULT_MIN_COMPLIANCE, float),
+        default=_env("MIN_COMPLIANCE", DEFAULT_MIN_COMPLIANCE),
         help="compliance target of the oliveira penalty",
     )
     group.add_argument(
-        "--tail", type=float, default=_env("TAIL", DEFAULT_TAIL, float),
+        "--tail", type=float, default=_env("TAIL", DEFAULT_TAIL),
         help="tail percentile anchoring the oliveira penalty",
     )
 
@@ -346,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="training CSV(s); several files are pooled")
     plan.add_argument("--test", required=True, help="release CSV to plan for")
     plan.add_argument("--out", required=True)
-    plan.add_argument("--format", choices=("json", "csv"),
-                      default=_env("FORMAT", "json", str))
+    plan.add_argument("--format", choices=("json", "csv"), default="json")
     _add_planner_options(plan)
     plan.set_defaults(func=_cmd_plan)
 
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="directory of <project>/<version>.csv subdirectories")
     bell.add_argument("--out", required=True)
     bell.add_argument("--quality-measure", choices=sorted(QUALITY_MEASURES),
-                      default=_env("QUALITY_MEASURE", "g-score", str))
+                      default="g-score")
     bell.set_defaults(func=_cmd_bellwether)
 
     ev = sub.add_parser("evaluate", help="run the three-version protocol per window",
@@ -368,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--target", help="project to evaluate when using --community")
     ev.add_argument("--out-dir", required=True,
                     help="result directory; keep it outside the data directories")
-    ev.add_argument("--epsilon", type=float, default=_env("EPSILON", 0.0, float),
+    ev.add_argument("--epsilon", type=float, default=_env("EPSILON", 0.0),
                     help="relative tolerance when diffing developer changes")
     ev.add_argument("--quality-measure", choices=sorted(QUALITY_MEASURES),
-                    default=_env("QUALITY_MEASURE", "g-score", str))
+                    default="g-score")
     _add_planner_options(ev)
     ev.set_defaults(func=_cmd_evaluate)
 

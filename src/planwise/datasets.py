@@ -304,9 +304,10 @@ def pool_versions(project: Project) -> VersionedDataset:
         for rec in version.records:
             name = rec.class_name
             if name in seen:
-                name = f"{version.version}:{rec.class_name}"
+                name = f"{version.version}:{name}"
+                rec = ClassRecord(name, rec.metrics, rec.defects)
             seen.add(name)
-            records.append(ClassRecord(name, rec.metrics, rec.defects))
+            records.append(rec)
     return VersionedDataset(project.name, "pooled", 0, tuple(records))
 
 

@@ -28,11 +28,12 @@ from .stats import LogisticFit, fit_univariate_logistic
 from .tree import (
     DEFAULT_MAX_DEPTH,
     Branch,
+    Condition,
     TreeNode,
     build_tree,
     fit_bins,
+    leaves,
     locate,
-    siblings_at,
 )
 from .discretize import apply_bins
 
@@ -46,6 +47,9 @@ DEFAULT_TAIL = 90.0
 SIGNIFICANCE_LEVEL = 0.05
 
 PLANNER_NAMES = ("xtree", "belltree", "alves", "shatnawi", "oliveira")
+
+# A leaf's conditions -> the branch its classes should move to, or None.
+PlanTargets = dict[tuple[Condition, ...], Optional[Branch]]
 
 
 @dataclass(frozen=True)
@@ -130,39 +134,52 @@ def _branch_distance(a: Branch, b: Branch) -> int:
     return len(a.condition_keys() ^ b.condition_keys())
 
 
-def xtree_plan(
-    tree: TreeNode,
-    record: ClassRecord,
-    gamma: float = DEFAULT_GAMMA,
-    seed: int = DEFAULT_SEED,
-    source_planner: str = "xtree",
-) -> Plan:
-    """Plan by contrasting the record's branch with a better sibling branch.
+def _shared_prefix(a: Branch, b: Branch) -> int:
+    """Depth of the deepest common ancestor of two distinct leaf branches."""
+    return next(i for i, (x, y) in enumerate(zip(a.conditions, b.conditions)) if x != y)
 
-    Starting from the leaf's parent and ascending one level at a time,
-    collect sibling leaves and keep those scoring below ``gamma`` times the
-    current leaf's score. The closest such sibling (fewest differing branch
-    conditions; ties to lower score, then branch order) defines the plan:
-    each of its conditions the record does not already satisfy becomes an
-    increase or decrease toward that condition's range. If no level offers
-    a better sibling, the plan recommends no changes.
+
+def plan_targets(tree: TreeNode, gamma: float = DEFAULT_GAMMA) -> PlanTargets:
+    """Each leaf's desired branch, keyed by the leaf's conditions.
+
+    A leaf's candidates are the other leaves scoring below ``gamma`` times
+    its score. The search ascends from the leaf's parent and stops at the
+    first ancestor with a candidate below it, so the winner is the candidate
+    sharing the longest condition prefix with the leaf; ties go to fewest
+    differing conditions, then lower score, then branch order. A leaf
+    without candidates maps to None.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    current = locate(tree, record)
-    desired = None
-    for lvl in range(len(current.conditions) - 1, -1, -1):
+    branches = leaves(tree)
+    targets: PlanTargets = {}
+    for current in branches:
         better = [
-            b
-            for b in siblings_at(tree, current, lvl)
-            if b.score < gamma * current.score
+            b for b in branches if b.score < gamma * current.score and b is not current
         ]
-        if better:
-            desired = min(
-                better,
-                key=lambda b: (_branch_distance(b, current), b.score, b.sort_key()),
-            )
-            break
+        targets[current.conditions] = min(better, default=None, key=lambda b: (
+            -_shared_prefix(b, current), _branch_distance(b, current),
+            b.score, b.sort_key(),
+        ))
+    return targets
+
+
+def xtree_plan(
+    tree: TreeNode,
+    targets: PlanTargets,
+    record: ClassRecord,
+    seed: int = DEFAULT_SEED,
+    source_planner: str = "xtree",
+) -> Plan:
+    """Plan by contrasting the record's branch with its leaf's desired branch.
+
+    ``targets`` comes from ``plan_targets`` on the same tree. Each condition
+    of the desired branch the record does not already satisfy becomes an
+    increase or decrease toward that condition's range; a leaf without a
+    desired branch gets a plan with no changes.
+    """
+    current = locate(tree, record)
+    desired = targets[current.conditions]
     if desired is None:
         return no_change_plan(record.class_name, source_planner)
 
@@ -439,19 +456,21 @@ class XTreePlanner(PlannerBase):
         if name is not None:
             self.name = name
         self.tree: TreeNode | None = None
+        self.targets: PlanTargets | None = None
 
     def fit(self, train: VersionedDataset) -> "XTreePlanner":
         bins = fit_bins(train)
         self.tree = build_tree(
             train, bins, max_depth=self.max_depth, min_leaf=self.min_leaf
         )
+        self.targets = plan_targets(self.tree, self.gamma)
         return self
 
     def plan(self, record: ClassRecord) -> Plan:
         if self.tree is None:
             raise RuntimeError("planner not fitted")
         return xtree_plan(
-            self.tree, record, self.gamma, self.seed, source_planner=self.name
+            self.tree, self.targets, record, self.seed, source_planner=self.name
         )
 
 

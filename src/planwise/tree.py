@@ -183,35 +183,17 @@ def locate(tree: TreeNode, record: ClassRecord) -> Branch:
     return Branch(tuple(conditions), node.score, node.support)
 
 
-def _leaves_under(
-    node: TreeNode, prefix: tuple[Condition, ...]
-) -> list[Branch]:
+def leaves(node: TreeNode, prefix: tuple[Condition, ...] = ()) -> list[Branch]:
+    """Every leaf branch under ``node`` in child-key order; ``prefix`` holds
+    the conditions that lead from the root to ``node``."""
     if node.is_leaf:
         return [Branch(prefix, node.score, node.support)]
     out: list[Branch] = []
     for key in sorted(node.children):
         low, high = node.split_bins.range_bounds(key)
         cond = Condition(node.split_metric, key, low, high)
-        out.extend(_leaves_under(node.children[key], prefix + (cond,)))
+        out.extend(leaves(node.children[key], prefix + (cond,)))
     return out
-
-
-def siblings_at(tree: TreeNode, branch: Branch, lvl: int) -> list[Branch]:
-    """Leaf branches reachable from the branch's ancestor at depth ``lvl``,
-    excluding the branch itself. A ``lvl`` above the root yields no siblings;
-    the caller treats that as search exhaustion."""
-    if lvl < 0:
-        return []
-    if lvl > len(branch.conditions):
-        raise ValueError(f"lvl {lvl} is below the branch's leaf")
-    node = tree
-    prefix: tuple[Condition, ...] = ()
-    for cond in branch.conditions[:lvl]:
-        prefix += (cond,)
-        node = node.children[cond.range_index]
-    return [
-        b for b in _leaves_under(node, prefix) if b.conditions != branch.conditions
-    ]
 
 
 def predict_defective(

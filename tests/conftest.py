@@ -15,6 +15,8 @@ from planwise.datasets import (
     Project,
     VersionedDataset,
 )
+from planwise.discretize import BinMap
+from planwise.tree import TreeNode
 
 # Version CSVs of the public Jureczko corpus, as ``<project>/<project>-<v>.csv``
 # subdirectories. Populate with scripts/fetch_jureczko.py (needs network).
@@ -45,6 +47,19 @@ def make_dataset(
 
 def make_project(versions: list[VersionedDataset], name: str = "proj") -> Project:
     return Project(name, tuple(versions))
+
+
+def unpopulated_middle_tree() -> TreeNode:
+    """loc splits into three ranges, but the middle one has no child."""
+    bins = BinMap("loc", (10.0, 50.0), 0.0, 100.0)
+    return TreeNode(
+        score=3.0, support=10, level=0,
+        split_metric="loc", split_bins=bins,
+        children={
+            0: TreeNode(score=0.0, support=5, level=1),
+            2: TreeNode(score=6.0, support=5, level=1),
+        },
+    )
 
 
 def planted_community(seed: int, n: int = 200) -> Community:

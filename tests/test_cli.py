@@ -420,6 +420,48 @@ class TestOtherCommands:
         )
         assert args.seed == 3
 
+    @pytest.mark.parametrize(
+        "variable, command",
+        [("PLANWISE_MIN_LEAF", "bellwether"), ("PLANWISE_GAMMA", "tree")],
+    )
+    def test_bad_environment_value_spares_commands_without_the_option(
+        self, monkeypatch, toy_community_dir, tmp_path, variable, command
+    ):
+        monkeypatch.setenv(variable, "abc")
+        if command == "bellwether":
+            argv = ["bellwether", "--community", str(toy_community_dir)]
+        else:
+            argv = ["tree", "--train", str(toy_community_dir / "apple" / "apple-1.csv")]
+        assert main(argv + ["--out", str(tmp_path / "o.json")]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "variable, option, command",
+        [("PLANWISE_MIN_LEAF", "--min-leaf", "tree"),
+         ("PLANWISE_GAMMA", "--gamma", "plan")],
+    )
+    def test_bad_environment_value_is_a_usage_error_where_read(
+        self, monkeypatch, capsys, variable, option, command
+    ):
+        monkeypatch.setenv(variable, "abc")
+        argv = [command, "--train", "t.csv", "--out", "o.json"]
+        if command == "plan":
+            argv += ["--planner", "xtree", "--test", "v.csv"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"argument {option}: invalid" in capsys.readouterr().err
+
+    def test_format_has_no_environment_twin(self, monkeypatch, toy_project_dir, tmp_path):
+        monkeypatch.setenv("PLANWISE_FORMAT", "csv")
+        out = tmp_path / "plans.out"
+        code = main(
+            ["plan", "--planner", "xtree",
+             "--train", str(toy_project_dir / "toy-1.0.csv"),
+             "--test", str(toy_project_dir / "toy-1.1.csv"), "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["plans"]) == 60
+
     def test_help_lists_spec_defaults(self, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):

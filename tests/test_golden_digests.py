@@ -1,11 +1,16 @@
-"""Golden digests of tree growth and exemplar discovery on tie-heavy data.
+"""Golden digests of tree growth, exemplar discovery and XTREE plans on
+tie-heavy data.
 
 Integer-valued metrics make many values tie (``conftest.tie_heavy_community``),
 which exercises the grouping, boundary-skipping and tie-breaking rules of
-discretization and tree growth. The expected digests were recorded with the
-earlier implementation (``Counter``-based MDL, tree growth over record lists
-and ``locate``-based prediction), so they pin the fast paths to its bits: any
-change to a tree's shape, a cut, a score or a discovery score changes them.
+discretization and tree growth. The tree and discovery digests were recorded
+with the earlier implementation (``Counter``-based MDL, tree growth over
+record lists and ``locate``-based prediction), so they pin the fast paths to
+its bits: any change to a tree's shape, a cut, a score or a discovery score
+changes them. The plan digests were recorded while XTREE still searched the
+tree level by level for every class, so they pin the per-leaf targets found
+once at fit to that search: any change to a chosen branch, a direction, a
+target range or a suggested value changes them.
 """
 
 import hashlib
@@ -15,6 +20,7 @@ import pytest
 
 from planwise.bellwether import discover
 from planwise.datasets import pool_versions
+from planwise.planners import XTreePlanner
 from planwise.tree import build_tree, fit_bins, tree_to_dict
 
 from conftest import tie_heavy_community
@@ -48,6 +54,30 @@ EXPECTED_DISCOVER = (
     "b93ca4dcf09e9f3bb02abc946123d8be311cfb839b4d3cbd01cc95abfc872ec9"
 )
 
+# (fit, gamma) -> digest of the plans for every class of one release. A
+# pooled fit on p0 plans p1's second release; a single-release fit on p2's
+# first release plans its second.
+EXPECTED_PLANS = {
+    ("pooled", 0.3): (
+        "de0d256a50fbde194f5a149a910231b5c0868da623f17b24ebe98cb5e58417a1"
+    ),
+    ("pooled", 0.5): (
+        "9554551562efd99d5fc0cc5427759be16da76f7419799f3964eb1d0e77b5f612"
+    ),
+    ("pooled", 0.7): (
+        "2c8bb44cf9c25ab7fcb5440e488942da1ee4293ad4720b27ebf53a6a297fdcfe"
+    ),
+    ("single", 0.3): (
+        "c26f613abc8d9b92f142761f441e317471d932a2e6a1a6b3b587d1e342d6484a"
+    ),
+    ("single", 0.5): (
+        "0870928feb4ca286ae6fb580e2c02185715960b4a6f8a627006716c0474799f3"
+    ),
+    ("single", 0.7): (
+        "c873364552543feb6dbcd091d8da227e17e7cadd67ed7a66e68317e1dda5688f"
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def community():
@@ -64,3 +94,14 @@ def test_tree_digest(community, name, min_leaf):
 
 def test_discover_digest(community):
     assert _sha(discover(community).to_dict()) == EXPECTED_DISCOVER
+
+
+@pytest.mark.parametrize("fit,gamma", sorted(EXPECTED_PLANS))
+def test_plan_digest(community, fit, gamma):
+    projects = {p.name: p for p in community.projects}
+    if fit == "pooled":
+        train, release = pool_versions(projects["p0"]), projects["p1"].versions[1]
+    else:
+        train, release = projects["p2"].versions[0], projects["p2"].versions[1]
+    plans = XTreePlanner(gamma=gamma).fit(train).plan_all(release)
+    assert _sha([p.to_dict() for p in plans]) == EXPECTED_PLANS[(fit, gamma)]

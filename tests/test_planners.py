@@ -1,9 +1,13 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planwise.datasets import DECREASE, INCREASE, METRICS, NO_CHANGE
+from planwise import planners
+from planwise.datasets import DECREASE, INCREASE, METRICS, NO_CHANGE, pool_versions
 from planwise.discretize import BinMap
 from planwise.planners import (
     Action,
@@ -16,6 +20,7 @@ from planwise.planners import (
     compliance_rate,
     make_planner,
     oliveira_thresholds,
+    plan_targets,
     shatnawi_thresholds,
     suggest_refactorings,
     threshold_plan,
@@ -25,9 +30,14 @@ from planwise.planners import (
     xtree_plan,
 )
 from planwise.stats import LogisticFit, fit_univariate_logistic
-from planwise.tree import TreeNode
+from planwise.tree import TreeNode, build_tree, fit_bins, leaves
 
-from conftest import make_dataset, make_record
+from conftest import (
+    make_dataset,
+    make_record,
+    tie_heavy_community,
+    unpopulated_middle_tree,
+)
 
 
 def plan_with(directions: dict[str, str], name="c", planner="test") -> Plan:
@@ -70,11 +80,15 @@ def two_level_tree():
     )
 
 
+def plan_for(tree, record, gamma=0.5, seed=planners.DEFAULT_SEED):
+    return xtree_plan(tree, plan_targets(tree, gamma), record, seed)
+
+
 class TestXtreePlan:
     def test_better_sibling_drives_a_single_metric_action(self):
         tree = contrast_tree()
         record = make_record("A", rfc=30.0)
-        plan = xtree_plan(tree, record, gamma=0.5, seed=1)
+        plan = plan_for(tree, record, gamma=0.5, seed=1)
         assert plan.actions["rfc"].direction == DECREASE
         assert plan.actions["rfc"].target_range == (0.0, 10.0)
         assert 0.0 <= plan.actions["rfc"].suggested <= 10.0
@@ -92,20 +106,20 @@ class TestXtreePlan:
                 1: TreeNode(score=10.0, support=5, level=1),
             },
         )
-        plan = xtree_plan(tree, make_record("A", rfc=30.0), gamma=0.5, seed=1)
+        plan = plan_for(tree, make_record("A", rfc=30.0), gamma=0.5, seed=1)
         assert plan.is_no_change()
 
     def test_zero_score_leaf_never_gets_a_plan(self):
         tree = contrast_tree()
         record = make_record("A", rfc=5.0)  # lands on score-4 leaf
-        plan = xtree_plan(tree, record, gamma=0.5, seed=1)
+        plan = plan_for(tree, record, gamma=0.5, seed=1)
         # gamma * 4 = 2 beats nothing: the only sibling scores 10.
         assert plan.is_no_change()
 
     def test_ascends_until_a_level_offers_better_siblings(self):
         tree = two_level_tree()
         record = make_record("A", loc=10.0, rfc=20.0)  # leaf scoring 8
-        plan = xtree_plan(tree, record, gamma=0.5, seed=3)
+        plan = plan_for(tree, record, gamma=0.5, seed=3)
         assert plan.actions["loc"].direction == INCREASE
         assert plan.actions["loc"].target_range == (50.0, 100.0)
         assert plan.actions["rfc"].direction == NO_CHANGE
@@ -114,17 +128,20 @@ class TestXtreePlan:
     def test_same_seed_reproduces_suggested_values(self):
         tree = contrast_tree()
         record = make_record("A", rfc=30.0)
-        first = xtree_plan(tree, record, seed=99)
-        second = xtree_plan(tree, record, seed=99)
+        first = plan_for(tree, record, seed=99)
+        second = plan_for(tree, record, seed=99)
         assert first == second
-        other = xtree_plan(tree, record, seed=100)
+        other = plan_for(tree, record, seed=100)
         assert other.actions["rfc"].suggested != first.actions["rfc"].suggested
 
     def test_gamma_must_be_a_proper_fraction(self):
         tree = contrast_tree()
+        train = make_dataset([make_record("A", defects=1), make_record("B")])
         for gamma in (0.0, 1.0, -0.2, 3.0):
             with pytest.raises(ValueError):
-                xtree_plan(tree, make_record("A"), gamma=gamma)
+                plan_targets(tree, gamma)
+            with pytest.raises(ValueError):
+                XTreePlanner(gamma=gamma).fit(train)
 
     def test_changes_bounded_by_max_depth(self):
         rng = np.random.default_rng(6)
@@ -149,6 +166,200 @@ class TestXtreePlan:
                 1 for a in plan.actions.values() if a.direction != NO_CHANGE
             )
             assert changed <= 3
+
+
+def reference_targets(tree, gamma):
+    """The level-ascent search XTREE once ran for every class, as an oracle.
+
+    From the leaf's parent up to the root, the first ancestor with another
+    leaf below it scoring under ``gamma`` times the leaf's score wins; among
+    that ancestor's such leaves, fewest differing conditions, then lower
+    score, then branch order.
+    """
+    out = {}
+    for current in leaves(tree):
+        desired = None
+        for lvl in range(len(current.conditions) - 1, -1, -1):
+            prefix = current.conditions[:lvl]
+            node = tree
+            for cond in prefix:
+                node = node.children[cond.range_index]
+            better = [
+                b for b in leaves(node, prefix)
+                if b.conditions != current.conditions
+                and b.score < gamma * current.score
+            ]
+            if better:
+                desired = min(better, key=lambda b: (
+                    len(b.condition_keys() ^ current.condition_keys()),
+                    b.score, b.sort_key(),
+                ))
+                break
+        out[current.conditions] = desired
+    return out
+
+
+def three_way_tree(scores=(2.0, 2.0, 8.0)):
+    """cbo splits the root into three ranges with the given leaf scores."""
+    bins = BinMap("cbo", (5.0, 15.0), 0.0, 30.0)
+    return TreeNode(
+        score=4.0, support=15, level=0, split_metric="cbo", split_bins=bins,
+        children={
+            key: TreeNode(score=score, support=5, level=1)
+            for key, score in enumerate(scores)
+        },
+    )
+
+
+def deep_tie_tree():
+    """A depth-3 tree whose leaves repeat scores at several depths.
+
+    loc splits the root; its low side splits on rfc, and rfc's high side on
+    wmc. Leaves: [loc0 rfc0] 1, [loc0 rfc1 wmc0] 6, [loc0 rfc1 wmc1] 1,
+    [loc1] 1, so leaf 6 sees score-1 leaves at every level.
+    """
+    def leaf(score, level):
+        return TreeNode(score=score, support=5, level=level)
+
+    wmc = TreeNode(
+        score=3.5, support=10, level=2, split_metric="wmc",
+        split_bins=BinMap("wmc", (7.0,), 0.0, 20.0),
+        children={0: leaf(6.0, 3), 1: leaf(1.0, 3)},
+    )
+    rfc = TreeNode(
+        score=2.7, support=15, level=1, split_metric="rfc",
+        split_bins=BinMap("rfc", (10.0,), 0.0, 40.0),
+        children={0: leaf(1.0, 2), 1: wmc},
+    )
+    return TreeNode(
+        score=2.0, support=20, level=0, split_metric="loc",
+        split_bins=BinMap("loc", (50.0,), 0.0, 100.0),
+        children={0: rfc, 1: leaf(1.0, 1)},
+    )
+
+
+def hand_built_trees():
+    return (
+        TreeNode(score=3.0, support=5, level=0),
+        contrast_tree(),
+        two_level_tree(),
+        unpopulated_middle_tree(),
+        three_way_tree(),
+        three_way_tree((0.0, 0.0, 5.0)),
+        three_way_tree((0.0, 3.0, 3.0)),
+        deep_tie_tree(),
+    )
+
+
+def exact_ratios(tree):
+    """Every leaf-score ratio inside (0, 1): gammas that put a leaf exactly
+    on another leaf's bar."""
+    scores = sorted({b.score for b in leaves(tree)})
+    return sorted({a / b for a in scores for b in scores if 0 < a < b})
+
+
+@lru_cache(maxsize=None)
+def fitted_trees():
+    rng = np.random.default_rng(6)
+    records = []
+    for i in range(300):
+        defects = int(rng.integers(0, 4)) * int(rng.random() < 0.4)
+        records.append(make_record(
+            f"c{i}", defects=defects,
+            loc=float(rng.integers(10, 500) + 80 * defects),
+            rfc=float(rng.integers(0, 50) + 8 * defects),
+            wmc=float(rng.integers(0, 30) + 4 * defects),
+            cbo=float(rng.integers(0, 20)),
+        ))
+    shifted = make_dataset(records)
+    trees = []
+    for train in [pool_versions(p) for p in tie_heavy_community().projects] + [shifted]:
+        bins = fit_bins(train)
+        for min_leaf, max_depth in ((1, 10), (2, 10), (5, 10), (None, 10), (2, 3)):
+            trees.append(build_tree(train, bins, max_depth=max_depth, min_leaf=min_leaf))
+    return tuple(trees)
+
+
+class TestPlanTargets:
+    """plan_targets finds each leaf's target once; the level ascent is its oracle."""
+
+    @pytest.mark.parametrize("index", range(len(hand_built_trees())))
+    def test_hand_built_trees_match_the_level_ascent(self, index):
+        tree = hand_built_trees()[index]
+        for gamma in (0.1, 0.25, 0.5, 0.75, 0.9, *exact_ratios(tree)):
+            assert plan_targets(tree, gamma) == reference_targets(tree, gamma)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_fitted_trees_match_the_level_ascent(self, data):
+        tree = data.draw(st.sampled_from(fitted_trees()))
+        gamma = data.draw(st.one_of(
+            st.floats(0.01, 0.99), st.sampled_from(exact_ratios(tree) or [0.5]),
+        ))
+        assert plan_targets(tree, gamma) == reference_targets(tree, gamma)
+
+    def test_fitted_trees_have_targets_to_find(self):
+        # The oracle comparison means something only if targets are found
+        # at several ancestor levels.
+        ascents = set()
+        for tree in fitted_trees():
+            targets = plan_targets(tree, 0.5)
+            for leaf in leaves(tree):
+                target = targets[leaf.conditions]
+                if target is not None:
+                    shared = next(i for i, (x, y) in enumerate(
+                        zip(leaf.conditions, target.conditions)) if x != y)
+                    ascents.add(len(leaf.conditions) - shared)
+        assert len(ascents) >= 3
+
+    def test_every_leaf_has_an_entry(self):
+        for tree in hand_built_trees() + fitted_trees()[:3]:
+            assert list(plan_targets(tree)) == [b.conditions for b in leaves(tree)]
+
+    def test_equal_scores_tie_to_branch_order(self):
+        tree = three_way_tree()  # scores 2, 2, 8
+        worst = leaves(tree)[2]
+        target = plan_targets(tree, 0.5)[worst.conditions]
+        assert target.sort_key() == (("cbo", 0),)
+
+    def test_deepest_ancestor_wins_over_closer_scores(self):
+        tree = deep_tie_tree()
+        targets = plan_targets(tree, 0.5)
+        six = next(b for b in leaves(tree) if b.score == 6.0)
+        assert targets[six.conditions].sort_key() == (
+            ("loc", 0), ("rfc", 1), ("wmc", 1),
+        )
+
+    def test_zero_score_leaves_get_no_target(self):
+        tree = three_way_tree((0.0, 0.0, 5.0))
+        targets = plan_targets(tree, 0.9)
+        assert [t is None for t in targets.values()] == [True, True, False]
+
+    def test_searched_once_per_fit_and_never_per_plan(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        records = []
+        for i in range(200):
+            wmc, loc = float(rng.integers(0, 40)), float(rng.integers(10, 500))
+            defects = int(wmc > 20) + int(loc > 300) + int(rng.integers(0, 2))
+            records.append(make_record(f"c{i}", defects=defects, wmc=wmc, loc=loc))
+        searches, enumerations = [], []
+        real_targets, real_leaves = planners.plan_targets, planners.leaves
+
+        def counting_targets(*args, **kwargs):
+            searches.append(args)
+            return real_targets(*args, **kwargs)
+
+        def counting_leaves(*args, **kwargs):
+            enumerations.append(args)
+            return real_leaves(*args, **kwargs)
+
+        monkeypatch.setattr(planners, "plan_targets", counting_targets)
+        monkeypatch.setattr(planners, "leaves", counting_leaves)
+        planner = XTreePlanner(min_leaf=5).fit(make_dataset(records))
+        assert (len(searches), len(enumerations)) == (1, 1)
+        plans = planner.plan_all(make_dataset(records))
+        assert (len(searches), len(enumerations)) == (1, 1)
+        assert any(not p.is_no_change() for p in plans)
 
 
 class TestAlves:

@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 from planwise.datasets import pool_versions
 from planwise.discretize import BinMap
 from planwise.tree import (
+    Branch,
     Condition,
     TreeNode,
     build_tree,
     default_min_leaf,
     fit_bins,
+    leaves,
     locate,
     predict_defective,
-    siblings_at,
     tree_to_dict,
 )
 
-from conftest import make_dataset, make_record, tie_heavy_community
+from conftest import (
+    make_dataset,
+    make_record,
+    tie_heavy_community,
+    unpopulated_middle_tree,
+)
 
 
 def two_leaf_tree():
@@ -63,18 +69,6 @@ def planted_dataset(n_per_side=20, seed=0):
                         rfc=float(rng.uniform(0, 40)))
         )
     return make_dataset(records)
-
-
-def unpopulated_middle_tree():
-    bins = BinMap("loc", (10.0, 50.0), 0.0, 100.0)
-    return TreeNode(
-        score=3.0, support=10, level=0,
-        split_metric="loc", split_bins=bins,
-        children={
-            0: TreeNode(score=0.0, support=5, level=1),
-            2: TreeNode(score=6.0, support=5, level=1),
-        },
-    )
 
 
 def walk_depth(doc, depth=0):
@@ -184,43 +178,36 @@ class TestLocate:
         assert branch.conditions[0].range_index == 0  # nearest, tie to smaller
 
 
-class TestSiblings:
-    def test_single_leaf_has_no_siblings(self):
+class TestLeaves:
+    def test_single_leaf_tree_is_its_own_branch(self):
         leaf = TreeNode(score=1.0, support=4, level=0)
-        branch = locate(leaf, make_record("A"))
-        assert siblings_at(leaf, branch, 0) == []
+        assert leaves(leaf) == [Branch((), 1.0, 4)]
+        assert leaves(leaf) == [locate(leaf, make_record("A"))]
 
-    def test_two_leaf_tree_offers_the_other_leaf(self):
+    def test_two_leaf_tree_lists_both_leaves(self):
         tree = two_leaf_tree()
-        branch = locate(tree, make_record("A", loc=10))
-        siblings = siblings_at(tree, branch, 0)
-        assert len(siblings) == 1
-        assert siblings[0].score == 4.0
+        assert [b.score for b in leaves(tree)] == [0.0, 4.0]
+        assert leaves(tree)[1] == locate(tree, make_record("A", loc=80))
 
     def test_three_level_enumeration_matches_hand_count(self):
         tree = three_level_tree()
+        all_leaves = leaves(tree)
+        assert [b.sort_key() for b in all_leaves] == [
+            (("loc", 0), ("rfc", 0)), (("loc", 0), ("rfc", 1)), (("loc", 1),),
+        ]
+        assert [b.score for b in all_leaves] == [0.0, 2.0, 8.0]
+        # Below an inner node, branches start with the given prefix.
         branch = locate(tree, make_record("A", loc=10, rfc=5))
-        assert [c.key() for c in branch.conditions] == [("loc", 0), ("rfc", 0)]
+        prefix = branch.conditions[:1]
+        assert leaves(tree.children[0], prefix) == all_leaves[:2]
 
-        at_parent = siblings_at(tree, branch, 1)
-        assert [b.score for b in at_parent] == [2.0]
-
-        at_root = siblings_at(tree, branch, 0)
-        assert sorted(b.score for b in at_root) == [2.0, 8.0]
-
-        at_leaf = siblings_at(tree, branch, 2)
-        assert at_leaf == []
-
-    def test_above_root_is_empty(self):
-        tree = two_leaf_tree()
-        branch = locate(tree, make_record("A", loc=10))
-        assert siblings_at(tree, branch, -1) == []
-
-    def test_below_leaf_rejected(self):
-        tree = two_leaf_tree()
-        branch = locate(tree, make_record("A", loc=10))
-        with pytest.raises(ValueError):
-            siblings_at(tree, branch, 5)
+    def test_every_located_branch_is_listed(self):
+        ds = planted_dataset(seed=5)
+        tree = build_tree(ds, fit_bins(ds), min_leaf=3)
+        listed = leaves(tree)
+        assert len(set(b.conditions for b in listed)) == len(listed)
+        for record in ds.records:
+            assert locate(tree, record) in listed
 
 
 class TestPredict:
