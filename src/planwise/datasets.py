@@ -323,6 +323,7 @@ def diff_versions(
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    up, down = 1.0 + epsilon, 1.0 - epsilon
     new_by_name = new.by_name()
     out: dict[str, ActionVector] = {}
     for old_rec in old.records:
@@ -330,13 +331,13 @@ def diff_versions(
         new_rec = new_by_name.get(name)
         if new_rec is None:
             continue
+        olds, news = old_rec.metrics, new_rec.metrics
         vector: ActionVector = {}
         for metric in METRICS:
-            before = old_rec.metrics[metric]
-            after = new_rec.metrics[metric]
-            if after > before * (1.0 + epsilon):
+            before, after = olds[metric], news[metric]
+            if after > before * up:
                 vector[metric] = INCREASE
-            elif after < before * (1.0 - epsilon):
+            elif after < before * down:
                 vector[metric] = DECREASE
             else:
                 vector[metric] = NO_CHANGE

@@ -40,8 +40,7 @@ def overlap(d: ActionVector, p: ActionVector) -> float:
         raise ValueError("action vectors cover different metric universes")
     if not d:
         raise ValueError("empty action vectors")
-    agree = sum(1 for m in d if d[m] == p[m])
-    return 100.0 * agree / len(d)
+    return 100.0 * len(d.items() & p.items()) / len(d)
 
 
 def changes_count(plan: Plan) -> int:
@@ -177,11 +176,14 @@ def ktest(
     planner: PlannerBase,
     epsilon: float = 0.0,
     train: VersionedDataset | None = None,
+    *,
+    fitted: bool = False,
 ) -> KTestResult:
     """Train on release ``i``, plan for ``j``, validate against ``k``.
 
     ``train`` swaps the training release for external data (cross-project
     planning) while the window itself stays on the project's releases.
+    ``fitted`` says the caller has already fitted ``planner`` on ``train``.
     Indices address ``project.versions``; they must be strictly increasing.
     """
     if not 0 <= i < j < k < len(project.versions):
@@ -194,7 +196,8 @@ def ktest(
         project.versions[j],
         project.versions[k],
     )
-    planner.fit(train if train is not None else version_i)
+    if not fitted:
+        planner.fit(train if train is not None else version_i)
     plans = {rec.class_name: planner.plan(rec) for rec in version_j.records}
 
     developer = diff_versions(version_j, version_k, epsilon)
@@ -250,15 +253,14 @@ def evaluate_windows(
     epsilon: float = 0.0,
     train: VersionedDataset | None = None,
 ) -> list[KTestResult]:
-    """Run every consecutive three-release window of a project."""
+    """Run every consecutive three-release window; fit an external ``train`` once."""
     if len(project.versions) < 3:
         raise ValueError(
             f"project {project.name!r} has {len(project.versions)} release(s); "
             "the three-version protocol needs at least 3"
         )
-    results = []
-    for start in range(len(project.versions) - 2):
-        results.append(
-            ktest(project, start, start + 1, start + 2, planner, epsilon, train)
-        )
-    return results
+    if train is not None:
+        planner.fit(train)
+    return [ktest(project, s, s + 1, s + 2, planner, epsilon, train,
+                  fitted=train is not None)
+            for s in range(len(project.versions) - 2)]

@@ -18,6 +18,7 @@ from .datasets import (
     DECREASE,
     INCREASE,
     METRICS,
+    METRIC_SET,
     NO_CHANGE,
     ActionVector,
     ClassRecord,
@@ -54,7 +55,10 @@ PlanTargets = dict[tuple[Condition, ...], Optional[Branch]]
 
 @dataclass(frozen=True)
 class Action:
-    """One metric's recommendation: direction plus optional target range."""
+    """One metric's recommendation: direction plus optional target range.
+
+    Frozen: every plan's no-change entries share the one instance ``_KEEP``.
+    """
 
     direction: str = NO_CHANGE
     target_range: Optional[tuple[float, float]] = None
@@ -69,7 +73,7 @@ class Action:
 
 @dataclass(frozen=True)
 class Plan:
-    """Per-class action vector produced by one planner."""
+    """Per-class action vector; no-change entries share one frozen Action."""
 
     class_name: str
     actions: dict[str, Action]
@@ -77,7 +81,7 @@ class Plan:
     expected_score_drop: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if set(self.actions) != set(METRICS):
+        if self.actions.keys() != METRIC_SET:
             raise ValueError("plan must cover all metrics")
 
     def direction_vector(self) -> ActionVector:
@@ -122,8 +126,11 @@ class ThresholdRule:
             raise ValueError("p_fraction must lie in (0, 1]")
 
 
+_KEEP = Action()
+
+
 def no_change_plan(class_name: str, source_planner: str) -> Plan:
-    return Plan(class_name, {m: Action() for m in METRICS}, source_planner)
+    return Plan(class_name, dict.fromkeys(METRICS, _KEEP), source_planner)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +191,7 @@ def xtree_plan(
         return no_change_plan(record.class_name, source_planner)
 
     rng = random.Random(seed)
-    actions = {m: Action() for m in METRICS}
+    actions = dict.fromkeys(METRICS, _KEEP)
     node = tree
     for cond in desired.conditions:
         bins = node.split_bins
@@ -382,7 +389,7 @@ def threshold_plan(
     source_planner: str = "threshold",
 ) -> Plan:
     """Decrease every metric whose value exceeds its rule's upper bound."""
-    actions = {m: Action() for m in METRICS}
+    actions = dict.fromkeys(METRICS, _KEEP)
     for rule in rules:
         if record.metrics[rule.metric] > rule.upper:
             actions[rule.metric] = Action(

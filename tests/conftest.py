@@ -119,10 +119,12 @@ TIE_HEAVY_RANGES = dict(zip(METRICS, (
 )))
 
 
-def _tie_heavy_project(name: str, seed: int, weights: dict[str, float]) -> Project:
+def _tie_heavy_project(
+    name: str, seed: int, weights: dict[str, float], n_releases: int = 2
+) -> Project:
     rng = np.random.default_rng(seed)
     releases = []
-    for order in range(2):
+    for order in range(n_releases):
         records = []
         for i in range(250):
             metrics = {
@@ -154,6 +156,17 @@ def tie_heavy_community() -> Community:
                                        "ce": 0.3, "mfa": 0.2, "avg_cc": 0.2,
                                        "amc": 0.2}),
     ))
+
+
+def tie_heavy_history() -> Project:
+    """One project of four 250-class releases with integer-valued metrics.
+
+    Every class keeps its name across releases, so each of the two
+    three-release windows matches all 250 classes; metrics are redrawn per
+    release, so developer diffs mix all three actions. Risk rests on wmc,
+    so the Shatnawi screen keeps a wmc rule in every training release.
+    """
+    return _tie_heavy_project("p3", 404, {"wmc": 1.0, "loc": 0.5}, n_releases=4)
 
 
 @pytest.fixture

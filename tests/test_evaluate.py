@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planwise import evaluate
 from planwise.datasets import DECREASE, METRICS
 from planwise.evaluate import (
     BUCKET_MIDPOINTS,
@@ -49,6 +50,25 @@ class TestOverlap:
         assert 0.0 <= x <= 100.0
         assert x == overlap(p, d)
         assert (x == 100.0) == (d == p)
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=25,
+                 unique=True).flatmap(lambda keys: st.tuples(
+                     st.just(keys),
+                     st.permutations(keys),
+                     st.lists(st.sampled_from("+-."), min_size=len(keys),
+                              max_size=len(keys)),
+                     st.lists(st.sampled_from("+-."), min_size=len(keys),
+                              max_size=len(keys)),
+                 ))
+    )
+    @settings(max_examples=200)
+    def test_matches_the_per_key_count_in_any_key_order(self, drawn):
+        keys, shuffled, a, b = drawn
+        d = dict(zip(keys, a))
+        p = {k: dict(zip(keys, b))[k] for k in shuffled}
+        agree = sum(1 for m in d if d[m] == p[m])
+        assert overlap(d, p) == 100.0 * agree / len(d)
 
 
 class TestBuckets:
@@ -272,6 +292,47 @@ class TestWindows:
         monkeypatch.setattr(XTreePlanner, "plan", counting)
         evaluate_windows(project, XTreePlanner(min_leaf=2))
         assert len(calls) == sum(len(v) for v in versions[1:-1]) == 90
+
+    def test_external_train_is_fitted_once(self, monkeypatch):
+        # Belltree hands every window the same exemplar data: one fit must
+        # give what a refit per window gives, with one ktest per window.
+        rng = np.random.default_rng(9)
+
+        def release(version, order, size=60, prefix="C"):
+            records = []
+            for c in range(size):
+                wmc = float(rng.integers(0, 40))
+                records.append(make_record(
+                    f"{prefix}{c}", defects=int(wmc > 20) + int(rng.integers(0, 2)),
+                    wmc=wmc, loc=float(rng.integers(10, 500)),
+                    cbo=float(rng.integers(0, 20)),
+                ))
+            return make_dataset(records, version=version, order=order)
+
+        project = make_project([release(str(i + 1), i) for i in range(5)])
+        train = release("x", 0, size=200, prefix="X")
+        refit = [
+            ktest(project, s, s + 1, s + 2, XTreePlanner(min_leaf=5), train=train)
+            for s in range(3)
+        ]
+        fits, windows = [], []
+        fit, real_ktest = XTreePlanner.fit, evaluate.ktest
+
+        def counting_fit(self, data):
+            fits.append(data)
+            return fit(self, data)
+
+        def counting_ktest(*args, **kwargs):
+            windows.append(args)
+            return real_ktest(*args, **kwargs)
+
+        monkeypatch.setattr(XTreePlanner, "fit", counting_fit)
+        monkeypatch.setattr(evaluate, "ktest", counting_ktest)
+        results = evaluate_windows(project, XTreePlanner(min_leaf=5), train=train)
+        assert fits == [train]
+        assert len(windows) == 3
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in refit]
+        assert any(r.changes_per_plan.maximum > 0 for r in results)
 
     def test_too_few_releases_explains_the_requirement(self):
         project = make_project(

@@ -10,7 +10,11 @@ its bits: any change to a tree's shape, a cut, a score or a discovery score
 changes them. The plan digests were recorded while XTREE still searched the
 tree level by level for every class, so they pin the per-leaf targets found
 once at fit to that search: any change to a chosen branch, a direction, a
-target range or a suggested value changes them.
+target range or a suggested value changes them. The evaluation digests were
+recorded while every plan still built a fresh ``Action`` for every metric,
+so they pin the shared no-change action, the set-free plan check and the
+item-set overlap to the per-key results: any change to a curve, an area, a
+changes-per-plan summary or a matched count changes them.
 """
 
 import hashlib
@@ -20,10 +24,11 @@ import pytest
 
 from planwise.bellwether import discover
 from planwise.datasets import pool_versions
-from planwise.planners import XTreePlanner
+from planwise.evaluate import evaluate_windows
+from planwise.planners import XTreePlanner, make_planner
 from planwise.tree import build_tree, fit_bins, tree_to_dict
 
-from conftest import tie_heavy_community
+from conftest import tie_heavy_community, tie_heavy_history
 
 
 def _sha(doc) -> str:
@@ -78,6 +83,22 @@ EXPECTED_PLANS = {
     ),
 }
 
+# planner -> digest of the results of both windows of ``tie_heavy_history``.
+EXPECTED_EVALUATIONS = {
+    "xtree": (
+        "5356420995c76296b7bd65f16828ec290c4ce6e6ed668960453ddea959be010e"
+    ),
+    "alves": (
+        "fb9ea5151abd1a229ff001e74dafc2ef0feba28445ceb593d03b8f0316328418"
+    ),
+    "shatnawi": (
+        "37fd6f96ed4e53958a71bf288031b237b33a9cb73427283a60b8b4095ad326fe"
+    ),
+    "oliveira": (
+        "79add79714cc83ba075c32b65fab62efc3aeb0e830b811dd69c421fe63dd7176"
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def community():
@@ -105,3 +126,9 @@ def test_plan_digest(community, fit, gamma):
         train, release = projects["p2"].versions[0], projects["p2"].versions[1]
     plans = XTreePlanner(gamma=gamma).fit(train).plan_all(release)
     assert _sha([p.to_dict() for p in plans]) == EXPECTED_PLANS[(fit, gamma)]
+
+
+@pytest.mark.parametrize("planner", sorted(EXPECTED_EVALUATIONS))
+def test_evaluation_digest(planner):
+    results = evaluate_windows(tie_heavy_history(), make_planner(planner))
+    assert _sha([r.to_dict() for r in results]) == EXPECTED_EVALUATIONS[planner]

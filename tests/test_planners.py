@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from planwise import planners
 from planwise.datasets import DECREASE, INCREASE, METRICS, NO_CHANGE, pool_versions
-from planwise.discretize import BinMap
+from planwise.discretize import BinMap, apply_bins
 from planwise.planners import (
     Action,
     AlvesPlanner,
@@ -19,6 +20,7 @@ from planwise.planners import (
     alves_thresholds,
     compliance_rate,
     make_planner,
+    no_change_plan,
     oliveira_thresholds,
     plan_targets,
     shatnawi_thresholds,
@@ -30,7 +32,7 @@ from planwise.planners import (
     xtree_plan,
 )
 from planwise.stats import LogisticFit, fit_univariate_logistic
-from planwise.tree import TreeNode, build_tree, fit_bins, leaves
+from planwise.tree import TreeNode, build_tree, fit_bins, leaves, locate
 
 from conftest import (
     make_dataset,
@@ -574,6 +576,76 @@ class TestThresholdPlan:
         high = threshold_plan(rules, make_record("A", loc=151))
         assert low.actions["loc"].direction == DECREASE
         assert high.actions["loc"].direction == DECREASE
+
+
+def unmet_conditions(planner, record):
+    """Conditions of the record's desired branch it does not yet satisfy."""
+    desired = planner.targets[locate(planner.tree, record).conditions]
+    node, unmet = planner.tree, 0
+    for cond in desired.conditions if desired is not None else ():
+        unmet += apply_bins(node.split_bins, record.metrics[cond.metric]) != cond.range_index
+        node = node.children[cond.range_index]
+    return unmet
+
+
+class TestPlanAllocation:
+    """No-change entries share one frozen Action; only changes construct one."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        calls = []
+        post_init = Action.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Action, "__post_init__", counting)
+        return calls
+
+    def test_no_change_plans_construct_no_action(self, constructed):
+        no_change_plan("A", "test")
+        threshold_plan([ThresholdRule("loc", 100.0)], make_record("A", loc=50))
+        assert plan_for(contrast_tree(), make_record("A", rfc=5.0)).is_no_change()
+        assert constructed == []
+
+    def test_threshold_plan_constructs_one_action_per_violated_rule(self, constructed):
+        rng = np.random.default_rng(5)
+        rules = [ThresholdRule(m, float(rng.uniform(0, 5))) for m in METRICS[::2]]
+        for i in range(30):
+            record = make_record(f"r{i}", base=float(rng.uniform(0, 6)))
+            before = len(constructed)
+            threshold_plan(rules, record)
+            violated = sum(record.metrics[r.metric] > r.upper for r in rules)
+            assert len(constructed) - before == violated
+
+    def test_xtree_plan_constructs_one_action_per_unmet_condition(self, constructed):
+        project = tie_heavy_community().projects[0]
+        planner = XTreePlanner().fit(pool_versions(project))
+        counts = []
+        for record in project.versions[1].records:
+            before = len(constructed)
+            planner.plan(record)
+            counts.append(len(constructed) - before)
+            assert counts[-1] == unmet_conditions(planner, record)
+        assert 0 in counts and max(counts) >= 2
+
+    def test_plans_never_share_an_actions_dict(self):
+        train = tie_heavy_community().projects[0].versions[0]
+        plans = [no_change_plan("A", "test"), no_change_plan("B", "test")]
+        for name in ("xtree", "alves", "oliveira"):
+            plans += make_planner(name).fit(train).plan_all(train)
+        assert len({id(p.actions) for p in plans}) == len(plans)
+        plans[0].actions["loc"] = Action(direction=DECREASE)
+        assert plans[1].actions["loc"].direction == NO_CHANGE
+
+    def test_shared_no_change_action_is_frozen(self):
+        first, second = no_change_plan("A", "test"), no_change_plan("B", "test")
+        shared = first.actions["loc"]
+        assert shared is second.actions["wmc"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.direction = INCREASE
+        assert second.is_no_change()
 
 
 class TestSuggestRefactorings:
