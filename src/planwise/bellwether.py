@@ -67,14 +67,15 @@ class BellwetherReport:
         }
 
 
-def _score_against(tree, target: VersionedDataset, measure) -> Optional[float]:
+def _score_against(
+    tree, target: VersionedDataset, truth: list[bool], measure
+) -> Optional[float]:
     """Score a fitted defect tree on one target's confusion counts.
 
-    Each target record is scored by its own ``predict_defective`` call.
-    Returns None when the target has single-label ground truth, where the
-    measure is undefined.
+    ``truth`` holds each target record's label. Each target record is scored
+    by its own ``predict_defective`` call. Returns None when the target has
+    single-label ground truth, where the measure is undefined.
     """
-    truth = [r.is_defective() for r in target.records]
     if len(set(truth)) < 2:
         return None
     tp = fp = tn = fn = 0
@@ -112,6 +113,7 @@ def discover(
 
     pooled = {p.name: pool_versions(p) for p in community.projects}
     names = sorted(pooled)
+    truths = {name: [r.is_defective() for r in pooled[name].records] for name in names}
     scores: dict[str, dict[str, Optional[float]]] = {}
     medians: dict[str, float] = {}
     for source in names:
@@ -120,7 +122,7 @@ def discover(
         for target in names:
             if target == source:
                 continue
-            row[target] = _score_against(tree, pooled[target], measure)
+            row[target] = _score_against(tree, pooled[target], truths[target], measure)
         scores[source] = row
         defined = [s for s in row.values() if s is not None]
         if defined:

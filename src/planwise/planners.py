@@ -2,6 +2,9 @@
 
 Every planner turns one class record into a `Plan`: a per-metric vector of
 increase/decrease/no-change actions, optionally with a concrete target range.
+numpy is loaded only by the logistic screen of ``alves`` and ``shatnawi``
+(in ``stats``) and by ``oliveira`` (``compliance_rate``,
+``oliveira_thresholds``), each importing it where it runs.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .datasets import (
     ACTIONS,
@@ -335,6 +336,7 @@ def compliance_rate(
     contributes no compliance. ``p`` and ``k`` broadcast against each other;
     scalar ``p`` and ``k`` give a float.
     """
+    import numpy as np
     counts = np.searchsorted(np.sort(values), k, side="right")
     frac = 100.0 * counts / len(values)
     rate = np.where(frac >= p, frac, 0.0)
@@ -357,6 +359,7 @@ def oliveira_thresholds(
     """
     if not 0.0 < min_compliance < 100.0 or not 0.0 < tail < 100.0:
         raise ValueError("min_compliance and tail must lie in (0, 100)")
+    import numpy as np
     rules = []
     ps = np.arange(1, 100, dtype=float)
     for metric in METRICS:

@@ -1,4 +1,8 @@
-"""Shared numerical routines: entropy, univariate logistic regression, Simpson."""
+"""Shared numerical routines: entropy, univariate logistic regression, Simpson.
+
+numpy is imported only inside the logistic fit, so commands that never run
+the logistic screen (``alves``, ``shatnawi``) do not load it.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,6 @@ import math
 from collections import Counter
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 MAX_IRLS_ITERATIONS = 50
 LOGLIK_TOLERANCE = 1e-8
@@ -48,10 +50,12 @@ def _entropy_of_counts(counts: Collection[int]) -> float:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    import numpy as np
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
 
 
 def _log_likelihood(y: np.ndarray, p: np.ndarray) -> float:
+    import numpy as np
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
@@ -70,6 +74,7 @@ def fit_univariate_logistic(
     Wald test on the slope. Perfect separation or non-convergence yields
     ``converged=False`` so callers can reject the metric outright.
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

@@ -8,7 +8,7 @@ tree doubles as the defect predictor used for exemplar-project discovery.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional
 
@@ -50,7 +50,12 @@ class Branch:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Node of the defect tree; a leaf when ``split_metric`` is None."""
+    """Node of the defect tree; a leaf when ``split_metric`` is None.
+
+    ``route`` maps each range index of the split metric to ``(child key,
+    child)``: the range's own child, or the nearest child when that range had
+    no training rows (ties to the smaller key). Leaves have an empty route.
+    """
 
     score: float
     support: int
@@ -58,6 +63,21 @@ class TreeNode:
     split_metric: Optional[str] = None
     split_bins: Optional[BinMap] = None
     children: Optional[dict[int, "TreeNode"]] = None
+    route: tuple[tuple[int, "TreeNode"], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        route = ()
+        if self.split_metric is not None:
+            if not self.children:
+                raise ValueError("a split node needs at least one child")
+            keys = (
+                min(self.children, key=lambda k: (abs(k - idx), k))
+                for idx in range(self.split_bins.n_ranges)
+            )
+            route = tuple((key, self.children[key]) for key in keys)
+        object.__setattr__(self, "route", route)
 
     @property
     def is_leaf(self) -> bool:
@@ -162,24 +182,17 @@ def build_tree(
     return grow(list(range(len(records))), 0, frozenset())
 
 
-def _route_index(node: TreeNode, record: ClassRecord) -> int:
-    """Child key for a record: its range of the split metric, or the nearest
-    child when that range had no training rows (ties to the smaller key)."""
-    idx = bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
-    if idx in node.children:
-        return idx
-    return min(node.children, key=lambda k: (abs(k - idx), k))
-
-
 def locate(tree: TreeNode, record: ClassRecord) -> Branch:
     """The unique root-to-leaf branch a record satisfies."""
     conditions: list[Condition] = []
     node = tree
     while not node.is_leaf:
-        key = _route_index(node, record)
+        key, child = node.route[
+            bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
+        ]
         low, high = node.split_bins.range_bounds(key)
         conditions.append(Condition(node.split_metric, key, low, high))
-        node = node.children[key]
+        node = child
     return Branch(tuple(conditions), node.score, node.support)
 
 
@@ -203,14 +216,16 @@ def predict_defective(
 ) -> bool:
     """True when the located leaf's mean defect count exceeds the threshold.
 
-    Routes exactly like ``locate`` (same ``_route_index`` at every node) but
+    Routes exactly like ``locate`` (through each node's ``route``) but
     allocates nothing: no ``Condition``, ``Branch`` or range bounds.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     node = tree
     while node.split_metric is not None:  # is_leaf, minus a property call per level
-        node = node.children[_route_index(node, record)]
+        node = node.route[
+            bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
+        ][1]
     return node.score > threshold
 
 

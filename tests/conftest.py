@@ -169,6 +169,41 @@ def tie_heavy_history() -> Project:
     return _tie_heavy_project("p3", 404, {"wmc": 1.0, "loc": 0.5}, n_releases=4)
 
 
+def mirrored_tie_column() -> tuple[list[float], list[int]]:
+    """Five positives at 0, one of each class at 1, five negatives at 2.
+
+    The data mirror around 1, so the cuts at 0.5 and 1.5 have bit-identical
+    gains, and after either cut the MDL test rejects the other.
+    """
+    values = [0.0] * 5 + [1.0] * 2 + [2.0] * 5
+    labels = [1] * 5 + [0, 1] + [0] * 5
+    return values, labels
+
+
+def gain_floor_split(
+    reverse: bool = False,
+) -> tuple[VersionedDataset, dict[str, BinMap]]:
+    """2,693 rows whose only splittable metric, wmc, has the values 0, 1 and
+    2, with defect rates that differ by about 1e-6.
+
+    The split's information gain lies within two float steps of the 1e-12
+    floor that ``build_tree`` requires, so whether the root splits depends
+    on the order in which the weighted entropies of the three groups are
+    added: first-appearance order, which ``reverse`` flips.
+    """
+    groups = [(553, 192), (553, 192), (1587, 551)]  # (rows, defective rows)
+    records = []
+    for value in [2, 1, 0] if reverse else [0, 1, 2]:
+        rows, defective = groups[value]
+        records += [
+            make_record(f"g{value}.{i}", defects=int(i < defective), wmc=value)
+            for i in range(rows)
+        ]
+    bins = {m: BinMap(m, (), 1.0, 1.0) for m in METRICS}
+    bins["wmc"] = BinMap("wmc", (0.5, 1.5), 0.0, 2.0)
+    return make_dataset(records), bins
+
+
 @pytest.fixture
 def jureczko_root() -> Path:
     root = Path(os.environ.get(DATA_DIR_ENV, DEFAULT_DATA_DIR))

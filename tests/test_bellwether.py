@@ -7,7 +7,7 @@ from planwise.bellwether import (
     make_belltree_planner,
     validate,
 )
-from planwise.datasets import Community, Project, pool_versions
+from planwise.datasets import ClassRecord, Community, Project, pool_versions
 from planwise.evaluate import ChangesSummary, CurvePoint, KTestResult
 from planwise.planners import XTreePlanner
 from planwise.tree import predict_defective
@@ -79,6 +79,22 @@ class TestDiscover:
         )
         assert "allclean" not in scorable
         assert len(calls) == expected
+
+    def test_labels_each_record_once_as_a_target(self, monkeypatch):
+        # Each pooled record is labelled twice: once when its own project's
+        # bins are fit, once as a target, however many sources score it.
+        community = planted_community(seed=2, n=60)
+        calls = []
+        labelled = ClassRecord.is_defective
+
+        def counting(record):
+            calls.append(record)
+            return labelled(record)
+
+        monkeypatch.setattr(ClassRecord, "is_defective", counting)
+        discover(community)
+        rows = sum(len(pool_versions(p)) for p in community.projects)
+        assert len(calls) == 2 * rows
 
     def test_single_label_target_excluded_from_medians(self):
         community = planted_community(seed=5)

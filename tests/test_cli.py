@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import planwise
 from planwise.bellwether import discover
 from planwise.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 from planwise.datasets import (
@@ -471,6 +476,55 @@ class TestOtherCommands:
         assert "70" in text    # percentile
         assert "0.05" in text  # p0/p1
         assert "90" in text    # min-compliance/tail
+
+
+# Runs one command in a fresh interpreter (this process has numpy loaded
+# through conftest) and prints the exit code and whether numpy got imported.
+_MAIN_THEN_REPORT_NUMPY = (
+    "import json, sys\n"
+    "from planwise.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+)
+
+
+def run_fresh(argv):
+    src = str(Path(planwise.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PLANWISE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_REPORT_NUMPY, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == EXIT_OK, done.stderr
+    return numpy_loaded
+
+
+class TestNumpyLoadsOnlyWhereUsed:
+    def test_tree_commands_never_import_numpy(
+        self, toy_project_dir, toy_community_dir, tmp_path
+    ):
+        train = str(toy_project_dir / "toy-1.0.csv")
+        test = str(toy_project_dir / "toy-1.1.csv")
+        runs = {
+            "bellwether": ["bellwether", "--community", str(toy_community_dir)],
+            "tree": ["tree", "--train", train],
+            "plan": ["plan", "--planner", "xtree", "--train", train, "--test", test],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.json"
+            assert not run_fresh(argv + ["--out", str(out)]), name
+            assert out.exists()
+
+    def test_oliveira_thresholds_do_import_numpy(self, toy_project_dir, tmp_path):
+        out = tmp_path / "rules.json"
+        assert run_fresh([
+            "thresholds", "--planner", "oliveira",
+            "--train", str(toy_project_dir / "toy-1.0.csv"), "--out", str(out),
+        ])
+        assert json.loads(out.read_text())["rules"]
 
 
 class TestEvaluateEdgeCases:

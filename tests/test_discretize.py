@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from planwise.discretize import BinMap, apply_bins, mdlp_cuts
 
+from conftest import mirrored_tie_column
+
 
 # --- Reference oracle -------------------------------------------------------
 # Naive recursive search: test every class-boundary midpoint, score it with
@@ -138,6 +140,12 @@ class TestMdlpCuts:
             mdlp_cuts([1.0, 2.0], [-1, 1])
         bools = mdlp_cuts([1.0, 2.0, 3.0, 4.0], [False, False, True, True])
         assert bools == mdlp_cuts([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
+
+    def test_exact_gain_tie_goes_to_the_smaller_cut(self):
+        values, labels = mirrored_tie_column()
+        assert mdlp_cuts(values, labels).cut_points == (0.5,)
+        assert tuple(oracle_cuts(values, labels)) == (0.5,)
+        assert mdlp_cuts(values[::-1], labels[::-1]).cut_points == (0.5,)
 
     def test_rerun_is_bit_identical(self):
         values, labels = random_dataset(123)

@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +23,7 @@ from planwise.tree import (
 )
 
 from conftest import (
+    gain_floor_split,
     make_dataset,
     make_record,
     tie_heavy_community,
@@ -123,6 +126,16 @@ class TestBuildTree:
         tree_a = build_tree(ds, fit_bins(ds), min_leaf=3)
         tree_b = build_tree(permuted, fit_bins(permuted), min_leaf=3)
         assert tree_to_dict(tree_a) == tree_to_dict(tree_b)
+
+    def test_gain_at_the_floor_is_summed_in_first_appearance_order(self):
+        # The same rows in two orders: the group weights are added in the
+        # order the groups first appear, and that order decides a gain
+        # within two float steps of the 1e-12 floor.
+        forward = build_tree(*gain_floor_split())
+        backward = build_tree(*gain_floor_split(reverse=True))
+        assert forward.is_leaf
+        assert backward.split_metric == "wmc"
+        assert sorted(backward.children) == [0, 1, 2]
 
     def test_default_min_leaf_floor(self):
         assert default_min_leaf(100) == 5
@@ -265,8 +278,66 @@ def split_nodes(node):
     return out
 
 
+def reference_route_index(node, value):
+    """The per-record routing rule the route table replaced: the value's range
+    of the split metric, or the nearest child when that range has no child
+    (ties to the smaller key)."""
+    idx = bisect_left(node.split_bins.cut_points, value)
+    if idx in node.children:
+        return idx
+    return min(node.children, key=lambda k: (abs(k - idx), k))
+
+
+def reference_locate(tree, record):
+    """locate by ``reference_route_index`` alone, never reading ``route``."""
+    conditions = []
+    node = tree
+    while not node.is_leaf:
+        key = reference_route_index(node, record.metrics[node.split_metric])
+        low, high = node.split_bins.range_bounds(key)
+        conditions.append(Condition(node.split_metric, key, low, high))
+        node = node.children[key]
+    return Branch(tuple(conditions), node.score, node.support)
+
+
+def value_in_range(bins, index):
+    cuts = bins.cut_points
+    return cuts[index] if index < len(cuts) else cuts[-1] + 1.0
+
+
+class TestRouteTable:
+    def test_every_range_routes_like_the_reference(self):
+        for tree in oracle_trees():
+            for node in split_nodes(tree):
+                assert len(node.route) == node.split_bins.n_ranges
+                for index, (key, child) in enumerate(node.route):
+                    value = value_in_range(node.split_bins, index)
+                    assert bisect_left(node.split_bins.cut_points, value) == index
+                    assert key == reference_route_index(node, value)
+                    assert child is node.children[key]
+
+    def test_gaps_route_to_the_nearest_child(self):
+        assert [k for k, _ in gapped_tree().route] == [1, 1, 1, 3, 3]
+        assert [k for k, _ in unpopulated_middle_tree().route] == [0, 0, 2]
+
+    def test_leaves_have_an_empty_route(self):
+        assert TreeNode(score=1.0, support=4, level=0).route == ()
+
+    def test_route_is_not_part_of_equality_or_repr(self):
+        assert two_leaf_tree() == two_leaf_tree()
+        assert "route" not in repr(two_leaf_tree())
+
+    def test_split_node_without_children_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one child"):
+            TreeNode(
+                score=1.0, support=4, level=0, split_metric="loc",
+                split_bins=BinMap("loc", (50.0,), 0.0, 100.0), children={},
+            )
+
+
 class TestPredictMatchesLocate:
-    """predict_defective routes without building a Branch; locate is its oracle."""
+    """locate and predict_defective both read the route table; a walk by the
+    old per-record rule (``reference_locate``) is their oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -279,8 +350,11 @@ class TestPredictMatchesLocate:
         for metric in sorted({n.split_metric for n in nodes}):
             edges = [
                 v for n in nodes if n.split_metric == metric
-                for v in (*n.split_bins.cut_points, n.split_bins.vmin,
-                          n.split_bins.vmax)
+                for c in n.split_bins.cut_points
+                for v in (c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf))
+            ] + [
+                v for n in nodes if n.split_metric == metric
+                for v in (n.split_bins.vmin, n.split_bins.vmax)
             ]
             metrics[metric] = data.draw(st.one_of(
                 st.sampled_from(edges),
@@ -293,8 +367,10 @@ class TestPredictMatchesLocate:
             ),
             st.floats(0.0, 5.0),
         ))
+        expected = reference_locate(tree, record)
+        assert locate(tree, record) == expected
         assert predict_defective(tree, record, threshold) == (
-            locate(tree, record).score > threshold
+            expected.score > threshold
         )
 
     def test_fallbacks_route_like_locate(self):
@@ -302,4 +378,5 @@ class TestPredictMatchesLocate:
         for wmc, expected in ((1.0, 0.5), (7.0, 0.5), (15.0, 0.5), (60.0, 3.5)):
             record = make_record("r", wmc=wmc)
             assert locate(tree, record).score == expected
+            assert reference_locate(tree, record).score == expected
             assert predict_defective(tree, record, 0.5) == (expected > 0.5)
