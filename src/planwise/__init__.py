@@ -22,7 +22,6 @@ from .datasets import (
     load_csv,
     load_project,
     pool_versions,
-    write_csv,
 )
 from .stats import LogisticFit, entropy, fit_univariate_logistic, simpson_integrate
 from .discretize import BinMap, apply_bins, mdlp_cuts
@@ -39,11 +38,9 @@ from .tree import (
 )
 from .planners import (
     Action,
-    AlvesPlanner,
-    OliveiraPlanner,
     Plan,
     PlannerBase,
-    ShatnawiPlanner,
+    ThresholdPlanner,
     ThresholdRule,
     XTreePlanner,
     alves_thresholds,
@@ -62,8 +59,6 @@ from .bellwether import (
     BellwetherReport,
     discover,
     g_score,
-    make_belltree_planner,
-    validate,
 )
 from .evaluate import (
     ChangesSummary,
@@ -82,18 +77,17 @@ __all__ = [
     "ACTIONS", "DECREASE", "INCREASE", "METRICS", "NO_CHANGE",
     "ClassRecord", "Community", "DatasetError", "Project", "VersionedDataset",
     "diff_versions", "load_community", "load_csv", "load_project",
-    "pool_versions", "write_csv",
+    "pool_versions",
     "LogisticFit", "entropy", "fit_univariate_logistic", "simpson_integrate",
     "BinMap", "apply_bins", "mdlp_cuts",
     "Branch", "Condition", "TreeNode", "build_tree", "fit_bins", "leaves",
     "locate", "predict_defective", "tree_to_dict",
-    "Action", "AlvesPlanner", "OliveiraPlanner", "Plan", "PlannerBase",
-    "ShatnawiPlanner", "ThresholdRule", "XTreePlanner", "alves_thresholds",
+    "Action", "Plan", "PlannerBase", "ThresholdPlanner", "ThresholdRule",
+    "XTreePlanner", "alves_thresholds",
     "compliance_rate", "make_planner", "oliveira_thresholds", "plan_targets",
     "shatnawi_thresholds", "suggest_refactorings", "threshold_plan", "varl",
     "weighted_percentile", "xtree_plan",
     "BellwetherReport", "discover", "g_score",
-    "make_belltree_planner", "validate",
     "ChangesSummary", "CurvePoint", "KTestResult", "changes_count",
     "evaluate_windows", "ktest", "overlap",
     "refactorings",

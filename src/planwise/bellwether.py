@@ -1,9 +1,9 @@
-"""Exemplar-project discovery and cross-project planning.
+"""Exemplar-project discovery.
 
 A community's exemplar ("bellwether") is the project whose pooled data
 trains the best defect predictor for the other projects. Cross-project
-plans are then generated by the contrast-set planner trained on that
-exemplar's data instead of local history.
+plans then come from ``make_planner("belltree")`` fitted on that
+exemplar's pooled data instead of local history.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Optional
 
-from .datasets import Community, Project, VersionedDataset, pool_versions
-from .planners import DEFAULT_GAMMA, DEFAULT_SEED, XTreePlanner
-from .tree import DEFAULT_MAX_DEPTH, build_tree, fit_bins, predict_defective
+from .datasets import Community, VersionedDataset, pool_versions
+from .tree import build_tree, fit_bins, predict_defective
 
 
 def g_score(tp: int, fp: int, tn: int, fn: int) -> float:
@@ -138,33 +137,3 @@ def discover(
         bellwether=bellwether,
         quality_measure=quality_measure,
     )
-
-
-def make_belltree_planner(
-    project: Project,
-    gamma: float = DEFAULT_GAMMA,
-    seed: int = DEFAULT_SEED,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    min_leaf: int | None = None,
-) -> XTreePlanner:
-    """A reusable cross-project planner fitted on a project's pooled data."""
-    planner = XTreePlanner(
-        gamma=gamma, seed=seed, max_depth=max_depth, min_leaf=min_leaf,
-        name="belltree",
-    )
-    planner.fit(pool_versions(project))
-    return planner
-
-
-def validate(report: BellwetherReport, plans_outcome) -> str:
-    """Decide whether the current exemplar is still earning its keep.
-
-    Returns ``"keep"`` when the evaluated plans reduced strictly more than
-    they increased (per the effectiveness areas); otherwise ``"rediscover"``,
-    including when the evaluation produced no evidence at all.
-    """
-    reduced = plans_outcome.aupec_reduced
-    increased = plans_outcome.aupec_increased
-    if not plans_outcome.curve or reduced is None or increased is None:
-        return "rediscover"
-    return "keep" if reduced > increased else "rediscover"

@@ -38,6 +38,8 @@ from .planners import (
     DEFAULT_SEED,
     DEFAULT_TAIL,
     PLANNER_NAMES,
+    PLANNERS,
+    ThresholdPlanner,
     make_planner,
     suggest_refactorings,
 )
@@ -47,12 +49,6 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-BASELINE_NAMES = ("alves", "shatnawi", "oliveira")
-PLANNER_OPTIONS = frozenset({
-    "gamma", "seed", "max_depth", "min_leaf",
-    "percentile", "p0", "p1", "min_compliance", "tail",
-})
 
 
 def _env(name: str, fallback):
@@ -130,11 +126,6 @@ def _add_baseline_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _planner_options(args: argparse.Namespace) -> dict:
-    """The planner options this subcommand registered, as keyword arguments."""
-    return {k: v for k, v in vars(args).items() if k in PLANNER_OPTIONS}
-
-
 def _load_train(paths: list[str]) -> VersionedDataset:
     """One training CSV as is; several are pooled as releases of one project."""
     if len(paths) == 1:
@@ -145,7 +136,7 @@ def _load_train(paths: list[str]) -> VersionedDataset:
 def _cmd_plan(args: argparse.Namespace) -> int:
     train = _load_train(args.train)
     test = load_csv(args.test)
-    planner = make_planner(args.planner, **_planner_options(args))
+    planner = make_planner(args.planner, **vars(args))
     planner.fit(train)
     plans = planner.plan_all(test)
 
@@ -244,10 +235,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         report = discover(candidates, quality_measure=args.quality_measure)
         belltree_train = pool_versions(candidates.get(report.bellwether))
 
-    options = _planner_options(args)
     summary_rows = []
     for name in names:
-        planner = make_planner(name, **options)
+        planner = make_planner(name, **vars(args))
         train = belltree_train if name == "belltree" else None
         results = evaluate_windows(project, planner, epsilon=args.epsilon, train=train)
         for window, result in enumerate(results, start=1):
@@ -293,8 +283,7 @@ def _format_score(value) -> str:
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     train = _load_train(args.train)
-    planner = make_planner(args.planner, **_planner_options(args))
-    rules = planner.derive_rules(train)
+    rules = make_planner(args.planner, **vars(args)).fit(train).rules
     doc = {
         "schema_version": SCHEMA_VERSION,
         "planner": args.planner,
@@ -372,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     thresholds = sub.add_parser("thresholds", help="dump a baseline's threshold rules",
                                 **fmt)
-    thresholds.add_argument("--planner", required=True, choices=BASELINE_NAMES)
+    thresholds.add_argument("--planner", required=True, choices=[
+        name for name, (factory, _) in PLANNERS.items() if factory is ThresholdPlanner
+    ])
     thresholds.add_argument("--train", nargs="+", required=True)
     thresholds.add_argument("--out", required=True)
     _add_baseline_options(thresholds)

@@ -86,9 +86,6 @@ class VersionedDataset:
     def by_name(self) -> dict[str, ClassRecord]:
         return {r.class_name: r for r in self.records}
 
-    def total_defects(self) -> int:
-        return sum(r.defects for r in self.records)
-
 
 @dataclass(frozen=True)
 class Project:
@@ -145,18 +142,28 @@ def _parse_number(cell: str, path: Path, row: int, column: str) -> float:
     return value
 
 
-def load_csv(path: str | Path, released_order: int = 0) -> VersionedDataset:
+def _rows(reader, path: Path):
+    """The reader's rows; a decoding or csv-module error names the file."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
+def load_csv(path: str | Path) -> VersionedDataset:
     """Load one release CSV into a validated dataset.
 
     The header must name the 20 metric columns, a class identifier column
     (``name``; in the Jureczko layout the first ``name`` column is the
     project and the last is the class), and a defect column (``bug``,
     ``bugs``, or ``defects``). Extra columns are ignored with a warning.
-    Metric and defect cells must be finite numbers.
+    Metric and defect cells must be finite numbers, and the file UTF-8 text.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(csv.reader(fh), path)
         try:
             raw_header = next(reader)
         except StopIteration:
@@ -235,7 +242,7 @@ def load_csv(path: str | Path, released_order: int = 0) -> VersionedDataset:
         stem_project, stem_version = _split_stem(path.stem)
         project = project or stem_project
         version = version or stem_version
-    return VersionedDataset(project, version, released_order, tuple(records))
+    return VersionedDataset(project, version, 0, tuple(records))
 
 
 def _split_stem(stem: str) -> tuple[str, str]:
@@ -244,19 +251,6 @@ def _split_stem(stem: str) -> tuple[str, str]:
     if m:
         return m.group(1), m.group(2)
     return stem, "0"
-
-
-def write_csv(dataset: VersionedDataset, path: str | Path) -> None:
-    """Serialize a dataset back to the canonical CSV layout."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "version", "name"] + list(METRICS) + ["bug"])
-        for rec in dataset.records:
-            row = [dataset.project, dataset.version, rec.class_name]
-            row += [repr(rec.metrics[m]) for m in METRICS]
-            row.append(str(rec.defects))
-            writer.writerow(row)
 
 
 def version_sort_key(label: str) -> tuple:

@@ -48,8 +48,6 @@ DEFAULT_MIN_COMPLIANCE = 90.0
 DEFAULT_TAIL = 90.0
 SIGNIFICANCE_LEVEL = 0.05
 
-PLANNER_NAMES = ("xtree", "belltree", "alves", "shatnawi", "oliveira")
-
 # A leaf's conditions -> the branch its classes should move to, or None.
 PlanTargets = dict[tuple[Condition, ...], Optional[Branch]]
 
@@ -87,9 +85,6 @@ class Plan:
 
     def direction_vector(self) -> ActionVector:
         return {m: self.actions[m].direction for m in METRICS}
-
-    def is_no_change(self) -> bool:
-        return all(a.direction == NO_CHANGE for a in self.actions.values())
 
     def to_dict(self) -> dict:
         actions = {}
@@ -484,17 +479,22 @@ class XTreePlanner(PlannerBase):
         )
 
 
-class _ThresholdPlannerBase(PlannerBase):
-    """Shared plumbing for the rule-based baselines."""
+class ThresholdPlanner(PlannerBase):
+    """A threshold baseline by name: ``fit`` derives the rules with the
+    baseline's ``<name>_thresholds`` function and the given options, and
+    ``plan`` decreases every metric above its rule's bound."""
 
-    def __init__(self):
+    def __init__(self, name: str, **options):
+        if PLANNERS.get(name, (None,))[0] is not ThresholdPlanner:
+            raise ValueError(f"unknown threshold planner {name!r}")
+        self.name = name
+        self.options = options
         self.rules: list[ThresholdRule] | None = None
 
-    def derive_rules(self, train: VersionedDataset) -> list[ThresholdRule]:
-        raise NotImplementedError
-
-    def fit(self, train: VersionedDataset) -> "_ThresholdPlannerBase":
-        self.rules = self.derive_rules(train)
+    def fit(self, train: VersionedDataset) -> "ThresholdPlanner":
+        # Looked up on the module at each call, so a wrapper installed on a
+        # rule function sees the call.
+        self.rules = globals()[f"{self.name}_thresholds"](train, **self.options)
         return self
 
     def plan(self, record: ClassRecord) -> Plan:
@@ -503,64 +503,23 @@ class _ThresholdPlannerBase(PlannerBase):
         return threshold_plan(self.rules, record, source_planner=self.name)
 
 
-class AlvesPlanner(_ThresholdPlannerBase):
-    name = "alves"
-
-    def __init__(self, percentile: float = DEFAULT_PERCENTILE):
-        super().__init__()
-        self.percentile = percentile
-
-    def derive_rules(self, train: VersionedDataset) -> list[ThresholdRule]:
-        return alves_thresholds(train, self.percentile)
-
-
-class ShatnawiPlanner(_ThresholdPlannerBase):
-    name = "shatnawi"
-
-    def __init__(self, p0: float = DEFAULT_P0, p1: float = DEFAULT_P1):
-        super().__init__()
-        self.p0 = p0
-        self.p1 = p1
-
-    def derive_rules(self, train: VersionedDataset) -> list[ThresholdRule]:
-        return shatnawi_thresholds(train, self.p0, self.p1)
-
-
-class OliveiraPlanner(_ThresholdPlannerBase):
-    name = "oliveira"
-
-    def __init__(
-        self,
-        min_compliance: float = DEFAULT_MIN_COMPLIANCE,
-        tail: float = DEFAULT_TAIL,
-    ):
-        super().__init__()
-        self.min_compliance = min_compliance
-        self.tail = tail
-
-    def derive_rules(self, train: VersionedDataset) -> list[ThresholdRule]:
-        return oliveira_thresholds(train, self.min_compliance, self.tail)
+# Each planner's name -> its class and the options it takes. make_planner
+# hands a planner only its own options; the CLI takes its choices from here.
+_TREE_OPTIONS = ("gamma", "seed", "max_depth", "min_leaf")
+PLANNERS: dict[str, tuple[type[PlannerBase], tuple[str, ...]]] = {
+    "xtree": (XTreePlanner, _TREE_OPTIONS),
+    "belltree": (XTreePlanner, _TREE_OPTIONS),
+    "alves": (ThresholdPlanner, ("percentile",)),
+    "shatnawi": (ThresholdPlanner, ("p0", "p1")),
+    "oliveira": (ThresholdPlanner, ("min_compliance", "tail")),
+}
+PLANNER_NAMES = tuple(PLANNERS)
 
 
 def make_planner(name: str, **options) -> PlannerBase:
-    """Build a planner by name, passing only the options it understands."""
-    if name == "xtree" or name == "belltree":
-        return XTreePlanner(
-            gamma=options.get("gamma", DEFAULT_GAMMA),
-            seed=options.get("seed", DEFAULT_SEED),
-            max_depth=options.get("max_depth", DEFAULT_MAX_DEPTH),
-            min_leaf=options.get("min_leaf"),
-            name=name,
-        )
-    if name == "alves":
-        return AlvesPlanner(percentile=options.get("percentile", DEFAULT_PERCENTILE))
-    if name == "shatnawi":
-        return ShatnawiPlanner(
-            p0=options.get("p0", DEFAULT_P0), p1=options.get("p1", DEFAULT_P1)
-        )
-    if name == "oliveira":
-        return OliveiraPlanner(
-            min_compliance=options.get("min_compliance", DEFAULT_MIN_COMPLIANCE),
-            tail=options.get("tail", DEFAULT_TAIL),
-        )
-    raise ValueError(f"unknown planner {name!r}")
+    """Build a planner by name, passing only the options it takes."""
+    try:
+        factory, takes = PLANNERS[name]
+    except KeyError:
+        raise ValueError(f"unknown planner {name!r}") from None
+    return factory(name=name, **{k: options[k] for k in takes if k in options})

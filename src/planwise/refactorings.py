@@ -8,8 +8,6 @@ from "no change".
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 # Metric universe of the catalog. ``fout`` (fan-out) and ``nom`` (number of
@@ -60,13 +58,3 @@ _ROWS: tuple[tuple[str, dict[str, str]], ...] = (
 def table() -> list[RefactoringSignature]:
     """The 12-row catalog, in its published order."""
     return [RefactoringSignature(name, dict(sig)) for name, sig in _ROWS]
-
-
-def table_as_csv() -> str:
-    """Dump the catalog as CSV (blank cell = literature silent)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["action"] + list(TABLE_METRICS))
-    for row in table():
-        writer.writerow([row.name] + [row.signature.get(m, "") for m in TABLE_METRICS])
-    return buf.getvalue()

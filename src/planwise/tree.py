@@ -148,9 +148,10 @@ def build_tree(
             if metric in used:
                 continue
             keys = [column[i] for i in rows]
-            # Groups in first-appearance order: with three or more groups
-            # the weighted-entropy sum depends on the order of its terms.
-            groups = list(dict.fromkeys(keys))
+            # Groups in key order: with three or more groups the weighted-
+            # entropy sum depends on the order of its terms, so a fixed order
+            # keeps the tree independent of the row order.
+            groups = sorted(set(keys))
             sizes = [keys.count(key) for key in groups]
             if len(groups) < 2 or min(sizes) < min_leaf:
                 continue
@@ -166,7 +167,7 @@ def build_tree(
             return leaf
 
         column = columns[best_metric]
-        parts: dict[int, list[int]] = {key: [] for key in sorted(best_keys)}
+        parts: dict[int, list[int]] = {key: [] for key in best_keys}
         for i in rows:
             parts[column[i]].append(i)
         used = used | {best_metric}

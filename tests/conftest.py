@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from pathlib import Path
 
@@ -43,6 +44,18 @@ def make_dataset(
     order: int = 0,
 ) -> VersionedDataset:
     return VersionedDataset(project, version, order, tuple(records))
+
+
+def write_csv(dataset: VersionedDataset, path: str | Path) -> None:
+    """Write a dataset in the canonical CSV layout that ``load_csv`` reads."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "version", "name"] + list(METRICS) + ["bug"])
+        for rec in dataset.records:
+            row = [dataset.project, dataset.version, rec.class_name]
+            row += [repr(rec.metrics[m]) for m in METRICS]
+            row.append(str(rec.defects))
+            writer.writerow(row)
 
 
 def make_project(versions: list[VersionedDataset], name: str = "proj") -> Project:
@@ -189,7 +202,7 @@ def gain_floor_split(
     The split's information gain lies within two float steps of the 1e-12
     floor that ``build_tree`` requires, so whether the root splits depends
     on the order in which the weighted entropies of the three groups are
-    added: first-appearance order, which ``reverse`` flips.
+    added. ``reverse`` writes the groups' rows in the opposite order.
     """
     groups = [(553, 192), (553, 192), (1587, 551)]  # (rows, defective rows)
     records = []

@@ -11,14 +11,16 @@ import numpy as np
 
 from planwise.bellwether import discover
 from planwise.cli import main
-from planwise.datasets import load_community, write_csv
+from planwise.datasets import load_community
 from planwise.discretize import mdlp_cuts
 from planwise.evaluate import changes_count, evaluate_windows, ktest, overlap
 from planwise.planners import XTreePlanner, make_planner, varl
 from planwise.stats import LogisticFit, fit_univariate_logistic, simpson_integrate
 from planwise.tree import locate
 
-from conftest import make_dataset, make_project, make_record, planted_community
+from conftest import (
+    make_dataset, make_project, make_record, planted_community, write_csv,
+)
 from test_cli import toy_version
 from test_discretize import oracle_cuts, random_dataset
 from test_evaluate import (
@@ -131,7 +133,7 @@ def test_criterion_6_xtree_contract():
     for record in project.versions[1].records:
         plan = planner.plan(record)
         current = locate(planner.tree, record)
-        if plan.is_no_change():
+        if changes_count(plan) == 0:
             exhausted += 1
             continue
         nontrivial += 1

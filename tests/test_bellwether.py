@@ -1,15 +1,9 @@
 import pytest
 
 from planwise import bellwether
-from planwise.bellwether import (
-    discover,
-    g_score,
-    make_belltree_planner,
-    validate,
-)
+from planwise.bellwether import discover, g_score
 from planwise.datasets import ClassRecord, Community, Project, pool_versions
-from planwise.evaluate import ChangesSummary, CurvePoint, KTestResult
-from planwise.planners import XTreePlanner
+from planwise.planners import XTreePlanner, make_planner
 from planwise.tree import predict_defective
 
 from conftest import make_dataset, make_record, planted_community
@@ -136,7 +130,7 @@ class TestBelltreePlan:
         community = planted_community(seed=4)
         exemplar = community.get("exemplar")
         local = XTreePlanner(seed=11).fit(pool_versions(exemplar))
-        belltree = make_belltree_planner(exemplar, seed=11)
+        belltree = make_planner("belltree", seed=11).fit(pool_versions(exemplar))
         for record in exemplar.versions[0].records[:20]:
             cross = belltree.plan(record)
             own = local.plan(record)
@@ -146,39 +140,9 @@ class TestBelltreePlan:
 
     def test_planner_factory_reuses_one_tree(self):
         community = planted_community(seed=4)
-        planner = make_belltree_planner(community.get("exemplar"), seed=11)
+        planner = make_planner("belltree", seed=11).fit(
+            pool_versions(community.get("exemplar"))
+        )
         record = community.get("alpha").versions[0].records[0]
         assert planner.plan(record) == planner.plan(record)
 
-
-def result_with(curve, reduced, increased):
-    return KTestResult(
-        project="p",
-        version_i="1",
-        version_j="2",
-        version_k="3",
-        planner="belltree",
-        curve=curve,
-        aupec_reduced=reduced,
-        aupec_increased=increased,
-        changes_per_plan=ChangesSummary.from_counts([1]),
-        matched_classes=len(curve),
-        matched_defects=10,
-    )
-
-
-class TestValidate:
-    def _curve(self):
-        return (CurvePoint(5.0, 3, 1, 2),)
-
-    def test_clear_win_keeps_the_bellwether(self):
-        outcome = result_with(self._curve(), reduced=59.0, increased=9.0)
-        assert validate(None, outcome) == "keep"
-
-    def test_tie_triggers_rediscovery(self):
-        outcome = result_with(self._curve(), reduced=20.0, increased=20.0)
-        assert validate(None, outcome) == "rediscover"
-
-    def test_empty_curve_triggers_rediscovery(self):
-        outcome = result_with((), reduced=None, increased=None)
-        assert validate(None, outcome) == "rediscover"

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -15,12 +16,12 @@ from planwise.datasets import (
     Community,
     load_community,
     pool_versions,
-    write_csv,
 )
 from planwise.evaluate import evaluate_windows
-from planwise.planners import make_planner
+from planwise.planners import PLANNERS, make_planner
+from planwise.tree import build_tree
 
-from conftest import make_dataset, make_record, planted_community
+from conftest import make_dataset, make_record, planted_community, write_csv
 
 
 def toy_version(version, order, n=60, seed=0):
@@ -381,6 +382,24 @@ class TestOtherCommands:
         assert repr(cell) in err and repr(column) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [("Café".encode("latin-1"), "not UTF-8 text"),
+         (b"x" * 200_000, "row 3: field larger than")],
+        ids=["latin-1", "oversized-cell"],
+    )
+    def test_unreadable_csv_fails_with_the_file(self, tmp_path, capsys, content, problem):
+        path = tmp_path / "toy-1.0.csv"
+        write_csv(toy_version("1.0", 0, n=3), path)
+        lines = path.read_bytes().splitlines()
+        lines[2] = lines[2].replace(b",cls1,", b"," + content + b",", 1)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code = main(["tree", "--train", str(path), "--out", str(tmp_path / "t.json")])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"planwise: {path}: {problem}")
+        assert "Traceback" not in err
+
     def test_thresholds_dump(self, toy_project_dir, tmp_path):
         out = tmp_path / "rules.json"
         code = main(
@@ -476,6 +495,35 @@ class TestOtherCommands:
         assert "70" in text    # percentile
         assert "0.05" in text  # p0/p1
         assert "90" in text    # min-compliance/tail
+
+
+def subparser(command: str):
+    return build_parser()._subparsers._group_actions[0].choices[command]
+
+
+def planner_option_dests(command: str) -> set[str]:
+    """Options a subcommand registers outside argparse's default groups."""
+    sub = subparser(command)
+    return {
+        action.dest
+        for group in sub._action_groups
+        if group not in (sub._positionals, sub._optionals)
+        for action in group._group_actions
+    }
+
+
+class TestPlannerOptionsFollowTheTable:
+    @pytest.mark.parametrize("command", ["plan", "evaluate", "thresholds"])
+    def test_planner_commands_register_their_planners_options(self, command):
+        (planner,) = [a for a in subparser(command)._actions if a.dest == "planner"]
+        names = [name for name in planner.choices if name != "all"]
+        expected = {option for name in names for option in PLANNERS[name][1]}
+        assert planner_option_dests(command) == expected
+
+    def test_tree_registers_the_tree_options_of_xtree(self):
+        options = set(inspect.signature(build_tree).parameters) - {"train", "bins"}
+        assert options <= set(PLANNERS["xtree"][1])
+        assert planner_option_dests("tree") == options
 
 
 # Runs one command in a fresh interpreter (this process has numpy loaded

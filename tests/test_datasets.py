@@ -16,10 +16,9 @@ from planwise.datasets import (
     load_project,
     pool_versions,
     version_sort_key,
-    write_csv,
 )
 
-from conftest import make_dataset, make_record
+from conftest import make_dataset, make_record, write_csv
 
 
 HEADER = "name,version,name," + ",".join(METRICS) + ",bug"
@@ -105,6 +104,21 @@ class TestLoadCsv:
         assert str(excinfo.value) == (
             f"{path}: row 3: {problem} value {cell!r} in column {column!r}"
         )
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "ant-1.7.csv"
+        text = HEADER + "\n" + jureczko_row("Café") + "\n"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: not UTF-8 text: ")
+
+    def test_cell_over_the_csv_field_limit_names_file_and_row(self, tmp_path):
+        path = tmp_path / "ant-1.7.csv"
+        write_rows(path, [jureczko_row("A"), jureczko_row("x" * 200_000)])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: row 3: field larger than")
 
     def test_negative_metrics_stay_legal(self, tmp_path):
         path = tmp_path / "v.csv"

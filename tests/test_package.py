@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import planwise
 
 
@@ -6,3 +9,39 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
     missing = [name for name in names if not hasattr(planwise, name)]
     assert missing == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``__all__`` entries count)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(planwise.__file__).parent
+    unused = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_unused_import_check_sees_a_leftover():
+    source = "from .planners import DEFAULT_SEED, make_planner\nmake_planner('x')\n"
+    assert _unused_imports(source) == ["line 1: DEFAULT_SEED"]

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from planwise import planners
 from planwise.datasets import DECREASE, INCREASE, METRICS, NO_CHANGE, pool_versions
 from planwise.discretize import BinMap, apply_bins
+from planwise.evaluate import changes_count
 from planwise.planners import (
     Action,
-    AlvesPlanner,
-    OliveiraPlanner,
     Plan,
-    ShatnawiPlanner,
+    ThresholdPlanner,
     XTreePlanner,
     alves_thresholds,
     compliance_rate,
@@ -38,6 +37,7 @@ from conftest import (
     make_dataset,
     make_record,
     tie_heavy_community,
+    tie_heavy_history,
     unpopulated_middle_tree,
 )
 
@@ -109,14 +109,14 @@ class TestXtreePlan:
             },
         )
         plan = plan_for(tree, make_record("A", rfc=30.0), gamma=0.5, seed=1)
-        assert plan.is_no_change()
+        assert changes_count(plan) == 0
 
     def test_zero_score_leaf_never_gets_a_plan(self):
         tree = contrast_tree()
         record = make_record("A", rfc=5.0)  # lands on score-4 leaf
         plan = plan_for(tree, record, gamma=0.5, seed=1)
         # gamma * 4 = 2 beats nothing: the only sibling scores 10.
-        assert plan.is_no_change()
+        assert changes_count(plan) == 0
 
     def test_ascends_until_a_level_offers_better_siblings(self):
         tree = two_level_tree()
@@ -361,7 +361,7 @@ class TestPlanTargets:
         assert (len(searches), len(enumerations)) == (1, 1)
         plans = planner.plan_all(make_dataset(records))
         assert (len(searches), len(enumerations)) == (1, 1)
-        assert any(not p.is_no_change() for p in plans)
+        assert any(changes_count(p) for p in plans)
 
 
 class TestAlves:
@@ -549,7 +549,7 @@ class TestThresholdPlan:
     def test_record_under_every_threshold_gets_no_changes(self):
         rules = [ThresholdRule("loc", 100.0), ThresholdRule("wmc", 10.0)]
         plan = threshold_plan(rules, make_record("A", loc=50, wmc=5))
-        assert plan.is_no_change()
+        assert changes_count(plan) == 0
 
     def test_exceeding_value_gets_a_decrease_with_target(self):
         rules = [ThresholdRule("loc", 100.0)]
@@ -606,7 +606,7 @@ class TestPlanAllocation:
     def test_no_change_plans_construct_no_action(self, constructed):
         no_change_plan("A", "test")
         threshold_plan([ThresholdRule("loc", 100.0)], make_record("A", loc=50))
-        assert plan_for(contrast_tree(), make_record("A", rfc=5.0)).is_no_change()
+        assert changes_count(plan_for(contrast_tree(), make_record("A", rfc=5.0))) == 0
         assert constructed == []
 
     def test_threshold_plan_constructs_one_action_per_violated_rule(self, constructed):
@@ -645,7 +645,7 @@ class TestPlanAllocation:
         assert shared is second.actions["wmc"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             shared.direction = INCREASE
-        assert second.is_no_change()
+        assert changes_count(second) == 0
 
 
 class TestSuggestRefactorings:
@@ -675,9 +675,34 @@ class TestPlannerInterface:
     def test_factory_builds_each_planner(self):
         assert isinstance(make_planner("xtree"), XTreePlanner)
         assert make_planner("belltree").name == "belltree"
-        assert isinstance(make_planner("alves"), AlvesPlanner)
-        assert isinstance(make_planner("shatnawi"), ShatnawiPlanner)
-        assert isinstance(make_planner("oliveira"), OliveiraPlanner)
+        for name in ("alves", "shatnawi", "oliveira"):
+            planner = make_planner(name)
+            assert isinstance(planner, ThresholdPlanner)
+            assert planner.name == name
+
+    def test_factory_hands_each_planner_only_its_own_options(self):
+        train = tie_heavy_history().versions[0]
+        every = {"gamma": 0.3, "seed": 5, "max_depth": 2, "min_leaf": 7,
+                 "percentile": 80.0, "p0": 0.2, "p1": 0.1,
+                 "min_compliance": 80.0, "tail": 80.0}
+        assert set(every) == {o for _, takes in planners.PLANNERS.values() for o in takes}
+        shatnawi = make_planner("shatnawi", p1=0.1, gamma=0.3, percentile=80)
+        assert shatnawi.fit(train).rules == shatnawi_thresholds(train, p1=0.1)
+        assert shatnawi.rules != shatnawi_thresholds(train)
+        expected = {
+            "shatnawi": shatnawi_thresholds(train, p0=0.2, p1=0.1),
+            "alves": alves_thresholds(train, percentile=80.0),
+            "oliveira": oliveira_thresholds(train, min_compliance=80.0, tail=80.0),
+        }
+        for name, rules in expected.items():
+            assert make_planner(name, **every).fit(train).rules == rules
+        tree = make_planner("belltree", **every)
+        assert (tree.name, tree.gamma, tree.seed, tree.max_depth, tree.min_leaf) == (
+            "belltree", 0.3, 5, 2, 7)
+
+    def test_threshold_planner_rejects_other_names(self):
+        with pytest.raises(ValueError, match="unknown threshold planner"):
+            ThresholdPlanner("xtree")
 
     def test_factory_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown planner"):
