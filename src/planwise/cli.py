@@ -74,62 +74,49 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _add_planner_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("planner options")
-    group.add_argument(
-        "--gamma", type=float, default=_env("GAMMA", DEFAULT_GAMMA),
-        help="better-sibling score factor for the tree planners",
-    )
-    group.add_argument(
-        "--seed", type=int, default=_env("SEED", DEFAULT_SEED),
-        help="seed for suggested in-range values (fixed for reproducibility)",
-    )
-    _add_tree_options(parser)
-    _add_baseline_options(parser)
+# Every planner option by --help group: name -> (type, default, help); a
+# command registers those its planners take, PLANWISE_<NAME> sets the default.
+OPTION_GROUPS = {
+    "planner options": {
+        "gamma": (float, DEFAULT_GAMMA,
+                  "better-sibling score factor for the tree planners"),
+        "seed": (int, DEFAULT_SEED,
+                 "seed for suggested in-range values (fixed for reproducibility)"),
+    },
+    "tree options": {
+        "max_depth": (int, DEFAULT_MAX_DEPTH, "tree depth limit"),
+        "min_leaf": (int, None, "minimum records per leaf (default: max(5, N/50))"),
+    },
+    "threshold baseline options": {
+        "percentile": (float, DEFAULT_PERCENTILE,
+                       "size-weighted percentile for the alves baseline"),
+        "p0": (float, DEFAULT_P0, "significance level of the shatnawi logistic screen"),
+        "p1": (float, DEFAULT_P1, "risk probability defining the shatnawi threshold"),
+        "min_compliance": (float, DEFAULT_MIN_COMPLIANCE,
+                           "compliance target of the oliveira penalty"),
+        "tail": (float, DEFAULT_TAIL, "tail percentile anchoring the oliveira penalty"),
+    },
+}
 
 
-def _add_tree_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("tree options")
-    group.add_argument(
-        "--max-depth", type=int, default=_env("MAX_DEPTH", DEFAULT_MAX_DEPTH),
-        help="tree depth limit",
-    )
-    group.add_argument(
-        "--min-leaf", type=int, default=_env("MIN_LEAF", None),
-        help="minimum records per leaf (default: max(5, N/50))",
-    )
-
-
-def _add_baseline_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("threshold baseline options")
-    group.add_argument(
-        "--percentile", type=float,
-        default=_env("PERCENTILE", DEFAULT_PERCENTILE),
-        help="size-weighted percentile for the alves baseline",
-    )
-    group.add_argument(
-        "--p0", type=float, default=_env("P0", DEFAULT_P0),
-        help="significance level of the shatnawi logistic screen",
-    )
-    group.add_argument(
-        "--p1", type=float, default=_env("P1", DEFAULT_P1),
-        help="risk probability defining the shatnawi threshold",
-    )
-    group.add_argument(
-        "--min-compliance", type=float,
-        default=_env("MIN_COMPLIANCE", DEFAULT_MIN_COMPLIANCE),
-        help="compliance target of the oliveira penalty",
-    )
-    group.add_argument(
-        "--tail", type=float, default=_env("TAIL", DEFAULT_TAIL),
-        help="tail percentile anchoring the oliveira penalty",
-    )
+def _add_options(parser: argparse.ArgumentParser, planners=(), takes=()) -> None:
+    """Register the options the named planners take, plus ``takes``."""
+    takes = set(takes).union(*(PLANNERS[name][1] for name in planners))
+    for title, options in OPTION_GROUPS.items():
+        names = [name for name in options if name in takes]
+        if not names:
+            continue
+        group = parser.add_argument_group(title)
+        for name in names:
+            kind, default, text = options[name]
+            group.add_argument(
+                "--" + name.replace("_", "-"), type=kind,
+                default=_env(name.upper(), default), help=text,
+            )
 
 
 def _load_train(paths: list[str]) -> VersionedDataset:
-    """One training CSV as is; several are pooled as releases of one project."""
-    if len(paths) == 1:
-        return load_csv(paths[0])
+    """The training CSVs, pooled as releases of one project."""
     return pool_versions(load_project(paths))
 
 
@@ -213,15 +200,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAILURE
-    if len(project.versions) < 3:
-        print(
-            f"planwise: {project.name} has {len(project.versions)} release(s); "
-            "evaluation trains on one, plans for the next, and validates on a "
-            "third, so at least 3 are required",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
-
     belltree_train = None
     if "belltree" in names:
         # Leave the target out: the exemplar serves the other projects, so
@@ -332,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--test", required=True, help="release CSV to plan for")
     plan.add_argument("--out", required=True)
     plan.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_planner_options(plan)
+    _add_options(plan, PLANNER_NAMES)
     plan.set_defaults(func=_cmd_plan)
 
     bell = sub.add_parser("bellwether", help="discover a community's exemplar project",
@@ -356,24 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative tolerance when diffing developer changes")
     ev.add_argument("--quality-measure", choices=sorted(QUALITY_MEASURES),
                     default="g-score")
-    _add_planner_options(ev)
+    _add_options(ev, PLANNER_NAMES)
     ev.set_defaults(func=_cmd_evaluate)
 
     thresholds = sub.add_parser("thresholds", help="dump a baseline's threshold rules",
                                 **fmt)
-    thresholds.add_argument("--planner", required=True, choices=[
-        name for name, (factory, _) in PLANNERS.items() if factory is ThresholdPlanner
-    ])
+    baselines = [n for n, (kind, _) in PLANNERS.items() if kind is ThresholdPlanner]
+    thresholds.add_argument("--planner", required=True, choices=baselines)
     thresholds.add_argument("--train", nargs="+", required=True)
     thresholds.add_argument("--out", required=True)
-    _add_baseline_options(thresholds)
+    _add_options(thresholds, baselines)
     thresholds.set_defaults(func=_cmd_thresholds)
 
     tree = sub.add_parser("tree", help="dump the fitted defect tree as JSON",
                           **fmt)
     tree.add_argument("--train", nargs="+", required=True)
     tree.add_argument("--out", required=True)
-    _add_tree_options(tree)
+    _add_options(tree, takes=("max_depth", "min_leaf"))
     tree.set_defaults(func=_cmd_tree)
 
     return parser

@@ -65,7 +65,6 @@ class VersionedDataset:
 
     project: str
     version: str
-    released_order: int
     records: tuple[ClassRecord, ...]
 
     def __post_init__(self) -> None:
@@ -89,7 +88,7 @@ class VersionedDataset:
 
 @dataclass(frozen=True)
 class Project:
-    """Chronologically ordered releases of one software project."""
+    """Releases of one software project; the tuple's order is release order."""
 
     name: str
     versions: tuple[VersionedDataset, ...]
@@ -97,11 +96,6 @@ class Project:
     def __post_init__(self) -> None:
         if not self.versions:
             raise DatasetError(f"project {self.name!r} has no versions")
-        orders = [v.released_order for v in self.versions]
-        if any(b <= a for a, b in zip(orders, orders[1:])):
-            raise DatasetError(
-                f"project {self.name!r}: versions not strictly ordered by release"
-            )
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,8 @@ def load_csv(path: str | Path) -> VersionedDataset:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = _rows(csv.reader(fh), path)
+        lines = csv.reader(fh)
+        reader = _rows(lines, path)
         try:
             raw_header = next(reader)
         except StopIteration:
@@ -204,7 +199,8 @@ def load_csv(path: str | Path) -> VersionedDataset:
         version = None
         records: list[ClassRecord] = []
         seen: set[str] = set()
-        for row_no, row in enumerate(reader, start=2):
+        for row in reader:
+            row_no = lines.line_num  # the record's last physical line, as in csv.Error
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < len(header):
@@ -242,7 +238,7 @@ def load_csv(path: str | Path) -> VersionedDataset:
         stem_project, stem_version = _split_stem(path.stem)
         project = project or stem_project
         version = version or stem_version
-    return VersionedDataset(project, version, 0, tuple(records))
+    return VersionedDataset(project, version, tuple(records))
 
 
 def _split_stem(stem: str) -> tuple[str, str]:
@@ -263,13 +259,10 @@ def load_project(paths: list[str | Path], name: str | None = None) -> Project:
     """Load several release CSVs of one project, ordered by version label."""
     if not paths:
         raise DatasetError("no version CSVs given")
-    loaded = [load_csv(p) for p in paths]
-    loaded.sort(key=lambda d: version_sort_key(d.version))
-    versions = tuple(
-        VersionedDataset(d.project, d.version, order, d.records)
-        for order, d in enumerate(loaded)
+    versions = sorted(
+        (load_csv(p) for p in paths), key=lambda d: version_sort_key(d.version)
     )
-    return Project(name or versions[0].project, versions)
+    return Project(name or versions[0].project, tuple(versions))
 
 
 def load_community(root: str | Path) -> Community:
@@ -302,7 +295,7 @@ def pool_versions(project: Project) -> VersionedDataset:
                 rec = ClassRecord(name, rec.metrics, rec.defects)
             seen.add(name)
             records.append(rec)
-    return VersionedDataset(project.name, "pooled", 0, tuple(records))
+    return VersionedDataset(project.name, "pooled", tuple(records))
 
 
 def diff_versions(
@@ -312,8 +305,9 @@ def diff_versions(
 
     For every class present in both releases, each metric gets ``+`` if the
     new value exceeds ``old * (1 + epsilon)``, ``-`` if it falls below
-    ``old * (1 - epsilon)``, and ``.`` otherwise. Classes present in only
-    one release are excluded.
+    ``old * (1 - epsilon)``, and ``.`` otherwise; for a negative ``old`` the
+    two bounds swap, so ``+`` always means the metric grew. Classes present
+    in only one release are excluded.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -329,9 +323,12 @@ def diff_versions(
         vector: ActionVector = {}
         for metric in METRICS:
             before, after = olds[metric], news[metric]
-            if after > before * up:
+            high, low = before * up, before * down
+            if before < 0:
+                high, low = low, high
+            if after > high:
                 vector[metric] = INCREASE
-            elif after < before * down:
+            elif after < low:
                 vector[metric] = DECREASE
             else:
                 vector[metric] = NO_CHANGE

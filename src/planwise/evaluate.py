@@ -175,16 +175,11 @@ def ktest(
     k: int,
     planner: PlannerBase,
     epsilon: float = 0.0,
-    train: VersionedDataset | None = None,
-    *,
-    fitted: bool = False,
 ) -> KTestResult:
-    """Train on release ``i``, plan for ``j``, validate against ``k``.
+    """Score a fitted planner: plan for release ``j``, validate against ``k``.
 
-    ``train`` swaps the training release for external data (cross-project
-    planning) while the window itself stays on the project's releases.
-    ``fitted`` says the caller has already fitted ``planner`` on ``train``.
-    Indices address ``project.versions``; they must be strictly increasing.
+    ``i`` names the training release (``evaluate_windows`` fits). Indices
+    address ``project.versions``; they must be strictly increasing.
     """
     if not 0 <= i < j < k < len(project.versions):
         raise ValueError(
@@ -196,8 +191,6 @@ def ktest(
         project.versions[j],
         project.versions[k],
     )
-    if not fitted:
-        planner.fit(train if train is not None else version_i)
     plans = {rec.class_name: planner.plan(rec) for rec in version_j.records}
 
     developer = diff_versions(version_j, version_k, epsilon)
@@ -253,14 +246,23 @@ def evaluate_windows(
     epsilon: float = 0.0,
     train: VersionedDataset | None = None,
 ) -> list[KTestResult]:
-    """Run every consecutive three-release window; fit an external ``train`` once."""
-    if len(project.versions) < 3:
+    """Fit and score every consecutive three-release window.
+
+    Each window fits ``planner`` on its first release; an external ``train``
+    (cross-project planning) is fitted once and serves every window.
+    """
+    n = len(project.versions)
+    if n < 3:
         raise ValueError(
-            f"project {project.name!r} has {len(project.versions)} release(s); "
-            "the three-version protocol needs at least 3"
+            f"{project.name} has {n} release(s); evaluation trains on one, "
+            "plans for the next, and validates on a third, so at least 3 are "
+            "required"
         )
     if train is not None:
         planner.fit(train)
-    return [ktest(project, s, s + 1, s + 2, planner, epsilon, train,
-                  fitted=train is not None)
-            for s in range(len(project.versions) - 2)]
+    results = []
+    for s in range(n - 2):
+        if train is None:
+            planner.fit(project.versions[s])
+        results.append(ktest(project, s, s + 1, s + 2, planner, epsilon))
+    return results

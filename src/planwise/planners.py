@@ -245,7 +245,7 @@ def weighted_percentile(
         raise ValueError("percentile must lie in (0, 100)")
     if len(values) != len(weights) or not values:
         raise ValueError("values and weights must be equal-length and non-empty")
-    total = sum(weights)
+    total = math.fsum(weights)  # correctly rounded: independent of weight order
     if total <= 0:
         weights = [1.0] * len(values)
         total = float(len(values))

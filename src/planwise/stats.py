@@ -72,7 +72,8 @@ def fit_univariate_logistic(
 
     Fit by iteratively reweighted least squares; the reported p-value is the
     Wald test on the slope. Perfect separation or non-convergence yields
-    ``converged=False`` so callers can reject the metric outright.
+    ``converged=False`` so callers can reject the metric outright. Rows are
+    sorted by ``x``, then ``y``, before fitting, so row order cannot change a bit.
     """
     import numpy as np
     x = np.asarray(x, dtype=float)
@@ -86,6 +87,8 @@ def fit_univariate_logistic(
     if len(np.unique(y)) < 2:
         raise ValueError("y must contain both labels")
 
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
     failed = LogisticFit(alpha=math.nan, beta=math.nan, p_value=1.0, converged=False)
     if np.ptp(x) == 0.0 or _perfectly_separated(x, y):
         return failed

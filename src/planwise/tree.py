@@ -17,7 +17,7 @@ from .discretize import BinMap, mdlp_cuts
 from .stats import _entropy_of_counts
 
 DEFAULT_MAX_DEPTH = 10
-DEFAULT_PREDICT_THRESHOLD = 0.5
+PREDICT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -210,24 +210,18 @@ def leaves(node: TreeNode, prefix: tuple[Condition, ...] = ()) -> list[Branch]:
     return out
 
 
-def predict_defective(
-    tree: TreeNode,
-    record: ClassRecord,
-    threshold: float = DEFAULT_PREDICT_THRESHOLD,
-) -> bool:
-    """True when the located leaf's mean defect count exceeds the threshold.
+def predict_defective(tree: TreeNode, record: ClassRecord) -> bool:
+    """True when the located leaf's mean defect count exceeds PREDICT_THRESHOLD.
 
     Routes exactly like ``locate`` (through each node's ``route``) but
     allocates nothing: no ``Condition``, ``Branch`` or range bounds.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
     node = tree
     while node.split_metric is not None:  # is_leaf, minus a property call per level
         node = node.route[
             bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
         ][1]
-    return node.score > threshold
+    return node.score > PREDICT_THRESHOLD
 
 
 def tree_to_dict(node: TreeNode) -> dict:

@@ -41,9 +41,8 @@ def make_dataset(
     records: list[ClassRecord],
     project: str = "proj",
     version: str = "1",
-    order: int = 0,
 ) -> VersionedDataset:
-    return VersionedDataset(project, version, order, tuple(records))
+    return VersionedDataset(project, version, tuple(records))
 
 
 def write_csv(dataset: VersionedDataset, path: str | Path) -> None:
@@ -147,9 +146,7 @@ def _tie_heavy_project(
             p = 1.0 / (1.0 + np.exp(-12.0 * (risk - 0.9)))
             defects = int(rng.binomial(3, p))
             records.append(make_record(f"{name}.C{i}", defects=defects, **metrics))
-        releases.append(
-            make_dataset(records, project=name, version=str(order + 1), order=order)
-        )
+        releases.append(make_dataset(records, project=name, version=str(order + 1)))
     return Project(name, tuple(releases))
 
 

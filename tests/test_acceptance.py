@@ -104,7 +104,7 @@ def test_criterion_5_varl_closed_form():
 def planted_project(seed=0, n=150):
     rng = np.random.default_rng(seed)
 
-    def release(version, order):
+    def release(version):
         records = []
         for i in range(n):
             wmc = float(rng.uniform(0, 60))
@@ -118,11 +118,9 @@ def planted_project(seed=0, n=150):
                     rfc=float(rng.uniform(0, 50)),
                 )
             )
-        return make_dataset(records, project="planted", version=version, order=order)
+        return make_dataset(records, project="planted", version=version)
 
-    return make_project(
-        [release("1", 0), release("2", 1), release("3", 2)], name="planted"
-    )
+    return make_project([release("1"), release("2"), release("3")], name="planted")
 
 
 def test_criterion_6_xtree_contract():

@@ -38,7 +38,7 @@ def toy_version(version, order, n=60, seed=0):
                 wmc=float(rng.uniform(1, 20)),
             )
         )
-    return make_dataset(records, project="toy", version=version, order=order)
+    return make_dataset(records, project="toy", version=version)
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def toy_community_dir(tmp_path):
         sub.mkdir(parents=True)
         for order, version in enumerate(("1", "2")):
             ds = toy_version(version, order, seed=seed)
-            ds = make_dataset(list(ds.records), project=name, version=version, order=order)
+            ds = make_dataset(list(ds.records), project=name, version=version)
             write_csv(ds, sub / f"{name}-{version}.csv")
     return root
 
@@ -150,7 +150,7 @@ def exemplar_community_dir(tmp_path):
         for order, community in enumerate(releases):
             version = str(order + 1)
             records = list(community.get(name).versions[0].records)
-            ds = make_dataset(records, project=name, version=version, order=order)
+            ds = make_dataset(records, project=name, version=version)
             write_csv(ds, root / name / f"{name}-{version}.csv")
     return root
 
@@ -251,7 +251,10 @@ class TestEvaluateCommand:
             ]
         )
         assert code == EXIT_FAILURE
-        assert "at least 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "planwise: toy has 2 release(s); evaluation trains on one, plans for "
+            "the next, and validates on a third, so at least 3 are required\n"
+        )
 
     def test_full_runs_are_byte_identical(self, toy_project_dir, tmp_path):
         outputs = []
@@ -510,6 +513,107 @@ def planner_option_dests(command: str) -> set[str]:
         if group not in (sub._positionals, sub._optionals)
         for action in group._group_actions
     }
+
+
+_HELP = (("-h", "--help"), None, "==SUPPRESS==", "show this help message and exit")
+_GAMMA_SEED = ("planner options", [
+    (("--gamma",), "float", 0.5, "better-sibling score factor for the tree planners"),
+    (("--seed",), "int", 42,
+     "seed for suggested in-range values (fixed for reproducibility)"),
+])
+_TREE = ("tree options", [
+    (("--max-depth",), "int", 10, "tree depth limit"),
+    (("--min-leaf",), "int", None, "minimum records per leaf (default: max(5, N/50))"),
+])
+_BASELINE = ("threshold baseline options", [
+    (("--percentile",), "float", 70.0, "size-weighted percentile for the alves baseline"),
+    (("--p0",), "float", 0.05, "significance level of the shatnawi logistic screen"),
+    (("--p1",), "float", 0.05, "risk probability defining the shatnawi threshold"),
+    (("--min-compliance",), "float", 90.0, "compliance target of the oliveira penalty"),
+    (("--tail",), "float", 90.0, "tail percentile anchoring the oliveira penalty"),
+])
+
+# Every subcommand's argument groups: (title, [(flags, type, default, help)]).
+# argparse's own two groups are named <positionals> and <options>, because
+# their titles depend on the Python version.
+OPTION_SURFACE = {
+    "plan": [
+        ("<positionals>", []),
+        ("<options>", [
+            _HELP,
+            (("--planner",), None, None, None),
+            (("--train",), None, None, "training CSV(s); several files are pooled"),
+            (("--test",), None, None, "release CSV to plan for"),
+            (("--out",), None, None, None),
+            (("--format",), None, "json", None),
+        ]),
+        _GAMMA_SEED, _TREE, _BASELINE,
+    ],
+    "bellwether": [
+        ("<positionals>", []),
+        ("<options>", [
+            _HELP,
+            (("--community",), None, None,
+             "directory of <project>/<version>.csv subdirectories"),
+            (("--out",), None, None, None),
+            (("--quality-measure",), None, "g-score", None),
+        ]),
+    ],
+    "evaluate": [
+        ("<positionals>", []),
+        ("<options>", [
+            _HELP,
+            (("--planner",), None, None, None),
+            (("--project-dir",), None, None, "directory of one project's version CSVs"),
+            (("--community",), None, None, "community directory (needed for belltree)"),
+            (("--target",), None, None, "project to evaluate when using --community"),
+            (("--out-dir",), None, None,
+             "result directory; keep it outside the data directories"),
+            (("--epsilon",), "float", 0.0,
+             "relative tolerance when diffing developer changes"),
+            (("--quality-measure",), None, "g-score", None),
+        ]),
+        _GAMMA_SEED, _TREE, _BASELINE,
+    ],
+    "thresholds": [
+        ("<positionals>", []),
+        ("<options>", [
+            _HELP,
+            (("--planner",), None, None, None),
+            (("--train",), None, None, None),
+            (("--out",), None, None, None),
+        ]),
+        _BASELINE,
+    ],
+    "tree": [
+        ("<positionals>", []),
+        ("<options>", [_HELP, (("--train",), None, None, None), (("--out",), None, None, None)]),
+        _TREE,
+    ],
+}
+
+
+def option_surface(command: str) -> list:
+    sub = subparser(command)
+    names = {id(sub._positionals): "<positionals>", id(sub._optionals): "<options>"}
+    return [
+        (names.get(id(group), group.title), [
+            (tuple(a.option_strings), getattr(a.type, "__name__", a.type), a.default, a.help)
+            for a in group._group_actions
+        ])
+        for group in sub._action_groups
+    ]
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", sorted(OPTION_SURFACE))
+    def test_options_are_pinned(self, monkeypatch, command):
+        for variable in [v for v in os.environ if v.startswith("PLANWISE_")]:
+            monkeypatch.delenv(variable)
+        assert option_surface(command) == OPTION_SURFACE[command]
+
+    def test_every_subcommand_is_pinned(self):
+        assert set(build_parser()._subparsers._group_actions[0].choices) == set(OPTION_SURFACE)
 
 
 class TestPlannerOptionsFollowTheTable:

@@ -120,6 +120,19 @@ class TestLoadCsv:
             load_csv(path)
         assert str(excinfo.value).startswith(f"{path}: row 3: field larger than")
 
+    def test_rows_are_numbered_by_physical_line(self, tmp_path):
+        # A quoted class name spans lines 2-3, so the bad avg_cc cell of the
+        # next record sits on line 4, as a csv.Error would report it.
+        path = tmp_path / "ant-1.7.csv"
+        bad = jureczko_row("C").split(",")
+        bad[HEADER.split(",").index("avg_cc")] = "x"
+        write_rows(path, [jureczko_row('"A\nB"'), ",".join(bad)])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: row 4: non-numeric value 'x' in column 'avg_cc'"
+        )
+
     def test_negative_metrics_stay_legal(self, tmp_path):
         path = tmp_path / "v.csv"
         write_rows(path, [jureczko_row("A", value=-2.5)])
@@ -175,12 +188,6 @@ class TestValidation:
         with pytest.raises(DatasetError, match="duplicate"):
             make_dataset([make_record("A"), make_record("A")])
 
-    def test_project_requires_strict_release_order(self):
-        v1 = make_dataset([make_record("A")], version="1", order=1)
-        v2 = make_dataset([make_record("A")], version="2", order=1)
-        with pytest.raises(DatasetError, match="ordered"):
-            Project("p", (v1, v2))
-
     def test_community_requires_projects(self):
         with pytest.raises(DatasetError):
             Community(())
@@ -195,18 +202,18 @@ class TestDiffVersions:
 
     def test_increase_detected_with_zero_epsilon(self):
         old = make_dataset([make_record("A", loc=100)])
-        new = make_dataset([make_record("A", loc=150)], version="2", order=1)
+        new = make_dataset([make_record("A", loc=150)], version="2")
         assert diff_versions(old, new)["A"]["loc"] == INCREASE
 
     def test_epsilon_suppresses_small_moves(self):
         old = make_dataset([make_record("A", loc=100)])
-        new = make_dataset([make_record("A", loc=104)], version="2", order=1)
+        new = make_dataset([make_record("A", loc=104)], version="2")
         assert diff_versions(old, new, epsilon=0.05)["A"]["loc"] == NO_CHANGE
         assert diff_versions(old, new, epsilon=0.0)["A"]["loc"] == INCREASE
 
     def test_disjoint_class_sets_give_empty_map(self):
         old = make_dataset([make_record("A")])
-        new = make_dataset([make_record("B")], version="2", order=1)
+        new = make_dataset([make_record("B")], version="2")
         assert diff_versions(old, new) == {}
 
     def test_three_class_hand_grid(self):
@@ -225,7 +232,6 @@ class TestDiffVersions:
                 make_record("C4", loc=10),
             ],
             version="2",
-            order=1,
         )
         diff = diff_versions(old, new)
         assert set(diff) == {"C1", "C2"}
@@ -242,12 +248,39 @@ class TestDiffVersions:
     @settings(max_examples=50)
     def test_antisymmetric_under_swap(self, loc_old, loc_new):
         old = make_dataset([make_record("A", loc=loc_old)])
-        new = make_dataset([make_record("A", loc=loc_new)], version="2", order=1)
+        new = make_dataset([make_record("A", loc=loc_new)], version="2")
         forward = diff_versions(old, new)["A"]
         backward = diff_versions(new, old)["A"]
         flip = {INCREASE: DECREASE, DECREASE: INCREASE, NO_CHANGE: NO_CHANGE}
         assert backward == {m: flip[a] for m, a in forward.items()}
 
+
+    @pytest.mark.parametrize(
+        "before, after, expected",
+        [(-10.0, -10.0, NO_CHANGE), (-10.0, -10.5, NO_CHANGE),
+         (-10.0, -12.0, DECREASE), (-10.0, -8.0, INCREASE)],
+    )
+    def test_negative_metric_bounds_keep_their_direction(self, before, after, expected):
+        old = make_dataset([make_record("A", wmc=before)])
+        new = make_dataset([make_record("A", wmc=after)], version="2")
+        assert diff_versions(old, new, epsilon=0.1)["A"]["wmc"] == expected
+
+    @given(
+        before=st.floats(allow_nan=False, allow_infinity=False),
+        after=st.floats(allow_nan=False, allow_infinity=False),
+        epsilon=st.floats(min_value=0.0, allow_nan=False),
+    )
+    @settings(max_examples=300)
+    def test_direction_never_contradicts_the_values(self, before, after, epsilon):
+        old = make_dataset([make_record("A", wmc=before)])
+        new = make_dataset([make_record("A", wmc=after)], version="2")
+        action = diff_versions(old, new, epsilon)["A"]["wmc"]
+        if action == INCREASE:
+            assert after > before
+        elif action == DECREASE:
+            assert after < before
+        if after == before:
+            assert action == NO_CHANGE
 
 class TestPoolingAndOrdering:
     def test_version_sort_key_orders_numerically(self):
@@ -264,11 +297,10 @@ class TestPoolingAndOrdering:
             )
         project = load_project(sorted(tmp_path.glob("*.csv")))
         assert [v.version for v in project.versions] == ["1.2", "1.10"]
-        assert [v.released_order for v in project.versions] == [0, 1]
 
     def test_pool_versions_keeps_names_unique(self):
-        v1 = make_dataset([make_record("A", loc=1)], version="1", order=0)
-        v2 = make_dataset([make_record("A", loc=2)], version="2", order=1)
+        v1 = make_dataset([make_record("A", loc=1)], version="1")
+        v2 = make_dataset([make_record("A", loc=2)], version="2")
         pooled = pool_versions(Project("p", (v1, v2)))
         assert len(pooled) == 2
         assert {r.class_name for r in pooled.records} == {"A", "2:A"}

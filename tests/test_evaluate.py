@@ -126,7 +126,6 @@ def hand_project():
     v1 = make_dataset(
         [make_record("C1", defects=1, loc=90.0), make_record("C2", loc=90.0)],
         version="1",
-        order=0,
     )
     v2 = make_dataset(
         [
@@ -137,7 +136,6 @@ def hand_project():
             make_record("C5", defects=9, loc=100.0),
         ],
         version="2",
-        order=1,
     )
     v3 = make_dataset(
         [
@@ -159,7 +157,6 @@ def hand_project():
             make_record("C6", defects=7, loc=10.0),
         ],
         version="3",
-        order=2,
     )
     return make_project([v1, v2, v3], name="hand")
 
@@ -204,9 +201,7 @@ class TestKTest:
 
     def test_no_shared_classes_yields_absent_areas(self):
         project = hand_project()
-        v3 = make_dataset(
-            [make_record("Z1", defects=2)], version="3", order=2
-        )
+        v3 = make_dataset([make_record("Z1", defects=2)], version="3")
         renamed = make_project([project.versions[0], project.versions[1], v3])
         result = ktest(renamed, 0, 1, 2, ReduceLocStub())
         assert result.curve == ()
@@ -222,7 +217,7 @@ class TestKTest:
                 type(r)(r.class_name, r.metrics, r.defects * factor)
                 for r in ds.records
             ]
-            return make_dataset(recs, version=ds.version, order=ds.released_order)
+            return make_dataset(recs, version=ds.version)
 
         project = hand_project()
         tripled = make_project([scaled(v) for v in project.versions])
@@ -254,7 +249,6 @@ class TestWindows:
             make_dataset(
                 [make_record("C1", defects=i, loc=50.0 + i)],
                 version=str(i + 1),
-                order=i,
             )
             for i in range(5)
         ]
@@ -266,6 +260,24 @@ class TestWindows:
             ("2", "3", "4"),
             ("3", "4", "5"),
         ]
+
+    def test_each_window_fits_its_first_release(self):
+        fits = []
+
+        class Recording(ReduceLocStub):
+            def fit(self, train):
+                fits.append(train.version)
+                return self
+
+        project = make_project(
+            [make_dataset([make_record("C1")], version=str(i + 1)) for i in range(5)]
+        )
+        evaluate_windows(project, Recording())
+        assert fits == ["1", "2", "3"]
+
+    def test_ktest_only_scores_a_fitted_planner(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            ktest(hand_project(), 0, 1, 2, XTreePlanner())
 
     def test_xtree_plans_each_planned_release_row_once(self, monkeypatch):
         # One plan call per row of release j in every window: traces count
@@ -280,7 +292,7 @@ class TestWindows:
                     f"C{c}", defects=int(wmc > 20), wmc=wmc,
                     loc=float(rng.integers(10, 500)),
                 ))
-            versions.append(make_dataset(records, version=str(i + 1), order=i))
+            versions.append(make_dataset(records, version=str(i + 1)))
         project = make_project(versions)
         calls = []
         plan = XTreePlanner.plan
@@ -298,7 +310,7 @@ class TestWindows:
         # give what a refit per window gives, with one ktest per window.
         rng = np.random.default_rng(9)
 
-        def release(version, order, size=60, prefix="C"):
+        def release(version, size=60, prefix="C"):
             records = []
             for c in range(size):
                 wmc = float(rng.integers(0, 40))
@@ -307,12 +319,12 @@ class TestWindows:
                     wmc=wmc, loc=float(rng.integers(10, 500)),
                     cbo=float(rng.integers(0, 20)),
                 ))
-            return make_dataset(records, version=version, order=order)
+            return make_dataset(records, version=version)
 
-        project = make_project([release(str(i + 1), i) for i in range(5)])
-        train = release("x", 0, size=200, prefix="X")
+        project = make_project([release(str(i + 1)) for i in range(5)])
+        train = release("x", size=200, prefix="X")
         refit = [
-            ktest(project, s, s + 1, s + 2, XTreePlanner(min_leaf=5), train=train)
+            ktest(project, s, s + 1, s + 2, XTreePlanner(min_leaf=5).fit(train))
             for s in range(3)
         ]
         fits, windows = [], []
@@ -337,8 +349,8 @@ class TestWindows:
     def test_too_few_releases_explains_the_requirement(self):
         project = make_project(
             [
-                make_dataset([make_record("C1")], version="1", order=0),
-                make_dataset([make_record("C1")], version="2", order=1),
+                make_dataset([make_record("C1")], version="1"),
+                make_dataset([make_record("C1")], version="2"),
             ]
         )
         with pytest.raises(ValueError, match="at least 3"):

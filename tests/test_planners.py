@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -723,3 +724,49 @@ class TestPlannerInterface:
             plan = planner.plan(train.records[0])
             assert set(plan.actions) == set(METRICS)
             assert plan.source_planner == name
+
+
+def continuous_set(seed, intercept):
+    """400 classes with lognormal metrics and a logistic defect risk; a low
+    enough base rate that shatnawi's risk level falls inside the data."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(400):
+        metrics = {m: float(rng.lognormal(1.5, 0.8)) for m in ("wmc", "cbo", "rfc", "loc")}
+        risk = intercept + 0.12 * metrics["wmc"] + 0.06 * metrics["rfc"]
+        defects = int(rng.random() < 1.0 / (1.0 + math.exp(-risk)))
+        records.append(make_record(f"c{i}", defects=defects, **metrics))
+    return make_dataset(records)
+
+
+@lru_cache(maxsize=None)
+def row_order_sets():
+    """The tie-heavy pooled projects (integer metrics) and two sets of
+    continuous metrics, where the order of a floating-point sum shows."""
+    pooled = [pool_versions(p) for p in tie_heavy_community().projects]
+    return tuple(pooled) + (continuous_set(17, -4.0), continuous_set(18, -3.0))
+
+
+def fitted_state(name, train):
+    planner = make_planner(name).fit(train)
+    if isinstance(planner, XTreePlanner):
+        return planner.tree, planner.targets
+    return planner.rules
+
+
+class TestRowOrderInvariance:
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_train_fits_the_same_planner(self, seed):
+        for train in row_order_sets():
+            records = list(train.records)
+            random.Random(seed).shuffle(records)
+            shuffled = make_dataset(records)
+            for name in ("xtree", "alves", "shatnawi", "oliveira"):
+                assert fitted_state(name, shuffled) == fitted_state(name, train), name
+
+    def test_the_continuous_sets_keep_screened_rules(self):
+        # Otherwise the property above could hold on empty rule lists.
+        for train in row_order_sets()[-2:]:
+            assert fitted_state("shatnawi", train)
+            assert fitted_state("alves", train)

@@ -18,6 +18,7 @@ from planwise.tree import (
     fit_bins,
     leaves,
     locate,
+    PREDICT_THRESHOLD,
     predict_defective,
     tree_to_dict,
 )
@@ -225,21 +226,17 @@ class TestLeaves:
 class TestPredict:
     def test_zero_score_leaf_is_never_defective(self):
         leaf = TreeNode(score=0.0, support=4, level=0)
-        assert not predict_defective(leaf, make_record("A"), threshold=0.0)
+        assert not predict_defective(leaf, make_record("A"))
 
     def test_score_above_threshold_is_defective(self):
         branch_tree = two_leaf_tree()
-        assert predict_defective(branch_tree, make_record("A", loc=80), threshold=0.5)
+        assert predict_defective(branch_tree, make_record("A", loc=80))
 
     def test_training_accuracy_is_perfect_on_planted_data(self):
         ds = planted_dataset(seed=13)
         tree = build_tree(ds, fit_bins(ds), min_leaf=3)
         for record in ds.records:
             assert predict_defective(tree, record) == record.is_defective()
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            predict_defective(TreeNode(0.0, 1, 0), make_record("A"), threshold=-1)
 
 
 def gapped_tree():
@@ -360,17 +357,9 @@ class TestPredictMatchesLocate:
                 st.floats(min(edges) - 100.0, max(edges) + 100.0),
             ))
         record = make_record("r", **metrics)
-        threshold = data.draw(st.one_of(
-            st.sampled_from(
-                [0.0] + [leaf["score"] for leaf in iter_leaves(tree_to_dict(tree))]
-            ),
-            st.floats(0.0, 5.0),
-        ))
         expected = reference_locate(tree, record)
         assert locate(tree, record) == expected
-        assert predict_defective(tree, record, threshold) == (
-            expected.score > threshold
-        )
+        assert predict_defective(tree, record) == (expected.score > PREDICT_THRESHOLD)
 
     def test_fallbacks_route_like_locate(self):
         tree = gapped_tree()
@@ -378,4 +367,4 @@ class TestPredictMatchesLocate:
             record = make_record("r", wmc=wmc)
             assert locate(tree, record).score == expected
             assert reference_locate(tree, record).score == expected
-            assert predict_defective(tree, record, 0.5) == (expected > 0.5)
+            assert predict_defective(tree, record) == (expected > PREDICT_THRESHOLD)
