@@ -8,7 +8,7 @@ exemplar's pooled data instead of local history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import median
 from typing import Optional
 
@@ -57,13 +57,7 @@ class BellwetherReport:
     quality_measure: str
 
     def to_dict(self) -> dict:
-        return {
-            "community": list(self.community),
-            "quality_measure": self.quality_measure,
-            "scores": self.scores,
-            "per_source_median": self.per_source_median,
-            "bellwether": self.bellwether,
-        }
+        return asdict(self)
 
 
 def _score_against(

@@ -11,10 +11,13 @@ value fails only the commands that take that option, with a usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from .bellwether import QUALITY_MEASURES, discover
@@ -28,7 +31,7 @@ from .datasets import (
     load_project,
     pool_versions,
 )
-from .evaluate import evaluate_windows
+from .evaluate import evaluate_windows, windows
 from .planners import (
     DEFAULT_GAMMA,
     DEFAULT_MIN_COMPLIANCE,
@@ -70,8 +73,17 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write_json(path: Path, doc: dict) -> None:
+    """``doc`` plus ``schema_version``, with sorted keys and a two-space indent."""
+    doc = dict(doc, schema_version=SCHEMA_VERSION)
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, rows) -> None:
+    """LF-terminated CSV; a None cell is empty and a float its repr."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 # Every planner option by --help group: name -> (type, default, help); a
@@ -128,16 +140,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     plans = planner.plan_all(test)
 
     if args.format == "csv":
-        lines = ["class_name," + ",".join(METRICS) + ",refactorings"]
-        for plan in plans:
-            row = [plan.class_name]
-            row += [plan.actions[m].direction for m in METRICS]
-            row.append(";".join(suggest_refactorings(plan)))
-            lines.append(",".join(row))
-        _write_text(Path(args.out), "\n".join(lines) + "\n")
+        rows = [[plan.class_name, *(plan.actions[m].direction for m in METRICS),
+                 ";".join(suggest_refactorings(plan))] for plan in plans]
+        _write_csv(Path(args.out), [["class_name", *METRICS, "refactorings"], *rows])
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
+        _write_json(Path(args.out), {
             "planner": args.planner,
             "train": [str(p) for p in args.train],
             "test": str(args.test),
@@ -145,16 +152,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 dict(plan.to_dict(), refactorings=suggest_refactorings(plan))
                 for plan in plans
             ],
-        }
-        _write_text(Path(args.out), _dump_json(doc))
+        })
     return EXIT_OK
 
 
 def _cmd_bellwether(args: argparse.Namespace) -> int:
     community = load_community(args.community)
     report = discover(community, quality_measure=args.quality_measure)
-    doc = dict(report.to_dict(), schema_version=SCHEMA_VERSION)
-    _write_text(Path(args.out), _dump_json(doc))
+    _write_json(Path(args.out), report.to_dict())
     print(f"bellwether: {report.bellwether}")
     return EXIT_OK
 
@@ -200,6 +205,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAILURE
+    windows(project)  # too few releases fails here, before discovery
     belltree_train = None
     if "belltree" in names:
         # Leave the target out: the exemplar serves the other projects, so
@@ -213,72 +219,32 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         report = discover(candidates, quality_measure=args.quality_measure)
         belltree_train = pool_versions(candidates.get(report.bellwether))
 
-    summary_rows = []
+    rows = []
     for name in names:
         planner = make_planner(name, **vars(args))
         train = belltree_train if name == "belltree" else None
         results = evaluate_windows(project, planner, epsilon=args.epsilon, train=train)
         for window, result in enumerate(results, start=1):
             json_path, curve_path = _result_paths(out_dir, result)
-            doc = dict(result.to_dict(), schema_version=SCHEMA_VERSION)
-            _write_text(json_path, _dump_json(doc))
+            _write_json(json_path, result.to_dict())
             _write_text(curve_path, result.curve_csv())
-            summary_rows.append(
-                {
-                    "dataset": f"{result.project}-{window}",
-                    "planner": result.planner,
-                    "aupec_reduced": result.aupec_reduced,
-                    "aupec_increased": result.aupec_increased,
-                    "median_changes": result.changes_per_plan.median,
-                }
-            )
+            rows.append((f"{result.project}-{window}", result.planner,
+                         result.aupec_reduced, result.aupec_increased,
+                         result.changes_per_plan.median))
 
-    header = "dataset,planner,aupec_reduced,aupec_increased,median_changes"
-    lines = [header]
-    for row in summary_rows:
-        lines.append(
-            ",".join(
-                [
-                    row["dataset"],
-                    row["planner"],
-                    _format_score(row["aupec_reduced"]),
-                    _format_score(row["aupec_increased"]),
-                    repr(row["median_changes"]),
-                ]
-            )
-        )
-    _write_text(out_dir / "summary.csv", "\n".join(lines) + "\n")
-    _write_text(
-        out_dir / "summary.json",
-        _dump_json({"schema_version": SCHEMA_VERSION, "rows": summary_rows}),
-    )
+    header = ("dataset", "planner", "aupec_reduced", "aupec_increased", "median_changes")
+    _write_csv(out_dir / "summary.csv", [header, *rows])
+    _write_json(out_dir / "summary.json", {"rows": [dict(zip(header, row)) for row in rows]})
     return EXIT_OK
-
-
-def _format_score(value) -> str:
-    return "" if value is None else repr(value)
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     train = _load_train(args.train)
     rules = make_planner(args.planner, **vars(args)).fit(train).rules
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    _write_json(Path(args.out), {
         "planner": args.planner,
-        "rules": [
-            {
-                "metric": rule.metric,
-                "upper": rule.upper,
-                **(
-                    {"p_fraction": rule.p_fraction}
-                    if rule.p_fraction is not None
-                    else {}
-                ),
-            }
-            for rule in rules
-        ],
-    }
-    _write_text(Path(args.out), _dump_json(doc))
+        "rules": [{k: v for k, v in asdict(rule).items() if v is not None} for rule in rules],
+    })
     return EXIT_OK
 
 
@@ -286,8 +252,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     train = _load_train(args.train)
     bins = fit_bins(train)
     tree = build_tree(train, bins, max_depth=args.max_depth, min_leaf=args.min_leaf)
-    doc = {"schema_version": SCHEMA_VERSION, "tree": tree_to_dict(tree)}
-    _write_text(Path(args.out), _dump_json(doc))
+    _write_json(Path(args.out), {"tree": tree_to_dict(tree)})
     return EXIT_OK
 
 

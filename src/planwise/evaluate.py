@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from statistics import mean, median
 from typing import Optional
 
@@ -63,14 +63,6 @@ class CurvePoint:
     defects_reduced: int
     defects_increased: int
     classes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "overlap_bucket": self.overlap_bucket,
-            "defects_reduced": self.defects_reduced,
-            "defects_increased": self.defects_increased,
-            "classes": self.classes,
-        }
 
 
 @dataclass(frozen=True)
@@ -130,7 +122,7 @@ class KTestResult:
                 "validation": self.version_k,
             },
             "planner": self.planner,
-            "curve": [point.to_dict() for point in self.curve],
+            "curve": [asdict(point) for point in self.curve],
             "aupec_reduced": self.aupec_reduced,
             "aupec_increased": self.aupec_increased,
             "changes_per_plan": self.changes_per_plan.to_dict(),
@@ -142,15 +134,7 @@ class KTestResult:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["bucket", "reduced", "increased", "classes"])
-        for point in self.curve:
-            writer.writerow(
-                [
-                    point.overlap_bucket,
-                    point.defects_reduced,
-                    point.defects_increased,
-                    point.classes,
-                ]
-            )
+        writer.writerows(astuple(point) for point in self.curve)
         return buf.getvalue()
 
 
@@ -240,6 +224,18 @@ def ktest(
     )
 
 
+def windows(project: Project) -> range:
+    """Start indices of a project's consecutive three-release windows."""
+    n = len(project.versions)
+    if n < 3:
+        raise ValueError(
+            f"{project.name} has {n} release(s); evaluation trains on one, "
+            "plans for the next, and validates on a third, so at least 3 are "
+            "required"
+        )
+    return range(n - 2)
+
+
 def evaluate_windows(
     project: Project,
     planner: PlannerBase,
@@ -251,17 +247,11 @@ def evaluate_windows(
     Each window fits ``planner`` on its first release; an external ``train``
     (cross-project planning) is fitted once and serves every window.
     """
-    n = len(project.versions)
-    if n < 3:
-        raise ValueError(
-            f"{project.name} has {n} release(s); evaluation trains on one, "
-            "plans for the next, and validates on a third, so at least 3 are "
-            "required"
-        )
+    starts = windows(project)
     if train is not None:
         planner.fit(train)
     results = []
-    for s in range(n - 2):
+    for s in starts:
         if train is None:
             planner.fit(project.versions[s])
         results.append(ktest(project, s, s + 1, s + 2, planner, epsilon))

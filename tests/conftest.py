@@ -122,6 +122,21 @@ def planted_community(seed: int, n: int = 200) -> Community:
     )
 
 
+@pytest.fixture
+def exemplar_community_dir(tmp_path):
+    """Three releases each of alpha, beta and exemplar (the bellwether)."""
+    root = tmp_path / "planted"
+    releases = [planted_community(seed=20 + order, n=120) for order in range(3)]
+    for name in ("alpha", "beta", "exemplar"):
+        (root / name).mkdir(parents=True)
+        for order, community in enumerate(releases):
+            version = str(order + 1)
+            records = list(community.get(name).versions[0].records)
+            ds = make_dataset(records, project=name, version=version)
+            write_csv(ds, root / name / f"{name}-{version}.csv")
+    return root
+
+
 # Upper bounds (exclusive) of each metric's integer range in
 # ``tie_heavy_community``: small ranges tie heavily, larger ones leave room
 # for several cuts.

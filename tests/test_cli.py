@@ -21,7 +21,7 @@ from planwise.evaluate import evaluate_windows
 from planwise.planners import PLANNERS, make_planner
 from planwise.tree import build_tree
 
-from conftest import make_dataset, make_record, planted_community, write_csv
+from conftest import make_dataset, make_record, write_csv
 
 
 def toy_version(version, order, n=60, seed=0):
@@ -138,21 +138,6 @@ class TestPlanCommand:
         )
         assert code == EXIT_FAILURE
         assert "planwise:" in capsys.readouterr().err
-
-
-@pytest.fixture
-def exemplar_community_dir(tmp_path):
-    """Three releases each of alpha, beta and exemplar (the bellwether)."""
-    root = tmp_path / "planted"
-    releases = [planted_community(seed=20 + order, n=120) for order in range(3)]
-    for name in ("alpha", "beta", "exemplar"):
-        (root / name).mkdir(parents=True)
-        for order, community in enumerate(releases):
-            version = str(order + 1)
-            records = list(community.get(name).versions[0].records)
-            ds = make_dataset(records, project=name, version=version)
-            write_csv(ds, root / name / f"{name}-{version}.csv")
-    return root
 
 
 class TestBellwetherCommand:
@@ -330,6 +315,30 @@ class TestBelltreeEvaluation:
         )
         assert code == EXIT_FAILURE
         assert "two community projects besides exemplar" in capsys.readouterr().err
+
+    def test_too_few_target_releases_fail_before_discovery(
+        self, exemplar_community_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "planwise.cli.discover", lambda *a, **k: calls.append(a) or discover(*a, **k)
+        )
+        (exemplar_community_dir / "exemplar" / "exemplar-3.csv").unlink()
+        code = main(
+            [
+                "evaluate",
+                "--planner", "belltree",
+                "--community", str(exemplar_community_dir),
+                "--target", "exemplar",
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_FAILURE
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "planwise: exemplar has 2 release(s); evaluation trains on one, plans "
+            "for the next, and validates on a third, so at least 3 are required\n"
+        )
 
 
 class TestOtherCommands:

@@ -1,0 +1,166 @@
+"""The bytes of every file the CLI writes, and CSV cells that round-trip.
+
+The digests were recorded while each command still assembled its JSON and
+CSV by hand, so they pin the shared writers to those bytes: any change to a
+key, a number's text, an indent, a line end or the order of rows changes
+them. Commands run from ``tmp_path`` with relative paths, because a plan
+document records its ``--train``/``--test`` arguments as given.
+"""
+
+import csv
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from planwise.cli import EXIT_OK, main
+from planwise.datasets import METRICS
+
+from conftest import make_dataset, make_record, write_csv
+
+TRAIN = ["planted/exemplar/exemplar-1.csv", "planted/exemplar/exemplar-2.csv"]
+TEST = "planted/exemplar/exemplar-3.csv"
+
+COMMANDS = [
+    ["plan", "--planner", "xtree", "--train", *TRAIN, "--test", TEST,
+     "--out", "out/plans-xtree.json"],
+    ["plan", "--planner", "alves", "--train", *TRAIN, "--test", TEST,
+     "--out", "out/plans-alves.csv", "--format", "csv"],
+    ["bellwether", "--community", "planted", "--out", "out/bellwether.json"],
+    ["evaluate", "--planner", "all", "--community", "planted",
+     "--target", "exemplar", "--out-dir", "out/evaluate"],
+    ["thresholds", "--planner", "alves", "--train", *TRAIN,
+     "--out", "out/thresholds-alves.json"],
+    ["thresholds", "--planner", "shatnawi", "--train", *TRAIN,
+     "--out", "out/thresholds-shatnawi.json"],
+    ["thresholds", "--planner", "oliveira", "--train", *TRAIN,
+     "--out", "out/thresholds-oliveira.json"],
+    ["tree", "--train", *TRAIN, "--out", "out/tree.json"],
+]
+
+# output file (relative to out/) -> sha256 of its bytes.
+EXPECTED = {
+    "bellwether.json": (
+        "b6960b2a9051ae061074c1a7a57ae7ba44f4fa2f0f7f72677b79c2bd459dfa62"
+    ),
+    "evaluate/exemplar-1-2-3-alves-curve.csv": (
+        "7530f5cb042b0649b69c71a8de2aea3b13e4ff216182aa55474202aa5389a26f"
+    ),
+    "evaluate/exemplar-1-2-3-alves.json": (
+        "d39fa994340f8f4d642544e3ad400624f07b4adff53e32e08327bac6da0fbc2b"
+    ),
+    "evaluate/exemplar-1-2-3-belltree-curve.csv": (
+        "91e64e11b15e5ca1a077c332253a830e2828ae1bb80274c628d19cb876b5c5b0"
+    ),
+    "evaluate/exemplar-1-2-3-belltree.json": (
+        "1d90306688d714fee969d42fcbcc0cbcd44d1ab30182ea6ccd2f0d76cdb85460"
+    ),
+    "evaluate/exemplar-1-2-3-oliveira-curve.csv": (
+        "ccecd8ef855143b5d646da4ed48e94700af0aba19b952d99e18b8ff23453ecba"
+    ),
+    "evaluate/exemplar-1-2-3-oliveira.json": (
+        "893308a1acc4015768605970e2c493d1f34d424721530edbeddc98d8fa0c2428"
+    ),
+    "evaluate/exemplar-1-2-3-shatnawi-curve.csv": (
+        "b9c43fe40c4ed04fe2d9987324b8d94110ab4e214f7ac80fd38299919e860aa5"
+    ),
+    "evaluate/exemplar-1-2-3-shatnawi.json": (
+        "aacd6573e967d0e6c9c73718c3b428a93cbdde6756a5e6fa8a2f72b9c76803dc"
+    ),
+    "evaluate/exemplar-1-2-3-xtree-curve.csv": (
+        "188853f27e2299a710e62bb4891b6d9920b95139cb5ea884d45bffc0cea2755c"
+    ),
+    "evaluate/exemplar-1-2-3-xtree.json": (
+        "c6c5557b33b96323c7ac2839c5c7934ebf986205061381a1dbc8c533f9d0458e"
+    ),
+    "evaluate/summary.csv": (
+        "143538a1c0f92dec52f167ccc52b4e099a0fdb16b2cc5d7977968134312ffdbe"
+    ),
+    "evaluate/summary.json": (
+        "29e63a7ce0f3d2aee314d05d009bcab8fbc2a9c1f276a3b167f956635b70ec48"
+    ),
+    "plans-alves.csv": (
+        "0ebdd2b97636042dc3525a66c5cef7ac48505e57c89787431a90ad729ccb4ddf"
+    ),
+    "plans-xtree.json": (
+        "c44241d9fd6552075d8032724a6e44f245cd19bce2aa1907fedfd65170be61e4"
+    ),
+    "thresholds-alves.json": (
+        "6f200409fb3ccd602d6a6cb70f69aaa0e8464eae41d6fc5dae2977da104390fa"
+    ),
+    "thresholds-oliveira.json": (
+        "47f89717c6d12fa54a3b29368becf164dee6055ba08575a12f93a9ee0a9f1d16"
+    ),
+    "thresholds-shatnawi.json": (
+        "d35bc007ca289578f9214ea3ef278fdd726116c285405c45cab7eb3df43b4cbe"
+    ),
+    "tree.json": (
+        "47ebf46da471585f4e7e9338324aa7f6f94c0a887b0d1359d805ee3aaa336185"
+    ),
+}
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_every_output_keeps_its_bytes(exemplar_community_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in COMMANDS:
+        assert main(argv) == EXIT_OK, argv
+    assert _digests(tmp_path / "out") == EXPECTED
+
+
+def test_plan_csv_quotes_cells_that_need_it(tmp_path):
+    names = ["org.A,Inner", 'org.B"Q', "org.C"]
+    train = make_dataset(
+        [make_record(f"t{i}", defects=int(i % 3 == 0), wmc=float(i), loc=float(10 * i))
+         for i in range(40)]
+    )
+    test = make_dataset(
+        [make_record(name, wmc=float(30 + i), loc=float(300 + i))
+         for i, name in enumerate(names)],
+        version="2",
+    )
+    write_csv(train, tmp_path / "train.csv")
+    write_csv(test, tmp_path / "test.csv")
+    out = tmp_path / "plans.csv"
+    code = main(
+        [
+            "plan", "--planner", "xtree",
+            "--train", str(tmp_path / "train.csv"),
+            "--test", str(tmp_path / "test.csv"),
+            "--out", str(out), "--format", "csv",
+        ]
+    )
+    assert code == EXIT_OK
+    with out.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["class_name", *METRICS, "refactorings"]
+    assert [len(row) for row in rows] == [len(METRICS) + 2] * (len(names) + 1)
+    assert [row[0] for row in rows[1:]] == names
+
+
+def test_summary_csv_matches_summary_json(exemplar_community_dir, tmp_path):
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "evaluate", "--planner", "all",
+            "--project-dir", str(exemplar_community_dir / "exemplar"),
+            "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == EXIT_OK
+    rows = json.loads((out_dir / "summary.json").read_text())["rows"]
+    with (out_dir / "summary.csv").open(newline="", encoding="utf-8") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == len(rows) == 4
+    assert table == [
+        {key: "" if value is None else str(value) for key, value in row.items()}
+        for row in rows
+    ]

@@ -45,3 +45,43 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_check_sees_a_leftover():
     source = "from .planners import DEFAULT_SEED, make_planner\nmake_planner('x')\n"
     assert _unused_imports(source) == ["line 1: DEFAULT_SEED"]
+
+
+def _orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions that no module references beyond
+    their own ``def`` (a call, an attribute or an import counts)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    )
+
+
+def test_no_private_helper_is_left_without_a_caller():
+    package = Path(planwise.__file__).parent
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+    }
+    assert _orphaned_helpers(sources) == []
+
+
+def test_orphaned_helper_check_sees_a_leftover():
+    sources = {
+        "a.py": "def _kept():\n    pass\n\ndef _left():\n    return 1\n",
+        "b.py": "from .a import _kept\n\nparser.set_defaults(func=_kept)\n",
+    }
+    assert _orphaned_helpers(sources) == ["a.py: _left"]

@@ -140,3 +140,40 @@ class TestLogisticFit:
         rescaled = fit_univariate_logistic(10.0 * x + 100.0, y)
         assert direct.converged and rescaled.converged
         assert abs(direct.p_value - rescaled.p_value) < 1e-6
+
+
+def _scipy_logistic(x, y):
+    """Oracle fit: BFGS on the negative log-likelihood, with the Wald p-value
+    from the inverse of the analytic Fisher information."""
+    optimize = pytest.importorskip("scipy.optimize")
+    norm = pytest.importorskip("scipy.stats").norm
+    design = np.column_stack([np.ones_like(x), x])
+
+    def nll(coef):
+        eta = design @ coef
+        return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+
+    def gradient(coef):
+        return design.T @ (1.0 / (1.0 + np.exp(-(design @ coef))) - y)
+
+    coef = optimize.minimize(
+        nll, np.zeros(2), jac=gradient, method="BFGS", options={"gtol": 1e-10}
+    ).x
+    p = 1.0 / (1.0 + np.exp(-(design @ coef)))
+    covariance = np.linalg.inv((design.T * (p * (1.0 - p))) @ design)
+    z = coef[1] / math.sqrt(covariance[1, 1])
+    return coef[0], coef[1], 2.0 * norm.sf(abs(z))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_logistic_fit_matches_scipy_oracle(seed):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(1000 + seed)
+    alpha, beta = rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5)
+    x, y = simulate_logistic(alpha, beta, n=40 + 360 * seed // 19, seed=seed)
+    fit = fit_univariate_logistic(x, y)
+    assert fit.converged
+    want_alpha, want_beta, want_p = _scipy_logistic(x, y.astype(float))
+    assert fit.alpha == pytest.approx(want_alpha, abs=1e-6)
+    assert fit.beta == pytest.approx(want_beta, abs=1e-6)
+    assert fit.p_value == pytest.approx(want_p, abs=1e-6)
