@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 from .bellwether import QUALITY_MEASURES, discover
 from .datasets import (
@@ -81,9 +81,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _write_csv(path: Path, rows) -> None:
     """LF-terminated CSV; a None cell is empty and a float its repr."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    _write_text(path, buf.getvalue())
+    lines: list[str] = []  # CRLF rows, so a cell holding a bare CR is quoted
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    _write_text(path, "".join(line[:-2] + "\n" for line in lines))
 
 
 # Every planner option by --help group: name -> (type, default, help); a

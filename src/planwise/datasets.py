@@ -10,7 +10,7 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 # Canonical metric universe. Order is stable and used everywhere plans are
@@ -66,6 +66,8 @@ class VersionedDataset:
     project: str
     version: str
     records: tuple[ClassRecord, ...]
+    # The planners' logistic screen, memoised: the records must not change.
+    screen: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -92,6 +94,8 @@ class Project:
 
     name: str
     versions: tuple[VersionedDataset, ...]
+    # Developer diffs memoised by ``ktest``, keyed by (j, k, epsilon).
+    diffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.versions:

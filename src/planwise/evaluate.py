@@ -177,7 +177,9 @@ def ktest(
     )
     plans = {rec.class_name: planner.plan(rec) for rec in version_j.records}
 
-    developer = diff_versions(version_j, version_k, epsilon)
+    if (j, k, epsilon) not in project.diffs:  # one diff per window, for every planner
+        project.diffs[j, k, epsilon] = diff_versions(version_j, version_k, epsilon)
+    developer = project.diffs[j, k, epsilon]
     k_records = version_k.by_name()
     reduced = [0] * N_BUCKETS
     increased = [0] * N_BUCKETS

@@ -2,9 +2,10 @@
 
 Every planner turns one class record into a `Plan`: a per-metric vector of
 increase/decrease/no-change actions, optionally with a concrete target range.
-numpy is loaded only by the logistic screen of ``alves`` and ``shatnawi``
-(in ``stats``) and by ``oliveira`` (``compliance_rate``,
-``oliveira_thresholds``), each importing it where it runs.
+``alves`` and ``shatnawi`` filter one logistic screen kept on the training
+dataset, and ``oliveira`` minimises its (p, k) penalty in closed form. numpy
+is loaded only by the screen (in ``stats``), ``compliance_rate`` and
+``oliveira_thresholds``, each importing it where it runs.
 """
 
 from __future__ import annotations
@@ -217,21 +218,25 @@ def xtree_plan(
 # Threshold baselines
 
 
-def _screened_fit(
-    values: list[float], labels: list[int], level: float = SIGNIFICANCE_LEVEL
-) -> Optional[LogisticFit]:
-    """Logistic screen shared by the supervised baselines.
+def _screen(train: VersionedDataset, level: float) -> dict[str, LogisticFit]:
+    """Logistic screen shared by the supervised baselines: metric -> fit, for
+    each metric whose fit converged with a slope significant at ``level``.
 
-    Returns the fit when it converged and the slope is significant at
-    ``level``; otherwise None (metric rejected).
+    The 20 fits (None where a fit raised ValueError) are made once per
+    dataset and kept in ``train.screen``; each baseline filters them.
     """
-    try:
-        fit = fit_univariate_logistic(values, labels)
-    except ValueError:
-        return None
-    if not fit.converged or fit.p_value > level:
-        return None
-    return fit
+    if not train.screen:
+        labels = [1 if r.is_defective() else 0 for r in train.records]
+        fits = {}
+        for metric in METRICS:
+            try:
+                fits[metric] = fit_univariate_logistic(
+                    [r.metrics[metric] for r in train.records], labels)
+            except ValueError:
+                fits[metric] = None
+        train.screen.update(fits)
+    return {m: fit for m, fit in train.screen.items()
+            if fit is not None and fit.converged and not fit.p_value > level}
 
 
 def weighted_percentile(
@@ -276,13 +281,10 @@ def alves_thresholds(
     """
     if not 0.0 < percentile < 100.0:
         raise ValueError("percentile must lie in (0, 100)")
-    labels = [1 if r.is_defective() else 0 for r in train.records]
     weights = [r.metrics["loc"] for r in train.records]
     rules = []
-    for metric in METRICS:
+    for metric in _screen(train, SIGNIFICANCE_LEVEL):
         values = [r.metrics[metric] for r in train.records]
-        if _screened_fit(values, labels) is None:
-            continue
         threshold = weighted_percentile(values, weights, percentile)
         rules.append(ThresholdRule(metric, upper=threshold))
     return rules
@@ -305,13 +307,11 @@ def shatnawi_thresholds(
     """
     if not 0.0 < p0 < 1.0 or not 0.0 < p1 < 1.0:
         raise ValueError("p0 and p1 must lie in (0, 1)")
-    labels = [1 if r.is_defective() else 0 for r in train.records]
     rules = []
-    for metric in METRICS:
-        values = [r.metrics[metric] for r in train.records]
-        fit = _screened_fit(values, labels, level=p0)
-        if fit is None or fit.beta == 0.0:
+    for metric, fit in _screen(train, p0).items():
+        if fit.beta == 0.0:
             continue
+        values = [r.metrics[metric] for r in train.records]
         threshold = varl(fit, p1)
         if not math.isfinite(threshold) or threshold <= 0.0:
             continue
@@ -329,7 +329,8 @@ def compliance_rate(
     The rule "p% of entities must have M <= k" holds system-wide when at
     least p percent of values are <= k; a system that violates its own rule
     contributes no compliance. ``p`` and ``k`` broadcast against each other;
-    scalar ``p`` and ``k`` give a float.
+    scalar ``p`` and ``k`` give a float. At ``p = 0`` the rule always holds,
+    so the rate is the plain share of values <= k.
     """
     import numpy as np
     counts = np.searchsorted(np.sort(values), k, side="right")
@@ -356,7 +357,6 @@ def oliveira_thresholds(
         raise ValueError("min_compliance and tail must lie in (0, 100)")
     import numpy as np
     rules = []
-    ps = np.arange(1, 100, dtype=float)
     for metric in METRICS:
         values = np.array([r.metrics[metric] for r in train.records], dtype=float)
         ks = np.unique(values)
@@ -367,17 +367,18 @@ def oliveira_thresholds(
         denominator = tail_median if tail_median > 0 else 1.0
         penalty2 = np.abs(ks - tail_median) / denominator
 
-        rate = compliance_rate(values, ps[:, None], ks[None, :])
-        penalty1 = np.maximum(0.0, min_compliance - rate)
-        total = penalty1 + penalty2[None, :]
-
-        best = total.min()
-        rows, cols = np.nonzero(total == best)
+        # The rate is k's share of values for p <= share and 0 above, so each
+        # k's best p is the largest the share reaches, or 99 when all p tie.
+        share = compliance_rate(values, 0.0, ks)
+        held = np.maximum(0.0, min_compliance - share) + penalty2
+        broken = min_compliance + penalty2
+        total = np.where(share >= 1.0, held, broken)
+        best_p = np.where(
+            (share >= 1.0) & (held < broken), np.minimum(99.0, np.floor(share)), 99.0)
         # Ties: larger p first, then smaller k.
-        order = max(range(len(rows)), key=lambda i: (rows[i], -cols[i]))
-        p = float(ps[rows[order]])
-        k = float(ks[cols[order]])
-        rules.append(ThresholdRule(metric, upper=k, p_fraction=p / 100.0))
+        col = max(np.flatnonzero(total == total.min()), key=lambda c: (best_p[c], -c))
+        rules.append(ThresholdRule(
+            metric, upper=float(ks[col]), p_fraction=float(best_p[col]) / 100.0))
     return rules
 
 

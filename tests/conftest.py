@@ -61,6 +61,19 @@ def make_project(versions: list[VersionedDataset], name: str = "proj") -> Projec
     return Project(name, tuple(versions))
 
 
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Record the arguments of every call to ``module.<name>`` for one test."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def unpopulated_middle_tree() -> TreeNode:
     """loc splits into three ranges, but the middle one has no child."""
     bins = BinMap("loc", (10.0, 50.0), 0.0, 100.0)

@@ -116,8 +116,8 @@ def test_every_output_keeps_its_bytes(exemplar_community_dir, tmp_path, monkeypa
     assert _digests(tmp_path / "out") == EXPECTED
 
 
-def test_plan_csv_quotes_cells_that_need_it(tmp_path):
-    names = ["org.A,Inner", 'org.B"Q', "org.C"]
+def _plan_csv_rows(tmp_path, names):
+    """Plan a release whose classes carry ``names`` and read the CSV back."""
     train = make_dataset(
         [make_record(f"t{i}", defects=int(i % 3 == 0), wmc=float(i), loc=float(10 * i))
          for i in range(40)]
@@ -140,10 +140,23 @@ def test_plan_csv_quotes_cells_that_need_it(tmp_path):
     )
     assert code == EXIT_OK
     with out.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        return list(csv.reader(fh))
+
+
+def test_plan_csv_quotes_cells_that_need_it(tmp_path):
+    names = ["org.A,Inner", 'org.B"Q', "org.C"]
+    rows = _plan_csv_rows(tmp_path, names)
     assert rows[0] == ["class_name", *METRICS, "refactorings"]
     assert [len(row) for row in rows] == [len(METRICS) + 2] * (len(names) + 1)
     assert [row[0] for row in rows[1:]] == names
+
+
+def test_plan_csv_quotes_a_bare_carriage_return(tmp_path):
+    # csv.writer quotes only the characters of its line terminator, so a
+    # cell holding a lone CR once split its row in two when read back.
+    rows = _plan_csv_rows(tmp_path, ["A\rB"])
+    assert [len(row) for row in rows] == [len(METRICS) + 2] * 2
+    assert rows[1][0] == "A\rB"
 
 
 def test_summary_csv_matches_summary_json(exemplar_community_dir, tmp_path):

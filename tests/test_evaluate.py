@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwise import evaluate
+from planwise import evaluate, planners
 from planwise.datasets import DECREASE, METRICS
 from planwise.evaluate import (
     BUCKET_MIDPOINTS,
@@ -13,9 +13,13 @@ from planwise.evaluate import (
     ktest,
     overlap,
 )
-from planwise.planners import Action, Plan, PlannerBase, XTreePlanner
+from planwise.planners import (
+    Action, Plan, PlannerBase, XTreePlanner, alves_thresholds, make_planner,
+)
 
-from conftest import make_dataset, make_project, make_record
+from conftest import (
+    count_calls, make_dataset, make_project, make_record, tie_heavy_history,
+)
 
 
 class TestOverlap:
@@ -243,6 +247,16 @@ class TestKTest:
         assert len(csv_text.splitlines()) == 11
 
 
+def test_memos_are_not_part_of_equality_or_repr():
+    project = hand_project()
+    evaluate_windows(project, ReduceLocStub())
+    alves_thresholds(project.versions[0])
+    assert project.diffs and project.versions[0].screen
+    assert project == hand_project()
+    assert project.versions[0] == hand_project().versions[0]
+    assert "diffs" not in repr(project) and "screen" not in repr(project)
+
+
 class TestWindows:
     def test_five_releases_make_three_windows(self):
         versions = [
@@ -345,6 +359,25 @@ class TestWindows:
         assert len(windows) == 3
         assert [r.to_dict() for r in results] == [r.to_dict() for r in refit]
         assert any(r.changes_per_plan.maximum > 0 for r in results)
+
+    def test_alves_and_shatnawi_share_one_screen_per_release(self, monkeypatch):
+        fits = count_calls(monkeypatch, planners, "fit_univariate_logistic")
+        project = tie_heavy_history()
+        for name in ("alves", "shatnawi"):
+            evaluate_windows(project, make_planner(name))
+        assert len(fits) == len(METRICS) * len(evaluate.windows(project)) == 40
+
+    def test_every_planner_scores_one_developer_diff_per_window(self, monkeypatch):
+        diffs = count_calls(monkeypatch, evaluate, "diff_versions")
+        project = tie_heavy_history()
+        shared = {
+            name: [r.to_dict() for r in evaluate_windows(project, make_planner(name))]
+            for name in ("xtree", "alves", "shatnawi", "oliveira")
+        }
+        assert [args[:2] for args in diffs] == [project.versions[1:3], project.versions[2:4]]
+        for name, results in shared.items():
+            alone = evaluate_windows(tie_heavy_history(), make_planner(name))
+            assert results == [r.to_dict() for r in alone], name
 
     def test_too_few_releases_explains_the_requirement(self):
         project = make_project(

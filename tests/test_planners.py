@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planwise import planners
@@ -35,6 +35,7 @@ from planwise.stats import LogisticFit, fit_univariate_logistic
 from planwise.tree import TreeNode, build_tree, fit_bins, leaves, locate
 
 from conftest import (
+    count_calls,
     make_dataset,
     make_record,
     tie_heavy_community,
@@ -464,6 +465,30 @@ class TestShatnawi:
             shatnawi_thresholds(train, p1=1.0)
 
 
+class TestSharedScreen:
+    """alves and shatnawi filter one set of 20 logistic fits per dataset."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        return count_calls(monkeypatch, planners, "fit_univariate_logistic")
+
+    def test_alves_then_shatnawi_fit_each_metric_once(self, fits):
+        train = continuous_set(17, -4.0)
+        alves, shatnawi = alves_thresholds(train), shatnawi_thresholds(train)
+        assert len(fits) == len(METRICS)
+        assert alves and shatnawi
+        # The shared fits give the rules that fresh fits give.
+        assert alves == alves_thresholds(make_dataset(list(train.records)))
+        assert shatnawi == shatnawi_thresholds(make_dataset(list(train.records)))
+
+    def test_a_fit_that_raised_is_remembered_too(self, fits):
+        # One class label throughout: every fit raises, and no metric passes.
+        train = make_dataset([make_record(f"c{i}", wmc=float(i)) for i in range(10)])
+        assert alves_thresholds(train) == shatnawi_thresholds(train) == []
+        assert len(fits) == len(METRICS)
+        assert list(train.screen.values()) == [None] * len(METRICS)
+
+
 def oracle_relative_threshold(values, min_compliance, tail):
     """Naive full-grid search used to pin the penalty minimization."""
     values = np.asarray(values, dtype=float)
@@ -486,6 +511,36 @@ def oracle_relative_threshold(values, min_compliance, tail):
             ):
                 best = (penalty, p, k)
     return best[1], best[2]
+
+
+def matrix_relative_threshold(values, min_compliance, tail):
+    """The 99 x K penalty search that the closed form replaced: every integer
+    p against every distinct k through the broadcast ``compliance_rate``;
+    returns ``(upper, p_fraction)``."""
+    values = np.asarray(values, dtype=float)
+    ps = np.arange(1, 100, dtype=float)
+    ks = np.unique(values)
+    tail_cut = float(np.percentile(values, tail))
+    above = values[values > tail_cut]
+    tail_median = float(np.median(above)) if above.size else float(values.max())
+    denominator = tail_median if tail_median > 0 else 1.0
+    penalty2 = np.abs(ks - tail_median) / denominator
+    rate = compliance_rate(values, ps[:, None], ks[None, :])
+    total = np.maximum(0.0, min_compliance - rate) + penalty2[None, :]
+    rows, cols = np.nonzero(total == total.min())
+    order = max(range(len(rows)), key=lambda i: (rows[i], -cols[i]))
+    return float(ks[cols[order]]), float(ps[rows[order]]) / 100.0
+
+
+# Integer columns of up to 400 values over a small range, so values tie
+# heavily, plus up to three rare negative values: with n > 100 a value held
+# by fewer than n/100 classes has a share below 1%, which no p reaches.
+TIE_HEAVY_COLUMNS = st.tuples(
+    st.integers(1, 40).flatmap(
+        lambda hi: st.lists(st.integers(0, hi), min_size=1, max_size=400)),
+    st.lists(st.integers(-30, -1), max_size=3),
+).map(lambda parts: [float(v) for v in parts[0] + parts[1]])
+PERCENTAGES = st.one_of(st.integers(1, 99).map(float), st.floats(0.01, 99.99))
 
 
 class TestOliveira:
@@ -518,6 +573,18 @@ class TestOliveira:
         p, k = oracle_relative_threshold(column, 90.0, 90.0)
         assert rules["loc"].upper == k
         assert rules["loc"].p_fraction == pytest.approx(p / 100.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(column=TIE_HEAVY_COLUMNS, min_compliance=PERCENTAGES, tail=PERCENTAGES)
+    @example(column=[-1.0] + [0.0] * 199 + [3.0] * 50, min_compliance=90.0, tail=90.0)
+    # Penalties near 1e19 absorb the compliance term, so every p ties at the
+    # two best k and the smaller k wins with p = 99.
+    @example(column=[-3e19, -2e19, 0.0], min_compliance=90.0, tail=10.0)
+    def test_closed_form_matches_the_matrix_search(self, column, min_compliance, tail):
+        train = make_dataset([make_record(f"c{i}", loc=v) for i, v in enumerate(column)])
+        rules = {r.metric: r for r in oliveira_thresholds(train, min_compliance, tail)}
+        assert (rules["loc"].upper, rules["loc"].p_fraction) == matrix_relative_threshold(
+            column, min_compliance, tail)
 
     def test_broadcast_matches_the_scalar_rule(self):
         rng = np.random.default_rng(5)
