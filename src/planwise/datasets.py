@@ -111,6 +111,9 @@ class Community:
     def __post_init__(self) -> None:
         if not self.projects:
             raise DatasetError("community has no projects")
+        names = self.project_names()
+        if len(set(names)) < len(names):
+            raise DatasetError(f"community has duplicate project names: {names}")
 
     def project_names(self) -> list[str]:
         return [p.name for p in self.projects]

@@ -2,15 +2,19 @@
 
 Cut points are accepted only when the information gain of a binary split
 clears the minimum-description-length criterion, so noisy metrics end up
-with no cuts at all.
+with no cuts at all. A column is grouped once into its distinct values' class
+counts; the recursion reads every interval's counts from their prefix sums.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from math import inf, isfinite, log2
+from operator import sub
 
 from .stats import _entropy_of_counts
 
@@ -53,21 +57,14 @@ def apply_bins(bins: BinMap, value: float) -> int:
 
 def _group_by_value(
     values: Sequence[float], labels: Sequence[int]
-) -> tuple[list[float], list[list[int]]]:
-    """Sorted distinct values, each with its ``[negatives, positives]`` count."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    distinct: list[float] = []
-    counts: list[list[int]] = []
-    last = None
-    for i in order:
-        v = float(values[i])
-        if v != last:
-            last = v
-            distinct.append(v)
-            pair = [0, 0]
-            counts.append(pair)
-        pair[1 if labels[i] else 0] += 1
-    return distinct, counts
+) -> tuple[list[float], list[int], list[int]]:
+    """Sorted distinct values as floats, with their negative and positive
+    counts; the first seen of two equal values (``-0.0``/``0.0``) stands for both."""
+    totals = Counter(map(float, values))
+    positives = Counter(map(float, compress(values, labels)))
+    distinct = sorted(totals)
+    pos = list(map(positives.__getitem__, distinct))
+    return distinct, list(map(sub, map(totals.__getitem__, distinct), pos)), pos
 
 
 def _classes(counts: tuple[int, int]) -> int:
@@ -83,56 +80,56 @@ def _mdl_accepts(
 ) -> bool:
     k = _classes(whole)
     k1, k2 = _classes(left), _classes(right)
-    delta = math.log2(3.0**k - 2.0) - (
+    delta = log2(3.0**k - 2.0) - (
         k * _entropy_of_counts(whole)
         - k1 * _entropy_of_counts(left)
         - k2 * _entropy_of_counts(right)
     )
-    return gain > (math.log2(n - 1) + delta) / n
+    return gain > (log2(n - 1) + delta) / n
 
 
 def _split_interval(
-    distinct: list[float], counts: list[list[int]], lo: int, hi: int
+    distinct: list[float], cum0: list[int], cum1: list[int], boundaries: list[int],
+    lo: int, hi: int,
 ) -> list[float]:
-    """Recursively find accepted cut points within groups ``[lo, hi)``."""
-    w0 = w1 = 0
-    for c0, c1 in counts[lo:hi]:
-        w0 += c0
-        w1 += c1
+    """Recursively find accepted cut points within groups ``[lo, hi)``.
+
+    ``cum0``/``cum1`` are the prefix sums of the groups' negative and positive
+    counts, so each side of a candidate costs two subtractions. ``boundaries``
+    lists, once per column, the gaps ``i`` (between groups ``i`` and ``i + 1``)
+    that do not join two pure groups of the same class, where the optimal
+    split never lies; only those in ``[lo, hi - 1)`` are scored.
+    """
+    base0, base1 = cum0[lo], cum1[lo]
+    w0, w1 = cum0[hi] - base0, cum1[hi] - base1
     if not (w0 and w1):
         return []
     n = w0 + w1
     whole_entropy = _entropy_of_counts((w0, w1))
 
-    best = None  # (gain, last group of the left side, left counts)
-    l0 = l1 = 0
-    for i in range(lo, hi - 1):
-        c0, c1 = counts[i]
-        l0 += c0
-        l1 += c1
-        # Boundary points only: skip midpoints between two pure groups of
-        # the same class (the optimal split never lies there).
-        d0, d1 = counts[i + 1]
-        if (c0 == 0 and d0 == 0) or (c1 == 0 and d1 == 0):
-            continue
-        n_left = l0 + l1
-        gain = whole_entropy - (
-            n_left * _entropy_of_counts((l0, l1))
-            + (n - n_left) * _entropy_of_counts((w0 - l0, w1 - l1))
-        ) / n
-        if best is None or gain > best[0] + 1e-15:
-            best = (gain, i, (l0, l1))
+    best_gain, best = -inf, None  # best: last group of the left side
+    for i in boundaries[bisect_left(boundaries, lo):bisect_left(boundaries, hi - 1)]:
+        l0, l1 = cum0[i + 1] - base0, cum1[i + 1] - base1
+        r0, r1, n_left = w0 - l0, w1 - l1, l0 + l1
+        # Each side's _entropy_of_counts, inlined with the same float steps.
+        p, q = l0 / n_left, l1 / n_left
+        h_left = (0.0 - p * log2(p) if l0 else 0.0) - (q * log2(q) if l1 else 0.0)
+        p, q = r0 / (n - n_left), r1 / (n - n_left)
+        h_right = (0.0 - p * log2(p) if r0 else 0.0) - (q * log2(q) if r1 else 0.0)
+        gain = whole_entropy - (n_left * h_left + (n - n_left) * h_right) / n
+        if gain > best_gain + 1e-15:
+            best_gain, best = gain, i
 
     if best is None:
         return []
-    gain, i, (l0, l1) = best
-    if not _mdl_accepts(gain, n, (w0, w1), (l0, l1), (w0 - l0, w1 - l1)):
+    l0, l1 = cum0[best + 1] - base0, cum1[best + 1] - base1
+    if not _mdl_accepts(best_gain, n, (w0, w1), (l0, l1), (w0 - l0, w1 - l1)):
         return []
-    cut = (distinct[i] + distinct[i + 1]) / 2.0
+    cut = (distinct[best] + distinct[best + 1]) / 2.0
     return (
-        _split_interval(distinct, counts, lo, i + 1)
+        _split_interval(distinct, cum0, cum1, boundaries, lo, best + 1)
         + [cut]
-        + _split_interval(distinct, counts, i + 1, hi)
+        + _split_interval(distinct, cum0, cum1, boundaries, best + 1, hi)
     )
 
 
@@ -144,21 +141,22 @@ def mdlp_cuts(
     Recursive binary splitting at class-boundary midpoints, each split
     accepted only if its information gain exceeds the MDL threshold. Ties
     between equal-gain cuts are broken toward the smallest cut value.
-    Labels must be 0 or 1 (bools are fine); anything else raises
-    ``ValueError``.
+    Labels must be 0 or 1 (bools are fine) and values finite; anything else
+    raises ``ValueError``.
     """
     if len(values) != len(labels):
         raise ValueError("values and labels must have equal length")
     if not set(labels) <= {0, 1}:
         bad = next(label for label in labels if label not in (0, 1))
         raise ValueError(f"labels must be binary 0/1, got {bad!r}")
-    if len(values) < 2:
-        return BinMap(
-            metric,
-            (),
-            float(min(values, default=0.0)),
-            float(max(values, default=0.0)),
-        )
-    distinct, counts = _group_by_value(values, labels)
-    cuts = _split_interval(distinct, counts, 0, len(distinct))
+    distinct, negatives, positives = _group_by_value(values, labels)
+    if not all(map(isfinite, distinct)):
+        bad = next(v for v in distinct if not isfinite(v))
+        raise ValueError(f"metric {metric!r}: values must be finite, got {bad!r}")
+    if not distinct:
+        return BinMap(metric, (), 0.0, 0.0)
+    gaps = enumerate(zip(negatives, positives, negatives[1:], positives[1:]))
+    boundaries = [i for i, (a0, a1, b0, b1) in gaps if (a0 or b0) and (a1 or b1)]
+    cum0, cum1 = [0, *accumulate(negatives)], [0, *accumulate(positives)]
+    cuts = _split_interval(distinct, cum0, cum1, boundaries, 0, len(distinct))
     return BinMap(metric, tuple(cuts), distinct[0], distinct[-1])

@@ -1,7 +1,8 @@
 """Shared numerical routines: entropy, univariate logistic regression, Simpson.
 
-numpy is imported only inside the logistic fit, so commands that never run
-the logistic screen (``alves``, ``shatnawi``) do not load it.
+numpy is imported only inside the logistic fit, which only the ``alves`` and
+``shatnawi`` logistic screen runs; with the ``oliveira`` thresholds those are
+its only users, so ``bellwether``, ``tree`` and xtree plans never load numpy.
 """
 
 from __future__ import annotations

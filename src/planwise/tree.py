@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from .datasets import METRICS, ClassRecord, VersionedDataset
@@ -93,7 +95,7 @@ def fit_bins(train: VersionedDataset) -> dict[str, BinMap]:
     labels = [1 if r.is_defective() else 0 for r in train.records]
     rows = [r.metrics for r in train.records]
     return {
-        metric: mdlp_cuts([row[metric] for row in rows], labels, metric=metric)
+        metric: mdlp_cuts(list(map(itemgetter(metric), rows)), labels, metric=metric)
         for metric in METRICS
     }
 
@@ -119,23 +121,26 @@ def build_tree(
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
     # Each row's defect count, label and range index per splittable metric
-    # (apply_bins) are computed once; nodes hold lists of row positions.
+    # (apply_bins) are computed once; a node gathers its rows of each with one
+    # itemgetter, which for a single row returns the item, not a 1-tuple.
     defects = [r.defects for r in records]
     labels = [1 if d > 0 else 0 for d in defects]
+    metric_rows = [r.metrics for r in records]
     columns = {
-        metric: [bisect_left(bins[metric].cut_points, r.metrics[metric])
-                 for r in records]
+        metric: list(map(partial(bisect_left, bins[metric].cut_points),
+                         map(itemgetter(metric), metric_rows)))
         for metric in METRICS
         if bins[metric].n_ranges >= 2
     }
 
     def grow(rows: list[int], level: int, used: frozenset[str]) -> TreeNode:
         support = len(rows)
-        score = sum([defects[i] for i in rows]) / support
+        pick = itemgetter(*rows) if support > 1 else lambda seq: (seq[rows[0]],)
+        score = sum(pick(defects)) / support
         leaf = TreeNode(score=score, support=support, level=level)
         if level >= max_depth:
             return leaf
-        here = [labels[i] for i in rows]
+        here = pick(labels)
         positives = sum(here)
         if positives == 0 or positives == support:
             return leaf
@@ -147,7 +152,7 @@ def build_tree(
         for metric, column in columns.items():
             if metric in used:
                 continue
-            keys = [column[i] for i in rows]
+            keys = pick(column)
             # Groups in key order: with three or more groups the weighted-
             # entropy sum depends on the order of its terms, so a fixed order
             # keeps the tree independent of the row order.
@@ -180,7 +185,11 @@ def build_tree(
             children={key: grow(part, level + 1, used) for key, part in parts.items()},
         )
 
-    return grow(list(range(len(records))), 0, frozenset())
+    # ``grow`` reaches itself through its closure; deleting it breaks the cycle.
+    try:
+        return grow(list(range(len(records))), 0, frozenset())
+    finally:
+        del grow
 
 
 def locate(tree: TreeNode, record: ClassRecord) -> Branch:

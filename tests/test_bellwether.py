@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from planwise import bellwether
@@ -6,7 +8,7 @@ from planwise.datasets import ClassRecord, Community, Project, pool_versions
 from planwise.planners import XTreePlanner, make_planner
 from planwise.tree import predict_defective
 
-from conftest import make_dataset, make_record, planted_community
+from conftest import make_dataset, make_record, planted_community, tie_heavy_community
 
 
 class TestGScore:
@@ -21,6 +23,16 @@ class TestGScore:
 
 
 class TestDiscover:
+    def test_discovery_leaves_no_garbage_cycle(self):
+        community = tie_heavy_community()
+        gc.collect()
+        gc.disable()
+        try:
+            discover(community)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_two_projects_pick_the_higher_cross_score(self):
         community = planted_community(seed=1)
         two = Community(community.projects[:1] + community.projects[2:])

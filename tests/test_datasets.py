@@ -18,7 +18,7 @@ from planwise.datasets import (
     version_sort_key,
 )
 
-from conftest import make_dataset, make_record, write_csv
+from conftest import make_dataset, make_project, make_record, write_csv
 
 
 HEADER = "name,version,name," + ",".join(METRICS) + ",bug"
@@ -191,6 +191,13 @@ class TestValidation:
     def test_community_requires_projects(self):
         with pytest.raises(DatasetError):
             Community(())
+
+    def test_community_rejects_duplicate_project_names(self):
+        # A report would list "ant" twice but score it once.
+        ant = make_project([make_dataset([make_record("A")])], name="ant")
+        ivy = make_project([make_dataset([make_record("B")])], name="ivy")
+        with pytest.raises(DatasetError, match="duplicate project names.*'ant', 'ant'"):
+            Community((ant, Project("ant", ant.versions), ivy))
 
 
 class TestDiffVersions:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwise.discretize import BinMap, apply_bins, mdlp_cuts
+from planwise.discretize import BinMap, _mdl_accepts, apply_bins, mdlp_cuts
+from planwise.stats import _entropy_of_counts
 
 from conftest import mirrored_tie_column
 
@@ -101,6 +102,86 @@ def random_large_dataset(seed):
     return list(values), list(labels)
 
 
+# --- Scalar path oracle -----------------------------------------------------
+# The grouping and interval search that the prefix-count pass replaced: an
+# index sort walked in Python, each interval's counts summed afresh, the
+# boundary rule tested at every level and each side's entropy from counts.
+
+
+def scalar_group_by_value(values, labels):
+    order = sorted(range(len(values)), key=values.__getitem__)
+    distinct, counts, last = [], [], None
+    for i in order:
+        v = float(values[i])
+        if v != last:
+            last = v
+            distinct.append(v)
+            pair = [0, 0]
+            counts.append(pair)
+        pair[1 if labels[i] else 0] += 1
+    return distinct, counts
+
+
+def scalar_split_interval(distinct, counts, lo, hi):
+    w0 = sum(c0 for c0, _ in counts[lo:hi])
+    w1 = sum(c1 for _, c1 in counts[lo:hi])
+    if not (w0 and w1):
+        return []
+    n = w0 + w1
+    whole_entropy = _entropy_of_counts((w0, w1))
+    best = None
+    l0 = l1 = 0
+    for i in range(lo, hi - 1):
+        c0, c1 = counts[i]
+        l0 += c0
+        l1 += c1
+        d0, d1 = counts[i + 1]
+        if (c0 == 0 and d0 == 0) or (c1 == 0 and d1 == 0):
+            continue
+        n_left = l0 + l1
+        gain = whole_entropy - (
+            n_left * _entropy_of_counts((l0, l1))
+            + (n - n_left) * _entropy_of_counts((w0 - l0, w1 - l1))
+        ) / n
+        if best is None or gain > best[0] + 1e-15:
+            best = (gain, i, (l0, l1))
+    if best is None:
+        return []
+    gain, i, (l0, l1) = best
+    if not _mdl_accepts(gain, n, (w0, w1), (l0, l1), (w0 - l0, w1 - l1)):
+        return []
+    return (
+        scalar_split_interval(distinct, counts, lo, i + 1)
+        + [(distinct[i] + distinct[i + 1]) / 2.0]
+        + scalar_split_interval(distinct, counts, i + 1, hi)
+    )
+
+
+def scalar_mdlp_cuts(values, labels):
+    if len(values) < 2:
+        low = float(min(values, default=0.0))
+        return BinMap("", (), low, float(max(values, default=0.0)))
+    distinct, counts = scalar_group_by_value(values, labels)
+    cuts = scalar_split_interval(distinct, counts, 0, len(distinct))
+    return BinMap("", tuple(cuts), distinct[0], distinct[-1])
+
+
+# Ints, floats equal to them and both signed zeros, so groups merge values
+# of different types and the first-seen one must stand for the group.
+TIE_VALUES = (-2, -1.5, -1, -1.0, -0.0, 0, 0.0, 0.5, 1, 1.0, 2, 2.0, 2.25, 3, 7.5)
+
+
+@st.composite
+def tie_heavy_columns(draw):
+    values = draw(st.lists(st.sampled_from(TIE_VALUES), max_size=80))
+    threshold = draw(st.sampled_from(TIE_VALUES))
+    flips = draw(st.lists(st.integers(0, 5), min_size=len(values), max_size=len(values)))
+    labels = [(v > threshold) != (f == 0) for v, f in zip(values, flips)]
+    if draw(st.booleans()):
+        labels = [int(label) for label in labels]
+    return values, labels
+
+
 class TestMdlpCuts:
     def test_pure_labels_yield_no_cuts(self):
         bins = mdlp_cuts([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
@@ -146,6 +227,34 @@ class TestMdlpCuts:
         assert mdlp_cuts(values, labels).cut_points == (0.5,)
         assert tuple(oracle_cuts(values, labels)) == (0.5,)
         assert mdlp_cuts(values[::-1], labels[::-1]).cut_points == (0.5,)
+
+    @given(tie_heavy_columns())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_scalar_path_on_tie_heavy_columns(self, column):
+        values, labels = column
+        got, want = mdlp_cuts(values, labels), scalar_mdlp_cuts(values, labels)
+        assert (got.cut_points, got.vmin, got.vmax) == (
+            want.cut_points, want.vmin, want.vmax
+        )
+        # Types and signs too: -0.0 == 0.0 and 1 == 1.0 would hide a change.
+        assert repr((got.cut_points, got.vmin, got.vmax)) == repr(
+            (want.cut_points, want.vmin, want.vmax)
+        )
+
+    def test_scalar_path_oracle_sees_cuts_and_signed_zeros(self):
+        values = [0.0, -0.0, 0, 1, 1.0, 2, 3, 3.0, 4, 5] * 3
+        labels = [v >= 3 for v in values]
+        assert mdlp_cuts(values, labels).cut_points == (2.5,)
+        assert scalar_mdlp_cuts(values, labels).cut_points == (2.5,)
+        assert repr(mdlp_cuts(values, labels).vmin) == "0.0"
+        assert repr(mdlp_cuts(values[1:], labels[1:]).vmin) == "-0.0"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="'loc'.*finite"):
+            mdlp_cuts([1.0, bad, 3.0, 4.0], [0, 1, 0, 1], metric="loc")
+        with pytest.raises(ValueError, match="'wmc'"):
+            mdlp_cuts([bad], [1], metric="wmc")
 
     def test_rerun_is_bit_identical(self):
         values, labels = random_dataset(123)

@@ -1,14 +1,17 @@
+import gc
 import math
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwise.datasets import pool_versions
+from planwise.datasets import METRICS, pool_versions
 from planwise.discretize import BinMap
+from planwise.stats import _entropy_of_counts
 from planwise.tree import (
     Branch,
     Condition,
@@ -24,6 +27,7 @@ from planwise.tree import (
 )
 
 from conftest import (
+    TIE_HEAVY_RANGES,
     gain_floor_split,
     make_dataset,
     make_record,
@@ -91,6 +95,80 @@ def iter_leaves(doc):
         yield from iter_leaves(child)
 
 
+def scalar_build_tree(train, bins, max_depth, min_leaf):
+    """``build_tree``'s growth with every node gathering its rows one by one
+    in list comprehensions: the scalar path the itemgetter gathering replaced."""
+    defects = [r.defects for r in train.records]
+    labels = [1 if d > 0 else 0 for d in defects]
+    columns = {
+        m: [bisect_left(bins[m].cut_points, r.metrics[m]) for r in train.records]
+        for m in METRICS
+        if bins[m].n_ranges >= 2
+    }
+
+    def grow(rows, level, used):
+        support = len(rows)
+        score = sum([defects[i] for i in rows]) / support
+        leaf = TreeNode(score=score, support=support, level=level)
+        here = [labels[i] for i in rows]
+        positives = sum(here)
+        if level >= max_depth or positives in (0, support):
+            return leaf
+        parent = _entropy_of_counts((support - positives, positives))
+        best_metric, best_gain, best_keys = None, 0.0, []
+        for metric, column in columns.items():
+            if metric in used:
+                continue
+            keys = [column[i] for i in rows]
+            groups = sorted(set(keys))
+            sizes = [keys.count(key) for key in groups]
+            if len(groups) < 2 or min(sizes) < min_leaf:
+                continue
+            positive_keys = list(compress(keys, here))
+            weighted = sum(
+                size * _entropy_of_counts((size - p, p))
+                for size, p in zip(sizes, map(positive_keys.count, groups))
+            ) / support
+            if parent - weighted > best_gain + 1e-12:
+                best_metric, best_gain, best_keys = metric, parent - weighted, groups
+        if best_metric is None:
+            return leaf
+        parts = {key: [] for key in best_keys}
+        for i in rows:
+            parts[columns[best_metric][i]].append(i)
+        return TreeNode(
+            score=score, support=support, level=level,
+            split_metric=best_metric, split_bins=bins[best_metric],
+            children={
+                key: grow(part, level + 1, used | {best_metric})
+                for key, part in parts.items()
+            },
+        )
+
+    return grow(list(range(len(train.records))), 0, frozenset())
+
+
+def random_tie_heavy_dataset(seed):
+    """5-120 rows of integer metrics from ``TIE_HEAVY_RANGES`` with defects
+    that follow a few of them, so small nodes and one-row nodes occur."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 121))
+    drivers = rng.choice(list(TIE_HEAVY_RANGES), size=3, replace=False)
+    records = []
+    for i in range(n):
+        metrics = {m: float(rng.integers(0, hi)) for m, hi in TIE_HEAVY_RANGES.items()}
+        risk = sum(metrics[m] / TIE_HEAVY_RANGES[m] for m in drivers) / 3.0
+        defects = int(rng.binomial(3, risk)) if rng.random() < 0.9 else 0
+        records.append(make_record(f"c{i}", defects=defects, **metrics))
+    return make_dataset(records)
+
+
+def supports(doc):
+    yield doc["support"]
+    for child in doc.get("children", {}).values():
+        yield from supports(child)
+
+
 class TestBuildTree:
     def test_defect_free_training_gives_single_zero_leaf(self):
         ds = make_dataset([make_record(f"c{i}", loc=float(i)) for i in range(20)])
@@ -136,6 +214,40 @@ class TestBuildTree:
         backward = build_tree(*gain_floor_split(reverse=True))
         assert tree_to_dict(forward) == tree_to_dict(backward)
         assert forward.is_leaf and backward.is_leaf
+
+    def test_matches_the_scalar_path_on_random_datasets(self):
+        one_row_nodes = splits = 0
+        for seed in range(60):
+            ds = random_tie_heavy_dataset(seed)
+            # Fitted bins, or a cut between every two integers of a third of
+            # the metrics: those split into many small ranges, down to one row.
+            bins = fit_bins(ds)
+            if seed % 2:
+                bins.update(
+                    (m, BinMap(m, tuple(k + 0.5 for k in range(hi - 1)), 0.0, hi - 1.0))
+                    for m, hi in list(TIE_HEAVY_RANGES.items())[seed % 3::3]
+                )
+            for max_depth, min_leaf in ((10, 1), (3, 1), (10, 2), (10, None)):
+                got = tree_to_dict(
+                    build_tree(ds, bins, max_depth=max_depth, min_leaf=min_leaf)
+                )
+                floor = default_min_leaf(len(ds)) if min_leaf is None else min_leaf
+                want = tree_to_dict(scalar_build_tree(ds, bins, max_depth, floor))
+                assert got == want, f"seed {seed}, {max_depth}, {min_leaf}"
+                one_row_nodes += list(supports(got)).count(1)
+                splits += "children" in got
+        assert one_row_nodes >= 100 and splits >= 100  # both paths exercised
+
+    def test_a_fitted_tree_leaves_no_garbage_cycle(self):
+        ds = pool_versions(tie_heavy_community().projects[0])
+        bins = fit_bins(ds)
+        gc.collect()
+        gc.disable()
+        try:
+            build_tree(ds, bins, min_leaf=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_default_min_leaf_floor(self):
         assert default_min_leaf(100) == 5
