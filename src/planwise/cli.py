@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import tempfile
 from dataclasses import asdict
+from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +26,7 @@ from .datasets import (
     METRICS,
     Community,
     VersionedDataset,
+    _check_epsilon,
     load_community,
     load_csv,
     load_project,
@@ -73,10 +74,55 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
+def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int) -> None:
+    """Append ``value``'s JSON text at nesting ``depth`` to ``chunks``, as
+    ``json.dumps(value, indent=2, sort_keys=True)`` writes it, but raising
+    TypeError for a non-``str`` key. ``lines[d]`` holds depth ``d``'s newline
+    and indent, bare and after a comma; each depth's pair is built once."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        chunks.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, float):
+        chunks.append(
+            "NaN" if value != value else "Infinity" if value == INFINITY
+            else "-Infinity" if value == -INFINITY else float.__repr__(value)
+        )
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            chunks.append("{}" if is_dict else "[]")
+            return
+        if len(lines) == depth + 1:
+            line = lines[depth][0] + "  "
+            lines.append((line, "," + line))
+        line, comma_line = lines[depth + 1]
+        chunks.append("{" if is_dict else "[")
+        for item in sorted(value) if is_dict else value:
+            chunks.append(line)
+            line = comma_line
+            if is_dict:  # item is a key: write it, then its value
+                if not isinstance(item, str):
+                    raise TypeError(f"keys must be str, not {type(item).__name__}")
+                chunks.append(encode_basestring_ascii(item) + ": ")
+                item = value[item]
+            _encode(item, chunks, lines, depth + 1)
+        chunks += (lines[depth][0], "}" if is_dict else "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    """``doc`` plus ``schema_version``, with sorted keys and a two-space indent."""
-    doc = dict(doc, schema_version=SCHEMA_VERSION)
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """``doc`` plus ``schema_version``, with sorted keys and a two-space indent:
+    the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline."""
+    chunks: list[str] = []
+    _encode(dict(doc, schema_version=SCHEMA_VERSION), chunks, [("\n", ",\n")], 0)
+    chunks.append("\n")
+    text = "".join(chunks)
+    del chunks  # free the pieces before the write
+    _write_text(path, text)
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -205,7 +251,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAILURE
-    windows(project)  # too few releases fails here, before discovery
+    windows(project)  # too few releases and a bad epsilon fail here, before discovery
+    _check_epsilon(args.epsilon)
     belltree_train = None
     if "belltree" in names:
         # Leave the target out: the exemplar serves the other projects, so

@@ -94,7 +94,8 @@ class Project:
 
     name: str
     versions: tuple[VersionedDataset, ...]
-    # Developer diffs memoised by ``ktest``, keyed by (j, k, epsilon).
+    # Each window's developer diff and release k's ``by_name()``, memoised by
+    # ``ktest`` and keyed by (j, k, epsilon).
     diffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -305,6 +306,11 @@ def pool_versions(project: Project) -> VersionedDataset:
     return VersionedDataset(project.name, "pooled", tuple(records))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def diff_versions(
     old: VersionedDataset, new: VersionedDataset, epsilon: float = 0.0
 ) -> dict[str, ActionVector]:
@@ -316,8 +322,7 @@ def diff_versions(
     two bounds swap, so ``+`` always means the metric grew. Classes present
     in only one release are excluded.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     up, down = 1.0 + epsilon, 1.0 - epsilon
     new_by_name = new.by_name()
     out: dict[str, ActionVector] = {}

@@ -20,6 +20,7 @@ from .datasets import (
     NO_CHANGE,
     Project,
     VersionedDataset,
+    _check_epsilon,
     diff_versions,
 )
 from .planners import Plan, PlannerBase
@@ -177,10 +178,11 @@ def ktest(
     )
     plans = {rec.class_name: planner.plan(rec) for rec in version_j.records}
 
-    if (j, k, epsilon) not in project.diffs:  # one diff per window, for every planner
-        project.diffs[j, k, epsilon] = diff_versions(version_j, version_k, epsilon)
-    developer = project.diffs[j, k, epsilon]
-    k_records = version_k.by_name()
+    if (j, k, epsilon) not in project.diffs:  # once per window, for every planner
+        project.diffs[j, k, epsilon] = (
+            diff_versions(version_j, version_k, epsilon), version_k.by_name()
+        )
+    developer, k_records = project.diffs[j, k, epsilon]
     reduced = [0] * N_BUCKETS
     increased = [0] * N_BUCKETS
     classes = [0] * N_BUCKETS
@@ -250,6 +252,7 @@ def evaluate_windows(
     (cross-project planning) is fitted once and serves every window.
     """
     starts = windows(project)
+    _check_epsilon(epsilon)  # before any fit
     if train is not None:
         planner.fit(train)
     results = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .datasets import (
@@ -168,6 +169,13 @@ def plan_targets(tree: TreeNode, gamma: float = DEFAULT_GAMMA) -> PlanTargets:
     return targets
 
 
+@lru_cache
+def _draws(seed: int, count: int) -> tuple[float, ...]:
+    """The first ``count`` values of ``random.Random(seed).random()``."""
+    rng = random.Random(seed)
+    return tuple(rng.random() for _ in range(count))
+
+
 def xtree_plan(
     tree: TreeNode,
     targets: PlanTargets,
@@ -180,14 +188,16 @@ def xtree_plan(
     ``targets`` comes from ``plan_targets`` on the same tree. Each condition
     of the desired branch the record does not already satisfy becomes an
     increase or decrease toward that condition's range; a leaf without a
-    desired branch gets a plan with no changes.
+    desired branch gets a plan with no changes. The i-th change suggests
+    ``low + (high - low) * u``, ``u`` the i-th draw of ``random.Random(seed)``:
+    the value ``Random.uniform`` gives, without seeding a generator per class.
     """
     current = locate(tree, record)
     desired = targets[current.conditions]
     if desired is None:
         return no_change_plan(record.class_name, source_planner)
 
-    rng = random.Random(seed)
+    draws = iter(_draws(seed, len(desired.conditions)))
     actions = dict.fromkeys(METRICS, _KEEP)
     node = tree
     for cond in desired.conditions:
@@ -203,7 +213,7 @@ def xtree_plan(
             actions[cond.metric] = Action(
                 direction=direction,
                 target_range=(cond.low, cond.high),
-                suggested=rng.uniform(cond.low, cond.high),
+                suggested=cond.low + (cond.high - cond.low) * next(draws),
             )
         node = node.children[cond.range_index]
     return Plan(

@@ -56,7 +56,9 @@ class TreeNode:
 
     ``route`` maps each range index of the split metric to ``(child key,
     child)``: the range's own child, or the nearest child when that range had
-    no training rows (ties to the smaller key). Leaves have an empty route.
+    no training rows (ties to the smaller key). ``conditions`` maps each child
+    key to the ``Condition`` of its range, built once here for ``locate`` and
+    ``leaves``. Leaves have an empty route and no conditions.
     """
 
     score: float
@@ -68,9 +70,10 @@ class TreeNode:
     route: tuple[tuple[int, "TreeNode"], ...] = field(
         init=False, compare=False, repr=False
     )
+    conditions: dict[int, Condition] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        route = ()
+        route, conditions = (), {}
         if self.split_metric is not None:
             if not self.children:
                 raise ValueError("a split node needs at least one child")
@@ -79,7 +82,12 @@ class TreeNode:
                 for idx in range(self.split_bins.n_ranges)
             )
             route = tuple((key, self.children[key]) for key in keys)
+            conditions = {
+                key: Condition(self.split_metric, key, *self.split_bins.range_bounds(key))
+                for key in self.children
+            }
         object.__setattr__(self, "route", route)
+        object.__setattr__(self, "conditions", conditions)
 
     @property
     def is_leaf(self) -> bool:
@@ -200,8 +208,7 @@ def locate(tree: TreeNode, record: ClassRecord) -> Branch:
         key, child = node.route[
             bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
         ]
-        low, high = node.split_bins.range_bounds(key)
-        conditions.append(Condition(node.split_metric, key, low, high))
+        conditions.append(node.conditions[key])
         node = child
     return Branch(tuple(conditions), node.score, node.support)
 
@@ -213,9 +220,7 @@ def leaves(node: TreeNode, prefix: tuple[Condition, ...] = ()) -> list[Branch]:
         return [Branch(prefix, node.score, node.support)]
     out: list[Branch] = []
     for key in sorted(node.children):
-        low, high = node.split_bins.range_bounds(key)
-        cond = Condition(node.split_metric, key, low, high)
-        out.extend(leaves(node.children[key], prefix + (cond,)))
+        out.extend(leaves(node.children[key], prefix + (node.conditions[key],)))
     return out
 
 

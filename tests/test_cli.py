@@ -340,6 +340,21 @@ class TestBelltreeEvaluation:
             "for the next, and validates on a third, so at least 3 are required\n"
         )
 
+    def test_bad_epsilon_fails_before_discovery(
+        self, exemplar_community_dir, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "planwise.cli.discover", lambda *a, **k: calls.append(a) or discover(*a, **k)
+        )
+        argv = ["evaluate", "--planner", "belltree",
+                "--community", str(exemplar_community_dir), "--target", "alpha"]
+        code = main([*argv, "--out-dir", str(tmp_path / "bad"), "--epsilon", "nan"])
+        assert code == EXIT_FAILURE
+        assert calls == [] and not (tmp_path / "bad").exists()
+        assert main([*argv, "--out-dir", str(tmp_path / "ok")]) == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestOtherCommands:
     def test_several_train_files_are_pooled(self, toy_project_dir, tmp_path):
@@ -702,6 +717,24 @@ class TestEvaluateEdgeCases:
         assert code == EXIT_FAILURE
         err = capsys.readouterr().err
         assert "durian" in err and "apple" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_bad_epsilon_fails_and_writes_nothing(
+        self, toy_project_dir, tmp_path, capsys, monkeypatch, value, from_env
+    ):
+        # A NaN or infinite tolerance once exited 0 with every developer move
+        # read as no change.
+        argv = ["evaluate", "--planner", "all", "--project-dir", str(toy_project_dir),
+                "--out-dir", str(tmp_path / "out")]
+        if from_env:
+            monkeypatch.setenv("PLANWISE_EPSILON", value)
+        else:
+            argv += ["--epsilon", value]
+        assert main(argv) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("planwise: epsilon must be finite and >= 0") and value in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_project_dir_fails_cleanly(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -8,16 +8,21 @@ document records its ``--train``/``--test`` arguments as given.
 """
 
 import csv
+import gc
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from planwise.cli import EXIT_OK, main
-from planwise.datasets import METRICS
+from planwise.cli import EXIT_OK, _write_json, main
+from planwise.datasets import METRICS, pool_versions
+from planwise.planners import make_planner, suggest_refactorings
 
-from conftest import make_dataset, make_record, write_csv
+from conftest import make_dataset, make_record, tie_heavy_history, write_csv
 
 TRAIN = ["planted/exemplar/exemplar-1.csv", "planted/exemplar/exemplar-2.csv"]
 TEST = "planted/exemplar/exemplar-3.csv"
@@ -177,3 +182,58 @@ def test_summary_csv_matches_summary_json(exemplar_community_dir, tmp_path):
         {key: "" if value is None else str(value) for key, value in row.items()}
         for row in rows
     ]
+
+
+# Text with control characters, non-ASCII letters and lone surrogates.
+TEXT = st.text(st.characters(blacklist_categories=()))
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, math.nan, -math.inf])
+    | TEXT
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """``_write_json`` has its own encoder; ``json.dumps`` is its oracle."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.dictionaries(TEXT, DOCUMENTS))
+    @example(doc={"é\x00\u2028": [-0.0, 5e-324, math.nan, math.inf, -math.inf, 2**70,
+                                    (), {}, [[]], ({"b": 1, "a": (True, None)},)]})
+    def test_text_is_that_of_json_dumps(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        expected = json.dumps(dict(doc, schema_version="1"), indent=2, sort_keys=True)
+        assert path.read_bytes() == (expected + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("doc", [
+        {"a": {1: "x"}}, {"a": [{None: 0}]}, {"a": {("t",): 0}},
+        {"a": object()}, {"a": [{1, 2}]}, {"a": b"bytes"},
+    ])
+    def test_a_non_str_key_or_unknown_object_is_a_type_error(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "doc.json", doc)
+        assert not list(tmp_path.iterdir())
+
+    def test_writing_a_plan_document_leaves_no_garbage(self, tmp_path):
+        # A reference cycle through the encoder would keep every chunk alive
+        # until the next collection, after the file is written.
+        history = tie_heavy_history()
+        planner = make_planner("xtree").fit(pool_versions(history))
+        plans = planner.plan_all(history.versions[3])
+        doc = {"plans": [dict(p.to_dict(), refactorings=suggest_refactorings(p))
+                         for p in plans]}
+        gc.collect()
+        gc.disable()
+        try:
+            _write_json(tmp_path / "plans.json", doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,7 +277,7 @@ class TestDiffVersions:
     @given(
         before=st.floats(allow_nan=False, allow_infinity=False),
         after=st.floats(allow_nan=False, allow_infinity=False),
-        epsilon=st.floats(min_value=0.0, allow_nan=False),
+        epsilon=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     )
     @settings(max_examples=300)
     def test_direction_never_contradicts_the_values(self, before, after, epsilon):
@@ -288,6 +290,14 @@ class TestDiffVersions:
             assert after < before
         if after == before:
             assert action == NO_CHANGE
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_or_negative_epsilon_is_rejected(self, epsilon):
+        # A NaN or infinite tolerance would mark every move as no change.
+        ds = make_dataset([make_record("A", loc=10)])
+        with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {epsilon}"):
+            diff_versions(ds, ds, epsilon)
+
 
 class TestPoolingAndOrdering:
     def test_version_sort_key_orders_numerically(self):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwise import evaluate, planners
-from planwise.datasets import DECREASE, METRICS
+from planwise.datasets import DECREASE, METRICS, VersionedDataset
 from planwise.evaluate import (
     BUCKET_MIDPOINTS,
     bucket_index,
@@ -378,6 +380,33 @@ class TestWindows:
         for name, results in shared.items():
             alone = evaluate_windows(tie_heavy_history(), make_planner(name))
             assert results == [r.to_dict() for r in alone], name
+
+    def test_release_k_is_indexed_once_per_window(self, monkeypatch):
+        indexed, real = [], VersionedDataset.by_name
+
+        def counting(self):
+            indexed.append(self)
+            return real(self)
+
+        monkeypatch.setattr(VersionedDataset, "by_name", counting)
+        project = tie_heavy_history()
+        for name in ("xtree", "alves", "shatnawi", "oliveira"):
+            evaluate_windows(project, make_planner(name))
+        # Per window: diff_versions' index of release k, and the one ktest keeps.
+        v2, v3 = project.versions[2:4]
+        assert [id(d) for d in indexed] == [id(v2), id(v2), id(v3), id(v3)]
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("external", [False, True])
+    def test_bad_epsilon_fails_before_any_fit(self, monkeypatch, epsilon, external):
+        project = tie_heavy_history()
+        train = project.versions[0] if external else None
+        for name, rule in (("xtree", "fit_bins"), ("alves", "alves_thresholds")):
+            fits = count_calls(monkeypatch, planners, rule)
+            with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+                evaluate_windows(project, make_planner(name), epsilon, train=train)
+            assert fits == [], name
+        assert project.diffs == {}
 
     def test_too_few_releases_explains_the_requirement(self):
         project = make_project(

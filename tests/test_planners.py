@@ -172,6 +172,48 @@ class TestXtreePlan:
             assert changed <= 3
 
 
+def reference_xtree_plan(tree, targets, record, seed):
+    """xtree_plan as it was written with one seeded generator per class."""
+    current = locate(tree, record)
+    desired = targets[current.conditions]
+    if desired is None:
+        return no_change_plan(record.class_name, "xtree")
+    rng = random.Random(seed)
+    actions = dict.fromkeys(METRICS, Action())
+    node = tree
+    for cond in desired.conditions:
+        idx = apply_bins(node.split_bins, record.metrics[cond.metric])
+        if idx != cond.range_index:
+            actions[cond.metric] = Action(
+                direction=INCREASE if idx < cond.range_index else DECREASE,
+                target_range=(cond.low, cond.high),
+                suggested=rng.uniform(cond.low, cond.high),
+            )
+        node = node.children[cond.range_index]
+    return Plan(record.class_name, actions, "xtree",
+                expected_score_drop=current.score - desired.score)
+
+
+class TestXtreePlanOracle:
+    """Suggested values come from draws shared by every class; the per-class
+    ``Random(seed).uniform`` they replace is the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, planners.DEFAULT_SEED, 2**40 + 7])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9])
+    def test_plans_equal_the_per_class_generator(self, seed, gamma):
+        records = tie_heavy_history().versions[3].records
+        changed = 0
+        for tree in fitted_trees()[::3]:
+            targets = plan_targets(tree, gamma)
+            for record in records:
+                plan = xtree_plan(tree, targets, record, seed)
+                expected = reference_xtree_plan(tree, targets, record, seed)
+                assert plan == expected
+                assert repr(plan) == repr(expected)  # float bits, -0.0 included
+                changed += changes_count(plan)
+        assert changed > 0
+
+
 def reference_targets(tree, gamma):
     """The level-ascent search XTREE once ran for every class, as an oracle.
 

@@ -434,6 +434,11 @@ class TestRouteTable:
     def test_route_is_not_part_of_equality_or_repr(self):
         assert two_leaf_tree() == two_leaf_tree()
         assert "route" not in repr(two_leaf_tree())
+        assert "conditions" not in repr(two_leaf_tree())
+        other = two_leaf_tree()
+        object.__setattr__(other, "route", ())
+        object.__setattr__(other, "conditions", {})
+        assert other == two_leaf_tree()
 
     def test_split_node_without_children_is_rejected(self):
         with pytest.raises(ValueError, match="at least one child"):
@@ -441,6 +446,57 @@ class TestRouteTable:
                 score=1.0, support=4, level=0, split_metric="loc",
                 split_bins=BinMap("loc", (50.0,), 0.0, 100.0), children={},
             )
+
+
+def reference_conditions(node):
+    """Each child's Condition, rebuilt from the split's range bounds."""
+    return {
+        key: Condition(node.split_metric, key, *node.split_bins.range_bounds(key))
+        for key in node.children
+    }
+
+
+def reference_leaves(node, prefix=()):
+    """leaves as it was written before nodes kept their conditions."""
+    if node.is_leaf:
+        return [Branch(prefix, node.score, node.support)]
+    out = []
+    for key, cond in sorted(reference_conditions(node).items()):
+        out.extend(reference_leaves(node.children[key], prefix + (cond,)))
+    return out
+
+
+class TestConditionTable:
+    """Every split node builds its children's Conditions once; the rebuild
+    from ``range_bounds`` that locate and leaves used to do is the oracle."""
+
+    def test_every_child_has_its_range_condition(self):
+        for tree in oracle_trees():
+            for node in split_nodes(tree):
+                assert node.conditions == reference_conditions(node)
+                assert node.conditions.keys() == node.children.keys()
+        assert TreeNode(score=1.0, support=4, level=0).conditions == {}
+
+    def test_gapped_and_unpopulated_ranges_keep_their_own_bounds(self):
+        assert unpopulated_middle_tree().conditions == {
+            0: Condition("loc", 0, 0.0, 10.0), 2: Condition("loc", 2, 50.0, 100.0),
+        }
+        assert gapped_tree().conditions == {
+            1: Condition("wmc", 1, 5.0, 10.0), 3: Condition("wmc", 3, 20.0, 40.0),
+        }
+
+    def test_leaves_match_the_rebuild(self):
+        for tree in oracle_trees():
+            assert leaves(tree) == reference_leaves(tree)
+
+    def test_locate_matches_the_rebuild_on_every_edge(self):
+        for tree in oracle_trees():
+            nodes = split_nodes(tree)
+            for node in nodes:
+                for cut in node.split_bins.cut_points:
+                    for value in (cut, math.nextafter(cut, math.inf)):
+                        record = make_record("r", **{node.split_metric: value})
+                        assert locate(tree, record) == reference_locate(tree, record)
 
 
 class TestPredictMatchesLocate:
