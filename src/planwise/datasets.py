@@ -94,8 +94,9 @@ class Project:
 
     name: str
     versions: tuple[VersionedDataset, ...]
-    # Each window's developer diff and release k's ``by_name()``, memoised by
-    # ``ktest`` and keyed by (j, k, epsilon).
+    # Each window's developer diff, each matched class's count of no-change
+    # moves, and release k's ``by_name()``, memoised by ``ktest`` and keyed
+    # by (j, k, epsilon).
     diffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -258,18 +259,28 @@ def _split_stem(stem: str) -> tuple[str, str]:
 
 
 def version_sort_key(label: str) -> tuple:
-    """Order version labels numerically where possible (1.9 < 1.10)."""
-    parts = re.split(r"(\d+)", label)
-    return tuple(int(p) if p.isdigit() else p for p in parts if p != "")
+    """Order version labels numerically where possible (1.9 < 1.10).
+
+    A number sorts before text at the same position (1.3 < final).
+    """
+    parts = re.split(r"(\d+)", label)  # numbers at the odd positions
+    return tuple((0, int(p)) if i % 2 else (1, p) for i, p in enumerate(parts) if p)
 
 
 def load_project(paths: list[str | Path], name: str | None = None) -> Project:
     """Load several release CSVs of one project, ordered by version label."""
     if not paths:
         raise DatasetError("no version CSVs given")
-    versions = sorted(
-        (load_csv(p) for p in paths), key=lambda d: version_sort_key(d.version)
-    )
+    loaded = [(load_csv(path), path) for path in paths]
+    files: dict[str, str | Path] = {}
+    for dataset, path in loaded:
+        if dataset.version in files:
+            raise DatasetError(
+                f"{files[dataset.version]} and {path} both hold release "
+                f"{dataset.version!r}"
+            )
+        files[dataset.version] = path
+    versions = sorted((d for d, _ in loaded), key=lambda d: version_sort_key(d.version))
     return Project(name or versions[0].project, tuple(versions))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import asdict, astuple, dataclass
-from statistics import mean, median
+from statistics import median
 from typing import Optional
 
 from .datasets import (
@@ -35,7 +35,8 @@ def overlap(d: ActionVector, p: ActionVector) -> float:
     """Percentage of metrics on which two action vectors agree.
 
     Agreement counts matching no-change entries too; the denominator is the
-    full shared metric universe.
+    full shared metric universe. This is the definition of overlap: the
+    count ``ktest`` keeps is tested against it.
     """
     if d.keys() != p.keys():
         raise ValueError("action vectors cover different metric universes")
@@ -84,7 +85,7 @@ class ChangesSummary:
             plans=len(counts),
             minimum=min(counts),
             median=float(median(counts)),
-            mean=float(mean(counts)),
+            mean=sum(counts) / len(counts),
             maximum=max(counts),
         )
 
@@ -165,6 +166,11 @@ def ktest(
 
     ``i`` names the training release (``evaluate_windows`` fits). Indices
     address ``project.versions``; they must be strictly increasing.
+
+    Each class is planned once, in record order. A matched class's overlap
+    starts from the metrics its developers left unchanged; each metric the
+    plan changes adds one where they moved it the same way and takes one
+    away where they left it. This is ``overlap`` of the direction vectors.
     """
     if not 0 <= i < j < k < len(project.versions):
         raise ValueError(
@@ -176,24 +182,35 @@ def ktest(
         project.versions[j],
         project.versions[k],
     )
-    plans = {rec.class_name: planner.plan(rec) for rec in version_j.records}
-
     if (j, k, epsilon) not in project.diffs:  # once per window, for every planner
-        project.diffs[j, k, epsilon] = (
-            diff_versions(version_j, version_k, epsilon), version_k.by_name()
-        )
-    developer, k_records = project.diffs[j, k, epsilon]
+        developer = diff_versions(version_j, version_k, epsilon)
+        unchanged = {
+            name: list(moves.values()).count(NO_CHANGE)
+            for name, moves in developer.items()
+        }
+        project.diffs[j, k, epsilon] = developer, unchanged, version_k.by_name()
+    developer, unchanged, k_records = project.diffs[j, k, epsilon]
     reduced = [0] * N_BUCKETS
     increased = [0] * N_BUCKETS
     classes = [0] * N_BUCKETS
+    counts = []
     matched_classes = 0
     matched_defects = 0
     for rec in version_j.records:
-        actions = developer.get(rec.class_name)
-        if actions is None:
+        changed = [
+            (metric, action.direction)
+            for metric, action in planner.plan(rec).actions.items()
+            if action.direction != NO_CHANGE
+        ]
+        counts.append(len(changed))
+        moves = developer.get(rec.class_name)
+        if moves is None:
             continue
-        x = overlap(actions, plans[rec.class_name].direction_vector())
-        bucket = bucket_index(x)
+        agree = unchanged[rec.class_name]
+        for metric, direction in changed:
+            move = moves[metric]
+            agree += (move == direction) - (move == NO_CHANGE)
+        bucket = bucket_index(100.0 * agree / len(moves))
         delta = rec.defects - k_records[rec.class_name].defects
         reduced[bucket] += max(0, delta)
         increased[bucket] += max(0, -delta)
@@ -212,7 +229,6 @@ def ktest(
         aupec_reduced = _aupec(reduced, matched_defects)
         aupec_increased = _aupec(increased, matched_defects)
 
-    counts = [changes_count(plans[rec.class_name]) for rec in version_j.records]
     return KTestResult(
         project=project.name,
         version_i=version_i.version,

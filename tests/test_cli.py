@@ -749,3 +749,29 @@ class TestEvaluateEdgeCases:
         )
         assert code == EXIT_FAILURE
         assert "no version CSVs" in capsys.readouterr().err
+
+
+class TestReleaseLabels:
+    def test_plan_trains_on_numbered_and_named_releases(self, tmp_path):
+        paths = []
+        for order, version in enumerate(("final", "1.3", "1.4")):
+            paths.append(tmp_path / f"toy-{version}.csv")
+            write_csv(toy_version(version, order), paths[-1])
+        out = tmp_path / "plans.json"
+        code = main(["plan", "--planner", "xtree", "--train", str(paths[0]),
+                     str(paths[1]), "--test", str(paths[2]), "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["plans"]) == 60
+
+    def test_evaluate_rejects_two_releases_with_one_label(
+        self, toy_project_dir, tmp_path, capsys
+    ):
+        first, second = toy_project_dir / "toy-1.1.csv", toy_project_dir / "toy-1.1b.csv"
+        write_csv(toy_version("1.1", 5), second)
+        code = main(["evaluate", "--planner", "xtree", "--project-dir",
+                     str(toy_project_dir), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"planwise: {first} and {second} both hold release '1.1'\n"
+        )
+        assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,16 @@ def write_rows(path, rows, header=HEADER):
 def jureczko_row(cls, defects=0, project="ant", version="1.7", value=1.0):
     cells = [project, version, cls] + [str(value)] * len(METRICS) + [str(defects)]
     return ",".join(cells)
+
+
+# Version labels mixing numbers, separators and text.
+LABELS = st.text(alphabet="0123456789.-_abcfinlr", min_size=1, max_size=6)
+
+
+def untagged_sort_key(label):
+    """The earlier key, which fails to compare a number with text."""
+    parts = re.split(r"(\d+)", label)
+    return tuple(int(p) if p.isdigit() else p for p in parts if p != "")
 
 
 class TestLoadCsv:
@@ -314,6 +325,36 @@ class TestPoolingAndOrdering:
             )
         project = load_project(sorted(tmp_path.glob("*.csv")))
         assert [v.version for v in project.versions] == ["1.2", "1.10"]
+
+    def test_numbers_sort_before_text_at_the_same_position(self):
+        labels = ["final", "1.3", "rc1", "1.3a", "1.3.1", "2"]
+        assert sorted(labels, key=version_sort_key) == [
+            "1.3", "1.3.1", "1.3a", "2", "final", "rc1",
+        ]
+
+    @given(st.lists(LABELS, min_size=2, max_size=6))
+    @settings(max_examples=300)
+    def test_every_label_list_sorts_and_comparable_pairs_keep_their_order(
+        self, labels
+    ):
+        sorted(labels, key=version_sort_key)  # the untagged key raised TypeError
+        for a in labels:
+            for b in labels:
+                try:
+                    before = untagged_sort_key(a) < untagged_sort_key(b)
+                except TypeError:
+                    continue
+                assert (version_sort_key(a) < version_sort_key(b)) == before, (a, b)
+
+    def test_two_releases_with_one_label_name_both_files(self, tmp_path):
+        for stem in ("ant-first", "ant-second"):
+            write_rows(tmp_path / f"{stem}.csv", [jureczko_row("A", version="1.4")])
+        paths = sorted(tmp_path.glob("*.csv"))
+        with pytest.raises(DatasetError) as info:
+            load_project(paths)
+        assert str(info.value) == (
+            f"{paths[0]} and {paths[1]} both hold release '1.4'"
+        )
 
     def test_pool_versions_keeps_names_unique(self):
         v1 = make_dataset([make_record("A", loc=1)], version="1")

@@ -1,14 +1,21 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planwise import evaluate, planners
-from planwise.datasets import DECREASE, METRICS, VersionedDataset
+from planwise.datasets import (
+    DECREASE, METRICS, ClassRecord, VersionedDataset, diff_versions,
+)
 from planwise.evaluate import (
     BUCKET_MIDPOINTS,
+    N_BUCKETS,
+    ChangesSummary,
+    CurvePoint,
+    KTestResult,
     bucket_index,
     changes_count,
     evaluate_windows,
@@ -417,3 +424,117 @@ class TestWindows:
         )
         with pytest.raises(ValueError, match="at least 3"):
             evaluate_windows(project, ReduceLocStub())
+
+
+def dense_ktest(project, i, j, k, planner, epsilon=0.0):
+    """Reference ``ktest``: every plan's full direction vector, its set
+    overlap with the developer's moves, and a separate pass for its changes."""
+    version_j, version_k = project.versions[j], project.versions[k]
+    plans = {rec.class_name: planner.plan(rec) for rec in version_j.records}
+    developer = diff_versions(version_j, version_k, epsilon)
+    k_records = version_k.by_name()
+    reduced, increased, classes = [0] * N_BUCKETS, [0] * N_BUCKETS, [0] * N_BUCKETS
+    matched_classes = matched_defects = 0
+    for rec in version_j.records:
+        actions = developer.get(rec.class_name)
+        if actions is None:
+            continue
+        bucket = bucket_index(overlap(actions, plans[rec.class_name].direction_vector()))
+        delta = rec.defects - k_records[rec.class_name].defects
+        reduced[bucket] += max(0, delta)
+        increased[bucket] += max(0, -delta)
+        classes[bucket] += 1
+        matched_classes += 1
+        matched_defects += rec.defects
+    if matched_classes == 0:
+        curve, aupec_reduced, aupec_increased = (), None, None
+    else:
+        curve = tuple(
+            CurvePoint(mid, reduced[b], increased[b], classes[b])
+            for b, mid in enumerate(BUCKET_MIDPOINTS)
+        )
+        aupec_reduced = evaluate._aupec(reduced, matched_defects)
+        aupec_increased = evaluate._aupec(increased, matched_defects)
+    counts = [changes_count(plans[rec.class_name]) for rec in version_j.records]
+    summary = ChangesSummary(
+        len(counts), min(counts), float(statistics.median(counts)),
+        float(statistics.mean(counts)), max(counts),
+    )
+    return KTestResult(
+        project.name, project.versions[i].version, version_j.version,
+        version_k.version, planner.name, curve, aupec_reduced, aupec_increased,
+        summary, matched_classes, matched_defects,
+    )
+
+
+class TablePlanner(PlannerBase):
+    """Plans each class from a fixed table and records the order it is asked."""
+
+    name = "table"
+
+    def __init__(self, table):
+        self.table = table
+        self.asked = []
+
+    def fit(self, train):
+        return self
+
+    def plan(self, record):
+        self.asked.append(record.class_name)
+        return Plan(record.class_name, dict(zip(METRICS, self.table[record.class_name])),
+                    self.name)
+
+
+# Values around 1.0 move or stay depending on epsilon; negatives swap bounds.
+METRIC_VALUES = st.lists(
+    st.sampled_from([-2.0, -1.0, 0.0, 1.0, 1.05, 2.0]),
+    min_size=len(METRICS), max_size=len(METRICS),
+)
+# Mostly no-change entries, including ones that carry a target range.
+PLAN_ACTIONS = st.lists(
+    st.sampled_from([
+        Action(), Action(), Action(), Action(".", target_range=(0.0, 1.0)),
+        Action("+"), Action("-"), Action("-", target_range=(0.0, 1.0)),
+    ]),
+    min_size=len(METRICS), max_size=len(METRICS),
+)
+# One class of release j: its metrics, defects, plan, and its release-k
+# metrics and defects, or None when it is gone from release k.
+WINDOW_CLASS = st.tuples(
+    METRIC_VALUES, st.integers(0, 3), PLAN_ACTIONS,
+    st.none() | st.tuples(METRIC_VALUES, st.integers(0, 3)),
+)
+NO_MATCH = [([1.0] * len(METRICS), 2, [Action("+")] * len(METRICS), None)]
+
+
+class TestKTestOracle:
+    @given(st.lists(WINDOW_CLASS, min_size=1, max_size=6),
+           st.sampled_from([0.0, 0.04, 0.1, 1.5]))
+    @example(NO_MATCH, 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_per_plan_overlap(self, drawn, epsilon):
+        def record(name, values, defects):
+            return ClassRecord(name, dict(zip(METRICS, values)), defects)
+
+        names = [f"C{n}" for n in range(len(drawn))]
+        version_j = [record(n, j, d) for n, (j, d, _, _) in zip(names, drawn)]
+        version_k = [record(n, *k) for n, (_, _, _, k) in zip(names, drawn) if k]
+        version_k.append(make_record("new_in_k", defects=1))
+        project = make_project([
+            make_dataset(version_j[:1], version="1"),
+            make_dataset(version_j, version="2"),
+            make_dataset(version_k, version="3"),
+        ])
+        table = {n: plan for n, (_, _, plan, _) in zip(names, drawn)}
+        expected = dense_ktest(project, 0, 1, 2, TablePlanner(table), epsilon)
+        for _ in range(2):  # the second call reuses the window memo
+            planner = TablePlanner(table)
+            assert ktest(project, 0, 1, 2, planner, epsilon) == expected
+            assert planner.asked == names
+
+    @given(st.lists(st.integers(0, 20) | st.integers(-2**70, 2**70), min_size=1))
+    @example([2**53 + 1, 2**53 + 2, 1])
+    @settings(max_examples=300)
+    def test_mean_changes_equals_the_statistics_mean(self, counts):
+        mean = ChangesSummary.from_counts(counts).mean
+        assert mean.hex() == float(statistics.mean(counts)).hex()
