@@ -94,9 +94,8 @@ class Project:
 
     name: str
     versions: tuple[VersionedDataset, ...]
-    # Each window's developer diff, each matched class's count of no-change
-    # moves, and release k's ``by_name()``, memoised by ``ktest`` and keyed
-    # by (j, k, epsilon).
+    # Each window's developer diff, its matched classes' no-change counts and
+    # release k's ``by_name()``, memoised by ``ktest`` by (j, k, epsilon).
     diffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -268,20 +267,24 @@ def version_sort_key(label: str) -> tuple:
 
 
 def load_project(paths: list[str | Path], name: str | None = None) -> Project:
-    """Load several release CSVs of one project, ordered by version label."""
+    """Load several release CSVs of one project, ordered by version label.
+
+    Labels that sort equal are rejected, except ``0``, which unlabelled files
+    get; those keep the order they were given in.
+    """
     if not paths:
         raise DatasetError("no version CSVs given")
     loaded = [(load_csv(path), path) for path in paths]
-    files: dict[str, str | Path] = {}
-    for dataset, path in loaded:
-        if dataset.version in files:
+    loaded.sort(key=lambda pair: version_sort_key(pair[0].version))
+    for (a, first), (b, second) in zip(loaded, loaded[1:]):
+        if version_sort_key(a.version) == version_sort_key(b.version) != ((0, 0),):
             raise DatasetError(
-                f"{files[dataset.version]} and {path} both hold release "
-                f"{dataset.version!r}"
+                f"{first} and {second} both hold release {a.version!r}"
+                if a.version == b.version else
+                f"{first} and {second} hold releases {a.version!r} and "
+                f"{b.version!r}, which sort equal"
             )
-        files[dataset.version] = path
-    versions = sorted((d for d, _ in loaded), key=lambda d: version_sort_key(d.version))
-    return Project(name or versions[0].project, tuple(versions))
+    return Project(name or loaded[0][0].project, tuple(d for d, _ in loaded))
 
 
 def load_community(root: str | Path) -> Community:

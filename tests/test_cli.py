@@ -763,6 +763,22 @@ class TestReleaseLabels:
         assert code == EXIT_OK
         assert len(json.loads(out.read_text())["plans"]) == 60
 
+    def test_plan_pools_training_files_that_hold_no_label(self, tmp_path):
+        paths = []
+        for order, stem in enumerate(("alpha", "beta", "gamma")):
+            rows = [",".join(["name", *METRICS, "bug"])] + [
+                ",".join([r.class_name, *(str(r.metrics[m]) for m in METRICS),
+                          str(r.defects)])
+                for r in toy_version("unused", order).records
+            ]
+            paths.append(tmp_path / f"{stem}.csv")
+            paths[-1].write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "plans.json"
+        code = main(["plan", "--planner", "xtree", "--train", str(paths[0]),
+                     str(paths[1]), "--test", str(paths[2]), "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["plans"]) == 60
+
     def test_evaluate_rejects_two_releases_with_one_label(
         self, toy_project_dir, tmp_path, capsys
     ):

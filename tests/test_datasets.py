@@ -356,6 +356,29 @@ class TestPoolingAndOrdering:
             f"{paths[0]} and {paths[1]} both hold release '1.4'"
         )
 
+    def test_labels_that_sort_equal_are_rejected(self, tmp_path):
+        paths = [tmp_path / "ant-a.csv", tmp_path / "ant-b.csv"]
+        for path, version in zip(paths, ("2.0", "2.00")):
+            write_rows(path, [jureczko_row("A", version=version)])
+        with pytest.raises(DatasetError) as info:
+            load_project(paths[::-1])
+        assert str(info.value) == (
+            f"{paths[1]} and {paths[0]} hold releases '2.00' and '2.0', "
+            "which sort equal"
+        )
+
+    def test_unlabelled_files_load_in_the_order_given(self, tmp_path):
+        header = "name," + ",".join(METRICS) + ",bug"
+        paths = [tmp_path / "beta.csv", tmp_path / "alpha.csv"]
+        for loc, path in enumerate(paths):
+            cells = ["A"] + [str(float(loc))] * len(METRICS) + ["0"]
+            write_rows(path, [",".join(cells)], header=header)
+        project = load_project(paths)
+        assert project.name == "beta"
+        assert [v.version for v in project.versions] == ["0", "0"]
+        assert [v.records[0].metrics["loc"] for v in project.versions] == [0.0, 1.0]
+        assert len(pool_versions(project)) == 2
+
     def test_pool_versions_keeps_names_unique(self):
         v1 = make_dataset([make_record("A", loc=1)], version="1")
         v2 = make_dataset([make_record("A", loc=2)], version="2")
