@@ -38,9 +38,12 @@ class DatasetError(ValueError):
     """Raised when a dataset file violates the expected schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassRecord:
-    """One code class: identifier, 20 metric values, raw defect count."""
+    """One code class: identifier, 20 metric values, raw defect count.
+
+    Slotted: a record holds no instance dict and takes no other attribute.
+    """
 
     class_name: str
     metrics: dict[str, float]
@@ -207,6 +210,10 @@ def load_csv(path: str | Path) -> VersionedDataset:
         version = None
         records: list[ClassRecord] = []
         seen: set[str] = set()
+        # The metric cells, then the defect cell. Each distinct cell text is
+        # parsed once, and equal texts share one float.
+        number_cols = [*metric_cols.items(), (raw_header[defect_col], defect_col)]
+        parsed: dict[str, float] = {}
         for row in reader:
             row_no = lines.line_num  # the record's last physical line, as in csv.Error
             if not row or all(not cell.strip() for cell in row):
@@ -226,13 +233,15 @@ def load_csv(path: str | Path) -> VersionedDataset:
             if version_col is not None and version is None:
                 version = row[version_col].strip()
 
-            metrics = {
-                m: _parse_number(row[i], path, row_no, m)
-                for m, i in metric_cols.items()
-            }
-            raw_defects = _parse_number(
-                row[defect_col], path, row_no, raw_header[defect_col]
-            )
+            values = []
+            for column, i in number_cols:
+                cell = row[i]
+                value = parsed.get(cell)
+                if value is None:
+                    value = parsed[cell] = _parse_number(cell, path, row_no, column)
+                values.append(value)
+            raw_defects = values.pop()
+            metrics = dict(zip(metric_cols, values))
             if raw_defects < 0 or raw_defects != int(raw_defects):
                 raise DatasetError(
                     f"{path}: row {row_no}: defect count must be a non-negative "
@@ -242,7 +251,7 @@ def load_csv(path: str | Path) -> VersionedDataset:
 
     if not records:
         raise DatasetError(f"{path}: empty dataset")
-    if project is None or version is None:
+    if not project or not version:  # a blank cell holds no label
         stem_project, stem_version = _split_stem(path.stem)
         project = project or stem_project
         version = version or stem_version

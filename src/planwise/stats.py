@@ -97,10 +97,10 @@ def fit_univariate_logistic(
     design = np.column_stack([np.ones_like(x), x])
     base_rate = float(np.mean(y))
     coef = np.array([math.log(base_rate / (1.0 - base_rate)), 0.0])
-    loglik = _log_likelihood(y, _sigmoid(design @ coef))
+    p = _sigmoid(design @ coef)  # the probabilities at ``coef``, kept in step
+    loglik = _log_likelihood(y, p)
     converged = False
     for _ in range(MAX_IRLS_ITERATIONS):
-        p = _sigmoid(design @ coef)
         weights = np.clip(p * (1.0 - p), 1e-12, None)
         gradient = design.T @ (y - p)
         hessian = (design.T * weights) @ design
@@ -109,7 +109,8 @@ def fit_univariate_logistic(
         except np.linalg.LinAlgError:
             return failed
         coef = coef + step
-        new_loglik = _log_likelihood(y, _sigmoid(design @ coef))
+        p = _sigmoid(design @ coef)
+        new_loglik = _log_likelihood(y, p)
         if abs(new_loglik - loglik) < LOGLIK_TOLERANCE:
             loglik = new_loglik
             converged = True
@@ -119,7 +120,6 @@ def fit_univariate_logistic(
         return failed
 
     # Wald covariance at the converged estimate.
-    p = _sigmoid(design @ coef)
     weights = np.clip(p * (1.0 - p), 1e-12, None)
     try:
         covariance = np.linalg.inv((design.T * weights) @ design)

@@ -1,5 +1,8 @@
+import importlib.util
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,36 @@ def jureczko_row(cls, defects=0, project="ant", version="1.7", value=1.0):
 
 # Version labels mixing numbers, separators and text.
 LABELS = st.text(alphabet="0123456789.-_abcfinlr", min_size=1, max_size=6)
+
+# Cell texts that repeat across rows and columns, with pairs that parse to
+# equal floats from distinct texts.
+METRIC_TEXTS = st.sampled_from(
+    ["0", "-0", "0.0", " 1", "1", "1.0", "1e3", "1000", "2.5", "-2.5", ".5", "0.5000"]
+)
+DEFECT_TEXTS = st.sampled_from(["0", "1", " 1", "1.0", "3", "3e0"])
+GRIDS = st.lists(
+    st.tuples(st.lists(METRIC_TEXTS, min_size=len(METRICS), max_size=len(METRICS)),
+              DEFECT_TEXTS),
+    min_size=1,
+    max_size=8,
+)
+
+
+def write_grid(path, grid):
+    rows = [
+        ",".join(["ant", "1.7", f"C{n}", *cells, defects])
+        for n, (cells, defects) in enumerate(grid)
+    ]
+    write_rows(path, rows)
+
+
+def bench_corpus():
+    """The benchmark's corpus generator, ``benchmarks/corpus.py``."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def untagged_sort_key(label):
@@ -179,6 +212,61 @@ class TestLoadCsv:
         assert ds.project == "camel"
         assert ds.version == "1.6"
 
+    @given(GRIDS)
+    @settings(max_examples=150, deadline=None)
+    def test_values_match_a_per_cell_parser(self, tmp_path_factory, grid):
+        path = tmp_path_factory.mktemp("grid") / "ant-1.7.csv"
+        write_grid(path, grid)
+        ds = load_csv(path)
+        assert len(ds) == len(grid)
+        for rec, (cells, defects) in zip(ds.records, grid):
+            assert rec.defects == int(float(defects))
+            for metric, cell in zip(METRICS, cells):
+                value, want = rec.metrics[metric], float(cell)
+                assert type(value) is float
+                assert value == want
+                assert math.copysign(1.0, value) == math.copysign(1.0, want)
+
+    @given(GRIDS)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_cell_texts_share_one_float(self, tmp_path_factory, grid):
+        path = tmp_path_factory.mktemp("grid") / "ant-1.7.csv"
+        write_grid(path, grid)
+        ds = load_csv(path)
+        floats = {id(v) for rec in ds.records for v in rec.metrics.values()}
+        texts = {cell for cells, _ in grid for cell in cells}
+        assert len(floats) == len(texts)
+
+    def test_a_bad_text_on_two_rows_names_the_first(self, tmp_path):
+        path = tmp_path / "ant-1.7.csv"
+        rows = [jureczko_row(name).split(",") for name in "ZAB"]
+        for cells in rows[1:]:
+            cells[HEADER.split(",").index("cbo")] = "x"
+        write_rows(path, [",".join(cells) for cells in rows])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: row 3: non-numeric value 'x' in column 'cbo'"
+        )
+
+    @pytest.mark.parametrize("blank", [("version",), ("name",), ("name", "version")])
+    def test_blank_label_cells_fall_back_to_the_file_name(self, tmp_path, blank):
+        path = tmp_path / "camel-1.6.csv"
+        cells = jureczko_row("A").split(",")
+        for column in blank:
+            cells[HEADER.split(",").index(column)] = " "
+        write_rows(path, [",".join(cells)])
+        ds = load_csv(path)
+        assert ds.project == ("camel" if "name" in blank else "ant")
+        assert ds.version == ("1.6" if "version" in blank else "1.7")
+
+    def test_releases_with_blank_version_cells_load_in_label_order(self, tmp_path):
+        paths = [tmp_path / "ant-1.3.csv", tmp_path / "ant-1.4.csv"]
+        for path in paths:
+            write_rows(path, [jureczko_row("A", version="")])
+        project = load_project(paths[::-1])
+        assert [v.version for v in project.versions] == ["1.3", "1.4"]
+
     def test_roundtrip_is_identity_on_records(self, tmp_path):
         records = [
             make_record("A", defects=2, loc=120.5, wmc=7, avg_cc=1.25),
@@ -196,6 +284,12 @@ class TestValidation:
         metrics = {m: 1.0 for m in METRICS if m != "loc"}
         with pytest.raises(DatasetError, match="loc"):
             ClassRecord("A", metrics, 0)
+
+    def test_record_holds_no_instance_dict(self):
+        rec = make_record("A")
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(rec, "note", "extra")
 
     def test_dataset_rejects_duplicates(self):
         with pytest.raises(DatasetError, match="duplicate"):
@@ -392,3 +486,21 @@ def test_jureczko_ant_17_has_745_records(jureczko_root):
     if not path.exists():
         pytest.skip(f"{path} not present in the local corpus")
     assert len(load_csv(path)) == 745
+
+
+def test_load_csv_keeps_under_900_bytes_per_record(tmp_path):
+    # Python 3.11, benchmark corpus seed 0: about 1,110 bytes per record
+    # when each cell held its own float and each record an instance dict,
+    # about 725 bytes with shared floats and slotted records.
+    path = bench_corpus().generate(tmp_path, seed=0, projects={"xalan"})
+    path = path / "xalan" / "xalan-2.7.csv"
+    load_csv(path)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = load_csv(path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 880
+    assert kept / len(ds) < 900

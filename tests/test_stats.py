@@ -6,6 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwise.stats import (
+    LOGLIK_TOLERANCE,
+    MAX_IRLS_ITERATIONS,
+    LogisticFit,
+    _log_likelihood,
+    _perfectly_separated,
+    _sigmoid,
     entropy,
     fit_univariate_logistic,
     simpson_integrate,
@@ -177,3 +183,68 @@ def test_logistic_fit_matches_scipy_oracle(seed):
     assert fit.alpha == pytest.approx(want_alpha, abs=1e-6)
     assert fit.beta == pytest.approx(want_beta, abs=1e-6)
     assert fit.p_value == pytest.approx(want_p, abs=1e-6)
+
+
+def recomputing_logistic(x, y):
+    """The fit with the IRLS loop that recomputes the probabilities at the
+    top of every iteration and again after convergence."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    failed = LogisticFit(alpha=math.nan, beta=math.nan, p_value=1.0, converged=False)
+    if np.ptp(x) == 0.0 or _perfectly_separated(x, y):
+        return failed
+    design = np.column_stack([np.ones_like(x), x])
+    base_rate = float(np.mean(y))
+    coef = np.array([math.log(base_rate / (1.0 - base_rate)), 0.0])
+    loglik = _log_likelihood(y, _sigmoid(design @ coef))
+    converged = False
+    for _ in range(MAX_IRLS_ITERATIONS):
+        p = _sigmoid(design @ coef)
+        weights = np.clip(p * (1.0 - p), 1e-12, None)
+        gradient = design.T @ (y - p)
+        hessian = (design.T * weights) @ design
+        try:
+            step = np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError:
+            return failed
+        coef = coef + step
+        new_loglik = _log_likelihood(y, _sigmoid(design @ coef))
+        if abs(new_loglik - loglik) < LOGLIK_TOLERANCE:
+            converged = True
+            break
+        loglik = new_loglik
+    if not converged:
+        return failed
+    p = _sigmoid(design @ coef)
+    weights = np.clip(p * (1.0 - p), 1e-12, None)
+    try:
+        covariance = np.linalg.inv((design.T * weights) @ design)
+    except np.linalg.LinAlgError:
+        return failed
+    se_beta = math.sqrt(max(covariance[1, 1], 0.0))
+    if not math.isfinite(se_beta) or se_beta == 0.0:
+        return failed
+    z = coef[1] / se_beta
+    p_value = math.erfc(abs(z) / math.sqrt(2.0))
+    return LogisticFit(
+        alpha=float(coef[0]), beta=float(coef[1]), p_value=p_value, converged=True
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+            st.integers(0, 1),
+        ),
+        min_size=2,
+        max_size=60,
+    ).filter(lambda rows: len({label for _, label in rows}) == 2)
+)
+@settings(max_examples=300, deadline=None)
+def test_logistic_fit_matches_the_recomputing_loop_bit_for_bit(rows):
+    x = [value for value, _ in rows]
+    y = [label for _, label in rows]
+    assert repr(fit_univariate_logistic(x, y)) == repr(recomputing_logistic(x, y))
