@@ -58,6 +58,7 @@ from .planners import (
 from .bellwether import (
     BellwetherReport,
     discover,
+    exemplar_train,
     g_score,
 )
 from .evaluate import (
@@ -87,7 +88,7 @@ __all__ = [
     "compliance_rate", "make_planner", "oliveira_thresholds", "plan_targets",
     "shatnawi_thresholds", "suggest_refactorings", "threshold_plan", "varl",
     "weighted_percentile", "xtree_plan",
-    "BellwetherReport", "discover", "g_score",
+    "BellwetherReport", "discover", "exemplar_train", "g_score",
     "ChangesSummary", "CurvePoint", "KTestResult", "changes_count",
     "evaluate_windows", "ktest", "overlap",
     "refactorings",

@@ -3,7 +3,9 @@
 A community's exemplar ("bellwether") is the project whose pooled data
 trains the best defect predictor for the other projects. Cross-project
 plans then come from ``make_planner("belltree")`` fitted on that
-exemplar's pooled data instead of local history.
+exemplar's pooled data instead of local history. ``exemplar_train`` finds
+that exemplar without the target, so belltree never trains on what it is
+scored on.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import asdict, dataclass
 from statistics import median
 from typing import Optional
 
-from .datasets import Community, VersionedDataset, pool_versions
+from .datasets import Community, Project, VersionedDataset, pool_versions
 from .tree import build_tree, fit_bins, predict_defective
 
 
@@ -131,3 +133,19 @@ def discover(
         bellwether=bellwether,
         quality_measure=quality_measure,
     )
+
+
+def exemplar_train(
+    community: Community, target: Project, quality_measure: str = "g-score"
+) -> VersionedDataset:
+    """The pooled exemplar that belltree trains on to plan for ``target``: the
+    bellwether of the other projects, leaving out any project named like the
+    target or holding one of its releases. At least two must remain."""
+    others = tuple(
+        p for p in community.projects
+        if p.name != target.name and not any(v in target.versions for v in p.versions)
+    )
+    if len(others) < 2:
+        raise ValueError(f"belltree needs two community projects besides {target.name}")
+    candidates = Community(others)
+    return pool_versions(candidates.get(discover(candidates, quality_measure).bellwether))

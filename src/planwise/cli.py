@@ -20,11 +20,10 @@ from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
-from .bellwether import QUALITY_MEASURES, discover
+from .bellwether import QUALITY_MEASURES, discover, exemplar_train
 from .datasets import (
     DatasetError,
     METRICS,
-    Community,
     VersionedDataset,
     _check_epsilon,
     load_community,
@@ -239,32 +238,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     community = None
     if "belltree" in names or not args.project_dir:
         community = load_community(args.community)
-    if args.project_dir:
-        project = load_project(sorted(Path(args.project_dir).glob("*.csv")))
-    else:
-        try:
-            project = community.get(args.target)
-        except KeyError:
-            print(
-                f"planwise: no project {args.target!r} in the community "
-                f"(have: {', '.join(community.project_names())})",
-                file=sys.stderr,
-            )
-            return EXIT_FAILURE
+    project = (load_project(sorted(Path(args.project_dir).glob("*.csv")))
+               if args.project_dir else community.get(args.target))
     windows(project)  # too few releases and a bad epsilon fail here, before discovery
     _check_epsilon(args.epsilon)
     belltree_train = None
     if "belltree" in names:
-        # Leave the target out: the exemplar serves the other projects, so
-        # belltree never trains on the releases it is scored against.
-        others = tuple(p for p in community.projects if p.name != project.name)
-        if len(others) < 2:
-            raise ValueError(
-                f"belltree needs two community projects besides {project.name}"
-            )
-        candidates = Community(others)
-        report = discover(candidates, quality_measure=args.quality_measure)
-        belltree_train = pool_versions(candidates.get(report.bellwether))
+        belltree_train = exemplar_train(community, project, args.quality_measure)
 
     rows = []
     for name in names:

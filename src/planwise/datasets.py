@@ -126,7 +126,8 @@ class Community:
         for p in self.projects:
             if p.name == name:
                 return p
-        raise KeyError(name)
+        have = ", ".join(self.project_names())
+        raise DatasetError(f"no project {name!r} in the community (have: {have})")
 
 
 def _normalize_header(name: str) -> str:
@@ -165,6 +166,8 @@ def load_csv(path: str | Path) -> VersionedDataset:
     project and the last is the class), and a defect column (``bug``,
     ``bugs``, or ``defects``). Extra columns are ignored with a warning.
     Metric and defect cells must be finite numbers, and the file UTF-8 text.
+    Every non-blank ``project`` or ``version`` cell must name the same label;
+    the file name supplies a label that no cell holds.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -206,8 +209,12 @@ def load_csv(path: str | Path) -> VersionedDataset:
         if extra:
             warnings.warn(f"{path}: ignoring extra columns {extra}", stacklevel=2)
 
-        project = None
-        version = None
+        # Each non-blank project or version cell must repeat the column's first
+        # label; a cell equal to the previous row's was checked already.
+        columns = (("project", project_col), ("version", version_col))
+        label_cols = [(kind, i) for kind, i in columns if i is not None]
+        labels: dict[str, str] = {}
+        last_cells: dict[str, str] = {}
         records: list[ClassRecord] = []
         seen: set[str] = set()
         # The metric cells, then the defect cell. Each distinct cell text is
@@ -228,10 +235,16 @@ def load_csv(path: str | Path) -> VersionedDataset:
                     f"{path}: row {row_no}: duplicate class name {class_name!r}"
                 )
             seen.add(class_name)
-            if project_col is not None and project is None:
-                project = row[project_col].strip()
-            if version_col is not None and version is None:
-                version = row[version_col].strip()
+            for kind, i in label_cols:
+                cell = row[i]
+                if cell != last_cells.get(kind):
+                    last_cells[kind] = cell
+                    label = cell.strip()
+                    if label and labels.setdefault(kind, label) != label:
+                        raise DatasetError(
+                            f"{path}: row {row_no}: {kind} label {label!r} differs "
+                            f"from {labels[kind]!r} in an earlier row"
+                        )
 
             values = []
             for column, i in number_cols:
@@ -251,6 +264,7 @@ def load_csv(path: str | Path) -> VersionedDataset:
 
     if not records:
         raise DatasetError(f"{path}: empty dataset")
+    project, version = labels.get("project"), labels.get("version")
     if not project or not version:  # a blank cell holds no label
         stem_project, stem_version = _split_stem(path.stem)
         project = project or stem_project

@@ -1,9 +1,19 @@
 import gc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planwise import bellwether
-from planwise.bellwether import discover, g_score
+from planwise.bellwether import (
+    QUALITY_MEASURES,
+    discover,
+    exemplar_train,
+    f1_score,
+    g_score,
+    precision_score,
+    recall_score,
+)
 from planwise.datasets import ClassRecord, Community, Project, pool_versions
 from planwise.planners import XTreePlanner, make_planner
 from planwise.tree import predict_defective
@@ -20,6 +30,37 @@ class TestGScore:
 
     def test_half_recall_no_alarms(self):
         assert g_score(tp=5, fp=0, tn=5, fn=5) == pytest.approx(2.0 / 3.0)
+
+
+class TestOtherQualityMeasures:
+    def test_closed_forms_on_hand_made_counts(self):
+        counts = dict(tp=3, fp=1, tn=4, fn=2)
+        assert precision_score(**counts) == 0.75
+        assert recall_score(**counts) == 0.6
+        assert f1_score(**counts) == pytest.approx(2 * 0.75 * 0.6 / 1.35)
+
+    @pytest.mark.parametrize(
+        "measure, counts",
+        [
+            (precision_score, dict(tp=0, fp=0, tn=4, fn=2)),  # nothing predicted
+            (recall_score, dict(tp=0, fp=3, tn=4, fn=0)),  # nothing defective
+            (f1_score, dict(tp=0, fp=3, tn=4, fn=2)),  # precision + recall is 0
+            (f1_score, dict(tp=0, fp=0, tn=4, fn=0)),  # both denominators are 0
+        ],
+    )
+    def test_a_zero_denominator_scores_zero(self, measure, counts):
+        assert measure(**counts) == 0.0
+
+    @given(*[st.integers(0, 50)] * 4)
+    def test_f1_is_twice_tp_over_twice_tp_plus_fp_plus_fn(self, tp, fp, tn, fn):
+        denominator = 2 * tp + fp + fn
+        assert f1_score(tp, fp, tn, fn) == pytest.approx(
+            2 * tp / denominator if denominator else 0.0
+        )
+
+    def test_every_measure_is_registered_by_name(self):
+        assert QUALITY_MEASURES == {"g-score": g_score, "f1": f1_score,
+                                    "recall": recall_score, "precision": precision_score}
 
 
 class TestDiscover:
@@ -135,6 +176,54 @@ class TestDiscover:
         doc = report.to_dict()
         assert doc["bellwether"] == "exemplar"
         assert set(doc["scores"]) == {"alpha", "beta", "exemplar"}
+
+
+def record_keys(dataset):
+    return {(r.class_name, tuple(r.metrics.items()), r.defects) for r in dataset.records}
+
+
+class TestExemplarTrain:
+    def test_no_record_of_the_target_reaches_the_training_set(self):
+        community = planted_community(seed=7)
+        target = community.get("exemplar")
+        assert discover(community).bellwether == "exemplar"
+        train = exemplar_train(community, target)
+        others = Community((community.get("alpha"), community.get("beta")))
+        assert train == pool_versions(others.get(discover(others).bellwether))
+        assert not record_keys(train) & record_keys(pool_versions(target))
+
+    def test_a_copy_of_the_target_under_another_name_is_left_out(self):
+        # A target loaded from its own directory is named by its CSV label,
+        # while the community names the same releases by directory.
+        community = planted_community(seed=7)
+        target = community.get("exemplar")
+        renamed = Project("apache-exemplar", target.versions)
+        copies = Community((community.get("alpha"), community.get("beta"), renamed))
+        assert discover(copies).bellwether == "apache-exemplar"
+        train = exemplar_train(copies, Project("exemplar", target.versions))
+        assert train.project in {"alpha", "beta"}
+        assert not record_keys(train) & record_keys(pool_versions(target))
+
+    def test_measure_is_passed_to_discovery(self, monkeypatch):
+        community = planted_community(seed=7, n=60)
+        calls = []
+
+        def spy(candidates, quality_measure="g-score"):
+            calls.append((candidates.project_names(), quality_measure))
+            return discover(candidates, quality_measure)
+
+        monkeypatch.setattr(bellwether, "discover", spy)
+        exemplar_train(community, community.get("alpha"), "f1")
+        assert calls == [(["beta", "exemplar"], "f1")]
+
+    @pytest.mark.parametrize("kept", [("alpha",), ()])
+    def test_needs_two_other_projects(self, kept):
+        community = planted_community(seed=7, n=60)
+        target = community.get("exemplar")
+        small = Community((target, *map(community.get, kept)))
+        with pytest.raises(ValueError) as excinfo:
+            exemplar_train(small, target)
+        assert str(excinfo.value) == "belltree needs two community projects besides exemplar"
 
 
 class TestBelltreePlan:

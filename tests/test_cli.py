@@ -14,6 +14,7 @@ from planwise.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 from planwise.datasets import (
     METRICS,
     Community,
+    Project,
     load_community,
     pool_versions,
 )
@@ -321,7 +322,7 @@ class TestBelltreeEvaluation:
     ):
         calls = []
         monkeypatch.setattr(
-            "planwise.cli.discover", lambda *a, **k: calls.append(a) or discover(*a, **k)
+            "planwise.bellwether.discover", lambda *a, **k: calls.append(a) or discover(*a, **k)
         )
         (exemplar_community_dir / "exemplar" / "exemplar-3.csv").unlink()
         code = main(
@@ -345,7 +346,7 @@ class TestBelltreeEvaluation:
     ):
         calls = []
         monkeypatch.setattr(
-            "planwise.cli.discover", lambda *a, **k: calls.append(a) or discover(*a, **k)
+            "planwise.bellwether.discover", lambda *a, **k: calls.append(a) or discover(*a, **k)
         )
         argv = ["evaluate", "--planner", "belltree",
                 "--community", str(exemplar_community_dir), "--target", "alpha"]
@@ -354,6 +355,35 @@ class TestBelltreeEvaluation:
         assert calls == [] and not (tmp_path / "bad").exists()
         assert main([*argv, "--out-dir", str(tmp_path / "ok")]) == EXIT_OK
         assert len(calls) == 1
+
+    def test_a_renamed_copy_of_the_project_dir_is_left_out(
+        self, exemplar_community_dir, tmp_path, monkeypatch
+    ):
+        # --project-dir names the target by its CSV label, the community by
+        # directory: a copy of the target under another directory must not
+        # train belltree.
+        root = exemplar_community_dir
+        (root / "exemplar").rename(root / "apache-exemplar")
+        community = load_community(root)
+        others = Community((community.get("alpha"), community.get("beta")))
+        target = Project("exemplar", community.get("apache-exemplar").versions)
+        expected = evaluate_windows(
+            target, make_planner("belltree"),
+            train=pool_versions(others.get(discover(others).bellwether)),
+        )
+        calls = []
+        monkeypatch.setattr(
+            "planwise.bellwether.discover",
+            lambda c, *a, **k: calls.append(c.project_names()) or discover(c, *a, **k),
+        )
+        out_dir = tmp_path / "out"
+        code = main(["evaluate", "--planner", "belltree", "--community", str(root),
+                     "--project-dir", str(root / "apache-exemplar"),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        doc = json.loads((out_dir / "exemplar-1-2-3-belltree.json").read_text())
+        assert doc == dict(json.loads(json.dumps(expected[0].to_dict())), schema_version="1")
+        assert calls == [["alpha", "beta"]]
 
 
 class TestOtherCommands:
@@ -694,6 +724,14 @@ class TestNumpyLoadsOnlyWhereUsed:
             assert not run_fresh(argv + ["--out", str(out)]), name
             assert out.exists()
 
+    def test_belltree_evaluation_never_imports_numpy(self, exemplar_community_dir, tmp_path):
+        out_dir = tmp_path / "out"
+        assert not run_fresh([
+            "evaluate", "--planner", "belltree", "--community", str(exemplar_community_dir),
+            "--target", "exemplar", "--out-dir", str(out_dir),
+        ])
+        assert (out_dir / "exemplar-1-2-3-belltree.json").exists()
+
     def test_oliveira_thresholds_do_import_numpy(self, toy_project_dir, tmp_path):
         out = tmp_path / "rules.json"
         assert run_fresh([
@@ -715,8 +753,9 @@ class TestEvaluateEdgeCases:
             ]
         )
         assert code == EXIT_FAILURE
-        err = capsys.readouterr().err
-        assert "durian" in err and "apple" in err
+        assert capsys.readouterr().err == (
+            "planwise: no project 'durian' in the community (have: apple, berry)\n"
+        )
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
     @pytest.mark.parametrize("from_env", [False, True])

@@ -267,6 +267,33 @@ class TestLoadCsv:
         project = load_project(paths[::-1])
         assert [v.version for v in project.versions] == ["1.3", "1.4"]
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([("A", "ant", "1.3"), ("B", "ant", "1.4"), ("C", "camel", "1.3")],
+             "row 3: version label '1.4' differs from '1.3'"),
+            ([("A", "ant", "1.3"), ("B", "ant", "1.3"), ("C", "camel", "1.3")],
+             "row 4: project label 'camel' differs from 'ant'"),
+            ([("A", "ant", ""), ("B", "ant", "1.4"), ("C", " ant ", "1.5")],
+             "row 4: version label '1.5' differs from '1.4'"),
+        ],
+    )
+    def test_rows_naming_another_release_are_rejected(self, tmp_path, rows, error):
+        path = tmp_path / "mix-9.9.csv"
+        write_rows(path, [jureczko_row(cls, project=project, version=version)
+                          for cls, project, version in rows])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: {error} in an earlier row"
+
+    def test_a_blank_first_label_takes_the_next_rows_label(self, tmp_path):
+        path = tmp_path / "mix-9.9.csv"
+        rows = [("A", " ", ""), ("B", "ant", "1.4"), ("C", "", " 1.4"), ("D", "ant ", "")]
+        write_rows(path, [jureczko_row(cls, project=project, version=version)
+                          for cls, project, version in rows])
+        ds = load_csv(path)
+        assert (ds.project, ds.version, len(ds)) == ("ant", "1.4", 4)
+
     def test_roundtrip_is_identity_on_records(self, tmp_path):
         records = [
             make_record("A", defects=2, loc=120.5, wmc=7, avg_cc=1.25),
@@ -298,6 +325,15 @@ class TestValidation:
     def test_community_requires_projects(self):
         with pytest.raises(DatasetError):
             Community(())
+
+    def test_community_get_names_the_projects_it_has(self):
+        ant = make_project([make_dataset([make_record("A")])], name="ant")
+        ivy = make_project([make_dataset([make_record("B")])], name="ivy")
+        community = Community((ant, ivy))
+        assert community.get("ivy") is ivy
+        with pytest.raises(DatasetError) as excinfo:
+            community.get("camel")
+        assert str(excinfo.value) == "no project 'camel' in the community (have: ant, ivy)"
 
     def test_community_rejects_duplicate_project_names(self):
         # A report would list "ant" twice but score it once.
