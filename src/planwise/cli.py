@@ -15,7 +15,9 @@ import csv
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from dataclasses import asdict
+from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -60,24 +62,37 @@ def _env(name: str, fallback):
     return os.environ.get(f"PLANWISE_{name}", fallback)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Atomic write: publish the file only once fully written."""
+# Encoder chunks held before each write: a document is never whole in memory.
+_BATCH = 4096
+
+
+def _publish(path: Path, body) -> None:
+    """Atomic write: ``body(write)`` fills a temp file beside ``path``, renamed
+    into place once complete and with the mode ``open(path, "w")`` would give."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates its files 0600
+            body(fh.write)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int) -> None:
+def _write_text(path: Path, text: str) -> None:
+    _publish(path, lambda write: write(text))
+
+
+def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int, write) -> None:
     """Append ``value``'s JSON text at nesting ``depth`` to ``chunks``, as
     ``json.dumps(value, indent=2, sort_keys=True)`` writes it, but raising
-    TypeError for a non-``str`` key. ``lines[d]`` holds depth ``d``'s newline
-    and indent, bare and after a comma; each depth's pair is built once."""
+    TypeError for a non-``str`` key and writing an iterator as a list, and
+    passing ``chunks`` on to ``write`` in batches. ``lines[d]`` holds depth
+    ``d``'s newline and indent, bare and after a comma; each is built once."""
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
@@ -89,11 +104,10 @@ def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int) 
             "NaN" if value != value else "Infinity" if value == INFINITY
             else "-Infinity" if value == -INFINITY else float.__repr__(value)
         )
-    elif isinstance(value, (dict, list, tuple)):
+    else:
         is_dict = isinstance(value, dict)
-        if not value:
-            chunks.append("{}" if is_dict else "[]")
-            return
+        if not (is_dict or isinstance(value, (list, tuple)) or isinstance(value, Iterator)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         if len(lines) == depth + 1:
             line = lines[depth][0] + "  "
             lines.append((line, "," + line))
@@ -107,28 +121,34 @@ def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int) 
                     raise TypeError(f"keys must be str, not {type(item).__name__}")
                 chunks.append(encode_basestring_ascii(item) + ": ")
                 item = value[item]
-            _encode(item, chunks, lines, depth + 1)
-        chunks += (lines[depth][0], "}" if is_dict else "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            _encode(item, chunks, lines, depth + 1, write)
+            if len(chunks) > _BATCH:
+                write("".join(chunks))
+                chunks.clear()
+        if line == comma_line:
+            chunks += (lines[depth][0], "}" if is_dict else "]")
+        else:  # no item: the opening bracket is still the last chunk
+            chunks[-1] = "{}" if is_dict else "[]"
 
 
 def _write_json(path: Path, doc: dict) -> None:
     """``doc`` plus ``schema_version``, with sorted keys and a two-space indent:
-    the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline."""
-    chunks: list[str] = []
-    _encode(dict(doc, schema_version=SCHEMA_VERSION), chunks, [("\n", ",\n")], 0)
-    chunks.append("\n")
-    text = "".join(chunks)
-    del chunks  # free the pieces before the write
-    _write_text(path, text)
+    the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline,
+    an iterator in ``doc`` written as the list it yields."""
+    def body(write) -> None:
+        chunks: list[str] = []
+        _encode(dict(doc, schema_version=SCHEMA_VERSION), chunks, [("\n", ",\n")], 0, write)
+        chunks.append("\n")
+        write("".join(chunks))
+    _publish(path, body)
 
 
 def _write_csv(path: Path, rows) -> None:
-    """LF-terminated CSV; a None cell is empty and a float its repr."""
-    lines: list[str] = []  # CRLF rows, so a cell holding a bare CR is quoted
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
-    _write_text(path, "".join(line[:-2] + "\n" for line in lines))
+    """LF-terminated CSV, written row by row; a None cell is empty, a float its repr."""
+    def body(write) -> None:  # CRLF rows, so a cell holding a bare CR is quoted
+        out = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
+        csv.writer(out, lineterminator="\r\n").writerows(rows)
+    _publish(path, body)
 
 
 # Every planner option by --help group: name -> (type, default, help); a
@@ -184,19 +204,20 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     planner.fit(train)
     plans = planner.plan_all(test)
 
+    # Generators: each row or entry lives only while it is written.
     if args.format == "csv":
-        rows = [[plan.class_name, *(plan.actions[m].direction for m in METRICS),
-                 ";".join(suggest_refactorings(plan))] for plan in plans]
-        _write_csv(Path(args.out), [["class_name", *METRICS, "refactorings"], *rows])
+        rows = ([plan.class_name, *(plan.actions[m].direction for m in METRICS),
+                 ";".join(suggest_refactorings(plan))] for plan in plans)
+        _write_csv(Path(args.out), chain([["class_name", *METRICS, "refactorings"]], rows))
     else:
         _write_json(Path(args.out), {
             "planner": args.planner,
             "train": [str(p) for p in args.train],
             "test": str(args.test),
-            "plans": [
+            "plans": (
                 dict(plan.to_dict(), refactorings=suggest_refactorings(plan))
                 for plan in plans
-            ],
+            ),
         })
     return EXIT_OK
 
@@ -238,8 +259,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     community = None
     if "belltree" in names or not args.project_dir:
         community = load_community(args.community)
-    project = (load_project(sorted(Path(args.project_dir).glob("*.csv")))
-               if args.project_dir else community.get(args.target))
+    if args.project_dir:
+        project_dir = Path(args.project_dir)
+        paths = sorted(project_dir.glob("*.csv"))
+        if not paths:
+            state = ("holds no version CSVs" if project_dir.is_dir()
+                     else "is not a directory" if project_dir.exists() else "does not exist")
+            raise DatasetError(f"project directory {project_dir} {state}")
+        project = load_project(paths)
+    else:
+        project = community.get(args.target)
     windows(project)  # too few releases and a bad epsilon fail here, before discovery
     _check_epsilon(args.epsilon)
     belltree_train = None

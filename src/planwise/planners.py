@@ -27,7 +27,7 @@ from .datasets import (
     ClassRecord,
     VersionedDataset,
 )
-from .refactorings import table as refactoring_table
+from .refactorings import SHARED_METRICS, table as refactoring_table
 from .stats import LogisticFit, fit_univariate_logistic
 from .tree import (
     DEFAULT_MAX_DEPTH,
@@ -414,21 +414,16 @@ def suggest_refactorings(plan: Plan) -> list[str]:
     match on the shared metrics, with fewer unmatched signature entries and
     catalog order breaking ties. Rows matching nothing are omitted.
     """
-    active = {
-        m: a.direction
-        for m, a in plan.actions.items()
-        if a.direction != NO_CHANGE
-    }
+    actions = plan.actions
     ranked = []
     for position, row in enumerate(refactoring_table()):
-        shared = row.shared_signature()
-        if not row.signature:
-            continue
-        matches = sum(1 for m, sign in shared.items() if active.get(m) == sign)
-        if matches == 0:
-            continue
-        unmatched = len(shared) - matches
-        ranked.append((-matches, unmatched, position, row.name))
+        shared = matches = 0
+        for metric, sign in row.signature.items():
+            if metric in SHARED_METRICS:
+                shared += 1
+                matches += actions[metric].direction == sign
+        if matches:
+            ranked.append((-matches, shared - matches, position, row.name))
     ranked.sort()
     return [name for *_, name in ranked]
 

@@ -789,6 +789,28 @@ class TestEvaluateEdgeCases:
         assert code == EXIT_FAILURE
         assert "no version CSVs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, state", [
+        ("missing", "does not exist"),
+        ("empty", "holds no version CSVs"),
+        ("other-files", "holds no version CSVs"),
+        ("a-file", "is not a directory"),
+    ])
+    def test_a_project_dir_without_csvs_is_named(self, tmp_path, capsys, case, state):
+        project_dir = tmp_path / case
+        if case == "a-file":
+            project_dir.write_text("name,bug\n")
+        elif case != "missing":
+            project_dir.mkdir()
+        if case == "other-files":
+            (project_dir / "notes.txt").write_text("no releases here\n")
+            (project_dir / "old").mkdir()
+            write_csv(toy_version("1.0", 0), project_dir / "old" / "toy-1.0.csv")
+        code = main(["evaluate", "--planner", "all", "--project-dir", str(project_dir),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == f"planwise: project directory {project_dir} {state}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestReleaseLabels:
     def test_plan_trains_on_numbered_and_named_releases(self, tmp_path):

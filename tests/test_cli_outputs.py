@@ -12,13 +12,17 @@ import gc
 import hashlib
 import json
 import math
+import os
+import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from planwise.cli import EXIT_OK, _write_json, main
+import planwise.cli
+from planwise.cli import EXIT_FAILURE, EXIT_OK, _write_csv, _write_json, _write_text, main
 from planwise.datasets import METRICS, pool_versions
 from planwise.planners import make_planner, suggest_refactorings
 
@@ -237,3 +241,176 @@ class TestJsonWriter:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# Each list or tuple of a document may reach the writer as any of these.
+STREAMS = {
+    "list": list,
+    "iter": iter,
+    "map": lambda items: map(lambda item: item, items),
+    "generator": lambda items: (item for item in items),
+}
+
+
+def _streamed(value, draw):
+    """``value`` with every list and tuple swapped for a drawn kind of stream."""
+    if isinstance(value, dict):
+        return {key: _streamed(item, draw) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_streamed(item, draw) for item in value]
+        return STREAMS[draw(st.sampled_from(sorted(STREAMS)))](items)
+    return value
+
+
+def plan_shaped(i: int) -> dict:
+    """A fresh dict shaped like one entry of a plan document."""
+    actions = {metric: {"action": "."} for metric in METRICS}
+    actions["loc"] = {"action": "-", "target_low": 1.5 * i, "target_high": 2.5 * i,
+                      "suggested": 2.0 * i}
+    return {"class_name": f"org.example.Class{i}", "planner": "xtree",
+            "actions": actions, "refactorings": ["Inline Temp", "Replace Assignment"]}
+
+
+class TestStreamedJson:
+    """An iterator is written as the list it yields, straight into the file."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.dictionaries(TEXT, DOCUMENTS), data=st.data())
+    def test_text_is_that_of_json_dumps_of_the_lists(self, tmp_path, doc, data):
+        path = tmp_path / "doc.json"
+        _write_json(path, _streamed(doc, data.draw))
+        expected = json.dumps(dict(doc, schema_version="1"), indent=2, sort_keys=True)
+        assert path.read_bytes() == (expected + "\n").encode("ascii")
+
+    def test_empty_iterators_at_any_depth(self, tmp_path):
+        path = tmp_path / "doc.json"
+        _write_json(path, {
+            "a": iter([]), "b": (x for x in [iter(()), [], {}]),
+            "c": map(dict, [[("d", iter([]))]]),
+        })
+        expected = {"a": [], "b": [[], [], {}], "c": [{"d": []}], "schema_version": "1"}
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        lambda: {"a": iter([{1, 2}])}, lambda: {"a": (x for x in [b"bytes"])},
+        lambda: {"a": iter([{1: 0}])}, lambda: {"a": iter(["ok", iter([object()])])},
+        lambda: {"a": range(3)}, lambda: {"a": {}.keys()},
+    ], ids=["set", "bytes", "int-key", "object", "range", "keys-view"])
+    def test_a_set_bytes_or_non_iterator_inside_is_a_type_error(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "doc.json", doc())
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("failure", ["raise", "object"])
+    def test_a_failure_mid_document_publishes_nothing(self, tmp_path, failure):
+        # Enough entries come first that several batches reach the temp file.
+        path = tmp_path / "plans.json"
+        path.write_bytes(b"earlier bytes\n")
+
+        def entries():
+            yield from (plan_shaped(i) for i in range(1500))
+            if failure == "raise":
+                raise ValueError("no plan for class 1500")
+            yield {"actions": {"loc": [1.0, {"x": object()}]}}
+
+        with pytest.raises(ValueError if failure == "raise" else TypeError):
+            _write_json(path, {"plans": entries()})
+        assert path.read_bytes() == b"earlier bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_failed_plan_command_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        history = tie_heavy_history()
+        for k, version in enumerate(history.versions[:2]):
+            write_csv(version, tmp_path / f"v{k}.csv")
+        calls = []
+
+        def failing(plan):
+            calls.append(plan)
+            if len(calls) == 5:
+                raise ValueError("no refactoring for this plan")
+            return suggest_refactorings(plan)
+
+        monkeypatch.setattr(planwise.cli, "suggest_refactorings", failing)
+        for fmt in ("json", "csv"):
+            calls.clear()
+            out = tmp_path / "out" / f"plans.{fmt}"
+            code = main(["plan", "--planner", "xtree", "--train", str(tmp_path / "v0.csv"),
+                         "--test", str(tmp_path / "v1.csv"), "--out", str(out),
+                         "--format", fmt])
+            assert code == EXIT_FAILURE
+            assert capsys.readouterr().err == "planwise: no refactoring for this plan\n"
+            assert not list((tmp_path / "out").glob("*"))
+
+    def test_writing_a_generator_plan_document_leaves_no_garbage(self, tmp_path):
+        history = tie_heavy_history()
+        planner = make_planner("xtree").fit(pool_versions(history))
+        plans = planner.plan_all(history.versions[3])
+        gc.collect()
+        gc.disable()
+        try:
+            _write_json(tmp_path / "plans.json", {"plans": (
+                dict(p.to_dict(), refactorings=suggest_refactorings(p)) for p in plans)})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_streamed_document_is_never_whole_in_memory(self, tmp_path):
+        # Python 3.11, 4,000 entries (5.3 MB of JSON): a traced peak of about
+        # 46 MiB when the entries were a list joined into one text, about
+        # 0.2 MiB when they stream from a generator in batches.
+        path = tmp_path / "plans.json"
+        _write_json(path, {"plans": [plan_shaped(0)]})  # warm up lazy set-up
+        tracemalloc.start()
+        try:
+            _write_json(path, {"plans": (plan_shaped(i) for i in range(4000))})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 5_000_000
+        assert peak < 2 * 2**20
+
+
+class TestStreamedCsv:
+    def test_an_iterator_of_rows_writes_the_bytes_of_the_list(self, tmp_path):
+        rows = [["name", "value"], ["a,b", 1.5], ["c\rd", None], ['e"f', 2]]
+        _write_csv(tmp_path / "list.csv", rows)
+        _write_csv(tmp_path / "iter.csv", (row for row in rows))
+        assert (tmp_path / "iter.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        assert (tmp_path / "iter.csv").read_bytes().count(b"\n") == 4
+
+    def test_a_failing_row_publishes_nothing(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"earlier bytes\n")
+
+        def rows():
+            yield from ([str(i), i] for i in range(20000))
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError):
+            _write_csv(path, rows())
+        assert path.read_bytes() == b"earlier bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+WRITERS = {
+    "json": lambda path: _write_json(path, {"a": 1}),
+    "csv": lambda path: _write_csv(path, [["a"], [1]]),
+    "text": lambda path: _write_text(path, "a\n"),
+}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_an_output_takes_the_mode_of_a_plain_open(tmp_path, umask, writer):
+    # mkstemp creates its files 0600, so outputs were once private to the
+    # owner whatever the umask.
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        WRITERS[writer](tmp_path / "out")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask

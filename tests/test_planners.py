@@ -780,6 +780,47 @@ class TestSuggestRefactorings:
         assert "Hide Method" not in suggestions
         assert "Reverse Conditional" not in suggestions
 
+    @settings(max_examples=300, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["keep", "fresh", INCREASE, DECREASE]),
+                          min_size=len(METRICS), max_size=len(METRICS)))
+    @example(kinds=["fresh"] * len(METRICS))
+    def test_matches_the_two_pass_reference(self, kinds):
+        # Each metric holds the shared no-change Action, a fresh no-change
+        # Action(), or a fresh increase/decrease with a target range.
+        actions = {}
+        for metric, kind in zip(METRICS, kinds):
+            if kind == "keep":
+                actions[metric] = planners._KEEP
+            elif kind == "fresh":
+                actions[metric] = Action(NO_CHANGE)
+            else:
+                actions[metric] = Action(kind, target_range=(0.0, 1.0))
+        plan = Plan("c", actions, "test")
+        assert suggest_refactorings(plan) == reference_suggest_refactorings(plan)
+
+    def test_builds_the_catalog_once_per_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, planners, "refactoring_table")
+        suggest_refactorings(plan_with({"loc": "-"}))
+        suggest_refactorings(plan_with({}))
+        assert len(calls) == 2
+
+
+def reference_suggest_refactorings(plan: Plan) -> list[str]:
+    """The ranking as first written: a dict of the plan's active directions,
+    matched against each catalog row's shared signature."""
+    active = {m: a.direction for m, a in plan.actions.items() if a.direction != NO_CHANGE}
+    ranked = []
+    for position, row in enumerate(planners.refactoring_table()):
+        shared = row.shared_signature()
+        if not row.signature:
+            continue
+        matches = sum(1 for m, sign in shared.items() if active.get(m) == sign)
+        if matches == 0:
+            continue
+        ranked.append((-matches, len(shared) - matches, position, row.name))
+    ranked.sort()
+    return [name for *_, name in ranked]
+
 
 class TestPlannerInterface:
     def test_factory_builds_each_planner(self):
