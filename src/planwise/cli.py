@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-import tempfile
 from collections.abc import Iterator
 from dataclasses import asdict
 from itertools import chain
@@ -67,15 +66,14 @@ _BATCH = 4096
 
 
 def _publish(path: Path, body) -> None:
-    """Atomic write: ``body(write)`` fills a temp file beside ``path``, renamed
-    into place once complete and with the mode ``open(path, "w")`` would give."""
+    """Atomic write: ``body(write)`` fills a temp file beside ``path``, created
+    as ``open(path, "w")`` creates a file (so the kernel applies the umask or
+    the directory's default ACL), and renamed into place once complete."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates its files 0600
             body(fh.write)
         os.replace(tmp, path)
     except BaseException:
@@ -257,8 +255,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     community = None
-    if "belltree" in names or not args.project_dir:
-        community = load_community(args.community)
     if args.project_dir:
         project_dir = Path(args.project_dir)
         paths = sorted(project_dir.glob("*.csv"))
@@ -268,11 +264,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             raise DatasetError(f"project directory {project_dir} {state}")
         project = load_project(paths)
     else:
+        community = load_community(args.community)
         project = community.get(args.target)
     windows(project)  # too few releases and a bad epsilon fail here, before discovery
     _check_epsilon(args.epsilon)
     belltree_train = None
     if "belltree" in names:
+        community = community or load_community(args.community)
         belltree_train = exemplar_train(community, project, args.quality_measure)
 
     rows = []

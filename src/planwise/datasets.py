@@ -97,8 +97,8 @@ class Project:
 
     name: str
     versions: tuple[VersionedDataset, ...]
-    # Each window's developer diff, its matched classes' no-change counts and
-    # release k's ``by_name()``, memoised by ``ktest`` by (j, k, epsilon).
+    # Each window's matched classes: name -> (developer moves, their no-change
+    # count, defects in release k), memoised by ``ktest`` by (j, k, epsilon).
     diffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:

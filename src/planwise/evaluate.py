@@ -183,13 +183,12 @@ def ktest(
         project.versions[k],
     )
     if (j, k, epsilon) not in project.diffs:  # once per window, for every planner
-        developer = diff_versions(version_j, version_k, epsilon)
-        unchanged = {
-            name: list(moves.values()).count(NO_CHANGE)
-            for name, moves in developer.items()
+        k_records = version_k.by_name()
+        project.diffs[j, k, epsilon] = {
+            name: (moves, list(moves.values()).count(NO_CHANGE), k_records[name].defects)
+            for name, moves in diff_versions(version_j, version_k, epsilon).items()
         }
-        project.diffs[j, k, epsilon] = developer, unchanged, version_k.by_name()
-    developer, unchanged, k_records = project.diffs[j, k, epsilon]
+    matched = project.diffs[j, k, epsilon]
     reduced = [0] * N_BUCKETS
     increased = [0] * N_BUCKETS
     classes = [0] * N_BUCKETS
@@ -203,15 +202,15 @@ def ktest(
             if action.direction != NO_CHANGE
         ]
         counts.append(len(changed))
-        moves = developer.get(rec.class_name)
-        if moves is None:
+        memo = matched.get(rec.class_name)
+        if memo is None:
             continue
-        agree = unchanged[rec.class_name]
+        moves, agree, k_defects = memo
         for metric, direction in changed:
             move = moves[metric]
             agree += (move == direction) - (move == NO_CHANGE)
         bucket = bucket_index(100.0 * agree / len(moves))
-        delta = rec.defects - k_records[rec.class_name].defects
+        delta = rec.defects - k_defects
         reduced[bucket] += max(0, delta)
         increased[bucket] += max(0, -delta)
         classes[bucket] += 1

@@ -356,6 +356,47 @@ class TestBelltreeEvaluation:
         assert main([*argv, "--out-dir", str(tmp_path / "ok")]) == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("case, message", [
+        pytest.param("missing", "project directory {dir} does not exist", id="missing"),
+        pytest.param("a-file", "project directory {dir} is not a directory", id="a-file"),
+        pytest.param("no-csv", "project directory {dir} holds no version CSVs", id="no-csv"),
+        pytest.param("two-releases", (
+            "exemplar has 2 release(s); evaluation trains on one, plans for the next, "
+            "and validates on a third, so at least 3 are required"), id="two-releases"),
+        pytest.param("bad-epsilon", "epsilon must be finite and >= 0, got nan",
+                     id="bad-epsilon"),
+    ])
+    def test_a_project_dir_target_fails_before_the_community_is_read(
+        self, exemplar_community_dir, tmp_path, capsys, monkeypatch, case, message
+    ):
+        # The community was once read first whenever belltree ran, so each of
+        # these failures waited on parsing every community CSV.
+        import shutil
+
+        calls = []
+        monkeypatch.setattr(
+            "planwise.cli.load_community", lambda *a: calls.append(a) or load_community(*a)
+        )
+        project_dir = tmp_path / "target"
+        if case == "a-file":
+            project_dir.write_text("name,bug\n")
+        elif case == "no-csv":
+            project_dir.mkdir()
+        elif case != "missing":
+            shutil.copytree(exemplar_community_dir / "exemplar", project_dir)
+        if case == "two-releases":
+            (project_dir / "exemplar-3.csv").unlink()
+        argv = ["evaluate", "--planner", "all", "--community", str(exemplar_community_dir),
+                "--project-dir", str(project_dir), "--out-dir", str(tmp_path / "out")]
+        if case == "bad-epsilon":
+            argv += ["--epsilon", "nan"]
+        assert main(argv) == EXIT_FAILURE
+        assert capsys.readouterr().err == f"planwise: {message.format(dir=project_dir)}\n"
+        assert calls == [] and not (tmp_path / "out").exists()
+        if case == "bad-epsilon":
+            assert main(argv[:-2]) == EXIT_OK
+            assert calls == [(str(exemplar_community_dir),)]
+
     def test_a_renamed_copy_of_the_project_dir_is_left_out(
         self, exemplar_community_dir, tmp_path, monkeypatch
     ):

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import stat
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -414,3 +415,63 @@ def test_an_output_takes_the_mode_of_a_plain_open(tmp_path, umask, writer):
         os.umask(old)
     mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
     assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_an_output_takes_the_mode_of_a_plain_open_under_a_default_acl(tmp_path, writer):
+    # A directory's default ACL takes the umask's place for files created in
+    # it. A chmod to 0666 & ~umask once overrode it: 0o644 here, where open()
+    # gives 0o664. The ACL is user::rwx group::rwx other::r-x (header version
+    # 2, then tag, permissions and an undefined id per entry).
+    acl = struct.pack("<I", 2) + b"".join(
+        struct.pack("<HHI", tag, perm, 0xFFFFFFFF)
+        for tag, perm in ((0x01, 0o7), (0x04, 0o7), (0x20, 0o5))
+    )
+    try:
+        os.setxattr(tmp_path, "system.posix_acl_default", acl)
+    except (AttributeError, OSError) as exc:
+        pytest.skip(f"no default ACL here: {exc}")
+    old = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        WRITERS[writer](tmp_path / "out")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o664
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_an_output_leaves_the_process_umask_alone(tmp_path, monkeypatch, writer):
+    # The umask is process-wide, and reading it means setting it: each output
+    # once set it twice.
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    WRITERS[writer](tmp_path / "out")
+    assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+    assert (tmp_path / "out").read_bytes()
+
+
+@pytest.mark.parametrize("squatter", ["file", "symlink"])
+def test_a_taken_temp_name_publishes_nothing(tmp_path, monkeypatch, squatter):
+    # The temp file is opened with O_EXCL, which opens no existing file and
+    # follows no symlink, so a taken name fails instead of being written.
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"victim bytes\n")
+    taken = tmp_path / ".out.json.000102030405"
+    if squatter == "file":
+        taken.write_bytes(b"squatter bytes\n")
+    else:
+        taken.symlink_to(victim)
+    with pytest.raises(FileExistsError):
+        _write_json(tmp_path / "out.json", {"a": 1})
+    assert not (tmp_path / "out.json").exists()
+    assert victim.read_bytes() == b"victim bytes\n"
+    if squatter == "file":
+        assert taken.read_bytes() == b"squatter bytes\n"
+    else:
+        assert taken.is_symlink()
