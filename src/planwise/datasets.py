@@ -10,6 +10,7 @@ import csv
 import math
 import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +22,9 @@ METRICS: tuple[str, ...] = (
 )
 
 METRIC_SET = frozenset(METRICS)
+
+# Each metric's position in ``METRICS``, and so in ``ClassRecord.values``.
+METRIC_INDEX: dict[str, int] = {metric: i for i, metric in enumerate(METRICS)}
 
 # Accepted header aliases for the defect-count column.
 DEFECT_ALIASES = ("bug", "bugs", "defects")
@@ -40,23 +44,47 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class ClassRecord:
-    """One code class: identifier, 20 metric values, raw defect count.
+    """One code class: identifier, its 20 metric values, raw defect count.
 
-    Slotted: a record holds no instance dict and takes no other attribute.
+    ``values`` is a tuple in ``METRICS`` order (``METRIC_INDEX`` maps a name
+    to its position); ``from_metrics`` builds a record from a name -> value
+    mapping. Frozen, slotted and holding only immutable fields, a record
+    cannot change once built, so the memos kept on its dataset and project
+    stay valid, and it is hashable.
     """
 
     class_name: str
-    metrics: dict[str, float]
+    values: tuple[float, ...]
     defects: int
 
     def __post_init__(self) -> None:
-        missing = METRIC_SET - self.metrics.keys()
-        if missing:
+        if not isinstance(self.values, tuple) or len(self.values) != len(METRICS):
+            got = (f"{len(self.values)} values" if isinstance(self.values, tuple)
+                   else type(self.values).__name__)
             raise DatasetError(
-                f"record {self.class_name!r} missing metrics: {sorted(missing)}"
+                f"record {self.class_name!r} needs a tuple of {len(METRICS)} "
+                f"metric values in METRICS order, got {got}"
             )
         if self.defects < 0:
             raise DatasetError(f"record {self.class_name!r} has negative defects")
+
+    @classmethod
+    def from_metrics(
+        cls, class_name: str, metrics: Mapping[str, float], defects: int
+    ) -> ClassRecord:
+        """A record from a metric name -> value mapping; other keys are ignored."""
+        missing = METRIC_SET - metrics.keys()
+        if missing:
+            raise DatasetError(
+                f"record {class_name!r} missing metrics: {sorted(missing)}"
+            )
+        return cls(class_name, tuple(map(metrics.__getitem__, METRICS)), defects)
+
+    @property
+    def metrics(self) -> dict[str, float]:
+        """A fresh name -> value dict in ``METRICS`` order; changing it
+        leaves the record as it was."""
+        return dict(zip(METRICS, self.values))
 
     def is_defective(self) -> bool:
         return self.defects > 0
@@ -69,7 +97,7 @@ class VersionedDataset:
     project: str
     version: str
     records: tuple[ClassRecord, ...]
-    # The planners' logistic screen, memoised: the records must not change.
+    # The planners' logistic screen, memoised; records cannot change, so it holds.
     screen: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -89,6 +117,11 @@ class VersionedDataset:
 
     def by_name(self) -> dict[str, ClassRecord]:
         return {r.class_name: r for r in self.records}
+
+    def column(self, metric: str) -> list[float]:
+        """One metric's values, in record order."""
+        i = METRIC_INDEX[metric]
+        return [r.values[i] for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -166,6 +199,8 @@ def load_csv(path: str | Path) -> VersionedDataset:
     project and the last is the class), and a defect column (``bug``,
     ``bugs``, or ``defects``). Extra columns are ignored with a warning.
     Metric and defect cells must be finite numbers, and the file UTF-8 text.
+    Each record keeps its metric values in one tuple in ``METRICS`` order,
+    and equal cell texts of a file share one float object.
     Every non-blank ``project`` or ``version`` cell must name the same label;
     the file name supplies a label that no cell holds.
     """
@@ -254,13 +289,12 @@ def load_csv(path: str | Path) -> VersionedDataset:
                     value = parsed[cell] = _parse_number(cell, path, row_no, column)
                 values.append(value)
             raw_defects = values.pop()
-            metrics = dict(zip(metric_cols, values))
             if raw_defects < 0 or raw_defects != int(raw_defects):
                 raise DatasetError(
                     f"{path}: row {row_no}: defect count must be a non-negative "
                     f"integer, got {raw_defects}"
                 )
-            records.append(ClassRecord(class_name, metrics, int(raw_defects)))
+            records.append(ClassRecord(class_name, tuple(values), int(raw_defects)))
 
     if not records:
         raise DatasetError(f"{path}: empty dataset")
@@ -337,7 +371,7 @@ def pool_versions(project: Project) -> VersionedDataset:
             name = rec.class_name
             if name in seen:
                 name = f"{version.version}:{name}"
-                rec = ClassRecord(name, rec.metrics, rec.defects)
+                rec = ClassRecord(name, rec.values, rec.defects)
             seen.add(name)
             records.append(rec)
     return VersionedDataset(project.name, "pooled", tuple(records))
@@ -368,10 +402,8 @@ def diff_versions(
         new_rec = new_by_name.get(name)
         if new_rec is None:
             continue
-        olds, news = old_rec.metrics, new_rec.metrics
         vector: ActionVector = {}
-        for metric in METRICS:
-            before, after = olds[metric], news[metric]
+        for metric, before, after in zip(METRICS, old_rec.values, new_rec.values):
             high, low = before * up, before * down
             if before < 0:
                 high, low = low, high

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from math import inf, isfinite, log2
 from operator import sub
 
@@ -59,11 +59,13 @@ def _group_by_value(
     values: Sequence[float], labels: Sequence[int]
 ) -> tuple[list[float], list[int], list[int]]:
     """Sorted distinct values as floats, with their negative and positive
-    counts; the first seen of two equal values (``-0.0``/``0.0``) stands for both."""
+    counts; the first seen of two equal values (``-0.0``/``0.0``) stands for both.
+    Positive counts are read with ``dict.get``: ``Counter.__getitem__`` would
+    call the Python-level ``__missing__`` for every value with no positive row."""
     totals = Counter(map(float, values))
     positives = Counter(map(float, compress(values, labels)))
     distinct = sorted(totals)
-    pos = list(map(positives.__getitem__, distinct))
+    pos = list(map(positives.get, distinct, repeat(0)))
     return distinct, list(map(sub, map(totals.__getitem__, distinct), pos)), pos
 
 

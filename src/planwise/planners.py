@@ -20,6 +20,7 @@ from .datasets import (
     ACTIONS,
     DECREASE,
     INCREASE,
+    METRIC_INDEX,
     METRICS,
     METRIC_SET,
     NO_CHANGE,
@@ -199,10 +200,10 @@ def xtree_plan(
 
     draws = iter(_draws(seed, len(desired.conditions)))
     actions = dict.fromkeys(METRICS, _KEEP)
+    values = record.values
     node = tree
-    for cond in desired.conditions:
-        bins = node.split_bins
-        idx = apply_bins(bins, record.metrics[cond.metric])
+    for cond in desired.conditions:  # cond.metric is node.split_metric
+        idx = apply_bins(node.split_bins, values[node.split_index])
         if idx < cond.range_index:
             direction = INCREASE
         elif idx > cond.range_index:
@@ -240,8 +241,7 @@ def _screen(train: VersionedDataset, level: float) -> dict[str, LogisticFit]:
         fits = {}
         for metric in METRICS:
             try:
-                fits[metric] = fit_univariate_logistic(
-                    [r.metrics[metric] for r in train.records], labels)
+                fits[metric] = fit_univariate_logistic(train.column(metric), labels)
             except ValueError:
                 fits[metric] = None
         train.screen.update(fits)
@@ -291,11 +291,10 @@ def alves_thresholds(
     """
     if not 0.0 < percentile < 100.0:
         raise ValueError("percentile must lie in (0, 100)")
-    weights = [r.metrics["loc"] for r in train.records]
+    weights = train.column("loc")
     rules = []
     for metric in _screen(train, SIGNIFICANCE_LEVEL):
-        values = [r.metrics[metric] for r in train.records]
-        threshold = weighted_percentile(values, weights, percentile)
+        threshold = weighted_percentile(train.column(metric), weights, percentile)
         rules.append(ThresholdRule(metric, upper=threshold))
     return rules
 
@@ -321,7 +320,7 @@ def shatnawi_thresholds(
     for metric, fit in _screen(train, p0).items():
         if fit.beta == 0.0:
             continue
-        values = [r.metrics[metric] for r in train.records]
+        values = train.column(metric)
         threshold = varl(fit, p1)
         if not math.isfinite(threshold) or threshold <= 0.0:
             continue
@@ -368,7 +367,7 @@ def oliveira_thresholds(
     import numpy as np
     rules = []
     for metric in METRICS:
-        values = np.array([r.metrics[metric] for r in train.records], dtype=float)
+        values = np.array(train.column(metric), dtype=float)
         ks = np.unique(values)
 
         tail_cut = float(np.percentile(values, tail))
@@ -399,8 +398,9 @@ def threshold_plan(
 ) -> Plan:
     """Decrease every metric whose value exceeds its rule's upper bound."""
     actions = dict.fromkeys(METRICS, _KEEP)
+    values = record.values
     for rule in rules:
-        if record.metrics[rule.metric] > rule.upper:
+        if values[METRIC_INDEX[rule.metric]] > rule.upper:
             actions[rule.metric] = Action(
                 direction=DECREASE, target_range=(0.0, rule.upper)
             )

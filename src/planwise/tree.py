@@ -14,7 +14,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Optional
 
-from .datasets import METRICS, ClassRecord, VersionedDataset
+from .datasets import METRIC_INDEX, METRICS, ClassRecord, VersionedDataset
 from .discretize import BinMap, mdlp_cuts
 from .stats import _entropy_of_counts
 
@@ -58,7 +58,9 @@ class TreeNode:
     child)``: the range's own child, or the nearest child when that range had
     no training rows (ties to the smaller key). ``conditions`` maps each child
     key to the ``Condition`` of its range, built once here for ``locate`` and
-    ``leaves``. Leaves have an empty route and no conditions.
+    ``leaves``, and ``split_index`` is the split metric's position in a
+    record's ``values``. Leaves have an empty route, no conditions and no
+    split index.
     """
 
     score: float
@@ -71,9 +73,10 @@ class TreeNode:
         init=False, compare=False, repr=False
     )
     conditions: dict[int, Condition] = field(init=False, compare=False, repr=False)
+    split_index: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        route, conditions = (), {}
+        route, conditions, split_index = (), {}, None
         if self.split_metric is not None:
             if not self.children:
                 raise ValueError("a split node needs at least one child")
@@ -86,8 +89,10 @@ class TreeNode:
                 key: Condition(self.split_metric, key, *self.split_bins.range_bounds(key))
                 for key in self.children
             }
+            split_index = METRIC_INDEX[self.split_metric]
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "split_index", split_index)
 
     @property
     def is_leaf(self) -> bool:
@@ -101,9 +106,8 @@ def default_min_leaf(n_records: int) -> int:
 def fit_bins(train: VersionedDataset) -> dict[str, BinMap]:
     """Discretize every metric of a training set against defectiveness."""
     labels = [1 if r.is_defective() else 0 for r in train.records]
-    rows = [r.metrics for r in train.records]
     return {
-        metric: mdlp_cuts(list(map(itemgetter(metric), rows)), labels, metric=metric)
+        metric: mdlp_cuts(train.column(metric), labels, metric=metric)
         for metric in METRICS
     }
 
@@ -133,10 +137,9 @@ def build_tree(
     # itemgetter, which for a single row returns the item, not a 1-tuple.
     defects = [r.defects for r in records]
     labels = [1 if d > 0 else 0 for d in defects]
-    metric_rows = [r.metrics for r in records]
     columns = {
         metric: list(map(partial(bisect_left, bins[metric].cut_points),
-                         map(itemgetter(metric), metric_rows)))
+                         train.column(metric)))
         for metric in METRICS
         if bins[metric].n_ranges >= 2
     }
@@ -206,7 +209,7 @@ def locate(tree: TreeNode, record: ClassRecord) -> Branch:
     node = tree
     while not node.is_leaf:
         key, child = node.route[
-            bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
+            bisect_left(node.split_bins.cut_points, record.values[node.split_index])
         ]
         conditions.append(node.conditions[key])
         node = child
@@ -233,7 +236,7 @@ def predict_defective(tree: TreeNode, record: ClassRecord) -> bool:
     node = tree
     while node.split_metric is not None:  # is_leaf, minus a property call per level
         node = node.route[
-            bisect_left(node.split_bins.cut_points, record.metrics[node.split_metric])
+            bisect_left(node.split_bins.cut_points, record.values[node.split_index])
         ][1]
     return node.score > PREDICT_THRESHOLD
 

@@ -34,7 +34,7 @@ def make_record(
         if key not in metrics:
             raise KeyError(f"unknown metric {key!r}")
         metrics[key] = float(value)
-    return ClassRecord(name, metrics, defects)
+    return ClassRecord.from_metrics(name, metrics, defects)
 
 
 def make_dataset(

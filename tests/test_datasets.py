@@ -23,6 +23,7 @@ from planwise.datasets import (
     pool_versions,
     version_sort_key,
 )
+from planwise.planners import _screen
 
 from conftest import make_dataset, make_project, make_record, write_csv
 
@@ -310,7 +311,38 @@ class TestValidation:
     def test_record_requires_all_metrics(self):
         metrics = {m: 1.0 for m in METRICS if m != "loc"}
         with pytest.raises(DatasetError, match="loc"):
-            ClassRecord("A", metrics, 0)
+            ClassRecord.from_metrics("A", metrics, 0)
+
+    @pytest.mark.parametrize(
+        "values", [{m: 1.0 for m in METRICS}, (1.0,) * (len(METRICS) - 1)],
+        ids=["a dict", "19 values"],
+    )
+    def test_record_takes_only_a_tuple_of_all_values(self, values):
+        with pytest.raises(DatasetError, match="'A'"):
+            ClassRecord("A", values, 0)
+
+    def test_from_metrics_keeps_metrics_order(self):
+        named = {m: float(i) for i, m in enumerate(reversed(METRICS))}
+        rec = ClassRecord.from_metrics("A", {**named, "extra": 5.0}, 0)
+        assert rec.values == tuple(named[m] for m in METRICS)
+        metrics = rec.metrics
+        assert list(metrics) == list(METRICS)
+        assert metrics is not rec.metrics
+        assert all(a is b for a, b in zip(metrics.values(), rec.values))
+
+    def test_a_loaded_record_cannot_change(self, tmp_path):
+        # The screen and diff memos are valid only while records stay as
+        # they were: the dict a record hands out must be a copy.
+        path = bench_corpus().generate(tmp_path, seed=0, projects={"xalan"})
+        path = path / "xalan" / "xalan-2.7.csv"
+        ds = load_csv(path)
+        screen = _screen(ds, 0.05)
+        rec = ds.records[0]
+        before = (repr(rec), hash(rec))
+        rec.metrics["wmc"] = 99.0
+        assert (repr(rec), hash(rec)) == before
+        assert ds.records == load_csv(path).records
+        assert _screen(ds, 0.05) == screen == _screen(make_dataset(ds.records), 0.05)
 
     def test_record_holds_no_instance_dict(self):
         rec = make_record("A")
@@ -524,10 +556,11 @@ def test_jureczko_ant_17_has_745_records(jureczko_root):
     assert len(load_csv(path)) == 745
 
 
-def test_load_csv_keeps_under_900_bytes_per_record(tmp_path):
+def test_load_csv_keeps_under_600_bytes_per_record(tmp_path):
     # Python 3.11, benchmark corpus seed 0: about 1,110 bytes per record
     # when each cell held its own float and each record an instance dict,
-    # about 725 bytes with shared floats and slotted records.
+    # about 725 bytes with shared floats and slotted records, and about 460
+    # bytes with each record's metrics in one tuple instead of a dict.
     path = bench_corpus().generate(tmp_path, seed=0, projects={"xalan"})
     path = path / "xalan" / "xalan-2.7.csv"
     load_csv(path)  # warm up lazy imports and caches
@@ -539,4 +572,4 @@ def test_load_csv_keeps_under_900_bytes_per_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(ds) == 880
-    assert kept / len(ds) < 900
+    assert kept / len(ds) < 600

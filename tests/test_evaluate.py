@@ -227,7 +227,7 @@ class TestKTest:
 
         def scaled(ds, factor=3):
             recs = [
-                type(r)(r.class_name, r.metrics, r.defects * factor)
+                type(r)(r.class_name, r.values, r.defects * factor)
                 for r in ds.records
             ]
             return make_dataset(recs, version=ds.version)
@@ -514,7 +514,7 @@ class TestKTestOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_dense_per_plan_overlap(self, drawn, epsilon):
         def record(name, values, defects):
-            return ClassRecord(name, dict(zip(METRICS, values)), defects)
+            return ClassRecord(name, tuple(values), defects)
 
         names = [f"C{n}" for n in range(len(drawn))]
         version_j = [record(n, j, d) for n, (j, d, _, _) in zip(names, drawn)]
