@@ -10,11 +10,13 @@ scored on.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
+from itertools import chain
 from statistics import median
 from typing import Optional
 
-from .datasets import Community, Project, VersionedDataset, pool_versions
+from .datasets import ClassRecord, Community, Project, VersionedDataset, pool_versions
 from .tree import build_tree, fit_bins, predict_defective
 
 
@@ -63,7 +65,7 @@ class BellwetherReport:
 
 
 def _score_against(
-    tree, target: VersionedDataset, truth: list[bool], measure
+    tree, records: Iterable[ClassRecord], truth: list[bool], measure
 ) -> Optional[float]:
     """Score a fitted defect tree on one target's confusion counts.
 
@@ -74,7 +76,7 @@ def _score_against(
     if len(set(truth)) < 2:
         return None
     tp = fp = tn = fn = 0
-    for record, actual in zip(target.records, truth):
+    for record, actual in zip(records, truth):
         predicted = predict_defective(tree, record)
         if predicted and actual:
             tp += 1
@@ -95,6 +97,8 @@ def discover(
     Every project's pooled data trains a defect tree that is scored against
     every other project; the exemplar is the source with the highest median
     cross-project score (ties resolved to the lexicographically first name).
+    One pooled source is alive at a time: a target is scored on its releases'
+    records in release order, the rows and labels of its pooled copy.
     """
     if len(community.projects) < 2:
         raise ValueError("bellwether discovery needs at least two projects")
@@ -106,18 +110,22 @@ def discover(
             f"choose from {sorted(QUALITY_MEASURES)}"
         ) from None
 
-    pooled = {p.name: pool_versions(p) for p in community.projects}
-    names = sorted(pooled)
-    truths = {name: [r.is_defective() for r in pooled[name].records] for name in names}
+    projects = {p.name: p for p in community.projects}
+    names = sorted(projects)
+    releases = {name: [v.records for v in projects[name].versions] for name in names}
+    truths = {name: [r.is_defective() for r in chain(*releases[name])] for name in names}
     scores: dict[str, dict[str, Optional[float]]] = {}
     medians: dict[str, float] = {}
     for source in names:
-        tree = build_tree(pooled[source], fit_bins(pooled[source]))
+        pooled = pool_versions(projects[source])
+        tree = build_tree(pooled, fit_bins(pooled))
+        del pooled
         row: dict[str, Optional[float]] = {}
         for target in names:
             if target == source:
                 continue
-            row[target] = _score_against(tree, pooled[target], truths[target], measure)
+            row[target] = _score_against(
+                tree, chain(*releases[target]), truths[target], measure)
         scores[source] = row
         defined = [s for s in row.values() if s is not None]
         if defined:

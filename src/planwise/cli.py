@@ -200,9 +200,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     test = load_csv(args.test)
     planner = make_planner(args.planner, **vars(args))
     planner.fit(train)
-    plans = planner.plan_all(test)
+    plans = map(planner.plan, test.records)
 
-    # Generators: each row or entry lives only while it is written.
+    # Lazy: each plan, row or entry lives only while it is written.
     if args.format == "csv":
         rows = ([plan.class_name, *(plan.actions[m].direction for m in METRICS),
                  ";".join(suggest_refactorings(plan))] for plan in plans)

@@ -191,7 +191,9 @@ def _rows(reader, path: Path):
         raise DatasetError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
-def load_csv(path: str | Path) -> VersionedDataset:
+def load_csv(
+    path: str | Path, *, _tables: tuple[dict, dict] | None = None
+) -> VersionedDataset:
     """Load one release CSV into a validated dataset.
 
     The header must name the 20 metric columns, a class identifier column
@@ -200,7 +202,9 @@ def load_csv(path: str | Path) -> VersionedDataset:
     ``bugs``, or ``defects``). Extra columns are ignored with a warning.
     Metric and defect cells must be finite numbers, and the file UTF-8 text.
     Each record keeps its metric values in one tuple in ``METRICS`` order,
-    and equal cell texts of a file share one float object.
+    and equal cell texts of a file share one float object. ``_tables``, a
+    cell text -> float and a class name -> itself dict, lets ``load_project``
+    extend that sharing to floats and names across one project's releases.
     Every non-blank ``project`` or ``version`` cell must name the same label;
     the file name supplies a label that no cell holds.
     """
@@ -253,9 +257,10 @@ def load_csv(path: str | Path) -> VersionedDataset:
         records: list[ClassRecord] = []
         seen: set[str] = set()
         # The metric cells, then the defect cell. Each distinct cell text is
-        # parsed once, and equal texts share one float.
+        # parsed once, and equal texts share one float; equal class names
+        # share one string (both across the releases of a ``load_project``).
         number_cols = [*metric_cols.items(), (raw_header[defect_col], defect_col)]
-        parsed: dict[str, float] = {}
+        parsed, names = _tables if _tables is not None else ({}, {})
         for row in reader:
             row_no = lines.line_num  # the record's last physical line, as in csv.Error
             if not row or all(not cell.strip() for cell in row):
@@ -294,6 +299,7 @@ def load_csv(path: str | Path) -> VersionedDataset:
                     f"{path}: row {row_no}: defect count must be a non-negative "
                     f"integer, got {raw_defects}"
                 )
+            class_name = names.setdefault(class_name, class_name)
             records.append(ClassRecord(class_name, tuple(values), int(raw_defects)))
 
     if not records:
@@ -327,11 +333,14 @@ def load_project(paths: list[str | Path], name: str | None = None) -> Project:
     """Load several release CSVs of one project, ordered by version label.
 
     Labels that sort equal are rejected, except ``0``, which unlabelled files
-    get; those keep the order they were given in.
+    get; those keep the order they were given in. Equal cell texts across
+    the releases share one float object and equal class names one string,
+    through tables that live only for this call.
     """
     if not paths:
         raise DatasetError("no version CSVs given")
-    loaded = [(load_csv(path), path) for path in paths]
+    tables: tuple[dict, dict] = ({}, {})
+    loaded = [(load_csv(path, _tables=tables), path) for path in paths]
     loaded.sort(key=lambda pair: version_sort_key(pair[0].version))
     for (a, first), (b, second) in zip(loaded, loaded[1:]):
         if version_sort_key(a.version) == version_sort_key(b.version) != ((0, 0),):

@@ -1,4 +1,8 @@
 import gc
+import weakref
+from collections import Counter
+from functools import partial
+from statistics import median
 
 import pytest
 from hypothesis import given
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from planwise import bellwether
 from planwise.bellwether import (
     QUALITY_MEASURES,
+    BellwetherReport,
     discover,
     exemplar_train,
     f1_score,
@@ -16,7 +21,7 @@ from planwise.bellwether import (
 )
 from planwise.datasets import ClassRecord, Community, Project, pool_versions
 from planwise.planners import XTreePlanner, make_planner
-from planwise.tree import predict_defective
+from planwise.tree import build_tree, fit_bins, predict_defective
 
 from conftest import make_dataset, make_record, planted_community, tie_heavy_community
 
@@ -63,7 +68,85 @@ class TestOtherQualityMeasures:
                                     "recall": recall_score, "precision": precision_score}
 
 
+def pool_everything_discover(community, quality_measure="g-score"):
+    """The earlier ``discover``, which pooled every project before scoring
+    and scored each target against its pooled copy."""
+    measure = QUALITY_MEASURES[quality_measure]
+    pooled = {p.name: pool_versions(p) for p in community.projects}
+    names = sorted(pooled)
+    scores, medians = {}, {}
+    for source in names:
+        tree = build_tree(pooled[source], fit_bins(pooled[source]))
+        row = {}
+        for target in names:
+            if target == source:
+                continue
+            records = pooled[target].records
+            if len({r.is_defective() for r in records}) < 2:
+                row[target] = None
+                continue
+            counts = Counter((predict_defective(tree, r), r.is_defective()) for r in records)
+            row[target] = measure(counts[True, True], counts[True, False],
+                                  counts[False, False], counts[False, True])
+        scores[source] = row
+        defined = [score for score in row.values() if score is not None]
+        if defined:
+            medians[source] = float(median(defined))
+    return BellwetherReport(
+        community=tuple(p.name for p in community.projects),
+        scores=scores,
+        per_source_median=medians,
+        bellwether=min(medians, key=lambda name: (-medians[name], name)),
+        quality_measure=quality_measure,
+    )
+
+
+def planted_releases(seed: int, releases: int = 3) -> Community:
+    """``planted_community`` drawn ``releases`` times as the releases of each
+    project, so every class name recurs in each later release."""
+    draws = [planted_community(seed=seed + order, n=60) for order in range(releases)]
+    return Community(tuple(
+        Project(name, tuple(
+            make_dataset(list(draw.get(name).versions[0].records), project=name,
+                         version=str(order + 1))
+            for order, draw in enumerate(draws)
+        ))
+        for name in ("alpha", "beta", "exemplar")
+    ))
+
+
+# Single-release planted communities over several seeds, planted projects
+# whose class names recur in every release, and the tie-heavy community.
+COMMUNITIES = {
+    **{f"planted-{seed}": partial(planted_community, seed=seed) for seed in (1, 4, 8)},
+    **{f"releases-{seed}": partial(planted_releases, seed) for seed in (11, 30)},
+    "tie-heavy": tie_heavy_community,
+}
+
+
 class TestDiscover:
+    @pytest.mark.parametrize("measure", sorted(QUALITY_MEASURES))
+    @pytest.mark.parametrize("name", sorted(COMMUNITIES))
+    def test_matches_the_pool_everything_discovery(self, name, measure):
+        community = COMMUNITIES[name]()
+        expected = pool_everything_discover(community, measure).to_dict()
+        assert discover(community, measure).to_dict() == expected
+
+    def test_one_pooled_source_is_alive_at_a_time(self, monkeypatch):
+        community = planted_releases(seed=5)
+        pooled, alive = [], []
+
+        def spy(project):
+            alive.append(sum(ref() is not None for ref in pooled))
+            dataset = pool_versions(project)
+            pooled.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(bellwether, "pool_versions", spy)
+        discover(community)
+        assert alive == [0, 0, 0]
+        assert all(ref() is None for ref in pooled)
+
     def test_discovery_leaves_no_garbage_cycle(self):
         community = tie_heavy_community()
         gc.collect()

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import planwise.cli
 from planwise.cli import EXIT_FAILURE, EXIT_OK, _write_csv, _write_json, _write_text, main
 from planwise.datasets import METRICS, pool_versions
-from planwise.planners import make_planner, suggest_refactorings
+from planwise.planners import XTreePlanner, make_planner, suggest_refactorings
 
 from conftest import make_dataset, make_record, tie_heavy_history, write_csv
 
@@ -342,6 +342,36 @@ class TestStreamedJson:
             assert code == EXIT_FAILURE
             assert capsys.readouterr().err == "planwise: no refactoring for this plan\n"
             assert not list((tmp_path / "out").glob("*"))
+
+    def test_a_plan_failing_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # Plans are made while the document is written: the fifth fails with
+        # the temp file already open, and nothing is published.
+        history = tie_heavy_history()
+        for k, version in enumerate(history.versions[:2]):
+            write_csv(version, tmp_path / f"v{k}.csv")
+        out_dir = tmp_path / "out"
+        plan = XTreePlanner.plan
+        calls, files = [], []
+
+        def failing(planner, record):
+            calls.append(record)
+            if len(calls) == 5:
+                files.extend(p.name for p in out_dir.iterdir())
+                raise ValueError("no plan for this class")
+            return plan(planner, record)
+
+        monkeypatch.setattr(XTreePlanner, "plan", failing)
+        for fmt in ("json", "csv"):
+            calls.clear()
+            files.clear()
+            code = main(["plan", "--planner", "xtree", "--train", str(tmp_path / "v0.csv"),
+                         "--test", str(tmp_path / "v1.csv"),
+                         "--out", str(out_dir / f"plans.{fmt}"), "--format", fmt])
+            assert code == EXIT_FAILURE
+            assert capsys.readouterr().err == "planwise: no plan for this class\n"
+            assert len(calls) == 5
+            assert [name.startswith(f".plans.{fmt}.") for name in files] == [True]
+            assert not list(out_dir.iterdir())
 
     def test_writing_a_generator_plan_document_leaves_no_garbage(self, tmp_path):
         history = tie_heavy_history()

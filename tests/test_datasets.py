@@ -57,9 +57,9 @@ GRIDS = st.lists(
 )
 
 
-def write_grid(path, grid):
+def write_grid(path, grid, version="1.7"):
     rows = [
-        ",".join(["ant", "1.7", f"C{n}", *cells, defects])
+        ",".join(["ant", version, f"C{n}", *cells, defects])
         for n, (cells, defects) in enumerate(grid)
     ]
     write_rows(path, rows)
@@ -305,6 +305,79 @@ class TestLoadCsv:
         write_csv(ds, out)
         again = load_csv(out)
         assert again.records == ds.records
+
+
+class TestSharedCells:
+    """``load_project`` shares equal cell texts and class names across the
+    releases of one project, through tables that die with the call."""
+
+    @staticmethod
+    def write_releases(root, grids):
+        paths = [root / f"ant-1.{k}.csv" for k in range(len(grids))]
+        for k, (path, grid) in enumerate(zip(paths, grids)):
+            write_grid(path, grid, version=f"1.{k}")
+        return paths
+
+    @staticmethod
+    def assert_shared(project, grids):
+        floats: dict[str, float] = {}
+        names: dict[str, str] = {}
+        for version, grid in zip(project.versions, grids):
+            assert len(version) == len(grid)
+            for rec, (cells, defects) in zip(version.records, grid):
+                assert rec.defects == int(float(defects))
+                assert names.setdefault(rec.class_name, rec.class_name) is rec.class_name
+                for value, cell in zip(rec.values, cells):
+                    want = float(cell)
+                    assert type(value) is float
+                    assert value == want
+                    assert math.copysign(1.0, value) == math.copysign(1.0, want)
+                    assert floats.setdefault(cell, value) is value
+        distinct = {id(v) for version in project.versions
+                    for rec in version.records for v in rec.values}
+        assert len(distinct) == len(floats)
+
+    def test_releases_share_equal_texts_and_names(self, tmp_path):
+        zero, one = ["0"] * len(METRICS), ["1"] * len(METRICS)
+        grids = [
+            [(zero, "0"), (["-0"] * len(METRICS), "1")],
+            [(one, "1"), (zero, "0"), (["1.0"] * len(METRICS), "1.0")],
+            [(["-0", "1.0", *zero[2:]], "0"), (one, "0")],
+        ]
+        project = load_project(self.write_releases(tmp_path, grids))
+        self.assert_shared(project, grids)
+        first, second, third = project.versions
+        assert first.records[0].values[0] is second.records[1].values[0]
+        assert first.records[1].values[0] is third.records[0].values[0]
+        assert first.records[0].values[0] is not first.records[1].values[0]
+        assert second.records[0].values[0] is not second.records[2].values[0]
+        assert first.records[0].class_name is second.records[0].class_name
+        assert first.records[1].class_name is third.records[1].class_name
+
+    @given(st.lists(GRIDS, min_size=2, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_values_match_a_per_cell_parser_across_releases(self, tmp_path_factory, grids):
+        root = tmp_path_factory.mktemp("releases")
+        self.assert_shared(load_project(self.write_releases(root, grids)), grids)
+
+    def test_no_table_outlives_a_load(self, tmp_path):
+        paths = [tmp_path / "ant-1.3.csv", tmp_path / "ant-1.4.csv"]
+        for path, version in zip(paths, ("1.3", "1.4")):
+            write_rows(path, [jureczko_row(f"Cls{i}", version=version, value=0.4351)
+                              for i in range(3)])
+
+        def objects(*datasets):
+            return ({id(v) for ds in datasets for r in ds.records for v in r.values},
+                    {id(r.class_name) for ds in datasets for r in ds.records})
+
+        first, second = load_csv(paths[0]), load_csv(paths[0])
+        for a, b in zip(objects(first), objects(second)):
+            assert len(a) == len(b) == len(a - b)
+        first, second = load_project(paths), load_project(paths)
+        assert first == second
+        for a, b in zip(objects(*first.versions), objects(*second.versions)):
+            assert len(a) == len(b) == len(a - b)
+        assert len(objects(*first.versions)[0]) == 1  # every cell holds 0.4351
 
 
 class TestValidation:
@@ -573,3 +646,22 @@ def test_load_csv_keeps_under_600_bytes_per_record(tmp_path):
         tracemalloc.stop()
     assert len(ds) == 880
     assert kept / len(ds) < 600
+
+
+def test_load_project_keeps_under_420_bytes_per_record(tmp_path):
+    # Python 3.11, benchmark corpus seed 0: about 468 bytes per record when
+    # each release parsed its own floats and names, about 380 bytes with
+    # equal cell texts and class names shared across the project's releases.
+    root = bench_corpus().generate(tmp_path, seed=0, projects={"xalan"})
+    paths = sorted((root / "xalan").glob("*.csv"))
+    load_project(paths)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        project = load_project(paths)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    records = sum(len(v) for v in project.versions)
+    assert (len(project.versions), records) == (4, 2760)
+    assert kept / records < 420
