@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from itertools import chain
-from statistics import median
 from typing import Optional
 
 from .datasets import ClassRecord, Community, Project, VersionedDataset, pool_versions
+from .stats import median
 from .tree import build_tree, fit_bins, predict_defective
 
 

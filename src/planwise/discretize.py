@@ -69,10 +69,6 @@ def _group_by_value(
     return distinct, list(map(sub, map(totals.__getitem__, distinct), pos)), pos
 
 
-def _classes(counts: tuple[int, int]) -> int:
-    return (counts[0] > 0) + (counts[1] > 0)
-
-
 def _mdl_accepts(
     gain: float,
     n: int,
@@ -80,12 +76,12 @@ def _mdl_accepts(
     left: tuple[int, int],
     right: tuple[int, int],
 ) -> bool:
-    k = _classes(whole)
-    k1, k2 = _classes(left), _classes(right)
-    delta = log2(3.0**k - 2.0) - (
-        k * _entropy_of_counts(whole)
-        - k1 * _entropy_of_counts(left)
-        - k2 * _entropy_of_counts(right)
+    # ``whole`` holds both classes and a pure side has entropy 0, so the
+    # class counts k, k1 and k2 of the criterion can all be taken as 2.
+    delta = log2(3.0**2 - 2.0) - (
+        2 * _entropy_of_counts(whole)
+        - 2 * _entropy_of_counts(left)
+        - 2 * _entropy_of_counts(right)
     )
     return gain > (log2(n - 1) + delta) / n
 

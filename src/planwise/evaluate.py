@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import asdict, astuple, dataclass
-from statistics import median
 from typing import Optional
 
 from .datasets import (
@@ -24,7 +23,7 @@ from .datasets import (
     diff_versions,
 )
 from .planners import Plan, PlannerBase
-from .stats import simpson_integrate
+from .stats import median, simpson_integrate
 
 N_BUCKETS = 10
 BUCKET_MIDPOINTS = tuple(5.0 + 10.0 * i for i in range(N_BUCKETS))

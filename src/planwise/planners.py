@@ -5,7 +5,9 @@ increase/decrease/no-change actions, optionally with a concrete target range.
 ``alves`` and ``shatnawi`` filter one logistic screen kept on the training
 dataset, and ``oliveira`` minimises its (p, k) penalty in closed form. numpy
 is loaded only by the screen (in ``stats``), ``compliance_rate`` and
-``oliveira_thresholds``, each importing it where it runs.
+``oliveira_thresholds``, each importing it where it runs. ``np.unique``,
+``np.percentile`` and ``np.median`` each import ``numpy.ma``, so oliveira
+gets the same bits from ``_distinct``, ``_percentile`` and ``stats.median``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .datasets import (
     VersionedDataset,
 )
 from .refactorings import SHARED_METRICS, table as refactoring_table
-from .stats import LogisticFit, fit_univariate_logistic
+from .stats import LogisticFit, fit_univariate_logistic, median
 from .tree import (
     DEFAULT_MAX_DEPTH,
     Branch,
@@ -348,6 +350,35 @@ def compliance_rate(
     return float(rate) if rate.ndim == 0 else rate
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by its sorting path: the first of each run of equal
+    values in ``np.sort`` order (numpy's pick of ``-0.0``/``0.0``), one NaN."""
+    import numpy as np
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    return ordered[first]
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` for ``0 <= q <= 100``, by numpy's float
+    steps: the same partition, clamped indices and two-sided interpolation."""
+    import numpy as np
+    n = len(values)
+    virtual = (n - 1) * (q / 100)
+    low = math.floor(virtual)
+    high = low + 1
+    if virtual >= n - 1:
+        low = high = -1
+    part = np.partition(values, sorted({0, -1, low, high}))
+    if math.isnan(part[-1]):
+        return math.nan
+    t = virtual - low
+    a, b = float(part[low]), float(part[high])
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def oliveira_thresholds(
     train: VersionedDataset,
     min_compliance: float = DEFAULT_MIN_COMPLIANCE,
@@ -368,11 +399,11 @@ def oliveira_thresholds(
     rules = []
     for metric in METRICS:
         values = np.array(train.column(metric), dtype=float)
-        ks = np.unique(values)
+        ks = _distinct(values)
 
-        tail_cut = float(np.percentile(values, tail))
-        above = values[values > tail_cut]
-        tail_median = float(np.median(above)) if above.size else float(values.max())
+        tail_cut = _percentile(values, tail)
+        above = values[values > tail_cut].tolist()
+        tail_median = median(above) if above else float(values.max())
         denominator = tail_median if tail_median > 0 else 1.0
         penalty2 = np.abs(ks - tail_median) / denominator
 

@@ -1,8 +1,12 @@
-"""Shared numerical routines: entropy, univariate logistic regression, Simpson.
+"""Shared numerical routines: entropy, median, univariate logistic regression,
+Simpson.
 
 numpy is imported only inside the logistic fit, which only the ``alves`` and
 ``shatnawi`` logistic screen runs; with the ``oliveira`` thresholds those are
-its only users, so ``bellwether``, ``tree`` and xtree plans never load numpy.
+its only users. So ``evaluate``, ``plan`` and ``thresholds`` load numpy only
+for those three planners, and ``bellwether``, ``tree`` and xtree or belltree
+plans never do. No command loads ``statistics`` (with ``decimal`` and
+``fractions``) or ``numpy.ma``: see ``median`` and the fit's label check.
 """
 
 from __future__ import annotations
@@ -50,6 +54,18 @@ def _entropy_of_counts(counts: Collection[int]) -> float:
     return result
 
 
+def median(values: Iterable[float]) -> float:
+    """The middle value, or the mean of the middle two, as ``statistics.median``;
+    no data raises ``ValueError``."""
+    data = sorted(values)
+    n = len(data)
+    if not n:
+        raise ValueError("no median for empty data")
+    if n % 2:
+        return data[n // 2]
+    return (data[n // 2 - 1] + data[n // 2]) / 2
+
+
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     import numpy as np
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
@@ -83,9 +99,10 @@ def fit_univariate_logistic(
         raise ValueError("x and y must be 1-d sequences of equal length")
     if len(x) < 2:
         raise ValueError("need at least two observations")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
+    labels = set(y.tolist())  # np.unique would import numpy.ma
+    if not labels <= {0.0, 1.0}:
         raise ValueError("y must be binary 0/1 labels")
-    if len(np.unique(y)) < 2:
+    if len(labels) < 2:
         raise ValueError("y must contain both labels")
 
     order = np.lexsort((y, x))

@@ -5,7 +5,7 @@ from functools import partial
 from statistics import median
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from planwise import bellwether
@@ -35,6 +35,16 @@ class TestGScore:
 
     def test_half_recall_no_alarms(self):
         assert g_score(tp=5, fp=0, tn=5, fn=5) == pytest.approx(2.0 / 3.0)
+
+    @given(st.integers(0, 50), st.integers(1, 50), st.integers(0, 50), st.integers(0, 50))
+    @example(tp=3, fp=1, tn=4, fn=2)  # g = 2 * 0.6 * 0.8 / 1.4
+    def test_false_alarms_match_the_closed_forms(self, tp, fp, tn, fn):
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        specificity = tn / (fp + tn)
+        g = 2 * recall * specificity / (recall + specificity) if recall + specificity else 0.0
+        assert g_score(tp, fp, tn, fn) == pytest.approx(g)
+        assert precision_score(tp, fp, tn, fn) == pytest.approx(tp / (tp + fp))
+        assert f1_score(tp, fp, tn, fn) == pytest.approx(2 * tp / (2 * tp + fp + fn))
 
 
 class TestOtherQualityMeasures:

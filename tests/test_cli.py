@@ -726,27 +726,37 @@ class TestPlannerOptionsFollowTheTable:
 
 
 # Runs one command in a fresh interpreter (this process has numpy loaded
-# through conftest) and prints the exit code and whether numpy got imported.
-_MAIN_THEN_REPORT_NUMPY = (
+# through conftest) and prints the exit code and the modules it imported.
+_MAIN_THEN_REPORT_MODULES = (
     "import json, sys\n"
     "from planwise.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
 )
 
 
-def run_fresh(argv):
+def fresh_modules(argv):
+    """The modules a fresh interpreter holds after ``planwise argv``, or after
+    ``import planwise.cli`` alone when ``argv`` is empty."""
     src = str(Path(planwise.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if not k.startswith("PLANWISE_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _MAIN_THEN_REPORT_NUMPY, *argv],
+        [sys.executable, "-c", _MAIN_THEN_REPORT_MODULES, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    code, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    code, modules = json.loads(done.stdout.splitlines()[-1])
     assert code == EXIT_OK, done.stderr
-    return numpy_loaded
+    return set(modules)
+
+
+def run_fresh(argv):
+    return "numpy" in fresh_modules(argv)
+
+
+# What ``statistics`` imports and planwise does not need.
+STATISTICS_IMPORTS = {"statistics", "decimal", "fractions"}
 
 
 class TestNumpyLoadsOnlyWhereUsed:
@@ -772,6 +782,19 @@ class TestNumpyLoadsOnlyWhereUsed:
             "--target", "exemplar", "--out-dir", str(out_dir),
         ])
         assert (out_dir / "exemplar-1-2-3-belltree.json").exists()
+
+    def test_importing_the_cli_loads_neither_numpy_nor_statistics(self):
+        assert not fresh_modules([]) & ({"numpy"} | STATISTICS_IMPORTS)
+
+    def test_evaluating_every_planner_never_imports_numpy_ma(self, toy_project_dir, tmp_path):
+        out_dir = tmp_path / "out"
+        loaded = fresh_modules([
+            "evaluate", "--planner", "all", "--project-dir", str(toy_project_dir),
+            "--out-dir", str(out_dir),
+        ])
+        assert "numpy" in loaded
+        assert not loaded & ({"numpy.ma"} | STATISTICS_IMPORTS)
+        assert (out_dir / "summary.json").exists()
 
     def test_oliveira_thresholds_do_import_numpy(self, toy_project_dir, tmp_path):
         out = tmp_path / "rules.json"

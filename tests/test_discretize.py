@@ -305,5 +305,6 @@ class TestBinMap:
         assert bins.range_bounds(0) == (2.0, 10.0)
         assert bins.range_bounds(1) == (10.0, 50.0)
         assert bins.range_bounds(2) == (50.0, 400.0)
-        with pytest.raises(IndexError):
-            bins.range_bounds(3)
+        for index in (-1, 3):
+            with pytest.raises(IndexError, match="out of bounds"):
+                bins.range_bounds(index)

@@ -242,10 +242,10 @@ class TestKTest:
         assert result.aupec_increased == pytest.approx(base.aupec_increased)
 
     def test_window_indices_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            ktest(hand_project(), 1, 0, 2, ReduceLocStub())
-        with pytest.raises(ValueError):
-            ktest(hand_project(), 0, 1, 5, ReduceLocStub())
+        # Reversed, past the end, i == j, j == k and k == len(versions).
+        for i, j, k in ((1, 0, 2), (0, 1, 5), (0, 0, 2), (0, 1, 1), (0, 1, 3)):
+            with pytest.raises(ValueError, match="need three ordered releases"):
+                ktest(hand_project(), i, j, k, ReduceLocStub())
 
     def test_result_serializes(self):
         doc = ktest(hand_project(), 0, 1, 2, ReduceLocStub()).to_dict()

@@ -456,10 +456,15 @@ class TestAlves:
         assert rules[0].upper == expected
 
     def test_percentile_domain(self):
-        with pytest.raises(ValueError):
-            weighted_percentile([1.0], [1.0], 0.0)
-        with pytest.raises(ValueError):
-            alves_thresholds(self._training_set(), 100.0)
+        # Constant metrics fail every fit, so alves checks the percentile
+        # itself, not through weighted_percentile.
+        unscreened = make_dataset([make_record("a"), make_record("b", defects=1)])
+        for percentile in (0.0, 100.0):
+            with pytest.raises(ValueError):
+                weighted_percentile([1.0], [1.0], percentile)
+            for train in (self._training_set(), unscreened):
+                with pytest.raises(ValueError):
+                    alves_thresholds(train, percentile)
 
 
 class TestShatnawi:
@@ -501,10 +506,11 @@ class TestShatnawi:
 
     def test_parameter_domain(self):
         train = self._risky_metric_set(alpha=-4.0, beta=0.35, seed=11)
-        with pytest.raises(ValueError):
-            shatnawi_thresholds(train, p0=0.0)
-        with pytest.raises(ValueError):
-            shatnawi_thresholds(train, p1=1.0)
+        for p in (0.0, 1.0):
+            with pytest.raises(ValueError, match="p0 and p1"):
+                shatnawi_thresholds(train, p0=p)
+            with pytest.raises(ValueError, match="p0 and p1"):
+                shatnawi_thresholds(train, p1=p)
 
 
 class TestSharedScreen:
@@ -582,6 +588,11 @@ TIE_HEAVY_COLUMNS = st.tuples(
         lambda hi: st.lists(st.integers(0, hi), min_size=1, max_size=400)),
     st.lists(st.integers(-30, -1), max_size=3),
 ).map(lambda parts: [float(v) for v in parts[0] + parts[1]])
+# Finite values with many ties, both signed zeros, and sometimes NaN.
+ORACLE_COLUMNS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan]),
+              st.floats(-1e6, 1e6)),
+    min_size=1, max_size=60)
 PERCENTAGES = st.one_of(st.integers(1, 99).map(float), st.floats(0.01, 99.99))
 
 
@@ -628,6 +639,26 @@ class TestOliveira:
         assert (rules["loc"].upper, rules["loc"].p_fraction) == matrix_relative_threshold(
             column, min_compliance, tail)
 
+    @settings(max_examples=300, deadline=None)
+    @given(column=ORACLE_COLUMNS, q=st.one_of(st.sampled_from([0.0, 1.0, 50.0, 90.0, 99.0, 100.0]),
+                                            st.floats(0.0, 100.0)))
+    # The virtual index 0.5 lands halfway, where numpy interpolates down from
+    # 0.7; up from 0.1 would give a number one ulp away.
+    @example(column=[0.1, 0.7, 5.0], q=25.0)
+    def test_distinct_and_percentile_match_numpy(self, column, q):
+        values = np.array(column, dtype=float)
+        assert [v.hex() for v in planners._distinct(values).tolist()] == [
+            v.hex() for v in np.unique(values).tolist()]
+        assert planners._percentile(values, q).hex() == float(np.percentile(values, q)).hex()
+
+    def test_a_column_with_nan_fails_as_under_numpy(self):
+        # numpy's NaN percentile makes every penalty NaN, so no candidate is
+        # the minimum and the search over them finds none.
+        train = make_dataset([make_record(f"c{i}", loc=v)
+                              for i, v in enumerate([1.0, math.nan, 3.0, math.nan])])
+        with pytest.raises(ValueError, match="empty"):
+            oliveira_thresholds(train)
+
     def test_broadcast_matches_the_scalar_rule(self):
         rng = np.random.default_rng(5)
         values = rng.integers(0, 12, 37).astype(float)
@@ -649,13 +680,22 @@ class TestOliveira:
 
     def test_parameter_domain(self):
         train = make_dataset([make_record("a")])
-        with pytest.raises(ValueError):
-            oliveira_thresholds(train, min_compliance=0.0)
-        with pytest.raises(ValueError):
-            oliveira_thresholds(train, tail=100.0)
+        for bound in (0.0, 100.0):
+            with pytest.raises(ValueError):
+                oliveira_thresholds(train, min_compliance=bound)
+            with pytest.raises(ValueError):
+                oliveira_thresholds(train, tail=bound)
 
 
 class TestThresholdPlan:
+    def test_rule_and_action_bounds(self):
+        assert ThresholdRule("loc", 1.0, p_fraction=1.0).p_fraction == 1.0
+        with pytest.raises(ValueError, match="p_fraction"):
+            ThresholdRule("loc", 1.0, p_fraction=0.0)
+        assert Action(DECREASE, target_range=(5.0, 5.0)).target_range == (5.0, 5.0)
+        with pytest.raises(ValueError, match="target range"):
+            Action(DECREASE, target_range=(6.0, 5.0))
+
     def test_record_under_every_threshold_gets_no_changes(self):
         rules = [ThresholdRule("loc", 100.0), ThresholdRule("wmc", 10.0)]
         plan = threshold_plan(rules, make_record("A", loc=50, wmc=5))

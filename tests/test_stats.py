@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from planwise.stats import (
     _sigmoid,
     entropy,
     fit_univariate_logistic,
+    median,
     simpson_integrate,
 )
 
@@ -46,6 +48,27 @@ class TestEntropy:
 
     def test_uniform_maximizes(self):
         assert entropy([0, 0, 1, 1]) > entropy([0, 0, 0, 1])
+
+
+def same_number(a, b) -> bool:
+    """Equal type and value, floats compared by ``float.hex``."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+class TestMedian:
+    @given(st.one_of(
+        st.lists(st.integers(-10**20, 10**20), min_size=1),
+        st.lists(st.floats(allow_nan=False), min_size=1),
+        st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.0, 1e308]), min_size=1),
+    ))
+    def test_matches_statistics_median(self, values):
+        assert same_number(median(values), statistics.median(values))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="no median for empty data"):
+            median([])
 
 
 class TestSimpson:
@@ -127,6 +150,42 @@ class TestLogisticFit:
         fit = fit_univariate_logistic(x, y)
         assert not fit.converged
         assert fit.p_value == 1.0
+
+    def test_log_likelihood_matches_its_closed_form(self):
+        # Probabilities of exactly 0 and 1 are clipped 1e-12 inside (0, 1).
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        p = np.array([0.8, 0.3, 1.0, 0.0])
+        expected = math.log(0.8) + math.log(0.7) + 2 * math.log(1.0 - 1e-12)
+        assert _log_likelihood(y, p) == pytest.approx(expected, rel=1e-12)
+
+    def test_touching_ranges_are_not_separated(self):
+        # The classes share the value 2, so the fit goes ahead and converges.
+        y = [0, 0, 0, 1, 1, 1]
+        for x, sign in (([0.0, 1.0, 2.0, 2.0, 3.0, 4.0], 1.0),
+                        ([2.0, 3.0, 4.0, 0.0, 1.0, 2.0], -1.0)):
+            assert not _perfectly_separated(np.array(x), np.array(y, dtype=float))
+            fit = fit_univariate_logistic(x, y)
+            assert fit.converged
+            assert math.copysign(1.0, fit.beta) == sign
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 2, -0.0, 0.5, True, math.nan]),
+                    min_size=2, max_size=8))
+    def test_label_checks_keep_their_messages(self, y):
+        # The checks as they read on np.unique, which imports numpy.ma.
+        labels = np.asarray(y, dtype=float)
+        if not set(np.unique(labels)) <= {0.0, 1.0}:
+            expected = "y must be binary 0/1 labels"
+        elif len(np.unique(labels)) < 2:
+            expected = "y must contain both labels"
+        else:
+            expected = None
+        try:
+            fit_univariate_logistic(list(range(len(y))), y)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
     def test_constant_feature_flags_unusable(self):
         fit = fit_univariate_logistic([3.0] * 10, [0, 1] * 5)

@@ -188,6 +188,22 @@ class TestBuildTree:
             tree = build_tree(ds, fit_bins(ds), max_depth=max_depth, min_leaf=1)
             assert walk_depth(tree_to_dict(tree)) <= max_depth
 
+    def test_growth_stops_at_max_depth(self):
+        # Defects are the majority of three 0/1 metrics, each cut at 0.5, so
+        # an uncapped tree needs all three levels: every cap is reached exactly.
+        records = [
+            make_record(f"c{a}{b}{c}{copy}", defects=int(a + b + c >= 2),
+                        loc=float(a), rfc=float(b), wmc=float(c))
+            for a in (0, 1) for b in (0, 1) for c in (0, 1) for copy in range(5)
+        ]
+        ds = make_dataset(records)
+        bins = {m: BinMap(m, (), 1.0, 1.0) for m in METRICS}
+        bins.update((m, BinMap(m, (0.5,), 0.0, 1.0)) for m in ("loc", "rfc", "wmc"))
+        assert walk_depth(tree_to_dict(build_tree(ds, bins, min_leaf=1))) == 3
+        for max_depth in (1, 2):
+            tree = build_tree(ds, bins, max_depth=max_depth, min_leaf=1)
+            assert walk_depth(tree_to_dict(tree)) == max_depth
+
     def test_score_books_balance_to_total_defects(self):
         ds = planted_dataset(seed=11)
         tree = build_tree(ds, fit_bins(ds), min_leaf=3)
