@@ -5,13 +5,13 @@ Run from the repository root:
 
     python3 scripts/mutate.py                        # the six modules below
     python3 scripts/mutate.py tree evaluate          # some of them
-    python3 scripts/mutate.py stats --timeout 60
 
 Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, or ``+`` and ``-`` (also in
 ``+=``/``-=``). Operators inside ``raise`` statements only build messages
-and are left alone. A mutant is killed when a test fails, errors or runs
-past ``--timeout``; it survives when every test that runs its line passes.
+and are left alone. A mutant is killed when a test fails, errors or its
+tests run longer than ``TIMEOUT_FACTOR`` times the untraced baseline of
+step 1; it survives when every test that runs its line passes.
 
 Everything happens in a temporary copy of ``src``, ``tests``,
 ``benchmarks`` and ``pyproject.toml``, without bytecode caches. Three steps:
@@ -42,6 +42,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +55,9 @@ SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
     ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-",
 }
+# A mutant's tests may run this many times as long as the whole untraced
+# suite; longer counts as killed (a mutated loop bound may never end).
+TIMEOUT_FACTOR = 3
 # Set in the pytest children: where the plugin below writes its report, and
 # whether it traces lines.
 REPORT_ENV, TRACE_ENV = "MUTATE_REPORT", "MUTATE_TRACE"
@@ -113,8 +117,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*", default=list(MODULES),
                         help=f"modules of src/planwise to mutate (default: {' '.join(MODULES)})")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds one mutant's tests may take before it counts as killed")
     args = parser.parse_args(argv)
     # SIGTERM as SystemExit, so the running pytest is killed and the copy removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
@@ -133,7 +135,9 @@ def main(argv: list[str] | None = None) -> int:
 
         for name, path in paths.items():
             path.write_text(ast.unparse(ast.parse(sources[name])))
+        start = time.monotonic()
         code, report = run_pytest(work, [], timeout=3600)
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
         failing = set(report.get("failed", []))
         if code is None or not report.get("lines"):
             print("mutate: the unmutated tests did not run", file=sys.stderr)
@@ -165,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     selection = sorted(tests)
                 path.write_text(code_text)
-                code, _ = run_pytest(work, ["-x", *selection], timeout=args.timeout)
+                code, _ = run_pytest(work, ["-x", *selection], timeout=timeout)
                 path.write_text(sources[name])
                 verdict = "SURVIVED" if code == 0 else "killed  "
                 count = "all tests" if COLLECTION in tests else f"{len(tests)} tests"
