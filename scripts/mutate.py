@@ -14,7 +14,8 @@ tests run longer than ``TIMEOUT_FACTOR`` times the untraced baseline of
 step 1; it survives when every test that runs its line passes.
 
 Everything happens in a temporary copy of ``src``, ``tests``,
-``benchmarks`` and ``pyproject.toml``, without bytecode caches. Three steps:
+``benchmarks``, ``scripts`` and ``pyproject.toml``, without bytecode
+caches. Three steps:
 
 1. The tests run once untraced on the modules as ``ast.unparse`` writes
    them, which is how mutants are written. A test that fails there is left
@@ -127,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="planwise-mutate-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "data", ".bench_*")
-        for tree in ("src", "tests", "benchmarks"):  # some tests read the bench corpus
+        # Some tests read the bench corpus or load a script.
+        for tree in ("src", "tests", "benchmarks", "scripts"):
             shutil.copytree(ROOT / tree, work / tree, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
         paths = {name: work / "src" / "planwise" / f"{name}.py" for name in args.modules}

@@ -23,7 +23,7 @@ from .datasets import (
     load_project,
     pool_versions,
 )
-from .stats import LogisticFit, entropy, fit_univariate_logistic, simpson_integrate
+from .stats import LogisticFit, fit_univariate_logistic, simpson_integrate
 from .discretize import BinMap, apply_bins, mdlp_cuts
 from .tree import (
     Branch,
@@ -44,7 +44,6 @@ from .planners import (
     ThresholdRule,
     XTreePlanner,
     alves_thresholds,
-    compliance_rate,
     make_planner,
     oliveira_thresholds,
     plan_targets,
@@ -65,7 +64,6 @@ from .evaluate import (
     ChangesSummary,
     CurvePoint,
     KTestResult,
-    changes_count,
     evaluate_windows,
     ktest,
     overlap,
@@ -79,17 +77,17 @@ __all__ = [
     "ClassRecord", "Community", "DatasetError", "Project", "VersionedDataset",
     "diff_versions", "load_community", "load_csv", "load_project",
     "pool_versions",
-    "LogisticFit", "entropy", "fit_univariate_logistic", "simpson_integrate",
+    "LogisticFit", "fit_univariate_logistic", "simpson_integrate",
     "BinMap", "apply_bins", "mdlp_cuts",
     "Branch", "Condition", "TreeNode", "build_tree", "fit_bins", "leaves",
     "locate", "predict_defective", "tree_to_dict",
     "Action", "Plan", "PlannerBase", "ThresholdPlanner", "ThresholdRule",
     "XTreePlanner", "alves_thresholds",
-    "compliance_rate", "make_planner", "oliveira_thresholds", "plan_targets",
+    "make_planner", "oliveira_thresholds", "plan_targets",
     "shatnawi_thresholds", "suggest_refactorings", "threshold_plan", "varl",
     "weighted_percentile", "xtree_plan",
     "BellwetherReport", "discover", "exemplar_train", "g_score",
-    "ChangesSummary", "CurvePoint", "KTestResult", "changes_count",
+    "ChangesSummary", "CurvePoint", "KTestResult",
     "evaluate_windows", "ktest", "overlap",
     "refactorings",
 ]

@@ -15,7 +15,7 @@ import csv
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
@@ -81,10 +81,6 @@ def _publish(path: Path, body) -> None:
         raise
 
 
-def _write_text(path: Path, text: str) -> None:
-    _publish(path, lambda write: write(text))
-
-
 def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int, write) -> None:
     """Append ``value``'s JSON text at nesting ``depth`` to ``chunks``, as
     ``json.dumps(value, indent=2, sort_keys=True)`` writes it, but raising
@@ -141,10 +137,11 @@ def _write_json(path: Path, doc: dict) -> None:
     _publish(path, body)
 
 
-def _write_csv(path: Path, rows) -> None:
-    """LF-terminated CSV, written row by row; a None cell is empty, a float its repr."""
+def _write_csv(path: Path, rows, newline: str = "\n") -> None:
+    """CSV written row by row, each line ended by ``newline``; a None cell is
+    empty, a float its repr."""
     def body(write) -> None:  # CRLF rows, so a cell holding a bare CR is quoted
-        out = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
+        out = SimpleNamespace(write=lambda line: write(line[:-2] + newline))
         csv.writer(out, lineterminator="\r\n").writerows(rows)
     _publish(path, body)
 
@@ -281,7 +278,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for window, result in enumerate(results, start=1):
             json_path, curve_path = _result_paths(out_dir, result)
             _write_json(json_path, result.to_dict())
-            _write_text(curve_path, result.curve_csv())
+            curve = [("bucket", "reduced", "increased", "classes"), *map(astuple, result.curve)]
+            _write_csv(curve_path, curve, newline="\r\n")
             rows.append((f"{result.project}-{window}", result.planner,
                          result.aupec_reduced, result.aupec_increased,
                          result.changes_per_plan.median))

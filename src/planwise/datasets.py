@@ -201,6 +201,7 @@ def load_csv(
     project and the last is the class), and a defect column (``bug``,
     ``bugs``, or ``defects``). Extra columns are ignored with a warning.
     Metric and defect cells must be finite numbers, and the file UTF-8 text.
+    A row may hold no more cells than the header, apart from blank ones.
     Each record keeps its metric values in one tuple in ``METRICS`` order,
     and equal cell texts of a file share one float object. ``_tables``, a
     cell text -> float and a class name -> itself dict, lets ``load_project``
@@ -265,8 +266,11 @@ def load_csv(
             row_no = lines.line_num  # the record's last physical line, as in csv.Error
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < len(header):
-                raise DatasetError(f"{path}: row {row_no} has too few cells")
+            if len(row) != len(header):
+                if len(row) < len(header):
+                    raise DatasetError(f"{path}: row {row_no} has too few cells")
+                if any(cell.strip() for cell in row[len(header):]):
+                    raise DatasetError(f"{path}: row {row_no} has more cells than the header")
             class_name = row[class_col].strip()
             if not class_name:
                 raise DatasetError(f"{path}: row {row_no} has empty class name")

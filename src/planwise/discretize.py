@@ -59,9 +59,7 @@ def _group_by_value(
     values: Sequence[float], labels: Sequence[int]
 ) -> tuple[list[float], list[int], list[int]]:
     """Sorted distinct values as floats, with their negative and positive
-    counts; the first seen of two equal values (``-0.0``/``0.0``) stands for both.
-    Positive counts are read with ``dict.get``: ``Counter.__getitem__`` would
-    call the Python-level ``__missing__`` for every value with no positive row."""
+    counts; the first seen of two equal values (``-0.0``/``0.0``) stands for both."""
     totals = Counter(map(float, values))
     positives = Counter(map(float, compress(values, labels)))
     distinct = sorted(totals)

@@ -9,9 +9,7 @@ actions and what developers actually changed.
 
 from __future__ import annotations
 
-import io
-import csv
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .datasets import (
@@ -22,7 +20,7 @@ from .datasets import (
     _check_epsilon,
     diff_versions,
 )
-from .planners import Plan, PlannerBase
+from .planners import PlannerBase
 from .stats import median, simpson_integrate
 
 N_BUCKETS = 10
@@ -42,11 +40,6 @@ def overlap(d: ActionVector, p: ActionVector) -> float:
     if not d:
         raise ValueError("empty action vectors")
     return 100.0 * len(d.items() & p.items()) / len(d)
-
-
-def changes_count(plan: Plan) -> int:
-    """Number of metrics a plan actually asks to change."""
-    return sum(1 for a in plan.actions.values() if a.direction != NO_CHANGE)
 
 
 def bucket_index(x: float) -> int:
@@ -130,13 +123,6 @@ class KTestResult:
             "matched_classes": self.matched_classes,
             "matched_defects": self.matched_defects,
         }
-
-    def curve_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["bucket", "reduced", "increased", "classes"])
-        writer.writerows(astuple(point) for point in self.curve)
-        return buf.getvalue()
 
 
 def _aupec(curve_heights: list[int], matched_defects: int) -> Optional[float]:

@@ -4,10 +4,7 @@ Every planner turns one class record into a `Plan`: a per-metric vector of
 increase/decrease/no-change actions, optionally with a concrete target range.
 ``alves`` and ``shatnawi`` filter one logistic screen kept on the training
 dataset, and ``oliveira`` minimises its (p, k) penalty in closed form. numpy
-is loaded only by the screen (in ``stats``), ``compliance_rate`` and
-``oliveira_thresholds``, each importing it where it runs. ``np.unique``,
-``np.percentile`` and ``np.median`` each import ``numpy.ma``, so oliveira
-gets the same bits from ``_distinct``, ``_percentile`` and ``stats.median``.
+is loaded only by the screen (in ``stats``) and ``oliveira_thresholds``.
 """
 
 from __future__ import annotations
@@ -16,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .datasets import (
@@ -26,7 +25,6 @@ from .datasets import (
     METRICS,
     METRIC_SET,
     NO_CHANGE,
-    ActionVector,
     ClassRecord,
     VersionedDataset,
 )
@@ -87,9 +85,6 @@ class Plan:
     def __post_init__(self) -> None:
         if self.actions.keys() != METRIC_SET:
             raise ValueError("plan must cover all metrics")
-
-    def direction_vector(self) -> ActionVector:
-        return {m: self.actions[m].direction for m in METRICS}
 
     def to_dict(self) -> dict:
         actions = {}
@@ -269,16 +264,11 @@ def weighted_percentile(
     pairs = sorted(zip(values, weights))
     target = percentile / 100.0
     cumulative = 0.0
-    i = 0
-    while i < len(pairs):
-        j = i
-        value = pairs[i][0]
-        while j < len(pairs) and pairs[j][0] == value:
-            cumulative += pairs[j][1]
-            j += 1
+    for value, group in groupby(pairs, key=itemgetter(0)):
+        for _, weight in group:
+            cumulative += weight
         if cumulative / total >= target:
             return float(value)
-        i = j
     return float(pairs[-1][0])
 
 
@@ -332,53 +322,6 @@ def shatnawi_thresholds(
     return rules
 
 
-def compliance_rate(
-    values: np.ndarray, p: float | np.ndarray, k: float | np.ndarray
-) -> float | np.ndarray:
-    """Percentage of entities below ``k``, zeroed when the rule itself fails.
-
-    The rule "p% of entities must have M <= k" holds system-wide when at
-    least p percent of values are <= k; a system that violates its own rule
-    contributes no compliance. ``p`` and ``k`` broadcast against each other;
-    scalar ``p`` and ``k`` give a float. At ``p = 0`` the rule always holds,
-    so the rate is the plain share of values <= k.
-    """
-    import numpy as np
-    counts = np.searchsorted(np.sort(values), k, side="right")
-    frac = 100.0 * counts / len(values)
-    rate = np.where(frac >= p, frac, 0.0)
-    return float(rate) if rate.ndim == 0 else rate
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` by its sorting path: the first of each run of equal
-    values in ``np.sort`` order (numpy's pick of ``-0.0``/``0.0``), one NaN."""
-    import numpy as np
-    ordered = np.sort(values)
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
-    return ordered[first]
-
-
-def _percentile(values: np.ndarray, q: float) -> float:
-    """``np.percentile(values, q)`` for ``0 <= q <= 100``, by numpy's float
-    steps: the same partition, clamped indices and two-sided interpolation."""
-    import numpy as np
-    n = len(values)
-    virtual = (n - 1) * (q / 100)
-    low = math.floor(virtual)
-    high = low + 1
-    if virtual >= n - 1:
-        low = high = -1
-    part = np.partition(values, sorted({0, -1, low, high}))
-    if math.isnan(part[-1]):
-        return math.nan
-    t = virtual - low
-    a, b = float(part[low]), float(part[high])
-    d = b - a
-    return b - d * (1 - t) if t >= 0.5 else a + d * t
-
-
 def oliveira_thresholds(
     train: VersionedDataset,
     min_compliance: float = DEFAULT_MIN_COMPLIANCE,
@@ -398,18 +341,27 @@ def oliveira_thresholds(
     import numpy as np
     rules = []
     for metric in METRICS:
-        values = np.array(train.column(metric), dtype=float)
-        ks = _distinct(values)
+        ordered = np.sort(np.array(train.column(metric), dtype=float))
+        n = len(ordered)
+        first = np.ones(n, dtype=bool)  # the first of each run: np.unique's pick
+        first[1:] = ordered[1:] != ordered[:-1]
+        ks = ordered[first]
 
-        tail_cut = _percentile(values, tail)
-        above = values[values > tail_cut].tolist()
-        tail_median = median(above) if above else float(values.max())
+        # np.percentile's linear method, by its float steps. The cut is read
+        # only through ``>``, so the sign of a zero cut cannot matter.
+        virtual = (n - 1) * (tail / 100)
+        low = math.floor(virtual)  # at most n - 1, as tail < 100
+        a, b = float(ordered[low]), float(ordered[min(low + 1, n - 1)])
+        t = virtual - low
+        tail_cut = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+        above = ordered[ordered > tail_cut].tolist()
+        tail_median = median(above) if above else float(ordered[-1])
         denominator = tail_median if tail_median > 0 else 1.0
         penalty2 = np.abs(ks - tail_median) / denominator
 
         # The rate is k's share of values for p <= share and 0 above, so each
         # k's best p is the largest the share reaches, or 99 when all p tie.
-        share = compliance_rate(values, 0.0, ks)
+        share = 100.0 * np.searchsorted(ordered, ks, side="right") / n
         held = np.maximum(0.0, min_compliance - share) + penalty2
         broken = min_compliance + penalty2
         total = np.where(share >= 1.0, held, broken)

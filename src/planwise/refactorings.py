@@ -29,9 +29,6 @@ class RefactoringSignature:
     name: str
     signature: dict[str, str]
 
-    def shared_signature(self) -> dict[str, str]:
-        return {m: s for m, s in self.signature.items() if m in SHARED_METRICS}
-
 
 _ROWS: tuple[tuple[str, dict[str, str]], ...] = (
     ("Extract Class", {"cbo": "+", "rfc": "-", "fout": "+", "wmc": "-",

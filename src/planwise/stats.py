@@ -2,17 +2,12 @@
 Simpson.
 
 numpy is imported only inside the logistic fit, which only the ``alves`` and
-``shatnawi`` logistic screen runs; with the ``oliveira`` thresholds those are
-its only users. So ``evaluate``, ``plan`` and ``thresholds`` load numpy only
-for those three planners, and ``bellwether``, ``tree`` and xtree or belltree
-plans never do. No command loads ``statistics`` (with ``decimal`` and
-``fractions``) or ``numpy.ma``: see ``median`` and the fit's label check.
+``shatnawi`` logistic screen runs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -30,20 +25,11 @@ class LogisticFit:
     converged: bool
 
 
-def entropy(labels: Iterable) -> float:
-    """Shannon entropy of a label multiset, in bits."""
-    counts = Counter(labels)
-    if not counts:
-        raise ValueError("entropy of an empty multiset is undefined")
-    return _entropy_of_counts(counts.values())
-
-
 def _entropy_of_counts(counts: Collection[int]) -> float:
     """Shannon entropy, in bits, of the per-class counts of a multiset.
 
     With two classes the result does not depend on the order of the counts
-    (``-x - y == -y - x`` in IEEE arithmetic), so ``(negatives, positives)``
-    pairs give the same bits as a first-appearance ``Counter``.
+    (``-x - y == -y - x`` in IEEE arithmetic).
     """
     total = sum(counts)
     result = 0.0
@@ -152,10 +138,6 @@ def fit_univariate_logistic(
     )
 
 
-def _relatively_equal(a: float, b: float, rel: float = 1e-9) -> bool:
-    return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
-
-
 def simpson_integrate(points: Sequence[tuple[float, float]]) -> float:
     """Integrate sampled ``(x, f(x))`` points.
 
@@ -179,7 +161,7 @@ def simpson_integrate(points: Sequence[tuple[float, float]]) -> float:
     i = 0
     n = len(xs)
     while i < n - 1:
-        if i + 2 <= n - 1 and _relatively_equal(xs[i + 1] - xs[i], xs[i + 2] - xs[i + 1]):
+        if i + 2 <= n - 1 and math.isclose(xs[i + 1] - xs[i], xs[i + 2] - xs[i + 1]):
             h = xs[i + 1] - xs[i]
             total += h / 3.0 * (ys[i] + 4.0 * ys[i + 1] + ys[i + 2])
             i += 2

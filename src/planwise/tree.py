@@ -41,7 +41,6 @@ class Branch:
 
     conditions: tuple[Condition, ...]
     score: float
-    support: int
 
     def condition_keys(self) -> frozenset[tuple[str, int]]:
         return frozenset(c.key() for c in self.conditions)
@@ -213,14 +212,14 @@ def locate(tree: TreeNode, record: ClassRecord) -> Branch:
         ]
         conditions.append(node.conditions[key])
         node = child
-    return Branch(tuple(conditions), node.score, node.support)
+    return Branch(tuple(conditions), node.score)
 
 
 def leaves(node: TreeNode, prefix: tuple[Condition, ...] = ()) -> list[Branch]:
     """Every leaf branch under ``node`` in child-key order; ``prefix`` holds
     the conditions that lead from the root to ``node``."""
     if node.is_leaf:
-        return [Branch(prefix, node.score, node.support)]
+        return [Branch(prefix, node.score)]
     out: list[Branch] = []
     for key in sorted(node.children):
         out.extend(leaves(node.children[key], prefix + (node.conditions[key],)))
@@ -230,8 +229,7 @@ def leaves(node: TreeNode, prefix: tuple[Condition, ...] = ()) -> list[Branch]:
 def predict_defective(tree: TreeNode, record: ClassRecord) -> bool:
     """True when the located leaf's mean defect count exceeds PREDICT_THRESHOLD.
 
-    Routes exactly like ``locate`` (through each node's ``route``) but
-    allocates nothing: no ``Condition``, ``Branch`` or range bounds.
+    Routes exactly like ``locate``, through each node's ``route``.
     """
     node = tree
     while node.split_metric is not None:  # is_leaf, minus a property call per level

@@ -11,6 +11,7 @@ import pytest
 
 from planwise.datasets import (
     METRICS,
+    NO_CHANGE,
     ClassRecord,
     Community,
     Project,
@@ -55,6 +56,11 @@ def write_csv(dataset: VersionedDataset, path: str | Path) -> None:
             row += [repr(rec.metrics[m]) for m in METRICS]
             row.append(str(rec.defects))
             writer.writerow(row)
+
+
+def changes_count(plan) -> int:
+    """Number of metrics a plan asks to change."""
+    return sum(a.direction != NO_CHANGE for a in plan.actions.values())
 
 
 def make_project(versions: list[VersionedDataset], name: str = "proj") -> Project:

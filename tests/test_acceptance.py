@@ -13,13 +13,13 @@ from planwise.bellwether import discover
 from planwise.cli import main
 from planwise.datasets import load_community
 from planwise.discretize import mdlp_cuts
-from planwise.evaluate import changes_count, evaluate_windows, ktest, overlap
+from planwise.evaluate import evaluate_windows, ktest, overlap
 from planwise.planners import XTreePlanner, make_planner, varl
 from planwise.stats import LogisticFit, fit_univariate_logistic, simpson_integrate
 from planwise.tree import locate
 
 from conftest import (
-    make_dataset, make_project, make_record, planted_community, write_csv,
+    changes_count, make_dataset, make_project, make_record, planted_community, write_csv,
 )
 from test_cli import toy_version
 from test_discretize import oracle_cuts, random_dataset

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import planwise.cli
-from planwise.cli import EXIT_FAILURE, EXIT_OK, _write_csv, _write_json, _write_text, main
+from planwise.cli import EXIT_FAILURE, EXIT_OK, _publish, _write_csv, _write_json, main
 from planwise.datasets import METRICS, pool_versions
 from planwise.planners import XTreePlanner, make_planner, suggest_refactorings
 
@@ -427,7 +427,7 @@ class TestStreamedCsv:
 WRITERS = {
     "json": lambda path: _write_json(path, {"a": 1}),
     "csv": lambda path: _write_csv(path, [["a"], [1]]),
-    "text": lambda path: _write_text(path, "a\n"),
+    "text": lambda path: _publish(path, lambda write: write("a\n")),
 }
 
 

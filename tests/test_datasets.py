@@ -423,6 +423,24 @@ class TestValidation:
         with pytest.raises(AttributeError):
             object.__setattr__(rec, "note", "extra")
 
+    def test_a_row_with_more_cells_than_the_header_is_rejected(self, tmp_path):
+        # An unquoted decimal comma splits amc's "12,5" in two; read by
+        # header position, the row would load 20 defects instead of 1.
+        cells = jureczko_row("org.B", defects=1, value=20.0).split(",")
+        amc = HEADER.split(",").index("amc")
+        cells[amc:amc + 1] = ["12", "5"]
+        path = tmp_path / "ant-1.7.csv"
+        write_rows(path, [jureczko_row("org.A"), ",".join(cells)])
+        with pytest.raises(DatasetError, match="row 3 has more cells than the header"):
+            load_csv(path)
+
+    def test_trailing_blank_cells_are_accepted(self, tmp_path):
+        plain, padded = tmp_path / "a" / "ant-1.7.csv", tmp_path / "b" / "ant-1.7.csv"
+        for path, tail in ((plain, ""), (padded, ", ,")):
+            path.parent.mkdir()
+            write_rows(path, [jureczko_row("org.A", defects=1) + tail])
+        assert load_csv(padded) == load_csv(plain)
+
     def test_dataset_rejects_duplicates(self):
         with pytest.raises(DatasetError, match="duplicate"):
             make_dataset([make_record("A"), make_record("A")])

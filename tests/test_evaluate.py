@@ -17,7 +17,6 @@ from planwise.evaluate import (
     CurvePoint,
     KTestResult,
     bucket_index,
-    changes_count,
     evaluate_windows,
     ktest,
     overlap,
@@ -27,7 +26,7 @@ from planwise.planners import (
 )
 
 from conftest import (
-    count_calls, make_dataset, make_project, make_record, tie_heavy_history,
+    changes_count, count_calls, make_dataset, make_project, make_record, tie_heavy_history,
 )
 
 
@@ -95,18 +94,6 @@ class TestBuckets:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             bucket_index(101.0)
-
-
-class TestChangesCount:
-    def test_no_change_plan_counts_zero(self):
-        plan = Plan("c", {m: Action() for m in METRICS}, "test")
-        assert changes_count(plan) == 0
-
-    def test_five_action_plan(self):
-        actions = {m: Action() for m in METRICS}
-        for metric in ("rfc", "wmc", "loc", "lcom", "npm"):
-            actions[metric] = Action(direction="+")
-        assert changes_count(Plan("c", actions, "test")) == 5
 
 
 class ReduceLocStub(PlannerBase):
@@ -251,9 +238,6 @@ class TestKTest:
         doc = ktest(hand_project(), 0, 1, 2, ReduceLocStub()).to_dict()
         assert doc["versions"] == {"train": "1", "test": "2", "validation": "3"}
         assert len(doc["curve"]) == 10
-        csv_text = ktest(hand_project(), 0, 1, 2, ReduceLocStub()).curve_csv()
-        assert csv_text.splitlines()[0] == "bucket,reduced,increased,classes"
-        assert len(csv_text.splitlines()) == 11
 
 
 def test_memos_are_not_part_of_equality_or_repr():
@@ -439,7 +423,8 @@ def dense_ktest(project, i, j, k, planner, epsilon=0.0):
         actions = developer.get(rec.class_name)
         if actions is None:
             continue
-        bucket = bucket_index(overlap(actions, plans[rec.class_name].direction_vector()))
+        directions = {m: a.direction for m, a in plans[rec.class_name].actions.items()}
+        bucket = bucket_index(overlap(actions, directions))
         delta = rec.defects - k_records[rec.class_name].defects
         reduced[bucket] += max(0, delta)
         increased[bucket] += max(0, -delta)

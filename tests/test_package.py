@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import planwise
@@ -85,3 +86,30 @@ def test_orphaned_helper_check_sees_a_leftover():
         "b.py": "from .a import _kept\n\nparser.set_defaults(func=_kept)\n",
     }
     assert _orphaned_helpers(sources) == ["a.py: _left"]
+
+
+def _loc_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "loc.py"
+    spec = importlib.util.spec_from_file_location("loc", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_loc_counts_neither_comments_nor_docstrings():
+    source = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = 1  # code, then a comment\n"
+        's = """a string\nthat is no docstring"""\n'
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    def f(self):\n"
+        '        """Function\n        docstring."""\n'
+        "        return (\n"
+        "            1)\n"
+    )
+    # x, both lines of s, class, def and both lines of the return.
+    assert _loc_script().code_lines(source) == 7

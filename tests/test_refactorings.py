@@ -5,7 +5,6 @@ import io
 from planwise.refactorings import (
     SHARED_METRICS,
     TABLE_METRICS,
-    RefactoringSignature,
     table,
 )
 
@@ -48,5 +47,3 @@ def test_table_returns_fresh_copies():
 
 def test_shared_metrics_drop_catalog_only_columns():
     assert set(TABLE_METRICS) - set(SHARED_METRICS) == {"fout", "nom"}
-    row = RefactoringSignature("x", {"fout": "+", "loc": "-"})
-    assert row.shared_signature() == {"loc": "-"}

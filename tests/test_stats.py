@@ -1,5 +1,6 @@
 import math
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,17 +11,23 @@ from planwise.stats import (
     LOGLIK_TOLERANCE,
     MAX_IRLS_ITERATIONS,
     LogisticFit,
+    _entropy_of_counts,
     _log_likelihood,
     _perfectly_separated,
     _sigmoid,
-    entropy,
     fit_univariate_logistic,
     median,
     simpson_integrate,
 )
 
 
+def entropy(labels) -> float:
+    return _entropy_of_counts(Counter(labels).values())
+
+
 class TestEntropy:
+    """``_entropy_of_counts``, which the tree and MDL run on per-class counts."""
+
     def test_pure_set_is_zero(self):
         assert entropy(["x"] * 7) == 0.0
 
@@ -31,9 +38,10 @@ class TestEntropy:
         # -(1/3)log2(1/3) - (2/3)log2(2/3)
         assert entropy(list("AABBBB")) == pytest.approx(0.9182958340544896, abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            entropy([])
+    def test_zero_counts_add_nothing(self):
+        # A tree node's (negatives, positives) pair may hold a zero.
+        assert _entropy_of_counts((0, 5)) == 0.0
+        assert _entropy_of_counts((3, 0, 3)) == 1.0
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
     @settings(max_examples=100)

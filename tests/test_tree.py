@@ -308,8 +308,9 @@ class TestLocate:
                 rfc=float(rng.uniform(-10, 80)),
             )
             branch = locate(tree, record)
-            assert (branch.score, branch.support, len(branch.conditions)) in {
-                (s, sup, lvl) for (s, sup, lvl) in all_leaves
+            assert leaves(tree).count(branch) == 1
+            assert (branch.score, len(branch.conditions)) in {
+                (s, lvl) for (s, _, lvl) in all_leaves
             }
 
     def test_unpopulated_range_falls_to_nearest_child(self):
@@ -322,7 +323,7 @@ class TestLocate:
 class TestLeaves:
     def test_single_leaf_tree_is_its_own_branch(self):
         leaf = TreeNode(score=1.0, support=4, level=0)
-        assert leaves(leaf) == [Branch((), 1.0, 4)]
+        assert leaves(leaf) == [Branch((), 1.0)]
         assert leaves(leaf) == [locate(leaf, make_record("A"))]
 
     def test_two_leaf_tree_lists_both_leaves(self):
@@ -421,7 +422,7 @@ def reference_locate(tree, record):
         low, high = node.split_bins.range_bounds(key)
         conditions.append(Condition(node.split_metric, key, low, high))
         node = node.children[key]
-    return Branch(tuple(conditions), node.score, node.support)
+    return Branch(tuple(conditions), node.score)
 
 
 def value_in_range(bins, index):
@@ -475,7 +476,7 @@ def reference_conditions(node):
 def reference_leaves(node, prefix=()):
     """leaves as it was written before nodes kept their conditions."""
     if node.is_leaf:
-        return [Branch(prefix, node.score, node.support)]
+        return [Branch(prefix, node.score)]
     out = []
     for key, cond in sorted(reference_conditions(node).items()):
         out.extend(reference_leaves(node.children[key], prefix + (cond,)))
