@@ -27,7 +27,6 @@ from .stats import LogisticFit, fit_univariate_logistic, simpson_integrate
 from .discretize import BinMap, apply_bins, mdlp_cuts
 from .tree import (
     Branch,
-    Condition,
     TreeNode,
     build_tree,
     fit_bins,
@@ -79,7 +78,7 @@ __all__ = [
     "pool_versions",
     "LogisticFit", "fit_univariate_logistic", "simpson_integrate",
     "BinMap", "apply_bins", "mdlp_cuts",
-    "Branch", "Condition", "TreeNode", "build_tree", "fit_bins", "leaves",
+    "Branch", "TreeNode", "build_tree", "fit_bins", "leaves",
     "locate", "predict_defective", "tree_to_dict",
     "Action", "Plan", "PlannerBase", "ThresholdPlanner", "ThresholdRule",
     "XTreePlanner", "alves_thresholds",

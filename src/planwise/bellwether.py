@@ -22,7 +22,7 @@ from .tree import build_tree, fit_bins, predict_defective
 
 def g_score(tp: int, fp: int, tn: int, fn: int) -> float:
     """Harmonic mean of recall and (1 - false alarm rate)."""
-    recall = tp / (tp + fn) if tp + fn else 0.0
+    recall = recall_score(tp, fp, tn, fn)
     false_alarm = fp / (fp + tn) if fp + tn else 0.0
     denom = recall + (1.0 - false_alarm)
     return 2.0 * recall * (1.0 - false_alarm) / denom if denom else 0.0

@@ -33,7 +33,6 @@ from .stats import LogisticFit, fit_univariate_logistic, median
 from .tree import (
     DEFAULT_MAX_DEPTH,
     Branch,
-    Condition,
     TreeNode,
     build_tree,
     fit_bins,
@@ -51,8 +50,9 @@ DEFAULT_MIN_COMPLIANCE = 90.0
 DEFAULT_TAIL = 90.0
 SIGNIFICANCE_LEVEL = 0.05
 
-# A leaf's conditions -> the branch its classes should move to, or None.
-PlanTargets = dict[tuple[Condition, ...], Optional[Branch]]
+# A leaf's (metric, range index) conditions -> the branch its classes should
+# move to, or None.
+PlanTargets = dict[tuple[tuple[str, int], ...], Optional[Branch]]
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def no_change_plan(class_name: str, source_planner: str) -> Plan:
 
 
 def _branch_distance(a: Branch, b: Branch) -> int:
-    return len(a.condition_keys() ^ b.condition_keys())
+    return len(set(a.conditions).symmetric_difference(b.conditions))
 
 
 def _shared_prefix(a: Branch, b: Branch) -> int:
@@ -162,7 +162,7 @@ def plan_targets(tree: TreeNode, gamma: float = DEFAULT_GAMMA) -> PlanTargets:
         ]
         targets[current.conditions] = min(better, default=None, key=lambda b: (
             -_shared_prefix(b, current), _branch_distance(b, current),
-            b.score, b.sort_key(),
+            b.score, b.conditions,
         ))
     return targets
 
@@ -199,21 +199,16 @@ def xtree_plan(
     actions = dict.fromkeys(METRICS, _KEEP)
     values = record.values
     node = tree
-    for cond in desired.conditions:  # cond.metric is node.split_metric
+    for metric, index in desired.conditions:  # metric is node.split_metric
         idx = apply_bins(node.split_bins, values[node.split_index])
-        if idx < cond.range_index:
-            direction = INCREASE
-        elif idx > cond.range_index:
-            direction = DECREASE
-        else:
-            direction = NO_CHANGE
-        if direction != NO_CHANGE:
-            actions[cond.metric] = Action(
-                direction=direction,
-                target_range=(cond.low, cond.high),
-                suggested=cond.low + (cond.high - cond.low) * next(draws),
+        if idx != index:
+            low, high = node.split_bins.range_bounds(index)
+            actions[metric] = Action(
+                direction=INCREASE if idx < index else DECREASE,
+                target_range=(low, high),
+                suggested=low + (high - low) * next(draws),
             )
-        node = node.children[cond.range_index]
+        node = node.children[index]
     return Plan(
         record.class_name,
         actions,
@@ -357,7 +352,10 @@ def oliveira_thresholds(
         above = ordered[ordered > tail_cut].tolist()
         tail_median = median(above) if above else float(ordered[-1])
         denominator = tail_median if tail_median > 0 else 1.0
-        penalty2 = np.abs(ks - tail_median) / denominator
+        # A subnormal tail median overflows a quotient to +inf, as it does in
+        # numpy's matrix search: the penalty is infinite, not an error.
+        with np.errstate(over="ignore"):
+            penalty2 = np.abs(ks - tail_median) / denominator
 
         # The rate is k's share of values for p <= share and 0 above, so each
         # k's best p is the largest the share reaches, or 99 when all p tie.

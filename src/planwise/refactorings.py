@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .datasets import METRIC_SET
+
 # Metric universe of the catalog. ``fout`` (fan-out) and ``nom`` (number of
 # methods) are catalog-only: they have no counterpart in the dataset schema,
 # so signature matching is restricted to the shared metrics below.
@@ -17,9 +19,7 @@ TABLE_METRICS: tuple[str, ...] = (
     "dit", "noc", "cbo", "rfc", "fout", "wmc", "nom", "loc", "lcom",
 )
 
-SHARED_METRICS: tuple[str, ...] = (
-    "dit", "noc", "cbo", "rfc", "wmc", "loc", "lcom",
-)
+SHARED_METRICS: tuple[str, ...] = tuple(m for m in TABLE_METRICS if m in METRIC_SET)
 
 
 @dataclass(frozen=True)

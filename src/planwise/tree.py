@@ -23,30 +23,16 @@ PREDICT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
-class Condition:
-    """One branch condition: a metric constrained to one discretized range."""
-
-    metric: str
-    range_index: int
-    low: float
-    high: float
-
-    def key(self) -> tuple[str, int]:
-        return (self.metric, self.range_index)
-
-
-@dataclass(frozen=True)
 class Branch:
-    """Root-to-leaf conditions plus the leaf's defect score."""
+    """Root-to-leaf conditions plus the leaf's defect score.
 
-    conditions: tuple[Condition, ...]
+    Each condition is a ``(metric, range index)`` pair: the metric a node
+    splits on and the discretized range the branch takes there. The range's
+    bounds are the split's ``BinMap.range_bounds(index)``.
+    """
+
+    conditions: tuple[tuple[str, int], ...]
     score: float
-
-    def condition_keys(self) -> frozenset[tuple[str, int]]:
-        return frozenset(c.key() for c in self.conditions)
-
-    def sort_key(self) -> tuple:
-        return tuple(c.key() for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -55,11 +41,9 @@ class TreeNode:
 
     ``route`` maps each range index of the split metric to ``(child key,
     child)``: the range's own child, or the nearest child when that range had
-    no training rows (ties to the smaller key). ``conditions`` maps each child
-    key to the ``Condition`` of its range, built once here for ``locate`` and
-    ``leaves``, and ``split_index`` is the split metric's position in a
-    record's ``values``. Leaves have an empty route, no conditions and no
-    split index.
+    no training rows (ties to the smaller key). Every child key must name a
+    range of the split. ``split_index`` is the split metric's position in a
+    record's ``values``. Leaves have an empty route and no split index.
     """
 
     score: float
@@ -71,26 +55,24 @@ class TreeNode:
     route: tuple[tuple[int, "TreeNode"], ...] = field(
         init=False, compare=False, repr=False
     )
-    conditions: dict[int, Condition] = field(init=False, compare=False, repr=False)
     split_index: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        route, conditions, split_index = (), {}, None
+        route, split_index = (), None
         if self.split_metric is not None:
             if not self.children:
                 raise ValueError("a split node needs at least one child")
+            n_ranges = self.split_bins.n_ranges
+            for key in self.children:
+                if not 0 <= key < n_ranges:
+                    raise ValueError(f"child key {key} names no range of {self.split_metric}")
             keys = (
                 min(self.children, key=lambda k: (abs(k - idx), k))
-                for idx in range(self.split_bins.n_ranges)
+                for idx in range(n_ranges)
             )
             route = tuple((key, self.children[key]) for key in keys)
-            conditions = {
-                key: Condition(self.split_metric, key, *self.split_bins.range_bounds(key))
-                for key in self.children
-            }
             split_index = METRIC_INDEX[self.split_metric]
         object.__setattr__(self, "route", route)
-        object.__setattr__(self, "conditions", conditions)
         object.__setattr__(self, "split_index", split_index)
 
     @property
@@ -204,25 +186,25 @@ def build_tree(
 
 def locate(tree: TreeNode, record: ClassRecord) -> Branch:
     """The unique root-to-leaf branch a record satisfies."""
-    conditions: list[Condition] = []
+    conditions: list[tuple[str, int]] = []
     node = tree
     while not node.is_leaf:
         key, child = node.route[
             bisect_left(node.split_bins.cut_points, record.values[node.split_index])
         ]
-        conditions.append(node.conditions[key])
+        conditions.append((node.split_metric, key))
         node = child
     return Branch(tuple(conditions), node.score)
 
 
-def leaves(node: TreeNode, prefix: tuple[Condition, ...] = ()) -> list[Branch]:
+def leaves(node: TreeNode, prefix: tuple[tuple[str, int], ...] = ()) -> list[Branch]:
     """Every leaf branch under ``node`` in child-key order; ``prefix`` holds
     the conditions that lead from the root to ``node``."""
     if node.is_leaf:
         return [Branch(prefix, node.score)]
     out: list[Branch] = []
     for key in sorted(node.children):
-        out.extend(leaves(node.children[key], prefix + (node.conditions[key],)))
+        out.extend(leaves(node.children[key], prefix + ((node.split_metric, key),)))
     return out
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -181,15 +182,16 @@ def reference_xtree_plan(tree, targets, record, seed):
     rng = random.Random(seed)
     actions = dict.fromkeys(METRICS, Action())
     node = tree
-    for cond in desired.conditions:
-        idx = apply_bins(node.split_bins, record.metrics[cond.metric])
-        if idx != cond.range_index:
-            actions[cond.metric] = Action(
-                direction=INCREASE if idx < cond.range_index else DECREASE,
-                target_range=(cond.low, cond.high),
-                suggested=rng.uniform(cond.low, cond.high),
+    for metric, index in desired.conditions:
+        idx = apply_bins(node.split_bins, record.metrics[metric])
+        if idx != index:
+            low, high = node.split_bins.range_bounds(index)
+            actions[metric] = Action(
+                direction=INCREASE if idx < index else DECREASE,
+                target_range=(low, high),
+                suggested=rng.uniform(low, high),
             )
-        node = node.children[cond.range_index]
+        node = node.children[index]
     return Plan(record.class_name, actions, "xtree",
                 expected_score_drop=current.score - desired.score)
 
@@ -228,8 +230,8 @@ def reference_targets(tree, gamma):
         for lvl in range(len(current.conditions) - 1, -1, -1):
             prefix = current.conditions[:lvl]
             node = tree
-            for cond in prefix:
-                node = node.children[cond.range_index]
+            for _, index in prefix:
+                node = node.children[index]
             better = [
                 b for b in leaves(node, prefix)
                 if b.conditions != current.conditions
@@ -237,8 +239,8 @@ def reference_targets(tree, gamma):
             ]
             if better:
                 desired = min(better, key=lambda b: (
-                    len(b.condition_keys() ^ current.condition_keys()),
-                    b.score, b.sort_key(),
+                    len(set(b.conditions) ^ set(current.conditions)),
+                    b.score, b.conditions,
                 ))
                 break
         out[current.conditions] = desired
@@ -366,13 +368,13 @@ class TestPlanTargets:
         tree = three_way_tree()  # scores 2, 2, 8
         worst = leaves(tree)[2]
         target = plan_targets(tree, 0.5)[worst.conditions]
-        assert target.sort_key() == (("cbo", 0),)
+        assert target.conditions == (("cbo", 0),)
 
     def test_deepest_ancestor_wins_over_closer_scores(self):
         tree = deep_tie_tree()
         targets = plan_targets(tree, 0.5)
         six = next(b for b in leaves(tree) if b.score == 6.0)
-        assert targets[six.conditions].sort_key() == (
+        assert targets[six.conditions].conditions == (
             ("loc", 0), ("rfc", 1), ("wmc", 1),
         )
 
@@ -601,7 +603,8 @@ def matrix_relative_threshold(values, min_compliance, tail):
     above = values[values > tail_cut]
     tail_median = float(np.median(above)) if above.size else float(values.max())
     denominator = tail_median if tail_median > 0 else 1.0
-    penalty2 = np.abs(ks - tail_median) / denominator
+    with np.errstate(over="ignore"):  # a subnormal tail median gives +inf
+        penalty2 = np.abs(ks - tail_median) / denominator
     rate = compliance_rate(values, ps[:, None], ks[None, :])
     total = np.maximum(0.0, min_compliance - rate) + penalty2[None, :]
     rows, cols = np.nonzero(total == total.min())
@@ -668,8 +671,6 @@ class TestOliveira:
         assert (rules["loc"].upper, rules["loc"].p_fraction) == matrix_relative_threshold(
             column, min_compliance, tail)
 
-    # A subnormal tail median overflows penalty2 to inf, in both searches.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(column=SIGNED_ZERO_COLUMNS, min_compliance=PERCENTAGES, tail=PERCENTAGES)
     # The tail's virtual index 2.5 lands halfway between the subnormals 5e-324
@@ -688,6 +689,18 @@ class TestOliveira:
         rule = {r.metric: r for r in oliveira_thresholds(train, min_compliance, tail)}["loc"]
         upper, p_fraction = matrix_relative_threshold(column, min_compliance, tail)
         assert (rule.upper.hex(), rule.p_fraction) == (upper.hex(), p_fraction)
+
+    def test_a_subnormal_tail_median_overflows_without_a_warning(self):
+        # The tail median is 5e-324, so 1.0's penalty overflows to +inf;
+        # numpy's matrix search picks the same rule.
+        column = [0.0, 5e-324, 5e-324, 5e-324, 1.0]
+        train = make_dataset([make_record(f"c{i}", loc=v) for i, v in enumerate(column)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rules = oliveira_thresholds(train, tail=10.0)
+        rule = {r.metric: r for r in rules}["loc"]
+        assert (rule.upper, rule.p_fraction) == (5e-324, 0.8)
+        assert matrix_relative_threshold(column, 90.0, 10.0) == (5e-324, 0.8)
 
     def test_a_column_with_nan_fails_as_under_numpy(self):
         # numpy's NaN percentile makes every penalty NaN, so no candidate is
@@ -770,9 +783,9 @@ def unmet_conditions(planner, record):
     """Conditions of the record's desired branch it does not yet satisfy."""
     desired = planner.targets[locate(planner.tree, record).conditions]
     node, unmet = planner.tree, 0
-    for cond in desired.conditions if desired is not None else ():
-        unmet += apply_bins(node.split_bins, record.metrics[cond.metric]) != cond.range_index
-        node = node.children[cond.range_index]
+    for metric, index in desired.conditions if desired is not None else ():
+        unmet += apply_bins(node.split_bins, record.metrics[metric]) != index
+        node = node.children[index]
     return unmet
 
 

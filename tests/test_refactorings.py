@@ -47,3 +47,4 @@ def test_table_returns_fresh_copies():
 
 def test_shared_metrics_drop_catalog_only_columns():
     assert set(TABLE_METRICS) - set(SHARED_METRICS) == {"fout", "nom"}
+    assert SHARED_METRICS == ("dit", "noc", "cbo", "rfc", "wmc", "loc", "lcom")

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwise.datasets import METRICS, pool_versions
+from planwise.datasets import DECREASE, INCREASE, METRICS, NO_CHANGE, pool_versions
 from planwise.discretize import BinMap
+from planwise.planners import plan_targets, xtree_plan
 from planwise.stats import _entropy_of_counts
 from planwise.tree import (
     Branch,
-    Condition,
     TreeNode,
     build_tree,
     default_min_leaf,
@@ -286,7 +286,7 @@ class TestLocate:
 
     def test_routes_below_cut_to_left_leaf(self):
         branch = locate(two_leaf_tree(), make_record("A", loc=10))
-        assert branch.conditions == (Condition("loc", 0, 0.0, 50.0),)
+        assert branch.conditions == (("loc", 0),)
         assert branch.score == 0.0
 
     def test_routes_above_cut_to_right_leaf(self):
@@ -316,8 +316,7 @@ class TestLocate:
     def test_unpopulated_range_falls_to_nearest_child(self):
         root = unpopulated_middle_tree()
         branch = locate(root, make_record("A", loc=30.0))  # middle range empty
-        assert branch.conditions[0].range_index in (0, 2)
-        assert branch.conditions[0].range_index == 0  # nearest, tie to smaller
+        assert branch.conditions == (("loc", 0),)  # nearest, tie to smaller
 
 
 class TestLeaves:
@@ -334,7 +333,7 @@ class TestLeaves:
     def test_three_level_enumeration_matches_hand_count(self):
         tree = three_level_tree()
         all_leaves = leaves(tree)
-        assert [b.sort_key() for b in all_leaves] == [
+        assert [b.conditions for b in all_leaves] == [
             (("loc", 0), ("rfc", 0)), (("loc", 0), ("rfc", 1)), (("loc", 1),),
         ]
         assert [b.score for b in all_leaves] == [0.0, 2.0, 8.0]
@@ -419,8 +418,7 @@ def reference_locate(tree, record):
     node = tree
     while not node.is_leaf:
         key = reference_route_index(node, record.metrics[node.split_metric])
-        low, high = node.split_bins.range_bounds(key)
-        conditions.append(Condition(node.split_metric, key, low, high))
+        conditions.append((node.split_metric, key))
         node = node.children[key]
     return Branch(tuple(conditions), node.score)
 
@@ -451,10 +449,8 @@ class TestRouteTable:
     def test_route_is_not_part_of_equality_or_repr(self):
         assert two_leaf_tree() == two_leaf_tree()
         assert "route" not in repr(two_leaf_tree())
-        assert "conditions" not in repr(two_leaf_tree())
         other = two_leaf_tree()
         object.__setattr__(other, "route", ())
-        object.__setattr__(other, "conditions", {})
         assert other == two_leaf_tree()
 
     def test_split_node_without_children_is_rejected(self):
@@ -464,43 +460,69 @@ class TestRouteTable:
                 split_bins=BinMap("loc", (50.0,), 0.0, 100.0), children={},
             )
 
-
-def reference_conditions(node):
-    """Each child's Condition, rebuilt from the split's range bounds."""
-    return {
-        key: Condition(node.split_metric, key, *node.split_bins.range_bounds(key))
-        for key in node.children
-    }
+    @pytest.mark.parametrize("key", [-1, 2, 3])
+    def test_child_key_outside_the_split_is_rejected(self, key):
+        children = {0: TreeNode(score=0.0, support=2, level=1),
+                    key: TreeNode(score=1.0, support=2, level=1)}
+        with pytest.raises(ValueError, match=f"child key {key} names no range of loc"):
+            TreeNode(
+                score=1.0, support=4, level=0, split_metric="loc",
+                split_bins=BinMap("loc", (50.0,), 0.0, 100.0), children=children,
+            )
 
 
 def reference_leaves(node, prefix=()):
-    """leaves as it was written before nodes kept their conditions."""
+    """leaves as a plain walk of the children in key order."""
     if node.is_leaf:
         return [Branch(prefix, node.score)]
     out = []
-    for key, cond in sorted(reference_conditions(node).items()):
-        out.extend(reference_leaves(node.children[key], prefix + (cond,)))
+    for key in sorted(node.children):
+        out.extend(reference_leaves(node.children[key],
+                                    prefix + ((node.split_metric, key),)))
     return out
 
 
+def with_leaf_scores(tree, scores):
+    """A one-split tree with its leaves rescored in child-key order."""
+    return TreeNode(
+        score=tree.score, support=tree.support, level=tree.level,
+        split_metric=tree.split_metric, split_bins=tree.split_bins,
+        children={
+            key: TreeNode(score=score, support=child.support, level=child.level)
+            for score, (key, child) in zip(scores, sorted(tree.children.items()))
+        },
+    )
+
+
 class TestConditionTable:
-    """Every split node builds its children's Conditions once; the rebuild
-    from ``range_bounds`` that locate and leaves used to do is the oracle."""
+    """A branch condition is a ``(metric, range index)`` pair; ``xtree_plan``
+    reads the range's bounds from the split's ``BinMap``."""
 
-    def test_every_child_has_its_range_condition(self):
-        for tree in oracle_trees():
-            for node in split_nodes(tree):
-                assert node.conditions == reference_conditions(node)
-                assert node.conditions.keys() == node.children.keys()
-        assert TreeNode(score=1.0, support=4, level=0).conditions == {}
-
-    def test_gapped_and_unpopulated_ranges_keep_their_own_bounds(self):
-        assert unpopulated_middle_tree().conditions == {
-            0: Condition("loc", 0, 0.0, 10.0), 2: Condition("loc", 2, 50.0, 100.0),
-        }
-        assert gapped_tree().conditions == {
-            1: Condition("wmc", 1, 5.0, 10.0), 3: Condition("wmc", 3, 20.0, 40.0),
-        }
+    # Per range of the split, in range order: the plan's change to the split
+    # metric, or None. Ranges without a child reach their nearest child.
+    @pytest.mark.parametrize("tree, expected", [
+        (unpopulated_middle_tree(), [None, None, (DECREASE, 0, (0.0, 10.0))]),
+        (with_leaf_scores(unpopulated_middle_tree(), (6.0, 0.0)),
+         [(INCREASE, 2, (50.0, 100.0))] * 2 + [None]),
+        (gapped_tree(), [None] * 3 + [(DECREASE, 1, (5.0, 10.0))] * 2),
+        (with_leaf_scores(gapped_tree(), (3.5, 0.5)),
+         [(INCREASE, 3, (20.0, 40.0))] * 3 + [None] * 2),
+    ])
+    def test_plans_target_the_desired_range_bounds(self, tree, expected):
+        targets = plan_targets(tree, 0.5)
+        bins = tree.split_bins
+        for index, change in enumerate(expected):
+            record = make_record("r", **{tree.split_metric: value_in_range(bins, index)})
+            action = xtree_plan(tree, targets, record).actions[tree.split_metric]
+            if change is None:
+                assert action.direction == NO_CHANGE
+                continue
+            direction, desired, bounds = change
+            desired_branch = targets[locate(tree, record).conditions]
+            assert desired_branch.conditions == ((tree.split_metric, desired),)
+            assert action.target_range == bins.range_bounds(desired) == bounds
+            assert action.direction == direction
+            assert bounds[0] <= action.suggested <= bounds[1]
 
     def test_leaves_match_the_rebuild(self):
         for tree in oracle_trees():
