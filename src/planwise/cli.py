@@ -225,8 +225,9 @@ def _cmd_bellwether(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _result_paths(out_dir: Path, result) -> tuple[Path, Path]:
-    stem = f"{result.project}-{result.version_i}-{result.version_j}-{result.version_k}-{result.planner}"
+def _result_paths(out_dir: Path, project: str, versions, planner: str) -> tuple[Path, Path]:
+    """A window's result JSON and curve CSV, named by its three releases."""
+    stem = "-".join(map(str, (project, *versions, planner)))
     safe = stem.replace("/", "_")
     return out_dir / f"{safe}.json", out_dir / f"{safe}-curve.csv"
 
@@ -270,13 +271,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         community = community or load_community(args.community)
         belltree_train = exemplar_train(community, project, args.quality_measure)
 
+    # Windows are named by their release labels, or by their releases'
+    # 1-based positions when two releases share a label (unlabelled files).
+    labels = [version.version for version in project.versions]
+    by_position = len(set(labels)) < len(labels)
     rows = []
     for name in names:
         planner = make_planner(name, **vars(args))
         train = belltree_train if name == "belltree" else None
         results = evaluate_windows(project, planner, epsilon=args.epsilon, train=train)
         for window, result in enumerate(results, start=1):
-            json_path, curve_path = _result_paths(out_dir, result)
+            versions = range(window, window + 3) if by_position else result.versions.values()
+            json_path, curve_path = _result_paths(out_dir, result.project, versions, result.planner)
             _write_json(json_path, result.to_dict())
             curve = [("bucket", "reduced", "increased", "classes"), *map(astuple, result.curve)]
             _write_csv(curve_path, curve, newline="\r\n")

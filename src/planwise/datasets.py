@@ -196,10 +196,11 @@ def load_csv(
 ) -> VersionedDataset:
     """Load one release CSV into a validated dataset.
 
-    The header must name the 20 metric columns, a class identifier column
-    (``name``; in the Jureczko layout the first ``name`` column is the
-    project and the last is the class), and a defect column (``bug``,
-    ``bugs``, or ``defects``). Extra columns are ignored with a warning.
+    The header must name each of the 20 metric columns once, a class
+    identifier column (``name``; in the Jureczko layout the first ``name``
+    column is the project and the last is the class), and one defect column
+    (``bug``, ``bugs``, or ``defects``). Extra columns are ignored with a
+    warning.
     Metric and defect cells must be finite numbers, and the file UTF-8 text.
     A row may hold no more cells than the header, apart from blank ones.
     Each record keeps its metric values in one tuple in ``METRICS`` order,
@@ -226,20 +227,24 @@ def load_csv(
         project_col = name_cols[0] if len(name_cols) > 1 else None
 
         version_col = header.index("version") if "version" in header else None
-        defect_col = None
-        for alias in DEFECT_ALIASES:
-            if alias in header:
-                defect_col = header.index(alias)
-                break
-        if defect_col is None:
+        defect_cols = [i for i, h in enumerate(header) if h in DEFECT_ALIASES]
+        if not defect_cols:
             raise DatasetError(
                 f"{path}: missing defect column (one of {', '.join(DEFECT_ALIASES)})"
             )
+        if len(defect_cols) > 1:
+            found = ", ".join(repr(raw_header[i]) for i in defect_cols)
+            raise DatasetError(f"{path}: defect count appears in more than one column ({found})")
+        defect_col = defect_cols[0]
 
         metric_cols: dict[str, int] = {}
         for metric in METRICS:
-            if metric not in header:
-                raise DatasetError(f"{path}: missing column {metric!r}")
+            count = header.count(metric)
+            if count != 1:
+                raise DatasetError(
+                    f"{path}: missing column {metric!r}" if not count else
+                    f"{path}: column {metric!r} appears more than once"
+                )
             metric_cols[metric] = header.index(metric)
 
         known = set(metric_cols.values()) | set(name_cols) | {defect_col}
@@ -375,7 +380,8 @@ def pool_versions(project: Project) -> VersionedDataset:
     """Pool all releases of a project into one training dataset.
 
     Class names colliding across releases are disambiguated with a version
-    prefix so the pooled dataset keeps the unique-name invariant.
+    prefix, repeated while the name is taken (releases may share a label),
+    so the pooled dataset keeps the unique-name invariant.
     """
     records: list[ClassRecord] = []
     seen: set[str] = set()
@@ -383,7 +389,8 @@ def pool_versions(project: Project) -> VersionedDataset:
         for rec in version.records:
             name = rec.class_name
             if name in seen:
-                name = f"{version.version}:{name}"
+                while name in seen:
+                    name = f"{version.version}:{name}"
                 rec = ClassRecord(name, rec.values, rec.defects)
             seen.add(name)
             records.append(rec)

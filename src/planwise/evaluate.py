@@ -61,13 +61,14 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class ChangesSummary:
-    """Distribution of changes-per-plan across one planning run."""
+    """Distribution of changes-per-plan across one planning run; the field
+    names are the JSON keys."""
 
     plans: int
-    minimum: int
+    min: int
     median: float
     mean: float
-    maximum: int
+    max: int
 
     @classmethod
     def from_counts(cls, counts: list[int]) -> "ChangesSummary":
@@ -75,32 +76,25 @@ class ChangesSummary:
             return cls(0, 0, 0.0, 0.0, 0)
         return cls(
             plans=len(counts),
-            minimum=min(counts),
+            min=min(counts),
             median=float(median(counts)),
             mean=sum(counts) / len(counts),
-            maximum=max(counts),
+            max=max(counts),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "plans": self.plans,
-            "min": self.minimum,
-            "median": self.median,
-            "mean": self.mean,
-            "max": self.maximum,
-        }
 
 
 @dataclass(frozen=True)
 class KTestResult:
-    """Outcome of one train/plan/validate window for one planner."""
+    """Outcome of one train/plan/validate window for one planner.
+
+    ``versions`` maps ``train``, ``test`` and ``validation`` to the window's
+    release labels; ``to_dict`` is the result's JSON document.
+    """
 
     project: str
-    version_i: str
-    version_j: str
-    version_k: str
+    versions: dict[str, str]
     planner: str
-    curve: tuple[CurvePoint, ...]
+    curve: list[CurvePoint]
     aupec_reduced: Optional[float]
     aupec_increased: Optional[float]
     changes_per_plan: ChangesSummary
@@ -108,21 +102,7 @@ class KTestResult:
     matched_defects: int
 
     def to_dict(self) -> dict:
-        return {
-            "project": self.project,
-            "versions": {
-                "train": self.version_i,
-                "test": self.version_j,
-                "validation": self.version_k,
-            },
-            "planner": self.planner,
-            "curve": [asdict(point) for point in self.curve],
-            "aupec_reduced": self.aupec_reduced,
-            "aupec_increased": self.aupec_increased,
-            "changes_per_plan": self.changes_per_plan.to_dict(),
-            "matched_classes": self.matched_classes,
-            "matched_defects": self.matched_defects,
-        }
+        return asdict(self)
 
 
 def _aupec(curve_heights: list[int], matched_defects: int) -> Optional[float]:
@@ -162,11 +142,7 @@ def ktest(
             f"need three ordered releases, got indices {(i, j, k)} for "
             f"{len(project.versions)} available"
         )
-    version_i, version_j, version_k = (
-        project.versions[i],
-        project.versions[j],
-        project.versions[k],
-    )
+    version_j, version_k = project.versions[j], project.versions[k]
     if (j, k, epsilon) not in project.diffs:  # once per window, for every planner
         k_records = version_k.by_name()
         project.diffs[j, k, epsilon] = {
@@ -203,21 +179,23 @@ def ktest(
         matched_defects += rec.defects
 
     if matched_classes == 0:
-        curve: tuple[CurvePoint, ...] = ()
+        curve: list[CurvePoint] = []
         aupec_reduced = aupec_increased = None
     else:
-        curve = tuple(
+        curve = [
             CurvePoint(mid, reduced[b], increased[b], classes[b])
             for b, mid in enumerate(BUCKET_MIDPOINTS)
-        )
+        ]
         aupec_reduced = _aupec(reduced, matched_defects)
         aupec_increased = _aupec(increased, matched_defects)
 
     return KTestResult(
         project=project.name,
-        version_i=version_i.version,
-        version_j=version_j.version,
-        version_k=version_k.version,
+        versions={
+            "train": project.versions[i].version,
+            "test": version_j.version,
+            "validation": version_k.version,
+        },
         planner=planner.name,
         curve=curve,
         aupec_reduced=aupec_reduced,

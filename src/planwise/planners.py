@@ -305,8 +305,6 @@ def shatnawi_thresholds(
         raise ValueError("p0 and p1 must lie in (0, 1)")
     rules = []
     for metric, fit in _screen(train, p0).items():
-        if fit.beta == 0.0:
-            continue
         values = train.column(metric)
         threshold = varl(fit, p1)
         if not math.isfinite(threshold) or threshold <= 0.0:

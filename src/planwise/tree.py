@@ -37,47 +37,50 @@ class Branch:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Node of the defect tree; a leaf when ``split_metric`` is None.
+    """Node of the defect tree; a leaf when ``split_bins`` is None.
 
-    ``route`` maps each range index of the split metric to ``(child key,
-    child)``: the range's own child, or the nearest child when that range had
-    no training rows (ties to the smaller key). Every child key must name a
-    range of the split. ``split_index`` is the split metric's position in a
-    record's ``values``. Leaves have an empty route and no split index.
+    A split node splits on ``split_bins.metric``, kept as ``split_metric``;
+    ``split_index`` is that metric's position in a record's ``values``.
+    ``route`` maps each of its range indexes to ``(child key, child)``: the
+    range's own child, or the nearest child when that range had no training
+    rows (ties to the smaller key). Every child key must name a range of the
+    split. Leaves have an empty route and no split metric or index.
     """
 
     score: float
     support: int
     level: int
-    split_metric: Optional[str] = None
     split_bins: Optional[BinMap] = None
     children: Optional[dict[int, "TreeNode"]] = None
+    split_metric: Optional[str] = field(init=False, compare=False, repr=False)
     route: tuple[tuple[int, "TreeNode"], ...] = field(
         init=False, compare=False, repr=False
     )
     split_index: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        route, split_index = (), None
-        if self.split_metric is not None:
+        metric, route, split_index = None, (), None
+        if self.split_bins is not None:
+            metric = self.split_bins.metric
             if not self.children:
                 raise ValueError("a split node needs at least one child")
             n_ranges = self.split_bins.n_ranges
             for key in self.children:
                 if not 0 <= key < n_ranges:
-                    raise ValueError(f"child key {key} names no range of {self.split_metric}")
+                    raise ValueError(f"child key {key} names no range of {metric}")
             keys = (
                 min(self.children, key=lambda k: (abs(k - idx), k))
                 for idx in range(n_ranges)
             )
             route = tuple((key, self.children[key]) for key in keys)
-            split_index = METRIC_INDEX[self.split_metric]
+            split_index = METRIC_INDEX[metric]
+        object.__setattr__(self, "split_metric", metric)
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "split_index", split_index)
 
     @property
     def is_leaf(self) -> bool:
-        return self.split_metric is None
+        return self.split_bins is None
 
 
 def default_min_leaf(n_records: int) -> int:
@@ -172,7 +175,6 @@ def build_tree(
             score=score,
             support=support,
             level=level,
-            split_metric=best_metric,
             split_bins=bins[best_metric],
             children={key: grow(part, level + 1, used) for key, part in parts.items()},
         )
@@ -214,7 +216,7 @@ def predict_defective(tree: TreeNode, record: ClassRecord) -> bool:
     Routes exactly like ``locate``, through each node's ``route``.
     """
     node = tree
-    while node.split_metric is not None:  # is_leaf, minus a property call per level
+    while node.split_bins is not None:  # is_leaf, minus a property call per level
         node = node.route[
             bisect_left(node.split_bins.cut_points, record.values[node.split_index])
         ][1]

@@ -85,7 +85,7 @@ def unpopulated_middle_tree() -> TreeNode:
     bins = BinMap("loc", (10.0, 50.0), 0.0, 100.0)
     return TreeNode(
         score=3.0, support=10, level=0,
-        split_metric="loc", split_bins=bins,
+        split_bins=bins,
         children={
             0: TreeNode(score=0.0, support=5, level=1),
             2: TreeNode(score=6.0, support=5, level=1),

@@ -16,6 +16,7 @@ from planwise.datasets import (
     Community,
     Project,
     load_community,
+    load_project,
     pool_versions,
 )
 from planwise.evaluate import evaluate_windows
@@ -876,6 +877,25 @@ class TestEvaluateEdgeCases:
         assert not (tmp_path / "out").exists()
 
 
+UNLABELLED = ("alpha", "beta", "gamma", "delta")
+
+
+def unlabelled_releases(root, stems, seed=0):
+    """One toy release CSV per stem, in ``root``, with no project or version
+    column and a stem ``_split_stem`` finds no label in: each loads as ``0``."""
+    root.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for order, stem in enumerate(stems):
+        rows = [",".join(["name", *METRICS, "bug"])] + [
+            ",".join([r.class_name, *(str(r.metrics[m]) for m in METRICS),
+                      str(r.defects)])
+            for r in toy_version("unused", order, seed=seed).records
+        ]
+        paths.append(root / f"{stem}.csv")
+        paths[-1].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return paths
+
+
 class TestReleaseLabels:
     def test_plan_trains_on_numbered_and_named_releases(self, tmp_path):
         paths = []
@@ -889,20 +909,66 @@ class TestReleaseLabels:
         assert len(json.loads(out.read_text())["plans"]) == 60
 
     def test_plan_pools_training_files_that_hold_no_label(self, tmp_path):
-        paths = []
-        for order, stem in enumerate(("alpha", "beta", "gamma")):
-            rows = [",".join(["name", *METRICS, "bug"])] + [
-                ",".join([r.class_name, *(str(r.metrics[m]) for m in METRICS),
-                          str(r.defects)])
-                for r in toy_version("unused", order).records
-            ]
-            paths.append(tmp_path / f"{stem}.csv")
-            paths[-1].write_text("\n".join(rows) + "\n", encoding="utf-8")
+        paths = unlabelled_releases(tmp_path, ("alpha", "beta", "gamma"))
         out = tmp_path / "plans.json"
         code = main(["plan", "--planner", "xtree", "--train", str(paths[0]),
                      str(paths[1]), "--test", str(paths[2]), "--out", str(out)])
         assert code == EXIT_OK
         assert len(json.loads(out.read_text())["plans"]) == 60
+
+    def test_plan_pools_three_training_files_that_hold_no_label(self, tmp_path):
+        *train, test = unlabelled_releases(tmp_path, UNLABELLED)
+        out = tmp_path / "plans.json"
+        code = main(["plan", "--planner", "xtree", "--train", *map(str, train),
+                     "--test", str(test), "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["plans"]) == 60
+
+    def test_bellwether_pools_projects_of_unlabelled_releases(self, tmp_path, capsys):
+        root = tmp_path / "community"
+        for seed, name in enumerate(("apple", "berry", "cherry")):
+            unlabelled_releases(root / name, UNLABELLED, seed=10 * seed)
+        out = tmp_path / "bellwether.json"
+        code = main(["bellwether", "--community", str(root), "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert json.loads(out.read_text())["bellwether"] in {"apple", "berry", "cherry"}
+
+    def test_evaluate_names_windows_by_position_when_labels_repeat(self, tmp_path):
+        root = tmp_path / "alpha"
+        unlabelled_releases(root, UNLABELLED)
+        out_dir = tmp_path / "out"
+        code = main(["evaluate", "--planner", "all", "--project-dir", str(root),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        planners = ["xtree", "alves", "shatnawi", "oliveira"]
+        stems = [f"alpha-{w}-{w + 1}-{w + 2}-{p}" for p in planners for w in (1, 2)]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            [f"{stem}.json" for stem in stems] + [f"{stem}-curve.csv" for stem in stems]
+            + ["summary.csv", "summary.json"]
+        )
+        rows = json.loads((out_dir / "summary.json").read_text())["rows"]
+        assert [(row["dataset"], row["planner"]) for row in rows] == [
+            (f"alpha-{w}", p) for p in planners for w in (1, 2)
+        ]
+        windows = evaluate_windows(load_project(sorted(root.glob("*.csv"))), make_planner("xtree"))
+        for row, stem in zip(rows, stems):
+            doc = json.loads((out_dir / f"{stem}.json").read_text())
+            assert doc["versions"] == {"train": "0", "test": "0", "validation": "0"}
+            assert (doc["aupec_reduced"], doc["aupec_increased"],
+                    doc["changes_per_plan"]["median"]) == (
+                row["aupec_reduced"], row["aupec_increased"], row["median_changes"])
+            curve = (out_dir / f"{stem}-curve.csv").read_text().splitlines()
+            assert curve[1:] == [
+                f"{p['overlap_bucket']!r},{p['defects_reduced']},{p['defects_increased']},"
+                f"{p['classes']}"
+                for p in doc["curve"]
+            ]
+        # Window 1 is kept beside window 2: its releases differ, so its result does.
+        first, second = (json.loads((out_dir / f"{stem}.json").read_text()) for stem in stems[:2])
+        assert first != second
+        assert [first, second] == [
+            json.loads(json.dumps(dict(w.to_dict(), schema_version="1"))) for w in windows
+        ]
 
     def test_evaluate_rejects_two_releases_with_one_label(
         self, toy_project_dir, tmp_path, capsys

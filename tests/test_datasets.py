@@ -2,6 +2,7 @@ import importlib.util
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,36 @@ class TestLoadCsv:
         write_rows(path, [jureczko_row("A"), jureczko_row("A")])
         with pytest.raises(DatasetError, match="duplicate class name"):
             load_csv(path)
+
+    @pytest.mark.parametrize("twin", ["WMC ", "wmc", " Wmc"])
+    def test_a_metric_named_twice_is_rejected(self, tmp_path, twin):
+        path = tmp_path / "v.csv"
+        header = "name," + ",".join(METRICS) + f",{twin},bug"
+        write_rows(path, ["A," + ",".join(["1"] * len(METRICS)) + ",9,0"], header)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: column 'wmc' appears more than once"
+
+    @pytest.mark.parametrize("columns", [("bug", "bugs"), ("defects", "bug"), ("bug", "Bug")])
+    def test_two_defect_columns_are_rejected(self, tmp_path, columns):
+        path = tmp_path / "v.csv"
+        header = "name," + ",".join(METRICS) + "," + ",".join(columns)
+        write_rows(path, ["A," + ",".join(["1"] * len(METRICS)) + ",0,3"], header)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == (
+            f"{path}: defect count appears in more than one column "
+            f"({columns[0]!r}, {columns[1]!r})"
+        )
+
+    def test_the_jureczko_layout_names_name_twice(self, tmp_path):
+        path = tmp_path / "ant-1.7.csv"
+        write_rows(path, [jureczko_row("A", defects=2)], header=HEADER)
+        assert HEADER.split(",").count("name") == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path)
+        assert (ds.project, ds.records[0].class_name, ds.records[0].defects) == ("ant", "A", 2)
 
     def test_extra_columns_warn_but_load(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -638,6 +669,29 @@ class TestPoolingAndOrdering:
         pooled = pool_versions(Project("p", (v1, v2)))
         assert len(pooled) == 2
         assert {r.class_name for r in pooled.records} == {"A", "2:A"}
+
+    def test_releases_sharing_a_label_pool_with_repeated_prefixes(self):
+        versions = [make_dataset([make_record("C0", loc=n), make_record(f"D{n}")], version="0")
+                    for n in range(4)]
+        pooled = pool_versions(Project("p", tuple(versions)))
+        assert [r.class_name for r in pooled.records] == [
+            "C0", "D0", "0:C0", "D1", "0:0:C0", "D2", "0:0:0:C0", "D3",
+        ]
+        assert [r.metrics["loc"] for r in pooled.records[::2]] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_a_prefixed_name_taken_by_a_later_class_is_prefixed_again(self):
+        v1 = make_dataset([make_record("A")], version="2")
+        v2 = make_dataset([make_record("A", loc=2), make_record("2:A", loc=3)], version="2")
+        pooled = pool_versions(Project("p", (v1, v2)))
+        assert [r.class_name for r in pooled.records] == ["A", "2:A", "2:2:A"]
+
+    def test_unlabelled_files_pool_however_many_there_are(self, tmp_path):
+        header = "name," + ",".join(METRICS) + ",bug"
+        paths = [tmp_path / f"{stem}.csv" for stem in ("alpha", "beta", "gamma", "delta")]
+        for path in paths:
+            write_rows(path, ["C0," + ",".join(["1"] * len(METRICS)) + ",0"], header=header)
+        pooled = pool_versions(load_project(paths))
+        assert [r.class_name for r in pooled.records] == ["C0", "0:C0", "0:0:C0", "0:0:0:C0"]
 
 
 def test_jureczko_ant_17_has_745_records(jureczko_root):

@@ -1,5 +1,6 @@
 import math
 import statistics
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ class TestKTest:
         v3 = make_dataset([make_record("Z1", defects=2)], version="3")
         renamed = make_project([project.versions[0], project.versions[1], v3])
         result = ktest(renamed, 0, 1, 2, ReduceLocStub())
-        assert result.curve == ()
+        assert result.curve == []
         assert result.aupec_reduced is None
         assert result.aupec_increased is None
         assert result.matched_classes == 0
@@ -235,9 +236,43 @@ class TestKTest:
                 ktest(hand_project(), i, j, k, ReduceLocStub())
 
     def test_result_serializes(self):
-        doc = ktest(hand_project(), 0, 1, 2, ReduceLocStub()).to_dict()
+        result = ktest(hand_project(), 0, 1, 2, ReduceLocStub())
+        doc = result.to_dict()
         assert doc["versions"] == {"train": "1", "test": "2", "validation": "3"}
         assert len(doc["curve"]) == 10
+        summary = result.changes_per_plan
+        # The document the result writes, key by key, in the field order.
+        assert list(doc.items()) == [
+            ("project", "hand"),
+            ("versions", {"train": "1", "test": "2", "validation": "3"}),
+            ("planner", "stub"),
+            ("curve", [
+                {"overlap_bucket": p.overlap_bucket, "defects_reduced": p.defects_reduced,
+                 "defects_increased": p.defects_increased, "classes": p.classes}
+                for p in result.curve
+            ]),
+            ("aupec_reduced", result.aupec_reduced),
+            ("aupec_increased", result.aupec_increased),
+            ("changes_per_plan", {"plans": summary.plans, "min": summary.min,
+                                  "median": summary.median, "mean": summary.mean,
+                                  "max": summary.max}),
+            ("matched_classes", result.matched_classes),
+            ("matched_defects", result.matched_defects),
+        ]
+
+    def test_a_result_document_shares_nothing_with_the_result(self):
+        result = ktest(hand_project(), 0, 1, 2, ReduceLocStub())
+        doc = result.to_dict()
+        doc["versions"]["train"] = "x"
+        doc["curve"].clear()
+        assert result.versions["train"] == "1" and len(result.curve) == 10
+
+    def test_changes_summary_fields_are_its_json_keys(self):
+        summary = ChangesSummary.from_counts([3, 0, 1, 1])
+        assert summary == ChangesSummary(plans=4, min=0, median=1.0, mean=1.25, max=3)
+        assert asdict(summary) == {"plans": 4, "min": 0, "median": 1.0, "mean": 1.25, "max": 3}
+        assert ChangesSummary.from_counts([]) == ChangesSummary(0, 0, 0.0, 0.0, 0)
+        assert not hasattr(summary, "to_dict")
 
 
 def test_memos_are_not_part_of_equality_or_repr():
@@ -262,10 +297,10 @@ class TestWindows:
         project = make_project(versions, name="five")
         results = evaluate_windows(project, ReduceLocStub())
         assert len(results) == 3
-        assert [(r.version_i, r.version_j, r.version_k) for r in results] == [
-            ("1", "2", "3"),
-            ("2", "3", "4"),
-            ("3", "4", "5"),
+        assert [r.versions for r in results] == [
+            {"train": "1", "test": "2", "validation": "3"},
+            {"train": "2", "test": "3", "validation": "4"},
+            {"train": "3", "test": "4", "validation": "5"},
         ]
 
     def test_each_window_fits_its_first_release(self):
@@ -351,7 +386,7 @@ class TestWindows:
         assert fits == [train]
         assert len(windows) == 3
         assert [r.to_dict() for r in results] == [r.to_dict() for r in refit]
-        assert any(r.changes_per_plan.maximum > 0 for r in results)
+        assert any(r.changes_per_plan.max > 0 for r in results)
 
     def test_alves_and_shatnawi_share_one_screen_per_release(self, monkeypatch):
         fits = count_calls(monkeypatch, planners, "fit_univariate_logistic")
@@ -432,12 +467,12 @@ def dense_ktest(project, i, j, k, planner, epsilon=0.0):
         matched_classes += 1
         matched_defects += rec.defects
     if matched_classes == 0:
-        curve, aupec_reduced, aupec_increased = (), None, None
+        curve, aupec_reduced, aupec_increased = [], None, None
     else:
-        curve = tuple(
+        curve = [
             CurvePoint(mid, reduced[b], increased[b], classes[b])
             for b, mid in enumerate(BUCKET_MIDPOINTS)
-        )
+        ]
         aupec_reduced = evaluate._aupec(reduced, matched_defects)
         aupec_increased = evaluate._aupec(increased, matched_defects)
     counts = [changes_count(plans[rec.class_name]) for rec in version_j.records]
@@ -445,9 +480,10 @@ def dense_ktest(project, i, j, k, planner, epsilon=0.0):
         len(counts), min(counts), float(statistics.median(counts)),
         float(statistics.mean(counts)), max(counts),
     )
+    versions = {"train": project.versions[i].version, "test": version_j.version,
+                "validation": version_k.version}
     return KTestResult(
-        project.name, project.versions[i].version, version_j.version,
-        version_k.version, planner.name, curve, aupec_reduced, aupec_increased,
+        project.name, versions, planner.name, curve, aupec_reduced, aupec_increased,
         summary, matched_classes, matched_defects,
     )
 

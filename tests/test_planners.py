@@ -59,7 +59,7 @@ def contrast_tree():
     high = TreeNode(score=10.0, support=5, level=1)
     return TreeNode(
         score=7.0, support=10, level=0,
-        split_metric="rfc", split_bins=bins, children={0: low, 1: high},
+        split_bins=bins, children={0: low, 1: high},
     )
 
 
@@ -75,13 +75,13 @@ def two_level_tree():
     leaf_high = TreeNode(score=8.0, support=5, level=2)
     left = TreeNode(
         score=7.0, support=10, level=1,
-        split_metric="rfc", split_bins=rfc_bins,
+        split_bins=rfc_bins,
         children={0: leaf_low, 1: leaf_high},
     )
     right = TreeNode(score=2.0, support=10, level=1)
     return TreeNode(
         score=4.5, support=20, level=0,
-        split_metric="loc", split_bins=loc_bins, children={0: left, 1: right},
+        split_bins=loc_bins, children={0: left, 1: right},
     )
 
 
@@ -105,7 +105,7 @@ class TestXtreePlan:
     def test_no_plan_when_sibling_not_good_enough(self):
         bins = BinMap("rfc", (10.0,), 0.0, 40.0)
         tree = TreeNode(
-            score=8.0, support=10, level=0, split_metric="rfc", split_bins=bins,
+            score=8.0, support=10, level=0, split_bins=bins,
             children={
                 0: TreeNode(score=6.0, support=5, level=1),
                 1: TreeNode(score=10.0, support=5, level=1),
@@ -251,7 +251,7 @@ def three_way_tree(scores=(2.0, 2.0, 8.0)):
     """cbo splits the root into three ranges with the given leaf scores."""
     bins = BinMap("cbo", (5.0, 15.0), 0.0, 30.0)
     return TreeNode(
-        score=4.0, support=15, level=0, split_metric="cbo", split_bins=bins,
+        score=4.0, support=15, level=0, split_bins=bins,
         children={
             key: TreeNode(score=score, support=5, level=1)
             for key, score in enumerate(scores)
@@ -270,17 +270,17 @@ def deep_tie_tree():
         return TreeNode(score=score, support=5, level=level)
 
     wmc = TreeNode(
-        score=3.5, support=10, level=2, split_metric="wmc",
+        score=3.5, support=10, level=2,
         split_bins=BinMap("wmc", (7.0,), 0.0, 20.0),
         children={0: leaf(6.0, 3), 1: leaf(1.0, 3)},
     )
     rfc = TreeNode(
-        score=2.7, support=15, level=1, split_metric="rfc",
+        score=2.7, support=15, level=1,
         split_bins=BinMap("rfc", (10.0,), 0.0, 40.0),
         children={0: leaf(1.0, 2), 1: wmc},
     )
     return TreeNode(
-        score=2.0, support=20, level=0, split_metric="loc",
+        score=2.0, support=20, level=0,
         split_bins=BinMap("loc", (50.0,), 0.0, 100.0),
         children={0: rfc, 1: leaf(1.0, 1)},
     )
@@ -519,6 +519,25 @@ class TestShatnawi:
         train.screen["loc"] = LogisticFit(-threshold, 1.0, 0.0, True)
         expected = [ThresholdRule("loc", upper=threshold)] if kept else []
         assert shatnawi_thresholds(train, p1=0.5) == expected
+
+    def test_a_p_value_equal_to_p0_passes_the_screen(self):
+        train = make_dataset([make_record(f"c{i}", loc=v) for i, v in enumerate((2.0, 5.0, 9.0))])
+        train.screen["loc"] = LogisticFit(-5.0, 1.0, 0.05, True)
+        assert shatnawi_thresholds(train, p0=0.05, p1=0.5) == [ThresholdRule("loc", upper=5.0)]
+        assert shatnawi_thresholds(train, p0=math.nextafter(0.05, 0.0), p1=0.5) == []
+
+    def test_a_zero_slope_fit_makes_no_rule(self):
+        # Each value holds one defective class of two: the fit converges with
+        # a zero slope, so z = 0 and p = erfc(0) = 1, which no p0 in (0, 1)
+        # admits; the screen drops it before varl would divide by the slope.
+        loc, defects = [1.0, 1.0, 2.0, 2.0], [0, 1, 0, 1]
+        fit = fit_univariate_logistic(loc, defects)
+        assert fit == LogisticFit(alpha=0.0, beta=0.0, p_value=1.0, converged=True)
+        train = make_dataset([make_record(f"c{i}", defects=d, loc=v)
+                              for i, (v, d) in enumerate(zip(loc, defects))])
+        for p0 in (0.05, 0.5, math.nextafter(1.0, 0.0)):
+            assert shatnawi_thresholds(train, p0=p0, p1=0.5) == []
+        assert train.screen["loc"] == fit
 
     def test_parameter_domain(self):
         train = self._risky_metric_set(alpha=-4.0, beta=0.35, seed=11)

@@ -42,7 +42,7 @@ def two_leaf_tree():
     high = TreeNode(score=4.0, support=10, level=1)
     return TreeNode(
         score=2.0, support=20, level=0,
-        split_metric="loc", split_bins=bins, children={0: low, 1: high},
+        split_bins=bins, children={0: low, 1: high},
     )
 
 
@@ -53,13 +53,13 @@ def three_level_tree():
     leaf_01 = TreeNode(score=2.0, support=5, level=2)
     low = TreeNode(
         score=1.0, support=10, level=1,
-        split_metric="rfc", split_bins=rfc_bins,
+        split_bins=rfc_bins,
         children={0: leaf_00, 1: leaf_01},
     )
     high = TreeNode(score=8.0, support=10, level=1)
     return TreeNode(
         score=4.5, support=20, level=0,
-        split_metric="loc", split_bins=loc_bins, children={0: low, 1: high},
+        split_bins=loc_bins, children={0: low, 1: high},
     )
 
 
@@ -138,7 +138,7 @@ def scalar_build_tree(train, bins, max_depth, min_leaf):
             parts[columns[best_metric][i]].append(i)
         return TreeNode(
             score=score, support=support, level=level,
-            split_metric=best_metric, split_bins=bins[best_metric],
+            split_bins=bins[best_metric],
             children={
                 key: grow(part, level + 1, used | {best_metric})
                 for key, part in parts.items()
@@ -373,7 +373,7 @@ def gapped_tree():
     bins = BinMap("wmc", (5.0, 10.0, 20.0, 40.0), 0.0, 80.0)
     return TreeNode(
         score=2.0, support=10, level=0,
-        split_metric="wmc", split_bins=bins,
+        split_bins=bins,
         children={
             1: TreeNode(score=0.5, support=5, level=1),
             3: TreeNode(score=3.5, support=5, level=1),
@@ -456,7 +456,7 @@ class TestRouteTable:
     def test_split_node_without_children_is_rejected(self):
         with pytest.raises(ValueError, match="at least one child"):
             TreeNode(
-                score=1.0, support=4, level=0, split_metric="loc",
+                score=1.0, support=4, level=0,
                 split_bins=BinMap("loc", (50.0,), 0.0, 100.0), children={},
             )
 
@@ -466,9 +466,51 @@ class TestRouteTable:
                     key: TreeNode(score=1.0, support=2, level=1)}
         with pytest.raises(ValueError, match=f"child key {key} names no range of loc"):
             TreeNode(
-                score=1.0, support=4, level=0, split_metric="loc",
+                score=1.0, support=4, level=0,
                 split_bins=BinMap("loc", (50.0,), 0.0, 100.0), children=children,
             )
+
+
+class TestSplitMetric:
+    """A node splits on its ``BinMap``'s metric; nothing else names it."""
+
+    def test_split_metric_is_not_a_constructor_field(self):
+        with pytest.raises(TypeError, match="split_metric"):
+            TreeNode(
+                score=2.0, support=20, level=0, split_metric="wmc",
+                split_bins=BinMap("loc", (50.0,), 0.0, 100.0),
+                children={0: TreeNode(score=0.0, support=10, level=1)},
+            )
+
+    def test_bins_and_children_make_a_split_on_the_bins_metric(self):
+        tree = TreeNode(
+            score=2.0, support=20, level=0,
+            split_bins=BinMap("wmc", (10.0,), 0.0, 30.0),
+            children={0: TreeNode(score=0.0, support=10, level=1),
+                      1: TreeNode(score=4.0, support=10, level=1)},
+        )
+        assert not tree.is_leaf
+        assert (tree.split_metric, tree.split_index) == ("wmc", METRICS.index("wmc"))
+        # Routed by the wmc column alone: loc and every other metric disagree.
+        low = make_record("low", base=100.0, wmc=5.0)
+        high = make_record("high", base=0.0, wmc=20.0)
+        assert locate(tree, low) == Branch((("wmc", 0),), 0.0)
+        assert locate(tree, high) == Branch((("wmc", 1),), 4.0)
+        assert [predict_defective(tree, r) for r in (low, high)] == [False, True]
+        assert tree_to_dict(tree)["split_metric"] == "wmc"
+        action = xtree_plan(tree, plan_targets(tree), high).actions["wmc"]
+        assert (action.direction, action.target_range) == (DECREASE, (0.0, 10.0))
+
+    def test_a_leaf_has_no_split_metric(self):
+        leaf = TreeNode(score=1.0, support=4, level=0)
+        assert leaf.is_leaf
+        assert (leaf.split_metric, leaf.split_index) == (None, None)
+
+    def test_split_metric_is_not_part_of_equality_or_repr(self):
+        assert "split_metric" not in repr(two_leaf_tree())
+        other = two_leaf_tree()
+        object.__setattr__(other, "split_metric", "wmc")
+        assert other == two_leaf_tree()
 
 
 def reference_leaves(node, prefix=()):
@@ -486,7 +528,7 @@ def with_leaf_scores(tree, scores):
     """A one-split tree with its leaves rescored in child-key order."""
     return TreeNode(
         score=tree.score, support=tree.support, level=tree.level,
-        split_metric=tree.split_metric, split_bins=tree.split_bins,
+        split_bins=tree.split_bins,
         children={
             key: TreeNode(score=score, support=child.support, level=child.level)
             for score, (key, child) in zip(scores, sorted(tree.children.items()))
