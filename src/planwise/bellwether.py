@@ -10,12 +10,11 @@ scored on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Optional
 
-from .datasets import ClassRecord, Community, Project, VersionedDataset, pool_versions
+from .datasets import Community, Project, VersionedDataset, pool_versions
 from .stats import median
 from .tree import build_tree, fit_bins, predict_defective
 
@@ -64,31 +63,6 @@ class BellwetherReport:
         return asdict(self)
 
 
-def _score_against(
-    tree, records: Iterable[ClassRecord], truth: list[bool], measure
-) -> Optional[float]:
-    """Score a fitted defect tree on one target's confusion counts.
-
-    ``truth`` holds each target record's label. Each target record is scored
-    by its own ``predict_defective`` call. Returns None when the target has
-    single-label ground truth, where the measure is undefined.
-    """
-    if len(set(truth)) < 2:
-        return None
-    tp = fp = tn = fn = 0
-    for record, actual in zip(records, truth):
-        predicted = predict_defective(tree, record)
-        if predicted and actual:
-            tp += 1
-        elif predicted and not actual:
-            fp += 1
-        elif not predicted and not actual:
-            tn += 1
-        else:
-            fn += 1
-    return measure(tp, fp, tn, fn)
-
-
 def discover(
     community: Community, quality_measure: str = "g-score"
 ) -> BellwetherReport:
@@ -98,7 +72,9 @@ def discover(
     every other project; the exemplar is the source with the highest median
     cross-project score (ties resolved to the lexicographically first name).
     One pooled source is alive at a time: a target is scored on its releases'
-    records in release order, the rows and labels of its pooled copy.
+    records in release order, the rows and labels of its pooled copy. Each
+    target's labels are read once per discovery; a pair's confusion counts
+    follow from its per-record predictions and the target's positives.
     """
     if len(community.projects) < 2:
         raise ValueError("bellwether discovery needs at least two projects")
@@ -113,19 +89,26 @@ def discover(
     projects = {p.name: p for p in community.projects}
     names = sorted(projects)
     releases = {name: [v.records for v in projects[name].versions] for name in names}
-    truths = {name: [r.is_defective() for r in chain(*releases[name])] for name in names}
+    # Each target's labels and positives; a single-label target scores None.
+    truths = {}
+    for name in names:
+        truth = [r.is_defective() for r in chain(*releases[name])]
+        if 0 < (positives := sum(truth)) < len(truth):
+            truths[name] = truth, positives
     scores: dict[str, dict[str, Optional[float]]] = {}
     medians: dict[str, float] = {}
     for source in names:
         pooled = pool_versions(projects[source])
         tree = build_tree(pooled, fit_bins(pooled))
         del pooled
-        row: dict[str, Optional[float]] = {}
-        for target in names:
-            if target == source:
-                continue
-            row[target] = _score_against(
-                tree, chain(*releases[target]), truths[target], measure)
+        row = dict.fromkeys(name for name in names if name != source)
+        for target, (truth, positives) in truths.items():
+            if target != source:
+                predicted = [predict_defective(tree, r) for r in chain(*releases[target])]
+                tp = sum(compress(predicted, truth))
+                fp = sum(predicted) - tp
+                fn = positives - tp
+                row[target] = measure(tp, fp, len(truth) - tp - fp - fn, fn)
         scores[source] = row
         defined = [s for s in row.values() if s is not None]
         if defined:

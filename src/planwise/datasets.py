@@ -199,9 +199,11 @@ def load_csv(
     The header must name each of the 20 metric columns once, a class
     identifier column (``name``; in the Jureczko layout the first ``name``
     column is the project and the last is the class), and one defect column
-    (``bug``, ``bugs``, or ``defects``). Extra columns are ignored with a
-    warning.
-    Metric and defect cells must be finite numbers, and the file UTF-8 text.
+    (``bug``, ``bugs``, or ``defects``). Each header column has one role;
+    a second ``version`` column or a third ``name`` column is an error, and
+    extra columns are ignored with a warning.
+    Metric and defect cells must be finite numbers, and the file UTF-8 text;
+    a leading byte-order mark is skipped.
     A row may hold no more cells than the header, apart from blank ones.
     Each record keeps its metric values in one tuple in ``METRICS`` order,
     and equal cell texts of a file share one float object. ``_tables``, a
@@ -211,7 +213,7 @@ def load_csv(
     the file name supplies a label that no cell holds.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         lines = csv.reader(fh)
         reader = _rows(lines, path)
         try:
@@ -220,14 +222,23 @@ def load_csv(
             raise DatasetError(f"{path}: empty dataset") from None
         header = [_normalize_header(h) for h in raw_header]
 
-        name_cols = [i for i, h in enumerate(header) if h in ("name", "name.1")]
+        # Each column has one role: a name, the version, the defect count, a
+        # metric, or extra (None).
+        roles: dict[str | None, list[int]] = {}
+        for i, h in enumerate(header):
+            role = "name" if h == "name.1" else "defects" if h in DEFECT_ALIASES else h
+            known = role in METRIC_SET or role in ("name", "version", "defects")
+            roles.setdefault(role if known else None, []).append(i)
+
+        name_cols = roles.get("name", [])
         if not name_cols:
             raise DatasetError(f"{path}: missing column 'name'")
+        if len(name_cols) > 2:
+            raise DatasetError(f"{path}: more than two 'name' columns")
         class_col = name_cols[-1]
         project_col = name_cols[0] if len(name_cols) > 1 else None
 
-        version_col = header.index("version") if "version" in header else None
-        defect_cols = [i for i, h in enumerate(header) if h in DEFECT_ALIASES]
+        defect_cols = roles.get("defects", [])
         if not defect_cols:
             raise DatasetError(
                 f"{path}: missing defect column (one of {', '.join(DEFECT_ALIASES)})"
@@ -237,20 +248,16 @@ def load_csv(
             raise DatasetError(f"{path}: defect count appears in more than one column ({found})")
         defect_col = defect_cols[0]
 
-        metric_cols: dict[str, int] = {}
-        for metric in METRICS:
-            count = header.count(metric)
-            if count != 1:
+        for column in (*METRICS, "version"):
+            count = len(roles.get(column, ()))
+            if count > 1 or not count and column != "version":
                 raise DatasetError(
-                    f"{path}: missing column {metric!r}" if not count else
-                    f"{path}: column {metric!r} appears more than once"
+                    f"{path}: missing column {column!r}" if not count else
+                    f"{path}: column {column!r} appears more than once"
                 )
-            metric_cols[metric] = header.index(metric)
-
-        known = set(metric_cols.values()) | set(name_cols) | {defect_col}
-        if version_col is not None:
-            known.add(version_col)
-        extra = [raw_header[i] for i in range(len(header)) if i not in known]
+        metric_cols = {metric: roles[metric][0] for metric in METRICS}
+        version_col = roles.get("version", [None])[0]
+        extra = [raw_header[i] for i in roles.get(None, ())]
         if extra:
             warnings.warn(f"{path}: ignoring extra columns {extra}", stacklevel=2)
 

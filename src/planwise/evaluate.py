@@ -110,7 +110,8 @@ def _aupec(curve_heights: list[int], matched_defects: int) -> Optional[float]:
 
     The best possible curve sits at the matched releases' full defect count
     across every overlap level, so its area is that count times the span of
-    the bucket midpoints.
+    the bucket midpoints. None when no matched class held a defect, and so
+    when no class matched.
     """
     if matched_defects <= 0:
         return None
@@ -154,7 +155,6 @@ def ktest(
     increased = [0] * N_BUCKETS
     classes = [0] * N_BUCKETS
     counts = []
-    matched_classes = 0
     matched_defects = 0
     for rec in version_j.records:
         changed = [
@@ -175,19 +175,13 @@ def ktest(
         reduced[bucket] += max(0, delta)
         increased[bucket] += max(0, -delta)
         classes[bucket] += 1
-        matched_classes += 1
         matched_defects += rec.defects
 
-    if matched_classes == 0:
-        curve: list[CurvePoint] = []
-        aupec_reduced = aupec_increased = None
-    else:
-        curve = [
-            CurvePoint(mid, reduced[b], increased[b], classes[b])
-            for b, mid in enumerate(BUCKET_MIDPOINTS)
-        ]
-        aupec_reduced = _aupec(reduced, matched_defects)
-        aupec_increased = _aupec(increased, matched_defects)
+    matched_classes = sum(classes)
+    curve = [
+        CurvePoint(mid, reduced[b], increased[b], classes[b])
+        for b, mid in enumerate(BUCKET_MIDPOINTS)
+    ] if matched_classes else []
 
     return KTestResult(
         project=project.name,
@@ -198,8 +192,8 @@ def ktest(
         },
         planner=planner.name,
         curve=curve,
-        aupec_reduced=aupec_reduced,
-        aupec_increased=aupec_increased,
+        aupec_reduced=_aupec(reduced, matched_defects),
+        aupec_increased=_aupec(increased, matched_defects),
         changes_per_plan=ChangesSummary.from_counts(counts),
         matched_classes=matched_classes,
         matched_defects=matched_defects,

@@ -247,6 +247,18 @@ class TestDiscover:
         assert report.scores["exemplar"]["allclean"] is None
         assert report.bellwether == "exemplar"
 
+    def test_an_all_defective_target_is_unscored(self):
+        community = planted_community(seed=5)
+        buggy = Project(
+            "allbuggy",
+            (make_dataset([make_record(f"z{i}", defects=1) for i in range(30)],
+                          project="allbuggy"),),
+        )
+        report = discover(Community(community.projects + (buggy,)))
+        assert all(report.scores[source]["allbuggy"] is None
+                   for source in ("alpha", "beta", "exemplar"))
+        assert report.bellwether == "exemplar"
+
     def test_removing_the_bellwether_still_returns_a_project(self):
         community = planted_community(seed=9)
         remaining = Community(

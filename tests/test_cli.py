@@ -499,6 +499,19 @@ class TestOtherCommands:
         assert err.startswith(f"planwise: {path}: {problem}")
         assert "Traceback" not in err
 
+    def test_a_second_version_column_fails_with_the_file(self, tmp_path, capsys):
+        path = tmp_path / "toy-1.0.csv"
+        write_csv(toy_version("1.0", 0, n=3), path)
+        lines = path.read_text().splitlines()
+        lines = [lines[0] + ",version"] + [line + ",2.0" for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "t.json"
+        code = main(["tree", "--train", str(path), "--out", str(out)])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == f"planwise: {path}: column 'version' appears more than once\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy-1.0.csv"]
+
     def test_thresholds_dump(self, toy_project_dir, tmp_path):
         out = tmp_path / "rules.json"
         code = main(

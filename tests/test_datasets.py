@@ -213,6 +213,51 @@ class TestLoadCsv:
             f"({columns[0]!r}, {columns[1]!r})"
         )
 
+    @pytest.mark.parametrize("twin", ["version", " Version"])
+    def test_a_second_version_column_is_rejected(self, tmp_path, twin):
+        path = tmp_path / "v.csv"
+        header = "name,version," + ",".join(METRICS) + f",bug,{twin}"
+        write_rows(path, ["A,1.0," + ",".join(["1"] * len(METRICS)) + ",0,2.0"], header)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: column 'version' appears more than once"
+
+    @pytest.mark.parametrize("names, cells", [
+        ("name,name,name", "proj,mid,Cls"),
+        ("name,name.1,name", "proj,mid,Cls"),
+        ("name,version,name,name", "proj,1.0,mid,Cls"),
+    ])
+    def test_more_than_two_name_columns_are_rejected(self, tmp_path, names, cells):
+        path = tmp_path / "v.csv"
+        header = names + "," + ",".join(METRICS) + ",bug"
+        write_rows(path, [cells + "," + ",".join(["1"] * len(METRICS)) + ",0"], header)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: more than two 'name' columns"
+
+    def test_name_dot_one_is_the_class_column(self, tmp_path):
+        path = tmp_path / "v-2.0.csv"
+        header = "name,name.1," + ",".join(METRICS) + ",bug"
+        write_rows(path, ["proj,Cls," + ",".join(["1"] * len(METRICS)) + ",0"], header)
+        ds = load_csv(path)
+        assert (ds.project, ds.records[0].class_name) == ("proj", "Cls")
+
+    def test_a_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        path = tmp_path / "v-2.0.csv"
+        header = "\ufeffname," + ",".join(METRICS) + ",bug"
+        write_rows(path, ["A," + ",".join(["1"] * len(METRICS)) + ",3"], header)
+        ds = load_csv(path)
+        assert (ds.project, ds.version, ds.records[0].class_name) == ("v", "2.0", "A")
+        assert ds.records[0].defects == 3
+
+    def test_a_byte_order_mark_keeps_the_jureczko_project_column(self, tmp_path):
+        path = tmp_path / "jbom.csv"
+        write_rows(path, [jureczko_row("A", defects=2)], header="\ufeff" + HEADER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path)
+        assert (ds.project, ds.version, ds.records[0].class_name) == ("ant", "1.7", "A")
+
     def test_the_jureczko_layout_names_name_twice(self, tmp_path):
         path = tmp_path / "ant-1.7.csv"
         write_rows(path, [jureczko_row("A", defects=2)], header=HEADER)
