@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 scripts/mutate.py                        # the six modules below
+    python3 scripts/mutate.py                        # the eight modules below
     python3 scripts/mutate.py tree evaluate          # some of them
 
 Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
@@ -47,7 +47,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("evaluate", "discretize", "tree", "planners", "bellwether", "stats")
+MODULES = (
+    "evaluate", "discretize", "tree", "planners", "bellwether", "stats", "datasets", "cli",
+)
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,

@@ -163,6 +163,16 @@ class Community:
         raise DatasetError(f"no project {name!r} in the community (have: {have})")
 
 
+# Each normalised header name -> its column's role; any other column is
+# extra. Of two ``name`` columns (or ``name`` and ``name.1``), the first
+# names the project.
+_ROLES: dict[str, str] = {
+    **{metric: metric for metric in METRICS},
+    **dict.fromkeys(DEFECT_ALIASES, "defects"),
+    "name": "name", "name.1": "name", "project": "project", "version": "version",
+}
+
+
 def _normalize_header(name: str) -> str:
     return name.strip().lower().replace(" ", "_")
 
@@ -196,12 +206,13 @@ def load_csv(
 ) -> VersionedDataset:
     """Load one release CSV into a validated dataset.
 
-    The header must name each of the 20 metric columns once, a class
-    identifier column (``name``; in the Jureczko layout the first ``name``
-    column is the project and the last is the class), and one defect column
-    (``bug``, ``bugs``, or ``defects``). Each header column has one role;
-    a second ``version`` column or a third ``name`` column is an error, and
-    extra columns are ignored with a warning.
+    Each header column has one role (``_ROLES``). The header must name each
+    of the 20 metric columns once, a class identifier column (``name``) and
+    one defect column (``bug``, ``bugs``, or ``defects``); a ``project`` and
+    a ``version`` column are optional. Of two ``name`` columns (the Jureczko
+    layout), the first holds the project and the last the class, so a
+    ``project`` column beside them is an error, as is a third ``name`` or a
+    second column of any other role. Extra columns are ignored with a warning.
     Metric and defect cells must be finite numbers, and the file UTF-8 text;
     a leading byte-order mark is skipped.
     A row may hold no more cells than the header, apart from blank ones.
@@ -222,49 +233,38 @@ def load_csv(
             raise DatasetError(f"{path}: empty dataset") from None
         header = [_normalize_header(h) for h in raw_header]
 
-        # Each column has one role: a name, the version, the defect count, a
-        # metric, or extra (None).
         roles: dict[str | None, list[int]] = {}
         for i, h in enumerate(header):
-            role = "name" if h == "name.1" else "defects" if h in DEFECT_ALIASES else h
-            known = role in METRIC_SET or role in ("name", "version", "defects")
-            roles.setdefault(role if known else None, []).append(i)
-
-        name_cols = roles.get("name", [])
-        if not name_cols:
-            raise DatasetError(f"{path}: missing column 'name'")
-        if len(name_cols) > 2:
-            raise DatasetError(f"{path}: more than two 'name' columns")
-        class_col = name_cols[-1]
-        project_col = name_cols[0] if len(name_cols) > 1 else None
-
-        defect_cols = roles.get("defects", [])
-        if not defect_cols:
-            raise DatasetError(
-                f"{path}: missing defect column (one of {', '.join(DEFECT_ALIASES)})"
-            )
-        if len(defect_cols) > 1:
-            found = ", ".join(repr(raw_header[i]) for i in defect_cols)
-            raise DatasetError(f"{path}: defect count appears in more than one column ({found})")
-        defect_col = defect_cols[0]
-
-        for column in (*METRICS, "version"):
-            count = len(roles.get(column, ()))
-            if count > 1 or not count and column != "version":
+            roles.setdefault(_ROLES.get(h), []).append(i)
+        # Each role holds at most one column (name two); all but project and
+        # version need one.
+        for role in ("name", "defects", *METRICS, "version", "project"):
+            cols = roles.get(role, [])
+            if not cols and role not in ("version", "project"):
+                raise DatasetError(f"{path}: missing " + (
+                    f"defect column (one of {', '.join(DEFECT_ALIASES)})"
+                    if role == "defects" else f"column {role!r}"))
+            if len(cols) > (2 if role == "name" else 1):
+                found = ", ".join(repr(raw_header[i]) for i in cols)
+                raise DatasetError(f"{path}: " + (
+                    "more than two 'name' columns" if role == "name" else
+                    f"defect count appears in more than one column ({found})"
+                    if role == "defects" else f"column {role!r} appears more than once"))
+        *project_col, class_col = roles["name"]
+        if project_col:
+            if "project" in roles:
                 raise DatasetError(
-                    f"{path}: missing column {column!r}" if not count else
-                    f"{path}: column {column!r} appears more than once"
+                    f"{path}: a 'project' column and two 'name' columns both "
+                    "name the project"
                 )
-        metric_cols = {metric: roles[metric][0] for metric in METRICS}
-        version_col = roles.get("version", [None])[0]
+            roles["project"] = project_col
         extra = [raw_header[i] for i in roles.get(None, ())]
         if extra:
             warnings.warn(f"{path}: ignoring extra columns {extra}", stacklevel=2)
 
         # Each non-blank project or version cell must repeat the column's first
         # label; a cell equal to the previous row's was checked already.
-        columns = (("project", project_col), ("version", version_col))
-        label_cols = [(kind, i) for kind, i in columns if i is not None]
+        label_cols = [(kind, roles[kind][0]) for kind in ("project", "version") if kind in roles]
         labels: dict[str, str] = {}
         last_cells: dict[str, str] = {}
         records: list[ClassRecord] = []
@@ -272,7 +272,8 @@ def load_csv(
         # The metric cells, then the defect cell. Each distinct cell text is
         # parsed once, and equal texts share one float; equal class names
         # share one string (both across the releases of a ``load_project``).
-        number_cols = [*metric_cols.items(), (raw_header[defect_col], defect_col)]
+        number_cols = [(m, roles[m][0]) for m in METRICS]
+        number_cols += [(raw_header[i], i) for i in roles["defects"]]
         parsed, names = _tables if _tables is not None else ({}, {})
         for row in reader:
             row_no = lines.line_num  # the record's last physical line, as in csv.Error
@@ -320,12 +321,9 @@ def load_csv(
 
     if not records:
         raise DatasetError(f"{path}: empty dataset")
-    project, version = labels.get("project"), labels.get("version")
-    if not project or not version:  # a blank cell holds no label
-        stem_project, stem_version = _split_stem(path.stem)
-        project = project or stem_project
-        version = version or stem_version
-    return VersionedDataset(project, version, tuple(records))
+    # The file name supplies a label that no cell holds.
+    labels = dict(zip(("project", "version"), _split_stem(path.stem))) | labels
+    return VersionedDataset(labels["project"], labels["version"], tuple(records))
 
 
 def _split_stem(stem: str) -> tuple[str, str]:

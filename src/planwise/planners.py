@@ -189,6 +189,8 @@ def xtree_plan(
     desired branch gets a plan with no changes. The i-th change suggests
     ``low + (high - low) * u``, ``u`` the i-th draw of ``random.Random(seed)``:
     the value ``Random.uniform`` gives, without seeding a generator per class.
+    Ranges above the first are ``(low, high]``, so a suggestion that rounds
+    to ``low`` there moves up to the next float.
     """
     current = locate(tree, record)
     desired = targets[current.conditions]
@@ -203,10 +205,13 @@ def xtree_plan(
         idx = apply_bins(node.split_bins, values[node.split_index])
         if idx != index:
             low, high = node.split_bins.range_bounds(index)
+            suggested = low + (high - low) * next(draws)
+            if index and suggested <= low:  # rounded onto the cut below the range
+                suggested = math.nextafter(low, high)
             actions[metric] = Action(
                 direction=INCREASE if idx < index else DECREASE,
                 target_range=(low, high),
-                suggested=low + (high - low) * next(draws),
+                suggested=suggested,
             )
         node = node.children[index]
     return Plan(
@@ -375,13 +380,14 @@ def threshold_plan(
     record: ClassRecord,
     source_planner: str = "threshold",
 ) -> Plan:
-    """Decrease every metric whose value exceeds its rule's upper bound."""
+    """Decrease every metric whose value exceeds its rule's upper bound,
+    toward ``[min(0, upper), upper]``."""
     actions = dict.fromkeys(METRICS, _KEEP)
     values = record.values
     for rule in rules:
         if values[METRIC_INDEX[rule.metric]] > rule.upper:
             actions[rule.metric] = Action(
-                direction=DECREASE, target_range=(0.0, rule.upper)
+                direction=DECREASE, target_range=(min(0.0, rule.upper), rule.upper)
             )
     return Plan(record.class_name, actions, source_planner)
 

@@ -23,7 +23,13 @@ from planwise.evaluate import evaluate_windows
 from planwise.planners import PLANNERS, make_planner
 from planwise.tree import build_tree
 
-from conftest import make_dataset, make_record, write_csv
+from conftest import (
+    make_dataset,
+    make_record,
+    tie_heavy_community,
+    tie_heavy_history,
+    write_csv,
+)
 
 
 def toy_version(version, order, n=60, seed=0):
@@ -767,6 +773,52 @@ def fresh_modules(argv):
 
 def run_fresh(argv):
     return "numpy" in fresh_modules(argv)
+
+
+# Runs each command of a JSON list of argument lists in one interpreter.
+_RUN_COMMANDS = (
+    "import json, sys\n"
+    "from planwise.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert main(argv) == 0, argv\n"
+)
+
+
+def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
+    community = tmp_path / "community"
+    for project in (*tie_heavy_community().projects, tie_heavy_history()):
+        (community / project.name).mkdir(parents=True)
+        for release in project.versions:
+            write_csv(release, community / project.name / f"{project.name}-{release.version}.csv")
+    history = community / "p3"
+    src = str(Path(planwise.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PLANWISE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = {}
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"out-{hash_seed}"
+        commands = [
+            ["plan", "--planner", "xtree", "--train", str(history / "p3-1.csv"),
+             str(history / "p3-2.csv"), "--test", str(history / "p3-3.csv"),
+             "--out", str(out / "plans.json")],
+            ["bellwether", "--community", str(community), "--out", str(out / "bellwether.json")],
+            ["evaluate", "--planner", "all", "--community", str(community), "--target", "p3",
+             "--out-dir", str(out / "evaluate")],
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+            capture_output=True, text=True, env=dict(env, PYTHONHASHSEED=hash_seed),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs[hash_seed] = {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in out.rglob("*") if path.is_file()
+        }
+    # plans, bellwether, and per window and planner (5 planners, 2 windows) a
+    # result and a curve, plus the two summaries
+    assert len(outputs["0"]) == 2 + 5 * 2 * 2 + 2
+    assert outputs["0"] == outputs["12345"]
 
 
 # What ``statistics`` imports and planwise does not need.

@@ -267,6 +267,36 @@ class TestLoadCsv:
             ds = load_csv(path)
         assert (ds.project, ds.records[0].class_name, ds.records[0].defects) == ("ant", "A", 2)
 
+    def test_a_project_column_names_the_project(self, tmp_path):
+        path = tmp_path / "x-9.9.csv"
+        header = "project,version,name," + ",".join(METRICS) + ",bug"
+        write_rows(path, [jureczko_row("A", defects=2)], header)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path)
+        assert (ds.project, ds.version, ds.records[0].class_name) == ("ant", "1.7", "A")
+
+    @pytest.mark.parametrize("prefix", ["project,name,name", "name,Project,name.1",
+                                        "name,name,project"])
+    def test_a_project_column_beside_two_name_columns_is_rejected(self, tmp_path, prefix):
+        # Both the project column and the first name column would name the project.
+        path = tmp_path / "x-9.9.csv"
+        header = prefix + "," + ",".join(METRICS) + ",bug"
+        write_rows(path, ["ant,ant,A," + ",".join(["1"] * len(METRICS)) + ",0"], header)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == (
+            f"{path}: a 'project' column and two 'name' columns both name the project"
+        )
+
+    def test_a_second_project_column_is_rejected(self, tmp_path):
+        path = tmp_path / "x-9.9.csv"
+        header = "project,name," + ",".join(METRICS) + ",bug,Project"
+        write_rows(path, ["ant,A," + ",".join(["1"] * len(METRICS)) + ",0,ant"], header)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: column 'project' appears more than once"
+
     def test_extra_columns_warn_but_load(self, tmp_path):
         path = tmp_path / "v.csv"
         header = "name,mystery," + ",".join(METRICS) + ",bug"
@@ -381,6 +411,94 @@ class TestLoadCsv:
         write_csv(ds, out)
         again = load_csv(out)
         assert again.records == ds.records
+
+
+# Header layouts: the Jureczko one (its first name column names the
+# project), one with a project column, and one with neither, which takes
+# both labels from the file name. "mystery" is an extra column.
+LAYOUTS = (
+    ("version", "name", "name", *METRICS, "bug", "mystery"),
+    ("project", "version", "name", *METRICS, "defects", "mystery"),
+    ("name", *METRICS, "bugs", "mystery"),
+)
+SPACES = st.sampled_from(["", " ", "  "])
+
+
+def spellings(name):
+    """``name`` with any of its letters upper-cased and spaces around it."""
+    return st.tuples(
+        SPACES, st.lists(st.booleans(), min_size=len(name), max_size=len(name)), SPACES
+    ).map(lambda t: t[0] + "".join(c.upper() if up else c for c, up in zip(name, t[1])) + t[2])
+
+
+def layout_rows(layout, grid):
+    """One list of cells per grid entry, in ``layout``'s column order."""
+    rows = []
+    for n, (cells, defects) in enumerate(grid):
+        by_column = dict(zip(METRICS, cells), project="ant", version="1.7",
+                         bug=defects, bugs=defects, defects=defects, mystery="zzz")
+        names = iter(["ant", f"C{n}"] if layout.count("name") == 2 else [f"C{n}"])
+        rows.append([next(names) if c == "name" else by_column[c] for c in layout])
+    return rows
+
+
+def load_quietly(folder, header, rows, prefix=""):
+    """``load_csv`` of ``folder/x-9.9.csv`` holding ``header`` and ``rows``,
+    ignoring the extra-columns warning."""
+    path = folder / "x-9.9.csv"
+    write_rows(path, [",".join(row) for row in rows], prefix + ",".join(header))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return load_csv(path)
+
+
+class TestHeaderContract:
+    """Each column's role comes from its name alone: not from its position,
+    case or surrounding spaces, nor from a byte-order mark."""
+
+    @given(layout=st.sampled_from(LAYOUTS), grid=GRIDS, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_column_order_loads_the_same_dataset(self, tmp_path_factory, layout, grid, data):
+        order = data.draw(st.permutations(range(len(layout))))
+        names = iter(i for i, column in enumerate(layout) if column == "name")
+        order = [next(names) if layout[i] == "name" else i for i in order]
+        rows = layout_rows(layout, grid)
+        want = load_quietly(tmp_path_factory.mktemp("layout"), layout, rows)
+        got = load_quietly(tmp_path_factory.mktemp("permuted"), [layout[i] for i in order],
+                           [[row[i] for i in order] for row in rows])
+        assert got == want
+        assert len(want) == len(grid)
+        assert (want.project, want.version) == (
+            ("x", "9.9") if layout == LAYOUTS[2] else ("ant", "1.7"))
+
+    # A second name column is legal in the minimal layout (that makes the
+    # Jureczko one), so only the two layouts that name the project are used.
+    @given(layout=st.sampled_from(LAYOUTS[:2]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_second_column_of_any_role_is_an_error(self, tmp_path_factory, layout, data):
+        twin = data.draw(st.sampled_from([i for i, c in enumerate(layout) if c != "mystery"]))
+        at = data.draw(st.integers(0, len(layout)))
+        header = [*layout[:at], data.draw(spellings(layout[twin])), *layout[at:]]
+        (row,) = layout_rows(layout, [(["1"] * len(METRICS), "0")])
+        folder = tmp_path_factory.mktemp("twin")
+        with pytest.raises(DatasetError) as info:
+            load_quietly(folder, header, [[*row[:at], row[twin], *row[at:]]])
+        assert str(info.value).startswith(f"{folder / 'x-9.9.csv'}: ")
+
+    @given(layout=st.sampled_from(LAYOUTS), grid=GRIDS, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_case_and_surrounding_spaces_change_nothing(self, tmp_path_factory, layout, grid, data):
+        header = [data.draw(spellings(column)) for column in layout]
+        rows = layout_rows(layout, grid)
+        assert load_quietly(tmp_path_factory.mktemp("spelled"), header, rows) == (
+            load_quietly(tmp_path_factory.mktemp("layout"), layout, rows))
+
+    @given(layout=st.sampled_from(LAYOUTS), grid=GRIDS)
+    @settings(max_examples=50, deadline=None)
+    def test_a_byte_order_mark_changes_nothing(self, tmp_path_factory, layout, grid):
+        rows = layout_rows(layout, grid)
+        assert load_quietly(tmp_path_factory.mktemp("bom"), layout, rows, "\ufeff") == (
+            load_quietly(tmp_path_factory.mktemp("layout"), layout, rows))
 
 
 class TestSharedCells:

@@ -39,6 +39,7 @@ from conftest import (
     count_calls,
     make_dataset,
     make_record,
+    planted_community,
     tie_heavy_community,
     tie_heavy_history,
     unpopulated_middle_tree,
@@ -147,6 +148,23 @@ class TestXtreePlan:
                 plan_targets(tree, gamma)
             with pytest.raises(ValueError):
                 XTreePlanner(gamma=gamma).fit(train)
+
+    def test_a_suggestion_never_lands_on_its_ranges_excluded_low_end(self):
+        # Range 1 is (1e16, 1e16 + 4], and floats there are 2 apart, so
+        # low + 4 * u rounds onto the cut 1e16 for every draw u below 1/4.
+        bins = BinMap("wmc", (1e16, 1e16 + 4), 0.0, 2e16)
+        tree = TreeNode(score=4.0, support=15, level=0, split_bins=bins, children={
+            key: TreeNode(score=score, support=5, level=1)
+            for key, score in enumerate((8.0, 1.0, 8.0))
+        })
+        rounded = 0
+        for seed in range(6):
+            rounded += 1e16 + 4 * planners._draws(seed, 1)[0] == 1e16
+            action = plan_for(tree, make_record("A", wmc=0.0), seed=seed).actions["wmc"]
+            assert action.target_range == (1e16, 1e16 + 4)
+            assert 1e16 < action.suggested <= 1e16 + 4
+            assert apply_bins(bins, action.suggested) == 1
+        assert rounded == 3  # seeds 1, 3 and 4
 
     def test_changes_bounded_by_max_depth(self):
         rng = np.random.default_rng(6)
@@ -778,6 +796,22 @@ class TestThresholdPlan:
         assert action.direction == DECREASE
         assert action.target_range == (0.0, 100.0)
 
+    @pytest.mark.parametrize("name", ["alves", "oliveira"])
+    def test_a_negative_bound_is_its_own_target(self, name):
+        # wmc runs from -100 to -1, twice each, and the share of defective
+        # classes grows with it, so both baselines put its bound below 0.
+        train = make_dataset([
+            make_record(f"c{i}", defects=int((i * 37) % 100 < i // 2), wmc=i // 2 - 100)
+            for i in range(200)
+        ])
+        planner = make_planner(name).fit(train)
+        (upper,) = [rule.upper for rule in planner.rules if rule.metric == "wmc"]
+        assert upper < 0
+        decreases = [plan.actions["wmc"] for plan in planner.plan_all(train)
+                     if plan.actions["wmc"].direction == DECREASE]
+        assert decreases
+        assert {action.target_range for action in decreases} == {(upper, upper)}
+
     def test_baselines_only_ever_decrease(self):
         rng = np.random.default_rng(3)
         rules = [
@@ -796,6 +830,49 @@ class TestThresholdPlan:
         high = threshold_plan(rules, make_record("A", loc=151))
         assert low.actions["loc"].direction == DECREASE
         assert high.actions["loc"].direction == DECREASE
+
+
+def followed(record, values):
+    """``record`` with the given metric values."""
+    return make_record(record.class_name, record.defects, **(record.metrics | values))
+
+
+class TestFollowedPlans:
+    """A class that follows its plan lands where the plan aimed."""
+
+    @given(community_seed=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1),
+           gamma=st.sampled_from([0.3, 0.5, 0.7]), name=st.sampled_from(["xtree", "belltree"]))
+    @settings(max_examples=100, deadline=None)
+    def test_a_followed_tree_plan_reaches_its_target(self, community_seed, seed, gamma, name):
+        alpha, beta, exemplar = (
+            p.versions[0] for p in planted_community(community_seed, n=120).projects
+        )
+        # xtree plans the release it learned from; belltree learns from the
+        # exemplar and plans another project.
+        train, test = (alpha, alpha) if name == "xtree" else (exemplar, beta)
+        planner = make_planner(name, gamma=gamma, seed=seed).fit(train)
+        for record in test.records:
+            changes = {m: a.suggested for m, a in planner.plan(record).actions.items()
+                       if a.direction != NO_CHANGE}
+            if changes:
+                current = locate(planner.tree, record)
+                reached = locate(planner.tree, followed(record, changes))
+                assert reached.conditions == planner.targets[current.conditions].conditions
+                assert reached.score < gamma * current.score
+
+    @pytest.mark.parametrize("name", ["alves", "shatnawi", "oliveira"])
+    def test_a_followed_threshold_plan_leaves_nothing_to_change(self, name):
+        decreased = 0
+        for release in tie_heavy_history().versions:
+            planner = make_planner(name).fit(release)
+            bounds = {rule.metric: rule.upper for rule in planner.rules}
+            for record in release.records:
+                changes = {m: bounds[m] for m, a in planner.plan(record).actions.items()
+                           if a.direction == DECREASE}
+                after = threshold_plan(planner.rules, followed(record, changes))
+                assert changes_count(after) == 0
+                decreased += len(changes)
+        assert decreased > 0
 
 
 def unmet_conditions(planner, record):
