@@ -15,7 +15,7 @@ import csv
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, astuple
+from dataclasses import astuple, fields
 from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
@@ -44,6 +44,7 @@ from .planners import (
     PLANNER_NAMES,
     PLANNERS,
     ThresholdPlanner,
+    ThresholdRule,
     make_planner,
     suggest_refactorings,
 )
@@ -299,9 +300,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     train = _load_train(args.train)
     rules = make_planner(args.planner, **vars(args)).fit(train).rules
+    keys = [f.name for f in fields(ThresholdRule) if f.init]  # not the derived ones
     _write_json(Path(args.out), {
         "planner": args.planner,
-        "rules": [{k: v for k, v in asdict(rule).items() if v is not None} for rule in rules],
+        "rules": [{k: v for k in keys if (v := getattr(rule, k)) is not None}
+                  for rule in rules],
     })
     return EXIT_OK
 

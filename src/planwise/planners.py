@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
@@ -109,17 +109,30 @@ class Plan:
 
 @dataclass(frozen=True)
 class ThresholdRule:
-    """Upper bound on one metric, as derived by a threshold baseline."""
+    """Upper bound on one metric, as derived by a threshold baseline.
+
+    ``index`` is the metric's position in a record's ``values``, and
+    ``decrease`` the one Action, toward ``[min(0, upper), upper]``, that
+    every plan breaking the rule shares.
+    """
 
     metric: str
     upper: float
     p_fraction: Optional[float] = None
+    index: int = field(init=False, compare=False, repr=False)
+    decrease: Action = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.metric not in METRIC_INDEX:
+            raise ValueError(f"unknown metric {self.metric!r}")
         if not math.isfinite(self.upper):
             raise ValueError("threshold must be finite")
         if self.p_fraction is not None and not 0.0 < self.p_fraction <= 1.0:
             raise ValueError("p_fraction must lie in (0, 1]")
+        object.__setattr__(self, "index", METRIC_INDEX[self.metric])
+        object.__setattr__(
+            self, "decrease", Action(DECREASE, (min(0.0, self.upper), self.upper))
+        )
 
 
 _KEEP = Action()
@@ -380,15 +393,13 @@ def threshold_plan(
     record: ClassRecord,
     source_planner: str = "threshold",
 ) -> Plan:
-    """Decrease every metric whose value exceeds its rule's upper bound,
-    toward ``[min(0, upper), upper]``."""
+    """Decrease every metric whose value exceeds its rule's upper bound:
+    the metric gets the rule's shared ``decrease``."""
     actions = dict.fromkeys(METRICS, _KEEP)
     values = record.values
     for rule in rules:
-        if values[METRIC_INDEX[rule.metric]] > rule.upper:
-            actions[rule.metric] = Action(
-                direction=DECREASE, target_range=(min(0.0, rule.upper), rule.upper)
-            )
+        if values[rule.index] > rule.upper:
+            actions[rule.metric] = rule.decrease
     return Plan(record.class_name, actions, source_planner)
 
 

@@ -23,7 +23,13 @@ from planwise.datasets import ClassRecord, Community, Project, pool_versions
 from planwise.planners import XTreePlanner, make_planner
 from planwise.tree import build_tree, fit_bins, predict_defective
 
-from conftest import make_dataset, make_record, planted_community, tie_heavy_community
+from conftest import (
+    _tie_heavy_project,
+    make_dataset,
+    make_record,
+    planted_community,
+    tie_heavy_community,
+)
 
 
 class TestGScore:
@@ -287,6 +293,13 @@ def record_keys(dataset):
     return {(r.class_name, tuple(r.metrics.items()), r.defects) for r in dataset.records}
 
 
+def four_project_tie_heavy_community():
+    return Community((
+        *tie_heavy_community().projects,
+        _tie_heavy_project("p4", 505, {"rfc": 0.5, "lcom": 0.4, "noc": 0.3, "loc": 0.3}),
+    ))
+
+
 class TestExemplarTrain:
     def test_no_record_of_the_target_reaches_the_training_set(self):
         community = planted_community(seed=7)
@@ -320,6 +333,28 @@ class TestExemplarTrain:
         monkeypatch.setattr(bellwether, "discover", spy)
         exemplar_train(community, community.get("alpha"), "f1")
         assert calls == [(["beta", "exemplar"], "f1")]
+
+    @pytest.mark.parametrize(
+        "make", [tie_heavy_community, four_project_tie_heavy_community])
+    def test_leave_target_out_oracle(self, make):
+        # A pair's score depends only on its source and target, so the
+        # exemplar for t ranks first in the whole community's scores once
+        # t's row and column are deleted: highest median, ties to the first name.
+        community = make()
+        report = discover(community)
+        picks = []
+        for target in community.projects:
+            medians = {}
+            for source, row in report.scores.items():
+                defined = [s for t, s in row.items() if t != target.name and s is not None]
+                if source != target.name and defined:
+                    medians[source] = median(defined)
+            expected = min(medians, key=lambda name: (-medians[name], name))
+            assert exemplar_train(community, target) == pool_versions(community.get(expected))
+            picks.append(expected)
+        if make is four_project_tie_heavy_community:
+            # Leaving p0 out moves the pick away from the whole community's p2.
+            assert report.bellwether == "p2" and picks[0] == "p4"
 
     @pytest.mark.parametrize("kept", [("alpha",), ()])
     def test_needs_two_other_projects(self, kept):

@@ -784,6 +784,18 @@ class TestThresholdPlan:
         with pytest.raises(ValueError, match="target range"):
             Action(DECREASE, target_range=(6.0, 5.0))
 
+    def test_an_unknown_metric_is_rejected_when_the_rule_is_built(self):
+        with pytest.raises(ValueError, match="unknown metric 'nope'"):
+            ThresholdRule("nope", 1.0)
+
+    def test_derived_values_are_not_compared_hashed_or_printed(self):
+        rule = ThresholdRule("loc", 1.0, p_fraction=0.5)
+        twin = ThresholdRule("loc", 1.0, p_fraction=0.5)
+        assert rule.decrease is not twin.decrease
+        assert rule == twin and hash(rule) == hash(twin)
+        assert repr(rule) == "ThresholdRule(metric='loc', upper=1.0, p_fraction=0.5)"
+        assert rule.index == METRICS.index("loc")
+
     def test_record_under_every_threshold_gets_no_changes(self):
         rules = [ThresholdRule("loc", 100.0), ThresholdRule("wmc", 10.0)]
         plan = threshold_plan(rules, make_record("A", loc=50, wmc=5))
@@ -901,20 +913,43 @@ class TestPlanAllocation:
         return calls
 
     def test_no_change_plans_construct_no_action(self, constructed):
+        rule = ThresholdRule("loc", 100.0)
+        del constructed[:]  # building a rule may construct its decrease
         no_change_plan("A", "test")
-        threshold_plan([ThresholdRule("loc", 100.0)], make_record("A", loc=50))
+        threshold_plan([rule], make_record("A", loc=50))
         assert changes_count(plan_for(contrast_tree(), make_record("A", rfc=5.0))) == 0
         assert constructed == []
 
-    def test_threshold_plan_constructs_one_action_per_violated_rule(self, constructed):
+    @pytest.mark.parametrize("upper, target", [
+        (-2.5, (-2.5, -2.5)), (-0.0, (0.0, -0.0)), (0.0, (0.0, 0.0)), (3.0, (0.0, 3.0)),
+    ])
+    def test_a_rule_builds_its_one_decrease(self, constructed, upper, target):
+        rule = ThresholdRule("loc", upper)
+        plans = [threshold_plan([rule], make_record(f"r{i}", loc=upper + 1 + i))
+                 for i in range(5)]
+        assert len(constructed) <= 1
+        assert all(plan.actions["loc"] is rule.decrease for plan in plans)
+        assert rule.decrease.direction == DECREASE
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(rule.decrease.target_range) == repr(target)
+
+    def test_threshold_plan_constructs_no_action(self, constructed):
         rng = np.random.default_rng(5)
-        rules = [ThresholdRule(m, float(rng.uniform(0, 5))) for m in METRICS[::2]]
+        uppers = [-0.0, *rng.uniform(-5, 5, size=9)]
+        rules = [ThresholdRule(m, float(u)) for m, u in zip(METRICS[::2], uppers)]
+        del constructed[:]
+        broken = 0
         for i in range(30):
-            record = make_record(f"r{i}", base=float(rng.uniform(0, 6)))
-            before = len(constructed)
-            threshold_plan(rules, record)
-            violated = sum(record.metrics[r.metric] > r.upper for r in rules)
-            assert len(constructed) - before == violated
+            record = make_record(f"r{i}", base=float(rng.uniform(-6, 6)))
+            plan = threshold_plan(rules, record)
+            for rule in rules:
+                if record.metrics[rule.metric] > rule.upper:
+                    broken += 1
+                    assert plan.actions[rule.metric] is rule.decrease
+                else:
+                    assert plan.actions[rule.metric].direction == NO_CHANGE
+        assert constructed == []
+        assert 0 < broken < 30 * len(rules)
 
     def test_xtree_plan_constructs_one_action_per_unmet_condition(self, constructed):
         project = tie_heavy_community().projects[0]
