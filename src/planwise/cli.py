@@ -48,7 +48,7 @@ from .planners import (
     make_planner,
     suggest_refactorings,
 )
-from .tree import DEFAULT_MAX_DEPTH, build_tree, fit_bins, tree_to_dict
+from .tree import DEFAULT_MAX_DEPTH, tree_to_dict
 
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
@@ -310,9 +310,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    train = _load_train(args.train)
-    bins = fit_bins(train)
-    tree = build_tree(train, bins, max_depth=args.max_depth, min_leaf=args.min_leaf)
+    tree = make_planner("xtree", **vars(args)).fit(_load_train(args.train)).tree
     _write_json(Path(args.out), {"tree": tree_to_dict(tree)})
     return EXIT_OK
 

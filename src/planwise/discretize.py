@@ -155,4 +155,6 @@ def mdlp_cuts(
     boundaries = [i for i, (a0, a1, b0, b1) in gaps if (a0 or b0) and (a1 or b1)]
     cum0, cum1 = [0, *accumulate(negatives)], [0, *accumulate(positives)]
     cuts = _split_interval(distinct, cum0, cum1, boundaries, 0, len(distinct))
-    return BinMap(metric, tuple(cuts), distinct[0], distinct[-1])
+    # The training range's ends as +0.0, not the first-seen zero of either
+    # sign, so the row order cannot change them; a cut's sign is already fixed.
+    return BinMap(metric, tuple(cuts), distinct[0] + 0.0, distinct[-1] + 0.0)

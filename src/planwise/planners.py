@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
@@ -129,6 +129,8 @@ class ThresholdRule:
             raise ValueError("threshold must be finite")
         if self.p_fraction is not None and not 0.0 < self.p_fraction <= 1.0:
             raise ValueError("p_fraction must lie in (0, 1]")
+        # Equal rules write equal plans: a -0.0 bound is stored as 0.0.
+        object.__setattr__(self, "upper", self.upper + 0.0)
         object.__setattr__(self, "index", METRIC_INDEX[self.metric])
         object.__setattr__(
             self, "decrease", Action(DECREASE, (min(0.0, self.upper), self.upper))
@@ -439,31 +441,19 @@ class PlannerBase:
     def plan(self, record: ClassRecord) -> Plan:
         raise NotImplementedError
 
-    def plan_all(self, dataset: VersionedDataset) -> list[Plan]:
-        return [self.plan(record) for record in dataset.records]
 
-
+@dataclass(eq=False)
 class XTreePlanner(PlannerBase):
-    """Within-project contrast-set planner."""
+    """Within-project contrast-set planner: ``fit`` grows the defect tree and
+    its plan targets."""
 
-    name = "xtree"
-
-    def __init__(
-        self,
-        gamma: float = DEFAULT_GAMMA,
-        seed: int = DEFAULT_SEED,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-        min_leaf: int | None = None,
-        name: str | None = None,
-    ):
-        self.gamma = gamma
-        self.seed = seed
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        if name is not None:
-            self.name = name
-        self.tree: TreeNode | None = None
-        self.targets: PlanTargets | None = None
+    gamma: float = DEFAULT_GAMMA
+    seed: int = DEFAULT_SEED
+    max_depth: int = DEFAULT_MAX_DEPTH
+    min_leaf: int | None = None
+    name: str = "xtree"
+    tree: TreeNode | None = field(default=None, init=False, repr=False)
+    targets: PlanTargets | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: VersionedDataset) -> "XTreePlanner":
         bins = fit_bins(train)
@@ -507,7 +497,7 @@ class ThresholdPlanner(PlannerBase):
 
 # Each planner's name -> its class and the options it takes. make_planner
 # hands a planner only its own options; the CLI takes its choices from here.
-_TREE_OPTIONS = ("gamma", "seed", "max_depth", "min_leaf")
+_TREE_OPTIONS = tuple(f.name for f in fields(XTreePlanner) if f.init and f.name != "name")
 PLANNERS: dict[str, tuple[type[PlannerBase], tuple[str, ...]]] = {
     "xtree": (XTreePlanner, _TREE_OPTIONS),
     "belltree": (XTreePlanner, _TREE_OPTIONS),

@@ -16,8 +16,10 @@ from planwise.datasets import (
     Community,
     Project,
     VersionedDataset,
+    diff_versions,
 )
 from planwise.discretize import BinMap
+from planwise.evaluate import windows
 from planwise.tree import TreeNode
 
 # Version CSVs of the public Jureczko corpus, as ``<project>/<project>-<v>.csv``
@@ -154,6 +156,75 @@ def exemplar_community_dir(tmp_path):
             ds = make_dataset(records, project=name, version=version)
             write_csv(ds, root / name / f"{name}-{version}.csv")
     return root
+
+
+def planted_history(seed: int, n: int = 300, releases: int = 4) -> Project:
+    """One project of ``releases`` releases of ``n`` classes, whose defects
+    follow a fixed rule and whose developers make planted moves.
+
+    A class has 0, 1 or 3 defects as its risk ``wmc/60 + cbo/40`` lies
+    below 1, below 1.4, or above. Release 1 draws ``wmc`` from U(0, 60),
+    ``cbo`` from U(0, 40) and every other metric from U(1, 100). Between
+    releases, 30% of the classes are fixed (``wmc`` and ``cbo`` each times
+    U(0.4, 0.7)) and 20% decay (each times U(1.3, 1.6), plus 1); every
+    other metric of every class churns with probability 0.15 (times
+    U(0.5, 1.5)). Class names persist, so every class matches in every
+    window.
+    """
+    rng = np.random.default_rng(seed)
+    wmc, cbo = METRICS.index("wmc"), METRICS.index("cbo")
+    values = rng.uniform(1.0, 100.0, (n, len(METRICS)))
+    values[:, wmc] = rng.uniform(0.0, 60.0, n)
+    values[:, cbo] = rng.uniform(0.0, 40.0, n)
+    versions = []
+    for order in range(releases):
+        if order:
+            draw = rng.random(n)
+            fixed, decayed = draw < 0.3, (draw >= 0.3) & (draw < 0.5)
+            for col in (wmc, cbo):
+                values[fixed, col] *= rng.uniform(0.4, 0.7, fixed.sum())
+                values[decayed, col] *= rng.uniform(1.3, 1.6, decayed.sum())
+                values[decayed, col] += 1.0
+            churned = rng.random(values.shape) < 0.15
+            churned[:, [wmc, cbo]] = False
+            values[churned] *= rng.uniform(0.5, 1.5, churned.sum())
+        risk = values[:, wmc] / 60.0 + values[:, cbo] / 40.0
+        defects = np.where(risk < 1.0, 0, np.where(risk < 1.4, 1, 3))
+        records = [
+            ClassRecord.from_metrics(f"C{i}", dict(zip(METRICS, row)), int(d))
+            for i, (row, d) in enumerate(zip(values.tolist(), defects))
+        ]
+        versions.append(make_dataset(records, project="planted", version=str(order + 1)))
+    return make_project(versions, name="planted")
+
+
+def followed_plan_tally(project: Project, planner, train=None) -> tuple[int, int, int]:
+    """Plans followed over every window of ``project``, and the defects their
+    classes lost and gained.
+
+    Each window fits ``planner`` on its first release, or ``train`` is
+    fitted once for all. A class of the window's second release counts when
+    it is matched in the third, its plan is not empty, and its developers
+    made every planned move.
+    """
+    followed = reduced = increased = 0
+    if train is not None:
+        planner.fit(train)
+    for start in windows(project):
+        if train is None:
+            planner.fit(project.versions[start])
+        test, validation = project.versions[start + 1], project.versions[start + 2]
+        moves, later = diff_versions(test, validation), validation.by_name()
+        for record in test.records:
+            planned = {m: a.direction for m, a in planner.plan(record).actions.items()
+                       if a.direction != NO_CHANGE}
+            made = moves.get(record.class_name)
+            if planned and made and all(made[m] == d for m, d in planned.items()):
+                followed += 1
+                delta = record.defects - later[record.class_name].defects
+                reduced += max(0, delta)
+                increased += max(0, -delta)
+    return followed, reduced, increased
 
 
 # Upper bounds (exclusive) of each metric's integer range in

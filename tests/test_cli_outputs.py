@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import stat
 import struct
 import tracemalloc
@@ -232,7 +233,7 @@ class TestJsonWriter:
         # until the next collection, after the file is written.
         history = tie_heavy_history()
         planner = make_planner("xtree").fit(pool_versions(history))
-        plans = planner.plan_all(history.versions[3])
+        plans = [planner.plan(r) for r in history.versions[3].records]
         doc = {"plans": [dict(p.to_dict(), refactorings=suggest_refactorings(p))
                          for p in plans]}
         gc.collect()
@@ -376,7 +377,7 @@ class TestStreamedJson:
     def test_writing_a_generator_plan_document_leaves_no_garbage(self, tmp_path):
         history = tie_heavy_history()
         planner = make_planner("xtree").fit(pool_versions(history))
-        plans = planner.plan_all(history.versions[3])
+        plans = [planner.plan(r) for r in history.versions[3].records]
         gc.collect()
         gc.disable()
         try:
@@ -505,3 +506,69 @@ def test_a_taken_temp_name_publishes_nothing(tmp_path, monkeypatch, squatter):
         assert taken.read_bytes() == b"squatter bytes\n"
     else:
         assert taken.is_symlink()
+
+
+def _plan_bytes(tmp_path, train_records, test_records, *options) -> bytes:
+    """The ``plan`` document for ``test_records``, trained on ``train_records``.
+
+    The files keep their names from call to call, since a plan document
+    records its ``--train`` and ``--test`` arguments."""
+    write_csv(make_dataset(train_records), tmp_path / "train.csv")
+    write_csv(make_dataset(test_records, version="2"), tmp_path / "test.csv")
+    out = tmp_path / "plans.json"
+    argv = ["plan", "--train", str(tmp_path / "train.csv"),
+            "--test", str(tmp_path / "test.csv"), "--out", str(out), *options]
+    assert main(argv) == EXIT_OK
+    return out.read_bytes()
+
+
+def zero_heavy_train() -> list:
+    """120 classes, all with ``dit`` and four in five with ``wmc`` at 0.0 or
+    -0.0.
+
+    Those four in five share one ``loc``, so the alves percentile lands on a
+    zero whose sign is that of the first such row; defects rise with
+    ``wmc``, so xtree splits it and targets a range that starts at zero.
+    ``dit`` is zero throughout, so oliveira's bound on it is a zero too.
+    """
+    rng = random.Random(7)
+    records = []
+    for i in range(120):
+        if i % 5:
+            wmc, defective, loc = (0.0, -0.0)[i % 2], rng.random() < 0.1, 150.0
+        else:
+            wmc, defective, loc = rng.randint(5, 60), rng.random() < 0.7, rng.randint(50, 300)
+        records.append(make_record(f"c{i}", defects=int(defective), wmc=wmc, loc=loc,
+                                   dit=(0.0, -0.0)[i % 3 == 0]))
+    return records
+
+
+class TestSignedZeros:
+    """Equal inputs write equal bytes: no plan bound is a -0.0 that the
+    order of the training rows picked."""
+
+    def test_reversed_rows_give_an_xtree_target_the_same_low_end(self, tmp_path):
+        zeros = [make_record(f"z{i}", wmc=(0.0, -0.0)[i >= 12]) for i in range(24)]
+        defective = [make_record(f"d{v}", defects=1, wmc=v) for v in range(24, 60)]
+        test = [make_record("T", wmc=59.0)]
+        for train in (zeros + defective, (zeros + defective)[::-1]):
+            doc = json.loads(_plan_bytes(tmp_path, train, test, "--planner", "xtree",
+                                         "--min-leaf", "2"))
+            action = doc["plans"][0]["actions"]["wmc"]
+            assert action["action"] == "-"
+            assert repr(action["target_low"]) == "0.0"
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_train_writes_the_same_plan_document(self, tmp_path, seed):
+        train = zero_heavy_train()
+        shuffled = list(train)
+        random.Random(seed).shuffle(shuffled)
+        test = [make_record(f"T{i}", wmc=30.0 + i, dit=1.0, loc=100.0) for i in range(3)]
+        for planner in ("xtree", "alves", "oliveira"):
+            want = _plan_bytes(tmp_path, train, test, "--planner", planner)
+            got = _plan_bytes(tmp_path, shuffled, test, "--planner", planner)
+            assert got == want, planner
+            # Each planner's bound on the zeros is in the document.
+            assert b'"target_low": 0.0' in want or b'"target_high": 0.0' in want, planner

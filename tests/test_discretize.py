@@ -158,12 +158,13 @@ def scalar_split_interval(distinct, counts, lo, hi):
 
 
 def scalar_mdlp_cuts(values, labels):
+    # The range's ends are stored as +0.0 where they are zeros of either sign.
     if len(values) < 2:
-        low = float(min(values, default=0.0))
-        return BinMap("", (), low, float(max(values, default=0.0)))
+        low = float(min(values, default=0.0)) + 0.0
+        return BinMap("", (), low, float(max(values, default=0.0)) + 0.0)
     distinct, counts = scalar_group_by_value(values, labels)
     cuts = scalar_split_interval(distinct, counts, 0, len(distinct))
-    return BinMap("", tuple(cuts), distinct[0], distinct[-1])
+    return BinMap("", tuple(cuts), distinct[0] + 0.0, distinct[-1] + 0.0)
 
 
 # Ints, floats equal to them and both signed zeros, so groups merge values
@@ -247,7 +248,9 @@ class TestMdlpCuts:
         assert mdlp_cuts(values, labels).cut_points == (2.5,)
         assert scalar_mdlp_cuts(values, labels).cut_points == (2.5,)
         assert repr(mdlp_cuts(values, labels).vmin) == "0.0"
-        assert repr(mdlp_cuts(values[1:], labels[1:]).vmin) == "-0.0"
+        assert repr(mdlp_cuts(values[1:], labels[1:]).vmin) == "0.0"
+        # A zero at either end is stored as 0.0, whichever sign came first.
+        assert repr(mdlp_cuts([-1.0, -0.0, 0.0], [0, 1, 1]).vmax) == "0.0"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_are_rejected(self, bad):

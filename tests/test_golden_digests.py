@@ -124,7 +124,8 @@ def test_plan_digest(community, fit, gamma):
         train, release = pool_versions(projects["p0"]), projects["p1"].versions[1]
     else:
         train, release = projects["p2"].versions[0], projects["p2"].versions[1]
-    plans = XTreePlanner(gamma=gamma).fit(train).plan_all(release)
+    planner = XTreePlanner(gamma=gamma).fit(train)
+    plans = [planner.plan(r) for r in release.records]
     assert _sha([p.to_dict() for p in plans]) == EXPECTED_PLANS[(fit, gamma)]
 
 

@@ -423,7 +423,7 @@ class TestPlanTargets:
         monkeypatch.setattr(planners, "leaves", counting_leaves)
         planner = XTreePlanner(min_leaf=5).fit(make_dataset(records))
         assert (len(searches), len(enumerations)) == (1, 1)
-        plans = planner.plan_all(make_dataset(records))
+        plans = [planner.plan(r) for r in make_dataset(records).records]
         assert (len(searches), len(enumerations)) == (1, 1)
         assert any(changes_count(p) for p in plans)
 
@@ -721,11 +721,11 @@ class TestOliveira:
     @example(column=[-0.0, 0.0], min_compliance=90.0, tail=90.0)
     def test_rules_match_numpy_bit_for_bit(self, column, min_compliance, tail):
         # -0.0 == 0.0, so the bounds are compared by float.hex: a rule must
-        # keep the zero np.unique keeps.
+        # keep the value np.unique keeps, and a zero of either sign as 0.0.
         train = make_dataset([make_record(f"c{i}", loc=v) for i, v in enumerate(column)])
         rule = {r.metric: r for r in oliveira_thresholds(train, min_compliance, tail)}["loc"]
         upper, p_fraction = matrix_relative_threshold(column, min_compliance, tail)
-        assert (rule.upper.hex(), rule.p_fraction) == (upper.hex(), p_fraction)
+        assert (rule.upper.hex(), rule.p_fraction) == ((upper + 0.0).hex(), p_fraction)
 
     def test_a_subnormal_tail_median_overflows_without_a_warning(self):
         # The tail median is 5e-324, so 1.0's penalty overflows to +inf;
@@ -819,7 +819,8 @@ class TestThresholdPlan:
         planner = make_planner(name).fit(train)
         (upper,) = [rule.upper for rule in planner.rules if rule.metric == "wmc"]
         assert upper < 0
-        decreases = [plan.actions["wmc"] for plan in planner.plan_all(train)
+        plans = [planner.plan(r) for r in train.records]
+        decreases = [plan.actions["wmc"] for plan in plans
                      if plan.actions["wmc"].direction == DECREASE]
         assert decreases
         assert {action.target_range for action in decreases} == {(upper, upper)}
@@ -921,7 +922,7 @@ class TestPlanAllocation:
         assert constructed == []
 
     @pytest.mark.parametrize("upper, target", [
-        (-2.5, (-2.5, -2.5)), (-0.0, (0.0, -0.0)), (0.0, (0.0, 0.0)), (3.0, (0.0, 3.0)),
+        (-2.5, (-2.5, -2.5)), (-0.0, (0.0, 0.0)), (0.0, (0.0, 0.0)), (3.0, (0.0, 3.0)),
     ])
     def test_a_rule_builds_its_one_decrease(self, constructed, upper, target):
         rule = ThresholdRule("loc", upper)
@@ -932,6 +933,16 @@ class TestPlanAllocation:
         assert rule.decrease.direction == DECREASE
         # repr tells -0.0 from 0.0, which == does not.
         assert repr(rule.decrease.target_range) == repr(target)
+
+    def test_equal_rules_write_equal_plans(self):
+        # -0.0 == 0.0, so the two rules compare and hash equal; a plan that
+        # breaks one must write the bytes of a plan that breaks the other.
+        negative, positive = ThresholdRule("loc", -0.0), ThresholdRule("loc", 0.0)
+        assert negative == positive and hash(negative) == hash(positive)
+        record = make_record("A", loc=1.0)
+        docs = [repr(threshold_plan([rule], record).to_dict()) for rule in (negative, positive)]
+        assert docs[0] == docs[1]
+        assert repr((negative.upper, negative.decrease.target_range)) == "(0.0, (0.0, 0.0))"
 
     def test_threshold_plan_constructs_no_action(self, constructed):
         rng = np.random.default_rng(5)
@@ -966,7 +977,8 @@ class TestPlanAllocation:
         train = tie_heavy_community().projects[0].versions[0]
         plans = [no_change_plan("A", "test"), no_change_plan("B", "test")]
         for name in ("xtree", "alves", "oliveira"):
-            plans += make_planner(name).fit(train).plan_all(train)
+            planner = make_planner(name).fit(train)
+            plans += [planner.plan(r) for r in train.records]
         assert len({id(p.actions) for p in plans}) == len(plans)
         plans[0].actions["loc"] = Action(direction=DECREASE)
         assert plans[1].actions["loc"].direction == NO_CHANGE
