@@ -34,13 +34,6 @@ from .datasets import (
 )
 from .evaluate import evaluate_windows, windows
 from .planners import (
-    DEFAULT_GAMMA,
-    DEFAULT_MIN_COMPLIANCE,
-    DEFAULT_P0,
-    DEFAULT_P1,
-    DEFAULT_PERCENTILE,
-    DEFAULT_SEED,
-    DEFAULT_TAIL,
     PLANNER_NAMES,
     PLANNERS,
     ThresholdPlanner,
@@ -48,7 +41,7 @@ from .planners import (
     make_planner,
     suggest_refactorings,
 )
-from .tree import DEFAULT_MAX_DEPTH, tree_to_dict
+from .tree import tree_to_dict
 
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
@@ -147,44 +140,43 @@ def _write_csv(path: Path, rows, newline: str = "\n") -> None:
     _publish(path, body)
 
 
-# Every planner option by --help group: name -> (type, default, help); a
-# command registers those its planners take, PLANWISE_<NAME> sets the default.
+# Every planner option by --help group: name -> (type, help). A command
+# registers those its planners take, each with the default its planner
+# declares in PLANNERS; PLANWISE_<NAME> overrides that default.
 OPTION_GROUPS = {
     "planner options": {
-        "gamma": (float, DEFAULT_GAMMA,
-                  "better-sibling score factor for the tree planners"),
-        "seed": (int, DEFAULT_SEED,
-                 "seed for suggested in-range values (fixed for reproducibility)"),
+        "gamma": (float, "better-sibling score factor for the tree planners"),
+        "seed": (int, "seed for suggested in-range values (fixed for reproducibility)"),
     },
     "tree options": {
-        "max_depth": (int, DEFAULT_MAX_DEPTH, "tree depth limit"),
-        "min_leaf": (int, None, "minimum records per leaf (default: max(5, N/50))"),
+        "max_depth": (int, "tree depth limit"),
+        "min_leaf": (int, "minimum records per leaf (default: max(5, N/50))"),
     },
     "threshold baseline options": {
-        "percentile": (float, DEFAULT_PERCENTILE,
-                       "size-weighted percentile for the alves baseline"),
-        "p0": (float, DEFAULT_P0, "significance level of the shatnawi logistic screen"),
-        "p1": (float, DEFAULT_P1, "risk probability defining the shatnawi threshold"),
-        "min_compliance": (float, DEFAULT_MIN_COMPLIANCE,
-                           "compliance target of the oliveira penalty"),
-        "tail": (float, DEFAULT_TAIL, "tail percentile anchoring the oliveira penalty"),
+        "percentile": (float, "size-weighted percentile for the alves baseline"),
+        "p0": (float, "significance level of the shatnawi logistic screen"),
+        "p1": (float, "risk probability defining the shatnawi threshold"),
+        "min_compliance": (float, "compliance target of the oliveira penalty"),
+        "tail": (float, "tail percentile anchoring the oliveira penalty"),
     },
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, planners=(), takes=()) -> None:
-    """Register the options the named planners take, plus ``takes``."""
-    takes = set(takes).union(*(PLANNERS[name][1] for name in planners))
+def _add_options(parser: argparse.ArgumentParser, planners, only=None) -> None:
+    """Register the options the named planners take, or those of them in
+    ``only``, each with the default its planner declares."""
+    defaults = {k: v for name in planners for k, v in PLANNERS[name][1].items()
+                if only is None or k in only}
     for title, options in OPTION_GROUPS.items():
-        names = [name for name in options if name in takes]
+        names = [name for name in options if name in defaults]
         if not names:
             continue
         group = parser.add_argument_group(title)
         for name in names:
-            kind, default, text = options[name]
+            kind, text = options[name]
             group.add_argument(
                 "--" + name.replace("_", "-"), type=kind,
-                default=_env(name.upper(), default), help=text,
+                default=_env(name.upper(), defaults[name]), help=text,
             )
 
 
@@ -252,6 +244,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    # load_project reads every CSV at a project directory's top level.
+    out = out_dir.resolve()
+    for flag, data, clash in (("--project-dir", args.project_dir, out),
+                              ("--community", args.community, out.parent)):
+        if data and clash == Path(data).resolve():
+            print(f"planwise: --out-dir {out_dir} lies among the data of {flag} {data}, "
+                  "whose CSVs are read as releases", file=sys.stderr)
+            return EXIT_USAGE
 
     community = None
     if args.project_dir:
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                           **fmt)
     tree.add_argument("--train", nargs="+", required=True)
     tree.add_argument("--out", required=True)
-    _add_options(tree, takes=("max_depth", "min_leaf"))
+    _add_options(tree, ["xtree"], only=("max_depth", "min_leaf"))
     tree.set_defaults(func=_cmd_tree)
 
     return parser

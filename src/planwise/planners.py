@@ -9,6 +9,7 @@ is loaded only by the screen (in ``stats``) and ``oliveira_thresholds``.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, field, fields
@@ -43,11 +44,7 @@ from .discretize import apply_bins
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_SEED = 42
-DEFAULT_PERCENTILE = 70.0
-DEFAULT_P0 = 0.05
 DEFAULT_P1 = 0.05
-DEFAULT_MIN_COMPLIANCE = 90.0
-DEFAULT_TAIL = 90.0
 SIGNIFICANCE_LEVEL = 0.05
 
 # A leaf's (metric, range index) conditions -> the branch its classes should
@@ -288,7 +285,7 @@ def weighted_percentile(
 
 
 def alves_thresholds(
-    train: VersionedDataset, percentile: float = DEFAULT_PERCENTILE
+    train: VersionedDataset, percentile: float = 70.0
 ) -> list[ThresholdRule]:
     """Size-weighted percentile thresholds.
 
@@ -312,7 +309,7 @@ def varl(fit: LogisticFit, p1: float = DEFAULT_P1) -> float:
 
 
 def shatnawi_thresholds(
-    train: VersionedDataset, p0: float = DEFAULT_P0, p1: float = DEFAULT_P1
+    train: VersionedDataset, p0: float = 0.05, p1: float = DEFAULT_P1
 ) -> list[ThresholdRule]:
     """Inverse-logistic risk thresholds.
 
@@ -337,8 +334,8 @@ def shatnawi_thresholds(
 
 def oliveira_thresholds(
     train: VersionedDataset,
-    min_compliance: float = DEFAULT_MIN_COMPLIANCE,
-    tail: float = DEFAULT_TAIL,
+    min_compliance: float = 90.0,
+    tail: float = 90.0,
 ) -> list[ThresholdRule]:
     """Relative thresholds ``(p, k)`` chosen by penalty minimization.
 
@@ -495,15 +492,18 @@ class ThresholdPlanner(PlannerBase):
         return threshold_plan(self.rules, record, source_planner=self.name)
 
 
-# Each planner's name -> its class and the options it takes. make_planner
-# hands a planner only its own options; the CLI takes its choices from here.
-_TREE_OPTIONS = tuple(f.name for f in fields(XTreePlanner) if f.init and f.name != "name")
-PLANNERS: dict[str, tuple[type[PlannerBase], tuple[str, ...]]] = {
+# Each planner's name -> its class and the options it takes, each with its
+# default: a tree planner's fields, or a baseline's rule parameters after
+# ``train``. make_planner hands a planner only its own options; the CLI takes
+# its choices and defaults from here.
+_TREE_OPTIONS = {f.name: f.default for f in fields(XTreePlanner) if f.init and f.name != "name"}
+PLANNERS: dict[str, tuple[type[PlannerBase], dict[str, object]]] = {
     "xtree": (XTreePlanner, _TREE_OPTIONS),
     "belltree": (XTreePlanner, _TREE_OPTIONS),
-    "alves": (ThresholdPlanner, ("percentile",)),
-    "shatnawi": (ThresholdPlanner, ("p0", "p1")),
-    "oliveira": (ThresholdPlanner, ("min_compliance", "tail")),
+    **{name: (ThresholdPlanner, {
+        p.name: p.default
+        for p in list(inspect.signature(globals()[f"{name}_thresholds"]).parameters.values())[1:]
+    }) for name in ("alves", "shatnawi", "oliveira")},
 }
 PLANNER_NAMES = tuple(PLANNERS)
 

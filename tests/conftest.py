@@ -158,37 +158,41 @@ def exemplar_community_dir(tmp_path):
     return root
 
 
-def planted_history(seed: int, n: int = 300, releases: int = 4) -> Project:
+def planted_history(
+    seed: int, n: int = 300, releases: int = 4,
+    rule: tuple[tuple[str, float], ...] = (("wmc", 60.0), ("cbo", 40.0)),
+) -> Project:
     """One project of ``releases`` releases of ``n`` classes, whose defects
     follow a fixed rule and whose developers make planted moves.
 
-    A class has 0, 1 or 3 defects as its risk ``wmc/60 + cbo/40`` lies
-    below 1, below 1.4, or above. Release 1 draws ``wmc`` from U(0, 60),
-    ``cbo`` from U(0, 40) and every other metric from U(1, 100). Between
-    releases, 30% of the classes are fixed (``wmc`` and ``cbo`` each times
-    U(0.4, 0.7)) and 20% decay (each times U(1.3, 1.6), plus 1); every
-    other metric of every class churns with probability 0.15 (times
-    U(0.5, 1.5)). Class names persist, so every class matches in every
-    window.
+    ``rule`` names two metrics and their scales, by default ``wmc`` and 60,
+    ``cbo`` and 40. A class has 0, 1 or 3 defects as its risk, the sum of
+    each metric over its scale (``wmc/60 + cbo/40``), lies below 1, below
+    1.4, or above. Release 1 draws each rule metric from U(0, its scale)
+    and every other metric from U(1, 100). Between releases, 30% of the
+    classes are fixed (each rule metric times U(0.4, 0.7)) and 20% decay
+    (each times U(1.3, 1.6), plus 1); every other metric of every class
+    churns with probability 0.15 (times U(0.5, 1.5)). Class names persist,
+    so every class matches in every window.
     """
     rng = np.random.default_rng(seed)
-    wmc, cbo = METRICS.index("wmc"), METRICS.index("cbo")
+    columns = [METRICS.index(metric) for metric, _ in rule]
     values = rng.uniform(1.0, 100.0, (n, len(METRICS)))
-    values[:, wmc] = rng.uniform(0.0, 60.0, n)
-    values[:, cbo] = rng.uniform(0.0, 40.0, n)
+    for col, (_, scale) in zip(columns, rule):
+        values[:, col] = rng.uniform(0.0, scale, n)
     versions = []
     for order in range(releases):
         if order:
             draw = rng.random(n)
             fixed, decayed = draw < 0.3, (draw >= 0.3) & (draw < 0.5)
-            for col in (wmc, cbo):
+            for col in columns:
                 values[fixed, col] *= rng.uniform(0.4, 0.7, fixed.sum())
                 values[decayed, col] *= rng.uniform(1.3, 1.6, decayed.sum())
                 values[decayed, col] += 1.0
             churned = rng.random(values.shape) < 0.15
-            churned[:, [wmc, cbo]] = False
+            churned[:, columns] = False
             values[churned] *= rng.uniform(0.5, 1.5, churned.sum())
-        risk = values[:, wmc] / 60.0 + values[:, cbo] / 40.0
+        risk = sum(values[:, col] / scale for col, (_, scale) in zip(columns, rule))
         defects = np.where(risk < 1.0, 0, np.where(risk < 1.4, 1, 3))
         records = [
             ClassRecord.from_metrics(f"C{i}", dict(zip(METRICS, row)), int(d))

@@ -16,6 +16,7 @@ from planwise.datasets import (
     Community,
     Project,
     load_community,
+    load_csv,
     load_project,
     pool_versions,
 )
@@ -24,6 +25,7 @@ from planwise.planners import PLANNERS, make_planner
 from planwise.tree import build_tree
 
 from conftest import (
+    changes_count,
     make_dataset,
     make_record,
     tie_heavy_community,
@@ -744,6 +746,19 @@ class TestPlannerOptionsFollowTheTable:
         assert options <= set(PLANNERS["xtree"][1])
         assert planner_option_dests("tree") == options
 
+    @pytest.mark.parametrize("name", PLANNERS)
+    def test_a_bare_command_line_plans_at_the_library_defaults(self, monkeypatch, name):
+        for variable in [v for v in os.environ if v.startswith("PLANWISE_")]:
+            monkeypatch.delenv(variable)
+        args = build_parser().parse_args(
+            ["plan", "--planner", name, "--train", "a.csv", "--test", "b.csv", "--out", "c.json"])
+        # tie_heavy_history, not tie_heavy_community: on the latter shatnawi
+        # keeps no rule, so its plans would match whatever its options were.
+        train, test, *_ = tie_heavy_history().versions
+        cli, library = (list(map(make_planner(name, **options).fit(train).plan, test.records))
+                        for options in (vars(args), {}))
+        assert cli == library and any(map(changes_count, library))
+
 
 # Runs one command in a fresh interpreter (this process has numpy loaded
 # through conftest) and prints the exit code and the modules it imported.
@@ -940,6 +955,54 @@ class TestEvaluateEdgeCases:
         assert code == EXIT_FAILURE
         assert capsys.readouterr().err == f"planwise: project directory {project_dir} {state}\n"
         assert not (tmp_path / "out").exists()
+
+    # Results written where CSVs are read were loaded back as releases: the
+    # next run failed on a curve CSV's missing 'name' column.
+    @pytest.mark.parametrize("flag, out", [
+        ("--project-dir", "planted/exemplar"),
+        ("--project-dir", "planted/alpha/../exemplar"),
+        ("--project-dir", "link"),
+        ("--community", "planted/exemplar"),
+        ("--community", "planted/alpha"),
+        ("--community", "planted/new"),
+    ])
+    def test_an_out_dir_read_as_data_is_refused(
+        self, exemplar_community_dir, tmp_path, capsys, monkeypatch, flag, out
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "planwise.datasets.load_csv", lambda *a, **k: calls.append(a) or load_csv(*a, **k)
+        )
+        root = exemplar_community_dir
+        (tmp_path / "link").symlink_to(root / "exemplar")
+        data, target = ((root / "exemplar", []) if flag == "--project-dir"
+                        else (root, ["--target", "exemplar"]))
+        before = listing(tmp_path)
+        code = main(["evaluate", "--planner", "all", flag, str(data), *target,
+                     "--out-dir", str(tmp_path / out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"planwise: --out-dir {tmp_path / out} lies among the data of {flag} {data}, "
+            "whose CSVs are read as releases\n"
+        )
+        assert listing(tmp_path) == before and calls == []
+
+    def test_an_out_dir_beside_or_below_the_data_is_allowed(self, exemplar_community_dir):
+        # A community's CSVs sit one level down, a project's at its top level.
+        root = exemplar_community_dir
+        project = ["--project-dir", str(root / "exemplar"),
+                   "--out-dir", str(root / "exemplar" / "results")]
+        community = ["--community", str(root), "--target", "exemplar", "--out-dir", str(root)]
+        for _ in range(2):  # the rerun reads data the first run wrote beside
+            for argv in (project, community):
+                assert main(["evaluate", "--planner", "xtree", *argv]) == EXIT_OK
+        assert (root / "summary.csv").exists()
+        assert (root / "exemplar" / "results" / "summary.csv").exists()
+
+
+def listing(root):
+    """Every path under ``root`` with its size, for a directory left untouched."""
+    return sorted((str(p.relative_to(root)), p.lstat().st_size) for p in root.rglob("*"))
 
 
 UNLABELLED = ("alpha", "beta", "gamma", "delta")
