@@ -5,6 +5,7 @@ Run from the repository root:
 
     python3 scripts/mutate.py                        # the eight modules below
     python3 scripts/mutate.py tree evaluate          # some of them
+    python3 scripts/mutate.py --since HEAD~1         # lines changed since a commit
 
 Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, or ``+`` and ``-`` (also in
@@ -29,6 +30,10 @@ caches. Three steps:
    test, runs every test. A mutant whose lines nothing runs is reported
    uncovered.
 
+With ``--since REV`` only the operators on lines that ``git diff -U0 REV``
+reports as added or changed in the working tree are mutated, so a change
+pays only for its own lines; a run with no such operator runs no test.
+
 The last lines list the survivors as ``module:line  old -> new``.
 """
 
@@ -38,6 +43,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -99,6 +105,40 @@ def mutant(source: str, k: int) -> tuple[str, range, str]:
     return ast.unparse(tree), lines, f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
 
 
+def changed_lines(diff: str) -> dict[str, set[int]]:
+    """Each file's new-side line numbers that a ``git diff -U0`` text adds or
+    changes, keyed by the path after ``b/``; a deleted file has none. A
+    hunk's lines are counted off its header, so a removed ``-- x`` or an
+    added ``++ x`` is never read as a file header."""
+    changed: dict[str, set[int]] = {}
+    lines, unread = None, 0
+    for line in diff.splitlines():
+        if line.startswith("\\"):  # "\ No newline at end of file"
+            continue
+        if unread:
+            unread -= 1
+        elif line.startswith("+++ "):
+            path = line[4:]
+            lines = changed.setdefault(path[2:], set()) if path.startswith("b/") else None
+        elif line.startswith("@@ "):
+            counts = re.match(r"@@ -\d+(,\d+)? \+(\d+)(,\d+)? @@", line).groups()
+            old, start, new = (1 if c is None else int(c.lstrip(",")) for c in counts)
+            unread = old + new
+            if lines is not None:
+                lines.update(range(start, start + new))
+    return changed
+
+
+def git_changed_lines(rev: str) -> dict[str, set[int]]:
+    """``changed_lines`` of the working tree's ``src/planwise`` against ``rev``."""
+    diff = subprocess.run(
+        ["git", "diff", "--no-color", "--no-ext-diff", "-U0", "--src-prefix=a/",
+         "--dst-prefix=b/", rev, "--", "src/planwise"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout
+    return changed_lines(diff)
+
+
 def run_pytest(work: Path, args: list[str], timeout: float, trace: bool = False):
     """Run pytest in ``work`` with this file as a plugin; returns the exit
     code (None on timeout) and the plugin's report."""
@@ -120,12 +160,30 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*", default=list(MODULES),
                         help=f"modules of src/planwise to mutate (default: {' '.join(MODULES)})")
+    parser.add_argument("--since", metavar="REV",
+                        help="mutate only the lines changed since this git revision")
     args = parser.parse_args(argv)
     # SIGTERM as SystemExit, so the running pytest is killed and the copy removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     for name in args.modules:
         if not (ROOT / "src" / "planwise" / f"{name}.py").is_file():
             parser.error(f"no module src/planwise/{name}.py")
+    changed = None
+    if args.since is not None:
+        try:
+            changed = git_changed_lines(args.since)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"git diff {args.since}: {exc.stderr.strip()}")
+    # Each module's mutation sites by index; all of them without --since.
+    picked = {}
+    for name in args.modules:
+        sites = mutation_sites(ast.parse((ROOT / "src" / "planwise" / f"{name}.py").read_text()))
+        lines = None if changed is None else changed.get(f"src/planwise/{name}.py", set())
+        picked[name] = [k for k, (node, _) in enumerate(sites) if lines is None
+                        or not lines.isdisjoint(range(node.lineno, node.end_lineno + 1))]
+    if changed is not None and not any(picked.values()):
+        print(f"mutate: no mutation site on the lines changed since {args.since}")
+        return 0
 
     with tempfile.TemporaryDirectory(prefix="planwise-mutate-") as tmp:
         work = Path(tmp)
@@ -159,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
 
         survivors, total = [], 0
         for name, path in paths.items():
-            for k in range(len(mutation_sites(ast.parse(sources[name])))):
+            for k in picked[name]:
                 code_text, lines, swap = mutant(sources[name], k)
                 tests = set().union(*(covering.get((name, n), set()) for n in lines))
                 where = f"{name}:{lines.start}  {swap}"

@@ -185,7 +185,27 @@ def _load_train(paths: list[str]) -> VersionedDataset:
     return pool_versions(load_project(paths))
 
 
+def _read_back(option: str, out: Path, inputs) -> bool:
+    """Whether a CSV that ``option out`` writes would be read back as a
+    release, as ``load_project`` reads every CSV at a directory's top level;
+    the usage message is printed then. ``inputs`` holds ``(flag, value,
+    written, read)``: the directory the output's CSVs land in and the one
+    the input reads, both compared resolved; an empty value is skipped."""
+    for flag, value, written, read in inputs:
+        if value and written.resolve() == Path(read).resolve():
+            print(f"planwise: {option} {out} lies among the data of {flag} {value}, "
+                  "whose CSVs are read as releases", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    inputs = [("--train", p) for p in args.train] + [("--test", args.test)]
+    if out.suffix == ".csv" and _read_back("--out", out, [
+        (flag, p, out.parent, Path(p).parent) for flag, p in inputs
+    ]):
+        return EXIT_USAGE
     train = _load_train(args.train)
     test = load_csv(args.test)
     planner = make_planner(args.planner, **vars(args))
@@ -196,9 +216,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.format == "csv":
         rows = ([plan.class_name, *(plan.actions[m].direction for m in METRICS),
                  ";".join(suggest_refactorings(plan))] for plan in plans)
-        _write_csv(Path(args.out), chain([["class_name", *METRICS, "refactorings"]], rows))
+        _write_csv(out, chain([["class_name", *METRICS, "refactorings"]], rows))
     else:
-        _write_json(Path(args.out), {
+        _write_json(out, {
             "planner": args.planner,
             "train": [str(p) for p in args.train],
             "test": str(args.test),
@@ -244,14 +264,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    # load_project reads every CSV at a project directory's top level.
-    out = out_dir.resolve()
-    for flag, data, clash in (("--project-dir", args.project_dir, out),
-                              ("--community", args.community, out.parent)):
-        if data and clash == Path(data).resolve():
-            print(f"planwise: --out-dir {out_dir} lies among the data of {flag} {data}, "
-                  "whose CSVs are read as releases", file=sys.stderr)
-            return EXIT_USAGE
+    # Under --community, every direct subdirectory is a project.
+    if _read_back("--out-dir", out_dir, [
+        ("--project-dir", args.project_dir, out_dir, args.project_dir),
+        ("--community", args.community, out_dir.resolve().parent, args.community),
+    ]):
+        return EXIT_USAGE
 
     community = None
     if args.project_dir:

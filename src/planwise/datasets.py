@@ -177,20 +177,6 @@ def _normalize_header(name: str) -> str:
     return name.strip().lower().replace(" ", "_")
 
 
-def _parse_number(cell: str, path: Path, row: int, column: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DatasetError(
-            f"{path}: row {row}: non-numeric value {cell!r} in column {column!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DatasetError(
-            f"{path}: row {row}: non-finite value {cell!r} in column {column!r}"
-        )
-    return value
-
-
 def _rows(reader, path: Path):
     """The reader's rows; a decoding or csv-module error names the file."""
     try:
@@ -277,7 +263,7 @@ def load_csv(
         parsed, names = _tables if _tables is not None else ({}, {})
         for row in reader:
             row_no = lines.line_num  # the record's last physical line, as in csv.Error
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != len(header):
                 if len(row) < len(header):
@@ -308,7 +294,15 @@ def load_csv(
                 cell = row[i]
                 value = parsed.get(cell)
                 if value is None:
-                    value = parsed[cell] = _parse_number(cell, path, row_no, column)
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DatasetError(f"{path}: row {row_no}: non-numeric value "
+                                           f"{cell!r} in column {column!r}") from None
+                    if not math.isfinite(value):
+                        raise DatasetError(f"{path}: row {row_no}: non-finite value "
+                                           f"{cell!r} in column {column!r}")
+                    parsed[cell] = value
                 values.append(value)
             raw_defects = values.pop()
             if raw_defects < 0 or raw_defects != int(raw_defects):

@@ -45,6 +45,9 @@ class TreeNode:
     range's own child, or the nearest child when that range had no training
     rows (ties to the smaller key). Every child key must name a range of the
     split. Leaves have an empty route and no split metric or index.
+    ``verdict`` is the prediction every leaf under the node gives: a leaf's
+    ``score > PREDICT_THRESHOLD``, a split's the one its children share, or
+    None when they differ.
     """
 
     score: float
@@ -57,9 +60,11 @@ class TreeNode:
         init=False, compare=False, repr=False
     )
     split_index: Optional[int] = field(init=False, compare=False, repr=False)
+    verdict: Optional[bool] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         metric, route, split_index = None, (), None
+        verdict = self.score > PREDICT_THRESHOLD
         if self.split_bins is not None:
             metric = self.split_bins.metric
             if not self.children:
@@ -74,9 +79,12 @@ class TreeNode:
             )
             route = tuple((key, self.children[key]) for key in keys)
             split_index = METRIC_INDEX[metric]
+            verdicts = {child.verdict for child in self.children.values()}
+            verdict = verdicts.pop() if len(verdicts) == 1 else None
         object.__setattr__(self, "split_metric", metric)
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "split_index", split_index)
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def is_leaf(self) -> bool:
@@ -213,14 +221,15 @@ def leaves(node: TreeNode, prefix: tuple[tuple[str, int], ...] = ()) -> list[Bra
 def predict_defective(tree: TreeNode, record: ClassRecord) -> bool:
     """True when the located leaf's mean defect count exceeds PREDICT_THRESHOLD.
 
-    Routes exactly like ``locate``, through each node's ``route``.
+    Routes like ``locate``, through each node's ``route``, but stops at the
+    first node whose leaves all agree and returns their ``verdict``.
     """
     node = tree
-    while node.split_bins is not None:  # is_leaf, minus a property call per level
+    while node.verdict is None:
         node = node.route[
             bisect_left(node.split_bins.cut_points, record.values[node.split_index])
         ][1]
-    return node.score > PREDICT_THRESHOLD
+    return node.verdict
 
 
 def tree_to_dict(node: TreeNode) -> dict:

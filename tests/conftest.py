@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from planwise.datasets import (
     METRICS,
@@ -92,6 +93,30 @@ def unpopulated_middle_tree() -> TreeNode:
             0: TreeNode(score=0.0, support=5, level=1),
             2: TreeNode(score=6.0, support=5, level=1),
         },
+    )
+
+
+# Leaf scores of ``random_trees``: few values, so that ties, zeros, negative
+# scores and scores on PREDICT_THRESHOLD (0.5) recur.
+TREE_SCORES = (-1.0, 0.0, 0.5, 0.75, 1.0, 2.0, 4.0)
+
+
+@st.composite
+def random_trees(draw, level: int = 0, used: tuple[str, ...] = ()) -> TreeNode:
+    """A hand-shaped tree for hypothesis, at most three splits deep. Each split
+    takes a metric no ancestor took, one to three cuts at 10, 20 and 30, and
+    children on any non-empty set of its ranges, so single-child splits and
+    ranges without a child occur."""
+    score = draw(st.sampled_from(TREE_SCORES))
+    if level == 3 or not draw(st.booleans()):
+        return TreeNode(score=score, support=1, level=level)
+    metric = draw(st.sampled_from([m for m in METRICS[:6] if m not in used]))
+    cuts = (10.0, 20.0, 30.0)[: draw(st.integers(1, 3))]
+    keys = draw(st.sets(st.integers(0, len(cuts)), min_size=1))
+    return TreeNode(
+        score=score, support=len(keys), level=level,
+        split_bins=BinMap(metric, cuts, 0.0, 40.0),
+        children={key: draw(random_trees(level + 1, used + (metric,))) for key in sorted(keys)},
     )
 
 

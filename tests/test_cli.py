@@ -123,6 +123,45 @@ class TestPlanCommand:
         assert lines[0].startswith("class_name,wmc,")
         assert len(lines) == 61
 
+    # A plan CSV beside its inputs was read back as a release: the next
+    # evaluate of that directory failed on the plan's missing 'name' column.
+    @pytest.mark.parametrize("flag, out, fmt", [
+        ("--train", "toy/plans.csv", "csv"),
+        ("--train", "toy/plans.csv", "json"),
+        ("--train", "toy/new/../plans.csv", "csv"),
+        ("--train", "link/plans.csv", "csv"),
+        ("--test", "held/plans.csv", "csv"),
+    ])
+    def test_a_csv_out_beside_an_input_is_refused(
+        self, toy_project_dir, tmp_path, capsys, flag, out, fmt
+    ):
+        (tmp_path / "held").mkdir()
+        test = tmp_path / "held" / "toy-1.2.csv"
+        test.write_bytes((toy_project_dir / "toy-1.2.csv").read_bytes())
+        (tmp_path / "link").symlink_to(toy_project_dir)
+        train = toy_project_dir / "toy-1.0.csv"
+        before = listing(tmp_path)
+        code = main(["plan", "--planner", "xtree", "--train", str(train), "--test", str(test),
+                     "--out", str(tmp_path / out), "--format", fmt])
+        assert code == EXIT_USAGE
+        data = train if flag == "--train" else test
+        assert capsys.readouterr().err == (
+            f"planwise: --out {tmp_path / out} lies among the data of {flag} {data}, "
+            "whose CSVs are read as releases\n"
+        )
+        assert listing(tmp_path) == before
+
+    def test_a_csv_out_below_or_a_json_out_beside_the_inputs_is_allowed(
+        self, toy_project_dir, tmp_path
+    ):
+        root = toy_project_dir
+        for out in (root / "plans" / "plans.csv", root / "plans.json"):
+            assert main(["plan", "--planner", "xtree", "--train", str(root / "toy-1.0.csv"),
+                         "--test", str(root / "toy-1.1.csv"), "--out", str(out),
+                         "--format", out.suffix[1:]]) == EXIT_OK
+        assert main(["evaluate", "--planner", "xtree", "--project-dir", str(root),
+                     "--out-dir", str(tmp_path / "results")]) == EXIT_OK
+
     def test_unknown_planner_is_a_usage_error(self, toy_project_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(

@@ -140,7 +140,7 @@ def _plan_csv_rows(tmp_path, names):
     )
     write_csv(train, tmp_path / "train.csv")
     write_csv(test, tmp_path / "test.csv")
-    out = tmp_path / "plans.csv"
+    out = tmp_path / "out" / "plans.csv"  # not beside the inputs, which is refused
     code = main(
         [
             "plan", "--planner", "xtree",

@@ -356,6 +356,42 @@ class TestLoadCsv:
             f"{path}: row 3: non-numeric value 'x' in column 'cbo'"
         )
 
+    @pytest.mark.parametrize("bad, first", [
+        ({"wmc": "x", "cbo": "inf", "bug": "y"}, ("wmc", "x", "non-numeric")),
+        ({"rfc": "x", "cbo": "nan"}, ("cbo", "nan", "non-finite")),
+        ({"amc": "-inf", "bug": "nan"}, ("amc", "-inf", "non-finite")),
+    ])
+    def test_a_row_of_bad_texts_names_its_first_bad_cell(self, tmp_path, bad, first):
+        path = tmp_path / "ant-1.7.csv"
+        cells = jureczko_row("B").split(",")
+        for column, text in bad.items():
+            cells[HEADER.split(",").index(column)] = text
+        write_rows(path, [jureczko_row("A"), ",".join(cells)])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        column, text, problem = first
+        assert str(excinfo.value) == (
+            f"{path}: row 3: {problem} value {text!r} in column {column!r}"
+        )
+
+    @pytest.mark.parametrize("where", [(0,), (1,), (3,), (0, 1, 2, 3)])
+    def test_whitespace_only_rows_are_skipped(self, tmp_path, where):
+        # Before the first record, between records and after the last.
+        rows = [jureczko_row(name, defects=k) for k, name in enumerate("ABC")]
+        padded = list(rows)
+        for at in sorted(where, reverse=True):
+            padded[at:at] = ["", " ", "\t, ,  ", ",,"]
+        plain_path, padded_path = tmp_path / "a" / "ant-1.7.csv", tmp_path / "b" / "ant-1.7.csv"
+        for path, lines in ((plain_path, rows), (padded_path, padded)):
+            path.parent.mkdir()
+            write_rows(path, lines)
+        assert load_csv(padded_path) == load_csv(plain_path)
+        # Rows keep their physical numbers: the skipped lines count.
+        bad = jureczko_row("D").replace("1.0", "x", 1)
+        write_rows(padded_path, padded + [bad])
+        with pytest.raises(DatasetError, match=f"row {len(padded) + 2}: non-numeric value 'x'"):
+            load_csv(padded_path)
+
     @pytest.mark.parametrize("blank", [("version",), ("name",), ("name", "version")])
     def test_blank_label_cells_fall_back_to_the_file_name(self, tmp_path, blank):
         path = tmp_path / "camel-1.6.csv"

@@ -88,12 +88,58 @@ def test_orphaned_helper_check_sees_a_leftover():
     assert _orphaned_helpers(sources) == ["a.py: _left"]
 
 
-def _loc_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "loc.py"
-    spec = importlib.util.spec_from_file_location("loc", path)
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# A ``git diff -U0`` of three files: tree.py changed, gone.py deleted and
+# new.py added. tree.py's hunks change one line, add three lines (one of
+# them reading "++ x", so "+++ x" in the diff), and delete "-- y" (so
+# "--- y") without a newline at the end of the file.
+STUB_DIFF = """\
+diff --git a/src/planwise/tree.py b/src/planwise/tree.py
+index 1111111..2222222 100644
+--- a/src/planwise/tree.py
++++ b/src/planwise/tree.py
+@@ -5 +5 @@ def locate(tree, record):
+-    old = 1
++    new = 1
+@@ -10,0 +11,3 @@ def leaves(node):
++a
++++ x
++b
+@@ -20,2 +23,0 @@
+-x
+--- y
+\\ No newline at end of file
+diff --git a/src/planwise/gone.py b/src/planwise/gone.py
+deleted file mode 100644
+index 3333333..0000000
+--- a/src/planwise/gone.py
++++ /dev/null
+@@ -1,2 +0,0 @@
+-a
+-b
+diff --git a/src/planwise/new.py b/src/planwise/new.py
+new file mode 100644
+index 0000000..4444444
+--- /dev/null
++++ b/src/planwise/new.py
+@@ -0,0 +1,2 @@
++a
++b
+"""
+
+
+def test_mutate_reads_the_changed_lines_of_a_zero_context_diff():
+    assert _script("mutate").changed_lines(STUB_DIFF) == {
+        "src/planwise/tree.py": {5, 11, 12, 13},
+        "src/planwise/new.py": {1, 2},
+    }
 
 
 def test_loc_counts_neither_comments_nor_docstrings():
@@ -112,4 +158,4 @@ def test_loc_counts_neither_comments_nor_docstrings():
         "            1)\n"
     )
     # x, both lines of s, class, def and both lines of the return.
-    assert _loc_script().code_lines(source) == 7
+    assert _script("loc").code_lines(source) == 7

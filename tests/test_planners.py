@@ -40,6 +40,7 @@ from conftest import (
     make_dataset,
     make_record,
     planted_community,
+    random_trees,
     tie_heavy_community,
     tie_heavy_history,
     unpopulated_middle_tree,
@@ -265,6 +266,12 @@ def reference_targets(tree, gamma):
     return out
 
 
+def assert_matches_the_level_ascent(tree, gamma):
+    """plan_targets equals the level ascent, entry by entry and in its order."""
+    targets = plan_targets(tree, gamma)
+    assert list(targets.items()) == list(reference_targets(tree, gamma).items())
+
+
 def three_way_tree(scores=(2.0, 2.0, 8.0)):
     """cbo splits the root into three ranges with the given leaf scores."""
     bins = BinMap("cbo", (5.0, 15.0), 0.0, 30.0)
@@ -277,12 +284,13 @@ def three_way_tree(scores=(2.0, 2.0, 8.0)):
     )
 
 
-def deep_tie_tree():
+def deep_tie_tree(scores=(1.0, 6.0, 1.0, 1.0)):
     """A depth-3 tree whose leaves repeat scores at several depths.
 
     loc splits the root; its low side splits on rfc, and rfc's high side on
-    wmc. Leaves: [loc0 rfc0] 1, [loc0 rfc1 wmc0] 6, [loc0 rfc1 wmc1] 1,
-    [loc1] 1, so leaf 6 sees score-1 leaves at every level.
+    wmc. Leaves, with the default ``scores``: [loc0 rfc0] 1, [loc0 rfc1 wmc0]
+    6, [loc0 rfc1 wmc1] 1, [loc1] 1, so leaf 6 sees score-1 leaves at every
+    level.
     """
     def leaf(score, level):
         return TreeNode(score=score, support=5, level=level)
@@ -290,17 +298,17 @@ def deep_tie_tree():
     wmc = TreeNode(
         score=3.5, support=10, level=2,
         split_bins=BinMap("wmc", (7.0,), 0.0, 20.0),
-        children={0: leaf(6.0, 3), 1: leaf(1.0, 3)},
+        children={0: leaf(scores[1], 3), 1: leaf(scores[2], 3)},
     )
     rfc = TreeNode(
         score=2.7, support=15, level=1,
         split_bins=BinMap("rfc", (10.0,), 0.0, 40.0),
-        children={0: leaf(1.0, 2), 1: wmc},
+        children={0: leaf(scores[0], 2), 1: wmc},
     )
     return TreeNode(
         score=2.0, support=20, level=0,
         split_bins=BinMap("loc", (50.0,), 0.0, 100.0),
-        children={0: rfc, 1: leaf(1.0, 1)},
+        children={0: rfc, 1: leaf(scores[3], 1)},
     )
 
 
@@ -314,6 +322,11 @@ def hand_built_trees():
         three_way_tree((0.0, 0.0, 5.0)),
         three_way_tree((0.0, 3.0, 3.0)),
         deep_tie_tree(),
+        # Equal and negative scores: a negative leaf is below its own bar.
+        three_way_tree((3.0, 3.0, 3.0)),
+        three_way_tree((-2.0, -1.0, 4.0)),
+        deep_tie_tree((-1.0, -4.0, -2.0, -1.0)),
+        deep_tie_tree((-2.0, 3.0, -2.0, 3.0)),
     )
 
 
@@ -353,7 +366,7 @@ class TestPlanTargets:
     def test_hand_built_trees_match_the_level_ascent(self, index):
         tree = hand_built_trees()[index]
         for gamma in (0.1, 0.25, 0.5, 0.75, 0.9, *exact_ratios(tree)):
-            assert plan_targets(tree, gamma) == reference_targets(tree, gamma)
+            assert_matches_the_level_ascent(tree, gamma)
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -362,7 +375,14 @@ class TestPlanTargets:
         gamma = data.draw(st.one_of(
             st.floats(0.01, 0.99), st.sampled_from(exact_ratios(tree) or [0.5]),
         ))
-        assert plan_targets(tree, gamma) == reference_targets(tree, gamma)
+        assert_matches_the_level_ascent(tree, gamma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=random_trees(), gamma=st.one_of(
+        st.sampled_from((0.25, 0.5, 0.75)), st.floats(0.01, 0.99),
+    ))
+    def test_random_trees_match_the_level_ascent(self, tree, gamma):
+        assert_matches_the_level_ascent(tree, gamma)
 
     def test_fitted_trees_have_targets_to_find(self):
         # The oracle comparison means something only if targets are found

@@ -31,6 +31,7 @@ from conftest import (
     gain_floor_split,
     make_dataset,
     make_record,
+    random_trees,
     tie_heavy_community,
     unpopulated_middle_tree,
 )
@@ -617,3 +618,68 @@ class TestPredictMatchesLocate:
             assert locate(tree, record).score == expected
             assert reference_locate(tree, record).score == expected
             assert predict_defective(tree, record) == (expected > PREDICT_THRESHOLD)
+
+
+def subtrees(node):
+    """``node`` and every node below it."""
+    out = [node]
+    for child in (node.children or {}).values():
+        out.extend(subtrees(child))
+    return out
+
+
+def check_verdicts(tree):
+    for node in subtrees(tree):
+        found = {b.score > PREDICT_THRESHOLD for b in leaves(node)}
+        assert node.verdict is (found.pop() if len(found) == 1 else None)
+
+
+class TestVerdict:
+    """``verdict`` is the prediction every leaf below a node gives, or None
+    when they differ; ``predict_defective`` returns the first one its route
+    meets, which must be the located leaf's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=random_trees())
+    def test_a_node_holds_its_leaves_common_verdict(self, tree):
+        check_verdicts(tree)
+
+    def test_fitted_and_hand_built_trees_hold_their_leaves_verdict(self):
+        for tree in oracle_trees():
+            check_verdicts(tree)
+
+    def test_a_leaf_on_the_threshold_is_not_defective(self):
+        leaves_at = [TreeNode(score=s, support=1, level=1) for s in (0.5, 0.25, 0.75)]
+        assert [leaf.verdict for leaf in leaves_at] == [False, False, True]
+        bins = BinMap("wmc", (10.0,), 0.0, 20.0)
+        agree = TreeNode(score=0.4, support=2, level=0, split_bins=bins,
+                         children={0: leaves_at[0], 1: leaves_at[1]})
+        differ = TreeNode(score=0.6, support=2, level=0, split_bins=bins,
+                          children={0: leaves_at[0], 1: leaves_at[2]})
+        assert (agree.verdict, differ.verdict) == (False, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=random_trees(), values=st.lists(
+        st.sampled_from((0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0)),
+        min_size=6, max_size=6,
+    ))
+    def test_prediction_is_the_located_leafs(self, tree, values):
+        record = make_record("r", **dict(zip(METRICS[:6], values)))
+        assert predict_defective(tree, record) == (
+            locate(tree, record).score > PREDICT_THRESHOLD
+        )
+
+    def test_fitted_trees_settle_above_their_leaves(self):
+        # The early stop runs on the oracle trees of TestPredictMatchesLocate:
+        # some of their splits have one verdict for all their leaves.
+        settled = [node for tree in oracle_trees() for node in split_nodes(tree)
+                   if node.verdict is not None]
+        assert len(settled) >= 5
+
+    def test_verdict_is_not_a_constructor_field_nor_part_of_equality(self):
+        with pytest.raises(TypeError, match="verdict"):
+            TreeNode(score=1.0, support=4, level=0, verdict=True)
+        assert "verdict" not in repr(two_leaf_tree())
+        other = two_leaf_tree()
+        object.__setattr__(other, "verdict", True)
+        assert other == two_leaf_tree()
