@@ -187,6 +187,19 @@ def _rows(reader, path: Path):
         raise DatasetError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
+def _reject_first_bad_cell(path: Path, row_no: int, row: list[str], number_cols) -> None:
+    """Raise the message for a row's leftmost number cell that is not a
+    finite number; ``load_csv`` reads the cells in ``METRICS`` order."""
+    for column, i in sorted(number_cols, key=lambda col: col[1]):
+        try:
+            if math.isfinite(float(row[i])):
+                continue
+            problem = "non-finite"
+        except ValueError:
+            problem = "non-numeric"
+        raise DatasetError(f"{path}: row {row_no}: {problem} value {row[i]!r} in column {column!r}")
+
+
 def load_csv(
     path: str | Path, *, _tables: tuple[dict, dict] | None = None
 ) -> VersionedDataset:
@@ -199,8 +212,9 @@ def load_csv(
     layout), the first holds the project and the last the class, so a
     ``project`` column beside them is an error, as is a third ``name`` or a
     second column of any other role. Extra columns are ignored with a warning.
-    Metric and defect cells must be finite numbers, and the file UTF-8 text;
-    a leading byte-order mark is skipped.
+    Metric and defect cells must be finite numbers (a message names the
+    row's leftmost cell that is not), and the file UTF-8 text; a leading
+    byte-order mark is skipped.
     A row may hold no more cells than the header, apart from blank ones.
     Each record keeps its metric values in one tuple in ``METRICS`` order,
     and equal cell texts of a file share one float object. ``_tables``, a
@@ -297,11 +311,9 @@ def load_csv(
                     try:
                         value = float(cell)
                     except ValueError:
-                        raise DatasetError(f"{path}: row {row_no}: non-numeric value "
-                                           f"{cell!r} in column {column!r}") from None
+                        value = math.nan
                     if not math.isfinite(value):
-                        raise DatasetError(f"{path}: row {row_no}: non-finite value "
-                                           f"{cell!r} in column {column!r}")
+                        _reject_first_bad_cell(path, row_no, row, number_cols)
                     parsed[cell] = value
                 values.append(value)
             raw_defects = values.pop()

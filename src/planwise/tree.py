@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import compress
-from operator import itemgetter
+from itertools import repeat
+from operator import lt
 from typing import Optional
 
 from .datasets import METRIC_INDEX, METRICS, ClassRecord, VersionedDataset
@@ -91,6 +90,15 @@ class TreeNode:
         return self.split_bins is None
 
 
+# Translates the 0/1 bytes of flags to the digits of a base-2 numeral.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _rows_where(flags) -> int:
+    """The rows whose flag is true, as an int with bit i for row i."""
+    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
+
+
 def default_min_leaf(n_records: int) -> int:
     return max(5, n_records // 50)
 
@@ -124,72 +132,70 @@ def build_tree(
         min_leaf = default_min_leaf(len(records))
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
-    # Each row's defect count, label and range index per splittable metric
-    # (apply_bins) are computed once; a node gathers its rows of each with one
-    # itemgetter, which for a single row returns the item, not a 1-tuple.
+    # A set of rows is an int with bit i for row i. Each splittable metric
+    # keeps one mask per non-empty range, and range k holds the rows with k
+    # cut points below their value, as apply_bins gives. planes[b] holds bit b
+    # of every defect count, so a node's counts are each a ``&`` and a
+    # ``bit_count``.
     defects = [r.defects for r in records]
-    labels = [1 if d > 0 else 0 for d in defects]
-    columns = {
-        metric: list(map(partial(bisect_left, bins[metric].cut_points),
-                         train.column(metric)))
-        for metric in METRICS
-        if bins[metric].n_ranges >= 2
-    }
+    positive = _rows_where(d > 0 for d in defects)
+    planes = [_rows_where(d >> b & 1 for d in defects)
+              for b in range(max(defects).bit_length())]
+    everyone = (1 << len(records)) - 1
+    masks = {}
+    for metric in METRICS:
+        cuts = bins[metric].cut_points
+        if cuts:
+            column = train.column(metric)
+            above = [everyone, *(_rows_where(map(lt, repeat(cut), column)) for cut in cuts), 0]
+            masks[metric] = [(key, mask) for key in range(len(cuts) + 1)
+                             if (mask := above[key] & ~above[key + 1])]
 
-    def grow(rows: list[int], level: int, used: frozenset[str]) -> TreeNode:
-        support = len(rows)
-        pick = itemgetter(*rows) if support > 1 else lambda seq: (seq[rows[0]],)
-        score = sum(pick(defects)) / support
+    def grow(rows: int, level: int, used: frozenset[str]) -> TreeNode:
+        support = rows.bit_count()
+        total = sum((rows & plane).bit_count() << b for b, plane in enumerate(planes))
+        score = total / support
         leaf = TreeNode(score=score, support=support, level=level)
-        if level >= max_depth:
-            return leaf
-        here = pick(labels)
-        positives = sum(here)
-        if positives == 0 or positives == support:
+        positives = (rows & positive).bit_count()
+        if level >= max_depth or positives in (0, support):
             return leaf
         parent = _entropy_of_counts((support - positives, positives))
 
         best_metric = None
         best_gain = 0.0
-        best_keys: list[int] = []
-        for metric, column in columns.items():
+        best_parts: list[tuple[int, int]] = []
+        for metric, ranges in masks.items():
             if metric in used:
                 continue
-            keys = pick(column)
             # Groups in key order: with three or more groups the weighted-
             # entropy sum depends on the order of its terms, so a fixed order
             # keeps the tree independent of the row order.
-            groups = sorted(set(keys))
-            sizes = [keys.count(key) for key in groups]
-            if len(groups) < 2 or min(sizes) < min_leaf:
+            parts = [(key, part) for key, mask in ranges if (part := rows & mask)]
+            sizes = [part.bit_count() for _, part in parts]
+            if len(parts) < 2 or min(sizes) < min_leaf:
                 continue
-            positive_keys = list(compress(keys, here))
             weighted = sum(
                 size * _entropy_of_counts((size - p, p))
-                for size, p in zip(sizes, map(positive_keys.count, groups))
+                for size, p in zip(sizes, [(part & positive).bit_count() for _, part in parts])
             ) / support
             gain = parent - weighted
             if gain > best_gain + 1e-12:
-                best_metric, best_gain, best_keys = metric, gain, groups
+                best_metric, best_gain, best_parts = metric, gain, parts
         if best_metric is None:
             return leaf
 
-        column = columns[best_metric]
-        parts: dict[int, list[int]] = {key: [] for key in best_keys}
-        for i in rows:
-            parts[column[i]].append(i)
         used = used | {best_metric}
         return TreeNode(
             score=score,
             support=support,
             level=level,
             split_bins=bins[best_metric],
-            children={key: grow(part, level + 1, used) for key, part in parts.items()},
+            children={key: grow(part, level + 1, used) for key, part in best_parts},
         )
 
     # ``grow`` reaches itself through its closure; deleting it breaks the cycle.
     try:
-        return grow(list(range(len(records))), 0, frozenset())
+        return grow(everyone, 0, frozenset())
     finally:
         del grow
 

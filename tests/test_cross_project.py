@@ -28,6 +28,14 @@ Bars left out, because they fail on this community:
   it. The tally cannot rank a planner that asks every class for the fix
   against one that asks only some.
 
+Pooling is a suspect for the first failure. ``pool_versions`` keeps a
+class that lives through four releases as up to four nearly equal rows, and
+MDL's stopping rule reads them as independent evidence: on seeds 0, 3 and
+19, ``fit_bins`` cuts only ``wmc`` and ``cbo`` on every single release of
+s1 and s2, but cuts other metrics too on their pools (``cbm`` and ``dam``
+for s1 on seed 0). Belltree's tree can split on those. The last test pins
+that finding; no behaviour rests on it yet.
+
 The control bars were 0.25x and 3x on an earlier prototype of this
 community. On this generator 0.25x fails on seeds 15 and 18 (0.309x and
 0.358x) and 3x on seeds 5 and 18 (2.88x and 2.63x), so both are
@@ -42,6 +50,7 @@ from planwise.bellwether import discover, exemplar_train
 from planwise.datasets import Community, Project, pool_versions
 from planwise.planners import make_planner
 from planwise.stats import median
+from planwise.tree import fit_bins
 
 from conftest import followed_plan_tally, planted_history
 
@@ -102,3 +111,17 @@ def test_leave_target_out_oracle():
         }
         expected = min(medians, key=lambda name: (-medians[name], name))
         assert exemplar_train(community, target) == pool_versions(community.get(expected))
+
+
+def cut_metrics(dataset):
+    return {metric for metric, bins in fit_bins(dataset).items() if bins.cut_points}
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+@pytest.mark.parametrize("seed", [0, 3, 19])
+def test_a_pool_cuts_metrics_outside_the_rule_that_no_release_cuts(seed, name):
+    project = planted_community(seed).get(name)
+    rule = {"wmc", "cbo"}
+    for release in project.versions:
+        assert cut_metrics(release) <= rule, release.version
+    assert cut_metrics(pool_versions(project)) - rule

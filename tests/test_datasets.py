@@ -374,6 +374,29 @@ class TestLoadCsv:
             f"{path}: row 3: {problem} value {text!r} in column {column!r}"
         )
 
+    @pytest.mark.parametrize("bad, first", [
+        ({"avg_cc": "x", "wmc": "y"}, ("avg_cc", "x", "non-numeric")),
+        ({"wmc": "x", "avg_cc": "inf"}, ("avg_cc", "inf", "non-finite")),
+        ({"bug": "y", "avg_cc": "x", "wmc": "nan"}, ("bug", "y", "non-numeric")),
+        ({"cbo": "x", "amc": "y"}, ("amc", "y", "non-numeric")),
+    ])
+    def test_a_reordered_header_names_the_leftmost_bad_cell(self, tmp_path, bad, first):
+        # The defect column first, then the metrics last to first, so the
+        # leftmost bad cell is not the first one in METRICS order.
+        header = ["name", "bug", *reversed(METRICS)]
+        cells = ["B", "0"] + ["1.0"] * len(METRICS)
+        for column, text in bad.items():
+            cells[header.index(column)] = text
+        path = tmp_path / "ant-1.7.csv"
+        write_rows(path, ["A,0" + ",1.0" * len(METRICS), ",".join(cells)],
+                   header=",".join(header))
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        column, text, problem = first
+        assert str(excinfo.value) == (
+            f"{path}: row 3: {problem} value {text!r} in column {column!r}"
+        )
+
     @pytest.mark.parametrize("where", [(0,), (1,), (3,), (0, 1, 2, 3)])
     def test_whitespace_only_rows_are_skipped(self, tmp_path, where):
         # Before the first record, between records and after the last.

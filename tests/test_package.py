@@ -142,6 +142,21 @@ def test_mutate_reads_the_changed_lines_of_a_zero_context_diff():
     }
 
 
+def test_mutate_swaps_the_bitwise_operators():
+    # Outer operators come first; the one inside the raise builds a message.
+    source = "x = a & b | c\ny = d << 2 >> 1\nz |= 1\nraise E(a | b)\n"
+    mutate = _script("mutate")
+    mutants = [mutate.mutant(source, k)
+               for k in range(len(mutate.mutation_sites(ast.parse(source))))]
+    assert [(code.splitlines()[lines.start - 1], swap) for code, lines, swap in mutants] == [
+        ("x = a & b & c", "| -> &"),
+        ("x = a | b | c", "& -> |"),
+        ("y = d << 2 << 1", ">> -> <<"),
+        ("y = d >> 2 >> 1", "<< -> >>"),
+        ("z &= 1", "| -> &"),
+    ]
+
+
 def test_loc_counts_neither_comments_nor_docstrings():
     source = (
         '"""Module\ndocstring."""\n'

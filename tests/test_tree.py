@@ -98,7 +98,8 @@ def iter_leaves(doc):
 
 def scalar_build_tree(train, bins, max_depth, min_leaf):
     """``build_tree``'s growth with every node gathering its rows one by one
-    in list comprehensions: the scalar path the itemgetter gathering replaced."""
+    in list comprehensions, each row's range from ``bisect_left`` as in
+    ``apply_bins``: the oracle of the bitset growth."""
     defects = [r.defects for r in train.records]
     labels = [1 if d > 0 else 0 for d in defects]
     columns = {
@@ -276,6 +277,104 @@ class TestBuildTree:
             build_tree(ds, fit_bins(ds), max_depth=0)
         with pytest.raises(ValueError):
             build_tree(ds, fit_bins(ds), min_leaf=0)
+
+
+def assert_matches_scalar(ds, bins, options=((10, None), (20, 1), (3, 1), (10, 2))):
+    """``build_tree`` equals ``scalar_build_tree`` at each ``(max_depth,
+    min_leaf)``; returns the tree of the first option."""
+    trees = []
+    for max_depth, min_leaf in options:
+        got = build_tree(ds, bins, max_depth=max_depth, min_leaf=min_leaf)
+        floor = default_min_leaf(len(ds)) if min_leaf is None else min_leaf
+        want = scalar_build_tree(ds, bins, max_depth, floor)
+        assert tree_to_dict(got) == tree_to_dict(want), (max_depth, min_leaf)
+        trees.append(got)
+    return trees[0]
+
+
+def cut_free_bins(**cuts):
+    """Bins with no cut point, except the given metrics' cut tuples."""
+    bins = {m: BinMap(m, (), 0.0, 0.0) for m in METRICS}
+    bins.update((m, BinMap(m, c, c[0], c[-1])) for m, c in cuts.items())
+    return bins
+
+
+def root_ranges(tree):
+    return {key: child.support for key, child in tree.children.items()}
+
+
+class TestBitsetGrowth:
+    """Growth counts a node's rows as int bitsets: each checks against the
+    row-by-row ``scalar_build_tree`` on data chosen to reach its edges."""
+
+    def test_a_metric_with_more_than_256_ranges(self):
+        # 300 ranges of loc, two rows each; the label follows loc's parity.
+        records = [make_record(f"c{i}", defects=(i % 300) % 2, loc=float(i % 300))
+                   for i in range(600)]
+        bins = cut_free_bins(loc=tuple(k + 0.5 for k in range(299)))
+        tree = assert_matches_scalar(make_dataset(records), bins, options=((10, 1), (10, 2)))
+        assert root_ranges(tree) == dict.fromkeys(range(300), 2)
+
+    def test_defect_counts_past_six_bit_planes(self):
+        rng = np.random.default_rng(5)
+        records = [
+            make_record(f"c{i}", defects=int(d), loc=float(rng.integers(0, 20)),
+                        wmc=float(rng.integers(0, 8)))
+            for i, d in enumerate(rng.integers(0, 101, size=200) * rng.integers(0, 2, size=200))
+        ]
+        assert max(r.defects for r in records) >= 64
+        ds = make_dataset(records)
+        for bins in (fit_bins(ds), cut_free_bins(loc=(4.5, 9.5, 14.5), wmc=(3.5,))):
+            assert_matches_scalar(ds, bins)
+
+    def test_all_zero_defects(self):
+        ds = make_dataset([make_record(f"c{i}", loc=float(i)) for i in range(70)])
+        tree = assert_matches_scalar(ds, cut_free_bins(loc=(10.5, 40.5)))
+        assert tree.is_leaf and tree.score == 0.0 and tree.support == 70
+
+    def test_values_on_a_cut_and_signed_zeros(self):
+        # A value equal to a cut lies in the range below it; -0.0 equals the
+        # 0.0 cut, so both zeros lie in range 0, as bisect_left places them.
+        values = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0] * 4
+        records = [make_record(f"c{i}", defects=int(v > 0), loc=v)
+                   for i, v in enumerate(values)]
+        tree = assert_matches_scalar(make_dataset(records), cut_free_bins(loc=(0.0, 1.0)),
+                                     options=((10, 1), (10, 2)))
+        assert root_ranges(tree) == {0: 12, 1: 8, 2: 4}
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65])
+    def test_datasets_around_a_word_of_rows(self, n):
+        rng = np.random.default_rng(n)
+        records = [
+            make_record(f"c{i}", defects=int(rng.integers(0, 4)) * int(rng.random() < 0.5),
+                        **{m: float(rng.integers(0, hi)) for m, hi in TIE_HEAVY_RANGES.items()})
+            for i in range(n)
+        ]
+        ds = make_dataset(records)
+        every_integer = {m: BinMap(m, tuple(k + 0.5 for k in range(hi - 1)), 0.0, hi - 1.0)
+                         for m, hi in TIE_HEAVY_RANGES.items()}
+        for bins in (fit_bins(ds), every_integer):
+            assert_matches_scalar(ds, bins)
+
+    def test_nan_values_with_hand_made_bins(self):
+        # No cut lies below NaN, so NaN rows fall in range 0 (bisect_left).
+        rng = np.random.default_rng(9)
+        records = []
+        for i in range(120):
+            loc = math.nan if i % 7 == 0 else float(rng.integers(0, 60))
+            wmc = math.nan if i % 5 == 0 else float(rng.integers(0, 30))
+            defects = int(rng.integers(1, 4)) if (loc > 20) != (i % 5 == 0) else 0
+            records.append(make_record(f"c{i}", defects=defects, loc=loc, wmc=wmc))
+        tree = assert_matches_scalar(make_dataset(records),
+                                     cut_free_bins(loc=(10.0, 20.0, 40.0), wmc=(15.0,)))
+        assert tree.split_metric == "loc"
+        assert tree.children[0].support >= len(range(0, 120, 7))  # the NaN locs
+
+    @pytest.mark.parametrize("project", range(3))
+    def test_pooled_tie_heavy_community(self, project):
+        ds = pool_versions(tie_heavy_community().projects[project])
+        tree = assert_matches_scalar(ds, fit_bins(ds), options=((10, None), (20, 1)))
+        assert not tree.is_leaf
 
 
 class TestLocate:
