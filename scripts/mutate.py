@@ -3,16 +3,17 @@
 
 Run from the repository root:
 
-    python3 scripts/mutate.py                        # the eight modules below
+    python3 scripts/mutate.py                        # the nine modules below
     python3 scripts/mutate.py tree evaluate          # some of them
     python3 scripts/mutate.py --since HEAD~1         # lines changed since a commit
 
 Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
-``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+`` and ``-``, ``&`` and
-``|``, or ``<<`` and ``>>`` (also in augmented assignments such as ``+=``). Operators inside ``raise`` statements only build messages
-and are left alone. A mutant is killed when a test fails, errors or its
-tests run longer than ``TIMEOUT_FACTOR`` times the untraced baseline of
-step 1; it survives when every test that runs its line passes.
+``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``+``
+and ``-``, ``&`` and ``|``, or ``<<`` and ``>>`` (also in augmented
+assignments such as ``+=``). Operators inside ``raise`` statements only
+build messages and are left alone. A mutant is killed when a test fails,
+errors or its tests run longer than ``TIMEOUT_FACTOR`` times the untraced
+baseline of step 1; it survives when every test that runs its line passes.
 
 Everything happens in a temporary copy of ``src``, ``tests``,
 ``benchmarks``, ``scripts`` and ``pyproject.toml``, without bytecode
@@ -54,16 +55,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = (
-    "evaluate", "discretize", "tree", "planners", "bellwether", "stats", "datasets", "cli",
+    "evaluate", "discretize", "tree", "planners", "refactorings", "bellwether", "stats",
+    "datasets", "cli",
 )
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
+    ast.Add: ast.Sub, ast.Sub: ast.Add,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
 }
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
-    ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-",
+    ast.Eq: "==", ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-",
     ast.BitAnd: "&", ast.BitOr: "|", ast.LShift: "<<", ast.RShift: ">>",
 }
 # A mutant's tests may run this many times as long as the whole untraced

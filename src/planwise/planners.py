@@ -29,7 +29,7 @@ from .datasets import (
     ClassRecord,
     VersionedDataset,
 )
-from .refactorings import SHARED_METRICS, table as refactoring_table
+from .refactorings import table as refactoring_table
 from .stats import LogisticFit, fit_univariate_logistic, median
 from .tree import (
     DEFAULT_MAX_DEPTH,
@@ -412,13 +412,12 @@ def suggest_refactorings(plan: Plan) -> list[str]:
     actions = plan.actions
     ranked = []
     for position, row in enumerate(refactoring_table()):
-        shared = matches = 0
-        for metric, sign in row.signature.items():
-            if metric in SHARED_METRICS:
-                shared += 1
-                matches += actions[metric].direction == sign
+        moves = row.shared_moves
+        matches = 0
+        for metric, sign in moves:
+            matches += actions[metric].direction == sign
         if matches:
-            ranked.append((-matches, shared - matches, position, row.name))
+            ranked.append((-matches, len(moves) - matches, position, row.name))
     ranked.sort()
     return [name for *_, name in ranked]
 

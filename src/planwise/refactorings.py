@@ -8,7 +8,9 @@ from "no change".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .datasets import METRIC_SET
 
@@ -22,15 +24,33 @@ TABLE_METRICS: tuple[str, ...] = (
 SHARED_METRICS: tuple[str, ...] = tuple(m for m in TABLE_METRICS if m in METRIC_SET)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefactoringSignature:
-    """A refactoring and its expected metric movements (``+``/``-``)."""
+    """A refactoring and its expected metric movements (``+``/``-``).
+
+    ``signature`` is a read-only view of the row's own copy of the mapping it
+    was given. ``shared_moves`` holds its ``(metric, sign)`` entries on
+    ``SHARED_METRICS``, in signature order; it is derived from ``signature``
+    and takes no part in equality or ``repr``. A row is frozen and slotted,
+    so it takes no attribute beyond these three fields.
+    """
 
     name: str
-    signature: dict[str, str]
+    signature: Mapping[str, str]
+    shared_moves: tuple[tuple[str, str], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        signature = MappingProxyType(dict(self.signature))
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "shared_moves", tuple(
+            (metric, sign) for metric, sign in signature.items() if metric in SHARED_METRICS
+        ))
 
 
-_ROWS: tuple[tuple[str, dict[str, str]], ...] = (
+# Built once, at import: the rows are immutable, so every ``table()`` shares them.
+_CATALOG: tuple[RefactoringSignature, ...] = tuple(RefactoringSignature(name, sig) for name, sig in (
     ("Extract Class", {"cbo": "+", "rfc": "-", "fout": "+", "wmc": "-",
                        "nom": "-", "loc": "-", "lcom": "-"}),
     ("Extract Method", {"rfc": "+", "wmc": "+", "nom": "+", "loc": "+",
@@ -49,9 +69,10 @@ _ROWS: tuple[tuple[str, dict[str, str]], ...] = (
     ("Encapsulate Field", {"wmc": "+", "nom": "+", "loc": "+", "lcom": "+"}),
     ("Inline Class", {"cbo": "-", "rfc": "+", "fout": "-", "wmc": "+",
                       "nom": "+", "loc": "+", "lcom": "+"}),
-)
+))
 
 
 def table() -> list[RefactoringSignature]:
-    """The 12-row catalog, in its published order."""
-    return [RefactoringSignature(name, dict(sig)) for name, sig in _ROWS]
+    """The 12-row catalog, in its published order: a new list of the same
+    read-only rows on every call."""
+    return list(_CATALOG)

@@ -157,6 +157,18 @@ def test_mutate_swaps_the_bitwise_operators():
     ]
 
 
+def test_mutate_swaps_the_membership_tests():
+    # A comprehension's ``for c in d`` is no comparison; the raise builds a message.
+    source = "x = a in b\ny = [c for c in d if c not in e]\nraise E(a in b)\n"
+    mutate = _script("mutate")
+    mutants = [mutate.mutant(source, k)
+               for k in range(len(mutate.mutation_sites(ast.parse(source))))]
+    assert [(code.splitlines()[lines.start - 1], swap) for code, lines, swap in mutants] == [
+        ("x = a not in b", "in -> not in"),
+        ("y = [c for c in d if c in e]", "not in -> in"),
+    ]
+
+
 def test_loc_counts_neither_comments_nor_docstrings():
     source = (
         '"""Module\ndocstring."""\n'
