@@ -9,11 +9,12 @@ Run from the repository root:
 
 Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``+``
-and ``-``, ``&`` and ``|``, or ``<<`` and ``>>`` (also in augmented
-assignments such as ``+=``). Operators inside ``raise`` statements only
-build messages and are left alone. A mutant is killed when a test fails,
-errors or its tests run longer than ``TIMEOUT_FACTOR`` times the untraced
-baseline of step 1; it survives when every test that runs its line passes.
+and ``-``, ``&`` and ``|``, ``<<`` and ``>>`` (also in augmented
+assignments such as ``+=``), or ``and`` and ``or``. Operators inside
+``raise`` statements only build messages and are left alone. A mutant is
+killed when a test fails, errors or its tests run longer than
+``TIMEOUT_FACTOR`` times the untraced baseline of step 1; it survives when
+every test that runs its line passes.
 
 Everything happens in a temporary copy of ``src``, ``tests``,
 ``benchmarks``, ``scripts`` and ``pyproject.toml``, without bytecode
@@ -63,11 +64,13 @@ SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Add: ast.Sub, ast.Sub: ast.Add,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
+    ast.And: ast.Or, ast.Or: ast.And,
 }
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
     ast.Eq: "==", ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-",
     ast.BitAnd: "&", ast.BitOr: "|", ast.LShift: "<<", ast.RShift: ">>",
+    ast.And: "and", ast.Or: "or",
 }
 # A mutant's tests may run this many times as long as the whole untraced
 # suite; longer counts as killed (a mutated loop bound may never end).
@@ -90,7 +93,7 @@ def mutation_sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
             continue
         if isinstance(node, ast.Compare):
             sites += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
             sites.append((node, None))
     return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
 

@@ -9,7 +9,7 @@ actions and what developers actually changed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .datasets import (
@@ -88,7 +88,12 @@ class KTestResult:
     """Outcome of one train/plan/validate window for one planner.
 
     ``versions`` maps ``train``, ``test`` and ``validation`` to the window's
-    release labels; ``to_dict`` is the result's JSON document.
+    release labels. ``plan_changes`` is each plan's count of changed
+    metrics, in record order, which ``changes_per_plan`` summarises.
+    ``followed`` counts the matched classes whose plan was not empty and
+    whose developers made every planned move, then the defects those
+    classes lost and gained. ``to_dict`` is the result's JSON document,
+    which leaves out those two fields.
     """
 
     project: str
@@ -100,9 +105,14 @@ class KTestResult:
     changes_per_plan: ChangesSummary
     matched_classes: int
     matched_defects: int
+    plan_changes: tuple[int, ...]
+    followed: tuple[int, int, int]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Emptied first, as asdict would copy the counts one by one.
+        doc = asdict(replace(self, plan_changes=(), followed=()))
+        del doc["plan_changes"], doc["followed"]
+        return doc
 
 
 def _aupec(curve_heights: list[int], matched_defects: int) -> Optional[float]:
@@ -137,6 +147,8 @@ def ktest(
     starts from the metrics its developers left unchanged; each metric the
     plan changes adds one where they moved it the same way and takes one
     away where they left it. This is ``overlap`` of the direction vectors.
+    A matched class followed its plan when the plan changes some metric and
+    its developers moved every such metric the planned way.
     """
     if not 0 <= i < j < k < len(project.versions):
         raise ValueError(
@@ -156,6 +168,7 @@ def ktest(
     classes = [0] * N_BUCKETS
     counts = []
     matched_defects = 0
+    followed = (0, 0, 0)
     for rec in version_j.records:
         changed = [
             (metric, action.direction)
@@ -167,15 +180,21 @@ def ktest(
         if memo is None:
             continue
         moves, agree, k_defects = memo
+        made = left = 0
         for metric, direction in changed:
             move = moves[metric]
-            agree += (move == direction) - (move == NO_CHANGE)
+            made += move == direction
+            left += move == NO_CHANGE
+        agree += made - left
         bucket = bucket_index(100.0 * agree / len(moves))
         delta = rec.defects - k_defects
-        reduced[bucket] += max(0, delta)
-        increased[bucket] += max(0, -delta)
+        lost, gained = max(0, delta), max(0, -delta)
+        reduced[bucket] += lost
+        increased[bucket] += gained
         classes[bucket] += 1
         matched_defects += rec.defects
+        if changed and made == len(changed):
+            followed = (followed[0] + 1, followed[1] + lost, followed[2] + gained)
 
     matched_classes = sum(classes)
     curve = [
@@ -197,6 +216,8 @@ def ktest(
         changes_per_plan=ChangesSummary.from_counts(counts),
         matched_classes=matched_classes,
         matched_defects=matched_defects,
+        plan_changes=tuple(counts),
+        followed=followed,
     )
 
 

@@ -17,10 +17,10 @@ from planwise.datasets import (
     Community,
     Project,
     VersionedDataset,
-    diff_versions,
 )
 from planwise.discretize import BinMap
-from planwise.evaluate import windows
+from planwise.evaluate import evaluate_windows
+from planwise.planners import make_planner
 from planwise.tree import TreeNode
 
 # Version CSVs of the public Jureczko corpus, as ``<project>/<project>-<v>.csv``
@@ -71,13 +71,15 @@ def make_project(versions: list[VersionedDataset], name: str = "proj") -> Projec
 
 
 def count_calls(monkeypatch, module, name: str) -> list[tuple]:
-    """Record the arguments of every call to ``module.<name>`` for one test."""
+    """Record the positional arguments of every call to ``module.<name>`` for
+    one test. ``module`` may be a class: a method's calls then record
+    ``self`` first."""
     calls = []
     real = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -227,33 +229,17 @@ def planted_history(
     return make_project(versions, name="planted")
 
 
-def followed_plan_tally(project: Project, planner, train=None) -> tuple[int, int, int]:
-    """Plans followed over every window of ``project``, and the defects their
-    classes lost and gained.
-
-    Each window fits ``planner`` on its first release, or ``train`` is
-    fitted once for all. A class of the window's second release counts when
-    it is matched in the third, its plan is not empty, and its developers
-    made every planned move.
-    """
-    followed = reduced = increased = 0
-    if train is not None:
-        planner.fit(train)
-    for start in windows(project):
-        if train is None:
-            planner.fit(project.versions[start])
-        test, validation = project.versions[start + 1], project.versions[start + 2]
-        moves, later = diff_versions(test, validation), validation.by_name()
-        for record in test.records:
-            planned = {m: a.direction for m, a in planner.plan(record).actions.items()
-                       if a.direction != NO_CHANGE}
-            made = moves.get(record.class_name)
-            if planned and made and all(made[m] == d for m, d in planned.items()):
-                followed += 1
-                delta = record.defects - later[record.class_name].defects
-                reduced += max(0, delta)
-                increased += max(0, -delta)
-    return followed, reduced, increased
+def followed_tallies(project: Project, planners: dict) -> tuple[dict[str, int], dict[str, float]]:
+    """Two sums over ``evaluate_windows(project, make_planner(name), train=train)``
+    for each entry ``label: (name, train)`` of ``planners``: the defects lost
+    by classes that followed their plans, and the rate, those defects less the
+    ones the same classes gained, per planned metric change."""
+    reduced, rate = {}, {}
+    for label, (name, train) in planners.items():
+        results = evaluate_windows(project, make_planner(name), train=train)
+        _, reduced[label], increased = (sum(c) for c in zip(*(r.followed for r in results)))
+        rate[label] = (reduced[label] - increased) / sum(sum(r.plan_changes) for r in results)
+    return reduced, rate
 
 
 # Upper bounds (exclusive) of each metric's integer range in

@@ -197,23 +197,16 @@ def test_criterion_10_published_directions(jureczko_root):
     median_changes: dict[str, dict[str, float]] = {}
     planner_names = ("xtree", "alves", "shatnawi", "oliveira")
     for project in projects:
-        counts: dict[str, list[int]] = {name: [] for name in planner_names}
-        for name in planner_names:
-            planner = make_planner(name)
-            for result in evaluate_windows(project, planner):
-                if name == "xtree" and result.aupec_reduced is not None:
-                    if result.aupec_reduced > result.aupec_increased:
-                        wins += 1
-                    else:
-                        losses += 1
-            for start in range(len(project.versions) - 2):
-                planner.fit(project.versions[start])
-                counts[name].extend(
-                    changes_count(planner.plan(record))
-                    for record in project.versions[start + 1].records
-                )
+        results = {name: evaluate_windows(project, make_planner(name)) for name in planner_names}
+        for result in results["xtree"]:
+            if result.aupec_reduced is not None:
+                if result.aupec_reduced > result.aupec_increased:
+                    wins += 1
+                else:
+                    losses += 1
         median_changes[project.name] = {
-            name: median(values) for name, values in counts.items()
+            name: median([count for result in windows for count in result.plan_changes])
+            for name, windows in results.items()
         }
     check(10, "10b defects reduced beats increased in most windows", wins > losses)
 

@@ -25,6 +25,7 @@ from planwise.tree import build_tree, fit_bins, predict_defective
 
 from conftest import (
     _tie_heavy_project,
+    count_calls,
     make_dataset,
     make_record,
     planted_community,
@@ -206,13 +207,7 @@ class TestDiscover:
             (make_dataset([make_record(f"z{i}") for i in range(25)], project="allclean"),),
         )
         community = Community(community.projects + (clean,))
-        calls = []
-
-        def counting(tree, record, *args, **kwargs):
-            calls.append(record)
-            return predict_defective(tree, record, *args, **kwargs)
-
-        monkeypatch.setattr(bellwether, "predict_defective", counting)
+        calls = count_calls(monkeypatch, bellwether, "predict_defective")
         discover(community)
         pooled = {p.name: pool_versions(p) for p in community.projects}
         scorable = [
@@ -230,14 +225,7 @@ class TestDiscover:
         # Each pooled record is labelled twice: once when its own project's
         # bins are fit, once as a target, however many sources score it.
         community = planted_community(seed=2, n=60)
-        calls = []
-        labelled = ClassRecord.is_defective
-
-        def counting(record):
-            calls.append(record)
-            return labelled(record)
-
-        monkeypatch.setattr(ClassRecord, "is_defective", counting)
+        calls = count_calls(monkeypatch, ClassRecord, "is_defective")
         discover(community)
         rows = sum(len(pool_versions(p)) for p in community.projects)
         assert len(calls) == 2 * rows

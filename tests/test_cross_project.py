@@ -4,8 +4,10 @@ Projects s0, s1 and s2 share ``planted_history``'s defect rule,
 ``wmc/60 + cbo/40``; a fourth, ``odd``, follows ``rfc/100 + loc/1000``.
 The target is s0. Belltree and the threshold baselines are fitted on
 ``exemplar_train(community, s0)``, local xtree on each window's first
-release, and a control belltree on ``odd``. ``followed_plan_tally`` scores
-each by the defects lost by classes that followed its plans. Four facts
+release, and a control belltree on ``odd``. ``KTestResult.followed`` and
+``plan_changes``, summed over the windows, score each: by the defects lost
+by classes that followed its plans, and by its rate, those defects less
+the ones the same classes gained, per planned metric change. Five facts
 hold on every seed in 0..19 and are pinned on five:
 
 - the exemplar is never ``odd``;
@@ -13,7 +15,9 @@ hold on every seed in 0..19 and are pinned on five:
 - the control reduces under 0.4x local xtree's defects (0.358x at most,
   on seed 18), so a wrong exemplar cannot pass for a right one;
 - belltree reduces at least 2.5x the control's defects (2.63x at least,
-  on seed 18).
+  on seed 18);
+- local xtree's rate is at least 1.6x that of each exemplar-fitted alves,
+  shatnawi and oliveira (1.65x at least, on seed 2, against alves).
 
 Bars left out, because they fail on this community:
 
@@ -26,7 +30,10 @@ Bars left out, because they fail on this community:
   their ranges (4.8 and 3.5 on seed 0), so it plans the planted fix for
   589 of the 600 classes it scores there, and every fixed class follows
   it. The tally cannot rank a planner that asks every class for the fix
-  against one that asks only some.
+  against one that asks only some; the rate bar above can;
+- belltree's rate at least shatnawi's fails on seeds 5, 7 and 19, the
+  seeds where belltree's tree splits on the pool's noise metrics (0.025
+  against 0.098 on seed 5).
 
 Pooling is a suspect for the first failure. ``pool_versions`` keeps a
 class that lives through four releases as up to four nearly equal rows, and
@@ -48,16 +55,16 @@ import pytest
 
 from planwise.bellwether import discover, exemplar_train
 from planwise.datasets import Community, Project, pool_versions
-from planwise.planners import make_planner
 from planwise.stats import median
 from planwise.tree import fit_bins
 
-from conftest import followed_plan_tally, planted_history
+from conftest import followed_tallies, planted_history
 
 SEEDS = range(5)
+BASELINES = ("alves", "shatnawi", "oliveira")
 
 
-def planted_community(seed: int) -> Community:
+def odd_one_out_community(seed: int) -> Community:
     """s0..s2 from the default rule and ``odd`` from ``rfc/100 + loc/1000``;
     project ``i`` of the four is drawn with seed ``100 * seed + i``."""
     projects = [Project(f"s{i}", planted_history(100 * seed + i).versions) for i in range(3)]
@@ -66,43 +73,47 @@ def planted_community(seed: int) -> Community:
 
 
 @lru_cache
-def reductions(seed: int) -> tuple[str, dict[str, int]]:
-    """The exemplar picked for s0, and each planner's followed-plan reductions."""
-    community = planted_community(seed)
+def tallies(seed: int) -> tuple[str, dict[str, int], dict[str, float]]:
+    """The exemplar picked for s0, and ``followed_tallies`` of local xtree, of
+    belltree and each baseline fitted on the exemplar, and of the control."""
+    community = odd_one_out_community(seed)
     target = community.get("s0")
     train = exemplar_train(community, target)
-    (exemplar,) = [p.name for p in community.projects if pool_versions(p) == train]
-    reduced = {"local xtree": followed_plan_tally(target, make_planner("xtree"))[1]}
-    for name in ("belltree", "oliveira"):
-        reduced[name] = followed_plan_tally(target, make_planner(name), train)[1]
+    planners = {name: (name, train) for name in ("belltree", *BASELINES)}
     odd = pool_versions(community.get("odd"))
-    reduced["control"] = followed_plan_tally(target, make_planner("belltree"), odd)[1]
-    return exemplar, reduced
+    planners |= {"local xtree": ("xtree", None), "control": ("belltree", odd)}
+    return (train.project, *followed_tallies(target, planners))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_exemplar_shares_the_targets_defect_rule(seed):
-    assert reductions(seed)[0] != "odd"
+    assert tallies(seed)[0] != "odd"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_belltree_reduces_at_least_oliveira_on_the_same_exemplar(seed):
-    reduced = reductions(seed)[1]
+    reduced = tallies(seed)[1]
     assert reduced["belltree"] >= reduced["oliveira"], reduced
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_a_belltree_trained_on_the_odd_project_falls_short(seed):
-    reduced = reductions(seed)[1]
+    reduced = tallies(seed)[1]
     assert reduced["control"] < 0.4 * reduced["local xtree"], reduced
     assert reduced["belltree"] >= 2.5 * reduced["control"], reduced
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_local_xtree_reduces_more_per_change_than_each_exemplar_baseline(seed):
+    rate = tallies(seed)[2]
+    assert rate["local xtree"] >= 1.6 * max(rate[name] for name in BASELINES), rate
 
 
 def test_leave_target_out_oracle():
     # As in test_bellwether: a pair's score depends only on its source and
     # target, so each target's exemplar ranks first in the whole community's
     # scores once the target's row and column are deleted.
-    community = planted_community(0)
+    community = odd_one_out_community(0)
     scores = discover(community).scores
     for target in community.projects:
         medians = {
@@ -120,7 +131,7 @@ def cut_metrics(dataset):
 @pytest.mark.parametrize("name", ["s1", "s2"])
 @pytest.mark.parametrize("seed", [0, 3, 19])
 def test_a_pool_cuts_metrics_outside_the_rule_that_no_release_cuts(seed, name):
-    project = planted_community(seed).get(name)
+    project = odd_one_out_community(seed).get(name)
     rule = {"wmc", "cbo"}
     for release in project.versions:
         assert cut_metrics(release) <= rule, release.version

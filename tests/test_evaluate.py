@@ -1,6 +1,6 @@
 import math
 import statistics
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from planwise import evaluate, planners
 from planwise.datasets import (
-    DECREASE, METRICS, ClassRecord, VersionedDataset, diff_versions,
+    DECREASE, METRICS, NO_CHANGE, ClassRecord, VersionedDataset, diff_versions,
 )
 from planwise.evaluate import (
     BUCKET_MIDPOINTS,
@@ -195,6 +195,14 @@ class TestKTest:
         assert result.changes_per_plan.median == 1.0
         assert result.changes_per_plan.plans == 5
 
+    def test_hand_plans_changes_and_followed_plans(self):
+        # Every plan moves loc. C1, C2 and C3 moved it down; C4 left it alone
+        # and C5 is gone from release 3.
+        result = ktest(hand_project(), 0, 1, 2, ReduceLocStub())
+        assert result.plan_changes == (1, 1, 1, 1, 1)
+        # C1 lost 3 defects and C3 4; C2 gained 3.
+        assert result.followed == (3, 7, 3)
+
     def test_rerun_is_identical(self):
         assert ktest(hand_project(), 0, 1, 2, ReduceLocStub()) == ktest(
             hand_project(), 0, 1, 2, ReduceLocStub()
@@ -259,6 +267,11 @@ class TestKTest:
             ("matched_classes", result.matched_classes),
             ("matched_defects", result.matched_defects),
         ]
+
+    def test_the_document_keeps_nine_keys_without_the_plan_tallies(self):
+        # test_result_serializes pins the nine keys in order.
+        doc = ktest(hand_project(), 0, 1, 2, ReduceLocStub()).to_dict()
+        assert [f.name for f in fields(KTestResult)] == [*doc, "plan_changes", "followed"]
 
     def test_a_result_document_shares_nothing_with_the_result(self):
         result = ktest(hand_project(), 0, 1, 2, ReduceLocStub())
@@ -336,14 +349,7 @@ class TestWindows:
                 ))
             versions.append(make_dataset(records, version=str(i + 1)))
         project = make_project(versions)
-        calls = []
-        plan = XTreePlanner.plan
-
-        def counting(self, record):
-            calls.append(record)
-            return plan(self, record)
-
-        monkeypatch.setattr(XTreePlanner, "plan", counting)
+        calls = count_calls(monkeypatch, XTreePlanner, "plan")
         evaluate_windows(project, XTreePlanner(min_leaf=2))
         assert len(calls) == sum(len(v) for v in versions[1:-1]) == 90
 
@@ -369,21 +375,10 @@ class TestWindows:
             ktest(project, s, s + 1, s + 2, XTreePlanner(min_leaf=5).fit(train))
             for s in range(3)
         ]
-        fits, windows = [], []
-        fit, real_ktest = XTreePlanner.fit, evaluate.ktest
-
-        def counting_fit(self, data):
-            fits.append(data)
-            return fit(self, data)
-
-        def counting_ktest(*args, **kwargs):
-            windows.append(args)
-            return real_ktest(*args, **kwargs)
-
-        monkeypatch.setattr(XTreePlanner, "fit", counting_fit)
-        monkeypatch.setattr(evaluate, "ktest", counting_ktest)
+        fits = count_calls(monkeypatch, XTreePlanner, "fit")
+        windows = count_calls(monkeypatch, evaluate, "ktest")
         results = evaluate_windows(project, XTreePlanner(min_leaf=5), train=train)
-        assert fits == [train]
+        assert [data for _, data in fits] == [train]
         assert len(windows) == 3
         assert [r.to_dict() for r in results] == [r.to_dict() for r in refit]
         assert any(r.changes_per_plan.max > 0 for r in results)
@@ -408,19 +403,13 @@ class TestWindows:
             assert results == [r.to_dict() for r in alone], name
 
     def test_release_k_is_indexed_once_per_window(self, monkeypatch):
-        indexed, real = [], VersionedDataset.by_name
-
-        def counting(self):
-            indexed.append(self)
-            return real(self)
-
-        monkeypatch.setattr(VersionedDataset, "by_name", counting)
+        indexed = count_calls(monkeypatch, VersionedDataset, "by_name")
         project = tie_heavy_history()
         for name in ("xtree", "alves", "shatnawi", "oliveira"):
             evaluate_windows(project, make_planner(name))
         # Per window: diff_versions' index of release k, and the one ktest keeps.
         v2, v3 = project.versions[2:4]
-        assert [id(d) for d in indexed] == [id(v2), id(v2), id(v3), id(v3)]
+        assert [id(d) for (d,) in indexed] == [id(v2), id(v2), id(v3), id(v3)]
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
     @pytest.mark.parametrize("external", [False, True])
@@ -447,13 +436,15 @@ class TestWindows:
 
 def dense_ktest(project, i, j, k, planner, epsilon=0.0):
     """Reference ``ktest``: every plan's full direction vector, its set
-    overlap with the developer's moves, and a separate pass for its changes."""
+    overlap with the developer's moves, and separate passes for its changes
+    and for whether the developers made every planned move."""
     version_j, version_k = project.versions[j], project.versions[k]
     plans = {rec.class_name: planner.plan(rec) for rec in version_j.records}
     developer = diff_versions(version_j, version_k, epsilon)
     k_records = version_k.by_name()
     reduced, increased, classes = [0] * N_BUCKETS, [0] * N_BUCKETS, [0] * N_BUCKETS
     matched_classes = matched_defects = 0
+    followed_deltas = []  # the defect deltas of classes that made every planned move
     for rec in version_j.records:
         actions = developer.get(rec.class_name)
         if actions is None:
@@ -466,6 +457,9 @@ def dense_ktest(project, i, j, k, planner, epsilon=0.0):
         classes[bucket] += 1
         matched_classes += 1
         matched_defects += rec.defects
+        planned = {m: d for m, d in directions.items() if d != NO_CHANGE}
+        if planned and planned.items() <= actions.items():
+            followed_deltas.append(delta)
     if matched_classes == 0:
         curve, aupec_reduced, aupec_increased = [], None, None
     else:
@@ -484,7 +478,9 @@ def dense_ktest(project, i, j, k, planner, epsilon=0.0):
                 "validation": version_k.version}
     return KTestResult(
         project.name, versions, planner.name, curve, aupec_reduced, aupec_increased,
-        summary, matched_classes, matched_defects,
+        summary, matched_classes, matched_defects, tuple(counts),
+        (len(followed_deltas), sum(max(0, d) for d in followed_deltas),
+         sum(max(0, -d) for d in followed_deltas)),
     )
 
 

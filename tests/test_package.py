@@ -142,13 +142,19 @@ def test_mutate_reads_the_changed_lines_of_a_zero_context_diff():
     }
 
 
-def test_mutate_swaps_the_bitwise_operators():
-    # Outer operators come first; the one inside the raise builds a message.
-    source = "x = a & b | c\ny = d << 2 >> 1\nz |= 1\nraise E(a | b)\n"
+def mutated_lines(source: str) -> list[tuple[str, str]]:
+    """Each mutant of ``source`` that ``scripts/mutate.py`` makes: its
+    mutated line and its swap."""
     mutate = _script("mutate")
     mutants = [mutate.mutant(source, k)
                for k in range(len(mutate.mutation_sites(ast.parse(source))))]
-    assert [(code.splitlines()[lines.start - 1], swap) for code, lines, swap in mutants] == [
+    return [(code.splitlines()[lines.start - 1], swap) for code, lines, swap in mutants]
+
+
+def test_mutate_swaps_the_bitwise_operators():
+    # Outer operators come first; the one inside the raise builds a message.
+    source = "x = a & b | c\ny = d << 2 >> 1\nz |= 1\nraise E(a | b)\n"
+    assert mutated_lines(source) == [
         ("x = a & b & c", "| -> &"),
         ("x = a | b | c", "& -> |"),
         ("y = d << 2 << 1", ">> -> <<"),
@@ -160,12 +166,20 @@ def test_mutate_swaps_the_bitwise_operators():
 def test_mutate_swaps_the_membership_tests():
     # A comprehension's ``for c in d`` is no comparison; the raise builds a message.
     source = "x = a in b\ny = [c for c in d if c not in e]\nraise E(a in b)\n"
-    mutate = _script("mutate")
-    mutants = [mutate.mutant(source, k)
-               for k in range(len(mutate.mutation_sites(ast.parse(source))))]
-    assert [(code.splitlines()[lines.start - 1], swap) for code, lines, swap in mutants] == [
+    assert mutated_lines(source) == [
         ("x = a not in b", "in -> not in"),
         ("y = [c for c in d if c in e]", "not in -> in"),
+    ]
+
+
+def test_mutate_swaps_and_with_or():
+    # A chain of three operands is one operator; the raise builds a message.
+    source = "x = a and b\ny = c or d or e\nz = (a or b) and c\nraise E(a and b)\n"
+    assert mutated_lines(source) == [
+        ("x = a or b", "and -> or"),
+        ("y = c and d and e", "or -> and"),
+        ("z = (a or b) or c", "and -> or"),
+        ("z = (a and b) and c", "or -> and"),
     ]
 
 

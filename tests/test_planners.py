@@ -428,19 +428,8 @@ class TestPlanTargets:
             wmc, loc = float(rng.integers(0, 40)), float(rng.integers(10, 500))
             defects = int(wmc > 20) + int(loc > 300) + int(rng.integers(0, 2))
             records.append(make_record(f"c{i}", defects=defects, wmc=wmc, loc=loc))
-        searches, enumerations = [], []
-        real_targets, real_leaves = planners.plan_targets, planners.leaves
-
-        def counting_targets(*args, **kwargs):
-            searches.append(args)
-            return real_targets(*args, **kwargs)
-
-        def counting_leaves(*args, **kwargs):
-            enumerations.append(args)
-            return real_leaves(*args, **kwargs)
-
-        monkeypatch.setattr(planners, "plan_targets", counting_targets)
-        monkeypatch.setattr(planners, "leaves", counting_leaves)
+        searches = count_calls(monkeypatch, planners, "plan_targets")
+        enumerations = count_calls(monkeypatch, planners, "leaves")
         planner = XTreePlanner(min_leaf=5).fit(make_dataset(records))
         assert (len(searches), len(enumerations)) == (1, 1)
         plans = [planner.plan(r) for r in make_dataset(records).records]
@@ -923,15 +912,7 @@ class TestPlanAllocation:
 
     @pytest.fixture
     def constructed(self, monkeypatch):
-        calls = []
-        post_init = Action.__post_init__
-
-        def counting(self):
-            calls.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(Action, "__post_init__", counting)
-        return calls
+        return count_calls(monkeypatch, Action, "__post_init__")
 
     def test_no_change_plans_construct_no_action(self, constructed):
         rule = ThresholdRule("loc", 100.0)
