@@ -10,11 +10,11 @@ Run from the repository root:
 Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``+``
 and ``-``, ``&`` and ``|``, ``<<`` and ``>>`` (also in augmented
-assignments such as ``+=``), or ``and`` and ``or``. Operators inside
-``raise`` statements only build messages and are left alone. A mutant is
-killed when a test fails, errors or its tests run longer than
-``TIMEOUT_FACTOR`` times the untraced baseline of step 1; it survives when
-every test that runs its line passes.
+assignments such as ``+=``), or ``and`` and ``or``; or it drops a ``not``,
+so that ``not x`` becomes ``x``. Operators inside ``raise`` statements only
+build messages and are left alone. A mutant is killed when a test fails,
+errors or its tests run longer than ``TIMEOUT_FACTOR`` times the untraced
+baseline of step 1; it survives when every test that runs its line passes.
 
 Everything happens in a temporary copy of ``src``, ``tests``,
 ``benchmarks``, ``scripts`` and ``pyproject.toml``, without bytecode
@@ -59,18 +59,19 @@ MODULES = (
     "evaluate", "discretize", "tree", "planners", "refactorings", "bellwether", "stats",
     "datasets", "cli",
 )
+# Each operator and the one its mutant puts in its place; None drops it.
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Add: ast.Sub, ast.Sub: ast.Add,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
-    ast.And: ast.Or, ast.Or: ast.And,
+    ast.And: ast.Or, ast.Or: ast.And, ast.Not: None,
 }
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
     ast.Eq: "==", ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-",
     ast.BitAnd: "&", ast.BitOr: "|", ast.LShift: "<<", ast.RShift: ">>",
-    ast.And: "and", ast.Or: "or",
+    ast.And: "and", ast.Or: "or", ast.Not: "not", None: "(dropped)",
 }
 # A mutant's tests may run this many times as long as the whole untraced
 # suite; longer counts as killed (a mutated loop bound may never end).
@@ -84,8 +85,9 @@ COLLECTION = "<collection>"
 
 
 def mutation_sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
-    """``(node, i)`` for each swappable operator outside ``raise`` statements,
-    in source order; ``i`` indexes a comparison's operators, else is None."""
+    """``(node, i)`` for each swappable operator and each ``not`` outside
+    ``raise`` statements, in source order; ``i`` indexes a comparison's
+    operators, else is None."""
     in_raise = {id(n) for r in ast.walk(tree) if isinstance(r, ast.Raise) for n in ast.walk(r)}
     sites: list[tuple[ast.AST, int | None]] = []
     for node in ast.walk(tree):
@@ -93,9 +95,20 @@ def mutation_sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
             continue
         if isinstance(node, ast.Compare):
             sites += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
-        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp, ast.UnaryOp))
+              and type(node.op) in SWAPS):
             sites.append((node, None))
     return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+
+
+class _Replace(ast.NodeTransformer):
+    """Puts ``new`` where the node ``old`` stands in a tree."""
+
+    def __init__(self, old: ast.AST, new: ast.AST):
+        self.old, self.new = old, new
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        return self.new if node is self.old else self.generic_visit(node)
 
 
 def mutant(source: str, k: int) -> tuple[str, range, str]:
@@ -104,13 +117,15 @@ def mutant(source: str, k: int) -> tuple[str, range, str]:
     tree = ast.parse(source)
     node, i = mutation_sites(tree)[k]
     old = node.op if i is None else node.ops[i]
-    new = SWAPS[type(old)]()
-    if i is None:
-        node.op = new
+    new = SWAPS[type(old)]
+    if new is None:  # a dropped ``not``: its operand takes its place
+        _Replace(node, node.operand).visit(tree)
+    elif i is None:
+        node.op = new()
     else:
-        node.ops[i] = new
+        node.ops[i] = new()
     lines = range(node.lineno, node.end_lineno + 1)
-    return ast.unparse(tree), lines, f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
+    return ast.unparse(tree), lines, f"{SYMBOLS[type(old)]} -> {SYMBOLS[new]}"
 
 
 def changed_lines(diff: str) -> dict[str, set[int]]:

@@ -1,11 +1,12 @@
 """Exemplar-project discovery.
 
 A community's exemplar ("bellwether") is the project whose pooled data
-trains the best defect predictor for the other projects. Cross-project
-plans then come from ``make_planner("belltree")`` fitted on that
-exemplar's pooled data instead of local history. ``exemplar_train`` finds
-that exemplar without the target, so belltree never trains on what it is
-scored on.
+trains the best defect predictor for the other projects. Each source's
+defect tree is grown by ``XTreePlanner().grow``, the tree xtree plans with
+at its default options. Cross-project plans then come from
+``make_planner("belltree")`` fitted on that exemplar's pooled data instead
+of local history. ``exemplar_train`` finds that exemplar without the
+target, so belltree never trains on what it is scored on.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from itertools import chain, compress
 from typing import Optional
 
 from .datasets import Community, Project, VersionedDataset, pool_versions
+from .planners import XTreePlanner
 from .stats import median
-from .tree import build_tree, fit_bins, predict_defective
+from .tree import predict_defective
 
 
 def g_score(tp: int, fp: int, tn: int, fn: int) -> float:
@@ -99,7 +101,7 @@ def discover(
     medians: dict[str, float] = {}
     for source in names:
         pooled = pool_versions(projects[source])
-        tree = build_tree(pooled, fit_bins(pooled))
+        tree = XTreePlanner().grow(pooled)
         del pooled
         row = dict.fromkeys(name for name in names if name != source)
         for target, (truth, positives) in truths.items():
@@ -131,10 +133,12 @@ def exemplar_train(
 ) -> VersionedDataset:
     """The pooled exemplar that belltree trains on to plan for ``target``: the
     bellwether of the other projects, leaving out any project named like the
-    target or holding one of its releases. At least two must remain."""
+    target or holding a release with the records of one of its releases, in
+    any row order and under any labels. At least two must remain."""
+    held = {frozenset(v.records) for v in target.versions}
     others = tuple(
         p for p in community.projects
-        if p.name != target.name and not any(v in target.versions for v in p.versions)
+        if p.name != target.name and held.isdisjoint(frozenset(v.records) for v in p.versions)
     )
     if len(others) < 2:
         raise ValueError(f"belltree needs two community projects besides {target.name}")

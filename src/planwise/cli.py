@@ -328,7 +328,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    tree = make_planner("xtree", **vars(args)).fit(_load_train(args.train)).tree
+    tree = make_planner("xtree", **vars(args)).grow(_load_train(args.train))
     _write_json(Path(args.out), {"tree": tree_to_dict(tree)})
     return EXIT_OK
 

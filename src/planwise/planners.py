@@ -440,8 +440,8 @@ class PlannerBase:
 
 @dataclass(eq=False)
 class XTreePlanner(PlannerBase):
-    """Within-project contrast-set planner: ``fit`` grows the defect tree and
-    its plan targets."""
+    """Within-project contrast-set planner: ``grow`` grows the defect tree,
+    and ``fit`` keeps it with its plan targets."""
 
     gamma: float = DEFAULT_GAMMA
     seed: int = DEFAULT_SEED
@@ -451,11 +451,12 @@ class XTreePlanner(PlannerBase):
     tree: TreeNode | None = field(default=None, init=False, repr=False)
     targets: PlanTargets | None = field(default=None, init=False, repr=False)
 
+    def grow(self, train: VersionedDataset) -> TreeNode:
+        """The defect tree of ``train`` at this planner's depth and leaf size."""
+        return build_tree(train, fit_bins(train), max_depth=self.max_depth, min_leaf=self.min_leaf)
+
     def fit(self, train: VersionedDataset) -> "XTreePlanner":
-        bins = fit_bins(train)
-        self.tree = build_tree(
-            train, bins, max_depth=self.max_depth, min_leaf=self.min_leaf
-        )
+        self.tree = self.grow(train)
         self.targets = plan_targets(self.tree, self.gamma)
         return self
 

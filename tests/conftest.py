@@ -170,19 +170,26 @@ def planted_community(seed: int, n: int = 200) -> Community:
     )
 
 
-@pytest.fixture
-def exemplar_community_dir(tmp_path):
-    """Three releases each of alpha, beta and exemplar (the bellwether)."""
-    root = tmp_path / "planted"
-    releases = [planted_community(seed=20 + order, n=120) for order in range(3)]
+def write_planted_community(root: Path, seed: int, n: int = 120, releases: int = 3) -> Path:
+    """Write ``releases`` releases each of alpha, beta and exemplar under
+    ``root`` as ``<name>/<name>-<k>.csv``; release k's classes are those of
+    ``planted_community(seed + k - 1, n)``. Class names persist across
+    releases, while their metrics are redrawn."""
+    drawn = [planted_community(seed=seed + order, n=n) for order in range(releases)]
     for name in ("alpha", "beta", "exemplar"):
         (root / name).mkdir(parents=True)
-        for order, community in enumerate(releases):
+        for order, community in enumerate(drawn):
             version = str(order + 1)
             records = list(community.get(name).versions[0].records)
             ds = make_dataset(records, project=name, version=version)
             write_csv(ds, root / name / f"{name}-{version}.csv")
     return root
+
+
+@pytest.fixture
+def exemplar_community_dir(tmp_path):
+    """Three releases each of alpha, beta and exemplar (the bellwether)."""
+    return write_planted_community(tmp_path / "planted", seed=20)
 
 
 def planted_history(

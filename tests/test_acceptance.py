@@ -8,10 +8,11 @@ import time
 from statistics import median
 
 import numpy as np
+import pytest
 
 from planwise.bellwether import discover
 from planwise.cli import main
-from planwise.datasets import load_community
+from planwise.datasets import Community, load_community
 from planwise.discretize import mdlp_cuts
 from planwise.evaluate import evaluate_windows, ktest, overlap
 from planwise.planners import XTreePlanner, make_planner, varl
@@ -20,6 +21,7 @@ from planwise.tree import locate
 
 from conftest import (
     changes_count, make_dataset, make_project, make_record, planted_community, write_csv,
+    write_planted_community,
 )
 from test_cli import toy_version
 from test_discretize import oracle_cuts, random_dataset
@@ -186,12 +188,14 @@ def test_criterion_9_evaluation_determinism(tmp_path):
     check(9, "evaluation determinism", snapshots[0] == snapshots[1])
 
 
-def test_criterion_10_published_directions(jureczko_root):
-    started = time.perf_counter()
-    community = load_community(jureczko_root)
-    report = discover(community)
-    check(10, "10a bellwether is lucene", report.bellwether == "lucene")
-
+def criterion_10_measurements(
+    community: Community,
+) -> tuple[str, int, int, dict[str, dict[str, float]]]:
+    """Criterion 10's measurements on ``community``: its bellwether; how
+    many of xtree's windows reduce more defects than they add
+    (``aupec_reduced > aupec_increased``) and how many do not, over the
+    projects with at least three releases; and, for each such project and
+    planner, the median number of metrics a plan changes."""
     projects = [p for p in community.projects if len(p.versions) >= 3]
     wins = losses = 0
     median_changes: dict[str, dict[str, float]] = {}
@@ -208,6 +212,14 @@ def test_criterion_10_published_directions(jureczko_root):
             name: median([count for result in windows for count in result.plan_changes])
             for name, windows in results.items()
         }
+    return discover(community).bellwether, wins, losses, median_changes
+
+
+def test_criterion_10_published_directions(jureczko_root):
+    started = time.perf_counter()
+    bellwether, wins, losses, median_changes = criterion_10_measurements(
+        load_community(jureczko_root))
+    check(10, "10a bellwether is lucene", bellwether == "lucene")
     check(10, "10b defects reduced beats increased in most windows", wins > losses)
 
     frugality_ok = True
@@ -221,3 +233,32 @@ def test_criterion_10_published_directions(jureczko_root):
             frugality_ok = False
     check(10, "10c xtree changes fewest metrics", frugality_ok)
     assert time.perf_counter() - started < 300.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 19])
+def test_criterion_10_measurements_on_a_planted_community(tmp_path, seed):
+    """Criterion 10's measurements, offline, on three-release planted
+    communities written as CSVs and read back through ``load_community``.
+
+    The outcomes pinned here hold on seeds 0-19 of ``write_planted_community``:
+    exemplar is the bellwether, each project's one window is scored, and
+    shatnawi and oliveira change no metric in the median plan of any
+    project, while no planner's median exceeds one change.
+
+    The generator redraws every metric between releases and plants no
+    developer moves, and two of the paper's outcomes fail on every one of
+    those seeds:
+    - 10b: xtree reduces more defects than it adds in at most one of the
+      three windows, so wins never outnumber losses.
+    - 10c: with shatnawi's and oliveira's medians at 0, xtree is never the
+      leaner planner against them, and three projects cannot reach the
+      paper's seven.
+    """
+    community = load_community(write_planted_community(tmp_path / "planted", seed=seed))
+    bellwether, wins, losses, median_changes = criterion_10_measurements(community)
+    assert bellwether == "exemplar"
+    assert wins + losses == 3
+    assert sorted(median_changes) == ["alpha", "beta", "exemplar"]
+    for medians in median_changes.values():
+        assert medians["shatnawi"] == medians["oliveira"] == 0
+        assert max(medians.values()) <= 1

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from collections import Counter
 from functools import partial
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from planwise import bellwether
+from planwise import bellwether, planners
 from planwise.bellwether import (
     QUALITY_MEASURES,
     BellwetherReport,
@@ -19,7 +20,7 @@ from planwise.bellwether import (
     precision_score,
     recall_score,
 )
-from planwise.datasets import ClassRecord, Community, Project, pool_versions
+from planwise.datasets import ClassRecord, Community, Project, VersionedDataset, pool_versions
 from planwise.planners import XTreePlanner, make_planner
 from planwise.tree import build_tree, fit_bins, predict_defective
 
@@ -221,6 +222,18 @@ class TestDiscover:
         assert "allclean" not in scorable
         assert len(calls) == expected
 
+    def test_grows_one_tree_per_project_through_the_planner(self, monkeypatch):
+        # Discovery's trees are xtree's trees at its default options.
+        community = planted_community(seed=2, n=60)
+        grown = count_calls(monkeypatch, XTreePlanner, "grow")
+        trees = count_calls(monkeypatch, planners, "build_tree")
+        discover(community)
+        assert [train for _, train in grown] == [
+            pool_versions(community.get(name)) for name in sorted(community.project_names())
+        ]
+        assert {repr(planner) for planner, _ in grown} == {repr(XTreePlanner())}
+        assert len(trees) == len(community.projects)
+
     def test_labels_each_record_once_as_a_target(self, monkeypatch):
         # Each pooled record is labelled twice: once when its own project's
         # bins are fit, once as a target, however many sources score it.
@@ -307,6 +320,26 @@ class TestExemplarTrain:
         copies = Community((community.get("alpha"), community.get("beta"), renamed))
         assert discover(copies).bellwether == "apache-exemplar"
         train = exemplar_train(copies, Project("exemplar", target.versions))
+        assert train.project in {"alpha", "beta"}
+        assert not record_keys(train) & record_keys(pool_versions(target))
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "row-shuffled"])
+    def test_a_relabelled_copy_of_the_target_is_left_out(self, shuffled):
+        # Files with other stems and no project or version cells label the
+        # target's releases by their stems; the records alone give them away.
+        community = planted_community(seed=7)
+        target = community.get("exemplar")
+
+        def rows(release):
+            records = list(release.records)
+            if shuffled:
+                random.Random(7).shuffle(records)
+            return tuple(records)
+
+        copy = Project("copy", tuple(
+            VersionedDataset("copy", f"r{k}", rows(v)) for k, v in enumerate(target.versions)
+        ))
+        train = exemplar_train(Community((*community.projects, copy)), target)
         assert train.project in {"alpha", "beta"}
         assert not record_keys(train) & record_keys(pool_versions(target))
 

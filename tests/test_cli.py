@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import planwise
+from planwise import planners
 from planwise.bellwether import discover
 from planwise.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 from planwise.datasets import (
@@ -22,10 +23,11 @@ from planwise.datasets import (
 )
 from planwise.evaluate import evaluate_windows
 from planwise.planners import PLANNERS, make_planner
-from planwise.tree import build_tree
+from planwise.tree import build_tree, tree_to_dict
 
 from conftest import (
     changes_count,
+    count_calls,
     make_dataset,
     make_record,
     tie_heavy_community,
@@ -494,6 +496,23 @@ class TestOtherCommands:
         assert plans["train"] == train
         assert len(plans["plans"]) == 60
         assert json.loads((tmp_path / "thresholds.json").read_text())["rules"]
+
+    @pytest.mark.parametrize("options", [{}, {"min_leaf": 1, "max_depth": 20}],
+                             ids=["defaults", "deep"])
+    def test_tree_writes_the_planners_tree_without_its_plan_targets(
+        self, toy_project_dir, tmp_path, monkeypatch, options
+    ):
+        # tree writes only the tree, so it never searches the plan targets
+        # that fitting the planner would.
+        train = [str(toy_project_dir / f"toy-{v}.csv") for v in ("1.0", "1.1", "1.2")]
+        flags = [arg for key, value in options.items()
+                 for arg in (f"--{key.replace('_', '-')}", str(value))]
+        out = tmp_path / "tree.json"
+        targets = count_calls(monkeypatch, planners, "plan_targets")
+        assert main(["tree", "--train", *train, *flags, "--out", str(out)]) == EXIT_OK
+        assert targets == []
+        fitted = make_planner("xtree", **options).fit(pool_versions(load_project(train)))
+        assert json.loads(out.read_text())["tree"] == tree_to_dict(fitted.tree)
 
     @pytest.mark.parametrize(
         "argv",

@@ -183,6 +183,20 @@ def test_mutate_swaps_and_with_or():
     ]
 
 
+def test_mutate_drops_a_not():
+    # Each ``not`` of a nested pair is dropped alone; ``is not`` is a
+    # comparison, and the raise builds a message.
+    source = ("x = not a\ny = f(b and not c)\nz = not (not d)\n"
+              "w = e is not f\nraise E(not a)\n")
+    assert mutated_lines(source) == [
+        ("x = a", "not -> (dropped)"),
+        ("y = f(b or not c)", "and -> or"),
+        ("y = f(b and c)", "not -> (dropped)"),
+        ("z = not d", "not -> (dropped)"),
+        ("z = not d", "not -> (dropped)"),
+    ]
+
+
 def test_loc_counts_neither_comments_nor_docstrings():
     source = (
         '"""Module\ndocstring."""\n'

@@ -32,7 +32,7 @@ from planwise.planners import (
     xtree_plan,
 )
 from planwise.stats import LogisticFit, fit_univariate_logistic
-from planwise.tree import TreeNode, build_tree, fit_bins, leaves, locate
+from planwise.tree import TreeNode, build_tree, fit_bins, leaves, locate, tree_to_dict
 
 from conftest import (
     changes_count,
@@ -1085,6 +1085,14 @@ class TestPlannerInterface:
         tree = make_planner("belltree", **every)
         assert (tree.name, tree.gamma, tree.seed, tree.max_depth, tree.min_leaf) == (
             "belltree", 0.3, 5, 2, 7)
+
+    @pytest.mark.parametrize(
+        "options", [{"max_depth": 2}, {"min_leaf": 40}, {"max_depth": 3, "min_leaf": 20}])
+    def test_grow_grows_at_the_planners_depth_and_leaf_size(self, options):
+        train = pool_versions(tie_heavy_community().projects[0])
+        grown = tree_to_dict(make_planner("xtree", **options).grow(train))
+        assert grown == tree_to_dict(build_tree(train, fit_bins(train), **options))
+        assert grown != tree_to_dict(make_planner("xtree").grow(train))
 
     def test_threshold_planner_rejects_other_names(self):
         with pytest.raises(ValueError, match="unknown threshold planner"):
