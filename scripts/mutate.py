@@ -9,12 +9,15 @@ Run from the repository root:
 
 Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``+``
-and ``-``, ``&`` and ``|``, ``<<`` and ``>>`` (also in augmented
-assignments such as ``+=``), or ``and`` and ``or``; or it drops a ``not``,
-so that ``not x`` becomes ``x``. Operators inside ``raise`` statements only
-build messages and are left alone. A mutant is killed when a test fails,
-errors or its tests run longer than ``TIMEOUT_FACTOR`` times the untraced
-baseline of step 1; it survives when every test that runs its line passes.
+and ``-``, ``*`` and ``/``, ``&`` and ``|``, ``<<`` and ``>>`` (also in
+augmented assignments such as ``+=``), or ``and`` and ``or``; or it calls
+``max`` for ``min`` or ``min`` for ``max``; or it drops a ``not``, so that
+``not x`` becomes ``x``. Operators inside ``raise`` statements only
+build messages, and those inside annotations are never evaluated (the
+modules import ``annotations`` from ``__future__``): both are left alone.
+A mutant is killed when a test fails, errors or its tests run longer than
+``TIMEOUT_FACTOR`` times the untraced baseline of step 1; it survives when
+every test that runs its line passes.
 
 Everything happens in a temporary copy of ``src``, ``tests``,
 ``benchmarks``, ``scripts`` and ``pyproject.toml``, without bytecode
@@ -63,16 +66,19 @@ MODULES = (
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
-    ast.Add: ast.Sub, ast.Sub: ast.Add,
+    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
     ast.And: ast.Or, ast.Or: ast.And, ast.Not: None,
 }
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
     ast.Eq: "==", ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-",
+    ast.Mult: "*", ast.Div: "/",
     ast.BitAnd: "&", ast.BitOr: "|", ast.LShift: "<<", ast.RShift: ">>",
     ast.And: "and", ast.Or: "or", ast.Not: "not", None: "(dropped)",
 }
+# Builtins whose calls a mutant swaps by name.
+CALL_SWAPS = {"min": "max", "max": "min"}
 # A mutant's tests may run this many times as long as the whole untraced
 # suite; longer counts as killed (a mutated loop bound may never end).
 TIMEOUT_FACTOR = 3
@@ -85,18 +91,27 @@ COLLECTION = "<collection>"
 
 
 def mutation_sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
-    """``(node, i)`` for each swappable operator and each ``not`` outside
-    ``raise`` statements, in source order; ``i`` indexes a comparison's
-    operators, else is None."""
-    in_raise = {id(n) for r in ast.walk(tree) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+    """``(node, i)`` for each swappable operator, each ``not`` and each call
+    of ``min`` or ``max`` outside ``raise`` statements and annotations, in
+    source order; ``i`` indexes a comparison's operators, else is None."""
+    skipped = [r for r in ast.walk(tree) if isinstance(r, ast.Raise)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            skipped.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            skipped.append(node.returns)
+    left_alone = {id(n) for r in skipped if r is not None for n in ast.walk(r)}
     sites: list[tuple[ast.AST, int | None]] = []
     for node in ast.walk(tree):
-        if id(node) in in_raise:
+        if id(node) in left_alone:
             continue
         if isinstance(node, ast.Compare):
             sites += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
         elif (isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp, ast.UnaryOp))
               and type(node.op) in SWAPS):
+            sites.append((node, None))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in CALL_SWAPS):
             sites.append((node, None))
     return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
 
@@ -116,6 +131,11 @@ def mutant(source: str, k: int) -> tuple[str, range, str]:
     mutated expression, and a description of the swap."""
     tree = ast.parse(source)
     node, i = mutation_sites(tree)[k]
+    lines = range(node.lineno, node.end_lineno + 1)
+    if isinstance(node, ast.Call):
+        old_name = node.func.id
+        node.func.id = CALL_SWAPS[old_name]
+        return ast.unparse(tree), lines, f"{old_name} -> {node.func.id}"
     old = node.op if i is None else node.ops[i]
     new = SWAPS[type(old)]
     if new is None:  # a dropped ``not``: its operand takes its place
@@ -124,7 +144,6 @@ def mutant(source: str, k: int) -> tuple[str, range, str]:
         node.op = new()
     else:
         node.ops[i] = new()
-    lines = range(node.lineno, node.end_lineno + 1)
     return ast.unparse(tree), lines, f"{SYMBOLS[type(old)]} -> {SYMBOLS[new]}"
 
 

@@ -38,6 +38,7 @@ from .planners import (
     PLANNERS,
     ThresholdPlanner,
     ThresholdRule,
+    _Entry,
     make_planner,
     suggest_refactorings,
 )
@@ -75,13 +76,24 @@ def _publish(path: Path, body) -> None:
         raise
 
 
-def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int, write) -> None:
+def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int, write,
+            written: dict) -> None:
     """Append ``value``'s JSON text at nesting ``depth`` to ``chunks``, as
     ``json.dumps(value, indent=2, sort_keys=True)`` writes it, but raising
     TypeError for a non-``str`` key and writing an iterator as a list, and
     passing ``chunks`` on to ``write`` in batches. ``lines[d]`` holds depth
-    ``d``'s newline and indent, bare and after a comma; each is built once."""
-    if isinstance(value, str):
+    ``d``'s newline and indent, bare and after a comma; each is built once.
+    ``written`` maps a plan's shared action entry and a depth to the entry
+    and its text there, so each is encoded once per document, as one chunk."""
+    if type(value) is _Entry:  # the most frequent value in a plan document
+        key = (id(value), depth)
+        if key not in written:  # a batch flushed inside the entry stays in it
+            held: list[str] = []
+            part: list[str] = []
+            _encode(dict(value), part, lines, depth, held.append, written)
+            written[key] = (value, "".join(held + part))
+        chunks.append(written[key][1])
+    elif isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
         chunks.append("null" if value is None else "true" if value else "false")
@@ -109,7 +121,7 @@ def _encode(value, chunks: list[str], lines: list[tuple[str, str]], depth: int, 
                     raise TypeError(f"keys must be str, not {type(item).__name__}")
                 chunks.append(encode_basestring_ascii(item) + ": ")
                 item = value[item]
-            _encode(item, chunks, lines, depth + 1, write)
+            _encode(item, chunks, lines, depth + 1, write, written)
             if len(chunks) > _BATCH:
                 write("".join(chunks))
                 chunks.clear()
@@ -125,7 +137,8 @@ def _write_json(path: Path, doc: dict) -> None:
     an iterator in ``doc`` written as the list it yields."""
     def body(write) -> None:
         chunks: list[str] = []
-        _encode(dict(doc, schema_version=SCHEMA_VERSION), chunks, [("\n", ",\n")], 0, write)
+        _encode(dict(doc, schema_version=SCHEMA_VERSION), chunks, [("\n", ",\n")], 0, write,
+                {})
         chunks.append("\n")
         write("".join(chunks))
     _publish(path, body)

@@ -5,6 +5,11 @@ increase/decrease/no-change actions, optionally with a concrete target range.
 ``alves`` and ``shatnawi`` filter one logistic screen kept on the training
 dataset, and ``oliveira`` minimises its (p, k) penalty in closed form. numpy
 is loaded only by the screen (in ``stats``) and ``oliveira_thresholds``.
+
+Plans share their frozen Actions: every no-change entry is ``_KEEP``, a
+threshold plan takes its rule's ``decrease``, and a fitted ``XTreePlanner``
+builds each move once per fit. Each Action builds its ``Plan.to_dict`` entry
+once, on first use, and every plan holding it shares that read-only dict.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import inspect
 import math
 import random
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
@@ -52,11 +57,30 @@ SIGNIFICANCE_LEVEL = 0.05
 PlanTargets = dict[tuple[tuple[str, int], ...], Optional[Branch]]
 
 
+class _Entry(dict):
+    """One Action's entry in ``Plan.to_dict``, shared by every plan holding
+    the Action: every mutator raises TypeError, and a copy or a pickle of it
+    is a plain dict."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a plan's action entry is shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class Action:
     """One metric's recommendation: direction plus optional target range.
 
-    Frozen: every plan's no-change entries share the one instance ``_KEEP``.
+    Frozen, so plans share Actions: every plan's no-change entries are the
+    one instance ``_KEEP``, and a fitted XTREE planner builds each move once.
+    ``_entry``, built on first use, is the Action's read-only JSON entry.
     """
 
     direction: str = NO_CHANGE
@@ -68,6 +92,18 @@ class Action:
             raise ValueError(f"unknown action {self.direction!r}")
         if self.target_range is not None and self.target_range[0] > self.target_range[1]:
             raise ValueError("target range low must not exceed high")
+
+    @cached_property
+    def _entry(self) -> _Entry:
+        entry = {"action": self.direction}
+        if self.target_range is not None:
+            entry["target_low"], entry["target_high"] = self.target_range
+        if self.suggested is not None:
+            entry["suggested"] = self.suggested
+        return _Entry(entry)
+
+    def __reduce__(self):  # a copy builds its own entry, not a plain dict's copy
+        return type(self), (self.direction, self.target_range, self.suggested)
 
 
 @dataclass(frozen=True)
@@ -84,20 +120,13 @@ class Plan:
             raise ValueError("plan must cover all metrics")
 
     def to_dict(self) -> dict:
-        actions = {}
-        for metric in METRICS:
-            action = self.actions[metric]
-            entry: dict = {"action": action.direction}
-            if action.target_range is not None:
-                entry["target_low"] = action.target_range[0]
-                entry["target_high"] = action.target_range[1]
-            if action.suggested is not None:
-                entry["suggested"] = action.suggested
-            actions[metric] = entry
+        """The plan's JSON object; its ``actions`` map each metric to its
+        Action's shared, read-only entry."""
+        actions = self.actions
         doc = {
             "class_name": self.class_name,
             "planner": self.source_planner,
-            "actions": actions,
+            "actions": {metric: actions[metric]._entry for metric in METRICS},
         }
         if self.expected_score_drop is not None:
             doc["expected_score_drop"] = self.expected_score_drop
@@ -192,6 +221,7 @@ def xtree_plan(
     record: ClassRecord,
     seed: int = DEFAULT_SEED,
     source_planner: str = "xtree",
+    moves: dict | None = None,
 ) -> Plan:
     """Plan by contrasting the record's branch with its leaf's desired branch.
 
@@ -203,28 +233,38 @@ def xtree_plan(
     the value ``Random.uniform`` gives, without seeding a generator per class.
     Ranges above the first are ``(low, high]``, so a suggestion that rounds
     to ``low`` there moves up to the next float.
+
+    ``moves``, a memo kept for one tree, holds each change's Action by its
+    split's BinMap (by identity), range index, direction and draw: plans
+    given the same memo share their Actions. Without one, every change
+    builds its own.
     """
     current = locate(tree, record)
     desired = targets[current.conditions]
     if desired is None:
         return no_change_plan(record.class_name, source_planner)
 
+    if moves is None:
+        moves = {}
     draws = iter(_draws(seed, len(desired.conditions)))
     actions = dict.fromkeys(METRICS, _KEEP)
     values = record.values
     node = tree
     for metric, index in desired.conditions:  # metric is node.split_metric
-        idx = apply_bins(node.split_bins, values[node.split_index])
+        bins = node.split_bins
+        idx = apply_bins(bins, values[node.split_index])
         if idx != index:
-            low, high = node.split_bins.range_bounds(index)
-            suggested = low + (high - low) * next(draws)
-            if index and suggested <= low:  # rounded onto the cut below the range
-                suggested = math.nextafter(low, high)
-            actions[metric] = Action(
-                direction=INCREASE if idx < index else DECREASE,
-                target_range=(low, high),
-                suggested=suggested,
-            )
+            direction = INCREASE if idx < index else DECREASE
+            u = next(draws)
+            key = (id(bins), index, direction, u)  # the memo's tree keeps bins alive
+            action = moves.get(key)
+            if action is None:
+                low, high = bins.range_bounds(index)
+                suggested = low + (high - low) * u
+                if index and suggested <= low:  # rounded onto the cut below the range
+                    suggested = math.nextafter(low, high)
+                action = moves[key] = Action(direction, (low, high), suggested)
+            actions[metric] = action
         node = node.children[index]
     return Plan(
         record.class_name,
@@ -441,7 +481,8 @@ class PlannerBase:
 @dataclass(eq=False)
 class XTreePlanner(PlannerBase):
     """Within-project contrast-set planner: ``grow`` grows the defect tree,
-    and ``fit`` keeps it with its plan targets."""
+    and ``fit`` keeps it with its plan targets and a fresh memo of moves, so
+    its plans share each move's Action until the next fit."""
 
     gamma: float = DEFAULT_GAMMA
     seed: int = DEFAULT_SEED
@@ -450,6 +491,7 @@ class XTreePlanner(PlannerBase):
     name: str = "xtree"
     tree: TreeNode | None = field(default=None, init=False, repr=False)
     targets: PlanTargets | None = field(default=None, init=False, repr=False)
+    _moves: dict = field(default_factory=dict, init=False, repr=False)
 
     def grow(self, train: VersionedDataset) -> TreeNode:
         """The defect tree of ``train`` at this planner's depth and leaf size."""
@@ -458,13 +500,14 @@ class XTreePlanner(PlannerBase):
     def fit(self, train: VersionedDataset) -> "XTreePlanner":
         self.tree = self.grow(train)
         self.targets = plan_targets(self.tree, self.gamma)
+        self._moves = {}
         return self
 
     def plan(self, record: ClassRecord) -> Plan:
         if self.tree is None:
             raise RuntimeError("planner not fitted")
         return xtree_plan(
-            self.tree, self.targets, record, self.seed, source_planner=self.name
+            self.tree, self.targets, record, self.seed, self.name, self._moves
         )
 
 

@@ -7,6 +7,7 @@ them. Commands run from ``tmp_path`` with relative paths, because a plan
 document records its ``--train``/``--test`` arguments as given.
 """
 
+import copy
 import csv
 import gc
 import hashlib
@@ -16,6 +17,7 @@ import os
 import random
 import stat
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,8 +27,8 @@ from hypothesis import strategies as st
 
 import planwise.cli
 from planwise.cli import EXIT_FAILURE, EXIT_OK, _publish, _write_csv, _write_json, main
-from planwise.datasets import METRICS, pool_versions
-from planwise.planners import XTreePlanner, make_planner, suggest_refactorings
+from planwise.datasets import DECREASE, INCREASE, METRICS, pool_versions
+from planwise.planners import _KEEP, Action, XTreePlanner, make_planner, suggest_refactorings
 
 from conftest import make_dataset, make_record, tie_heavy_history, write_csv
 
@@ -203,6 +205,43 @@ DOCUMENTS = st.recursive(
     | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=30,
 )
+# Plan entries, each one object however often a document holds it.
+ENTRIES = [action._entry for action in (
+    _KEEP, Action(INCREASE, (1.0, 2.0), 1.25), Action(DECREASE, (-0.0, 0.0), -0.0),
+    Action(DECREASE, (0.0, 3.0)),
+)]
+SHARED_DOCUMENTS = st.recursive(
+    SCALARS | st.sampled_from(ENTRIES),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def xtree_plans() -> list:
+    history = tie_heavy_history()
+    planner = make_planner("xtree").fit(pool_versions(history))
+    return [planner.plan(r) for r in history.versions[3].records]
+
+
+def plan_docs(plans, shared: bool):
+    """Each plan as ``plan`` writes it: with its shared action entries, or
+    with plain copies of them."""
+    for plan in plans:
+        doc = dict(plan.to_dict(), refactorings=suggest_refactorings(plan))
+        yield doc if shared else copy.deepcopy(doc)
+
+
+def assert_written_without_garbage(path: Path, doc: dict) -> None:
+    # A reference cycle through the encoder would keep every chunk alive
+    # until the next collection, after the file is written.
+    gc.collect()
+    gc.disable()
+    try:
+        _write_json(path, doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestJsonWriter:
@@ -228,21 +267,47 @@ class TestJsonWriter:
             _write_json(tmp_path / "doc.json", doc)
         assert not list(tmp_path.iterdir())
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.dictionaries(TEXT, SHARED_DOCUMENTS))
+    def test_shared_entries_write_the_text_of_json_dumps(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        expected = json.dumps(dict(doc, schema_version="1"), indent=2, sort_keys=True)
+        assert path.read_bytes() == (expected + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("batch", [*range(12), 4096])
+    def test_a_shared_entry_at_two_depths_and_across_a_batch(self, tmp_path, monkeypatch, batch):
+        # Small batches put a flush at every position: inside the entry's
+        # first writing, and at the chunk that holds its reused text.
+        monkeypatch.setattr(planwise.cli, "_BATCH", batch)
+        move, keep = ENTRIES[1], ENTRIES[0]
+        doc = {"a": move, "b": {"c": move, "d": [move, keep, [move, keep]]},
+               "e": [keep, keep], "f": (move for _ in range(3))}
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        doc["f"] = [move] * 3
+        expected = json.dumps(dict(doc, schema_version="1"), indent=2, sort_keys=True)
+        assert path.read_text() == expected + "\n"
+
+    def test_an_entry_is_encoded_once_per_depth(self, tmp_path, monkeypatch):
+        encoded = []
+        encode = planwise.cli.encode_basestring_ascii
+        monkeypatch.setattr(planwise.cli, "encode_basestring_ascii",
+                            lambda text: encoded.append(text) or encode(text))
+        move = ENTRIES[1]
+        refs = sys.getrefcount(move)
+        _write_json(tmp_path / "doc.json", {"a": [move] * 50, "b": [[move]] * 50})
+        assert encoded.count("target_low") == 2  # at depths 2 and 3
+        assert sys.getrefcount(move) == refs  # the memo is the document's alone
+
     def test_writing_a_plan_document_leaves_no_garbage(self, tmp_path):
-        # A reference cycle through the encoder would keep every chunk alive
-        # until the next collection, after the file is written.
-        history = tie_heavy_history()
-        planner = make_planner("xtree").fit(pool_versions(history))
-        plans = [planner.plan(r) for r in history.versions[3].records]
-        doc = {"plans": [dict(p.to_dict(), refactorings=suggest_refactorings(p))
-                         for p in plans]}
-        gc.collect()
-        gc.disable()
-        try:
-            _write_json(tmp_path / "plans.json", doc)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        docs = list(plan_docs(xtree_plans(), False))
+        assert_written_without_garbage(tmp_path / "plans.json", {"plans": docs})
+
+    def test_writing_a_plan_document_with_shared_entries_leaves_no_garbage(self, tmp_path):
+        docs = list(plan_docs(xtree_plans(), True))
+        assert_written_without_garbage(tmp_path / "plans.json", {"plans": docs})
 
 
 # Each list or tuple of a document may reach the writer as any of these.
@@ -269,6 +334,18 @@ def plan_shaped(i: int) -> dict:
     actions = {metric: {"action": "."} for metric in METRICS}
     actions["loc"] = {"action": "-", "target_low": 1.5 * i, "target_high": 2.5 * i,
                       "suggested": 2.0 * i}
+    return {"class_name": f"org.example.Class{i}", "planner": "xtree",
+            "actions": actions, "refactorings": ["Inline Temp", "Replace Assignment"]}
+
+
+# Forty moves' entries, shared as a planner's moves are.
+MOVES = [Action(DECREASE, (1.5 * i, 2.5 * i), 2.0 * i)._entry for i in range(40)]
+
+
+def plan_shared(i: int) -> dict:
+    """``plan_shaped(i)`` with shared entries: ``_KEEP``'s and one of forty moves'."""
+    actions = dict.fromkeys(METRICS, _KEEP._entry)
+    actions["loc"] = MOVES[i % len(MOVES)]
     return {"class_name": f"org.example.Class{i}", "planner": "xtree",
             "actions": actions, "refactorings": ["Inline Temp", "Replace Assignment"]}
 
@@ -375,30 +452,38 @@ class TestStreamedJson:
             assert not list(out_dir.iterdir())
 
     def test_writing_a_generator_plan_document_leaves_no_garbage(self, tmp_path):
-        history = tie_heavy_history()
-        planner = make_planner("xtree").fit(pool_versions(history))
-        plans = [planner.plan(r) for r in history.versions[3].records]
-        gc.collect()
-        gc.disable()
+        plans = xtree_plans()
+        assert_written_without_garbage(tmp_path / "plans.json", {"plans": plan_docs(plans, False)})
+
+    def test_writing_a_generator_plan_document_with_shared_entries_leaves_no_garbage(
+            self, tmp_path):
+        plans = xtree_plans()
+        assert_written_without_garbage(tmp_path / "plans.json", {"plans": plan_docs(plans, True)})
+
+    @staticmethod
+    def traced_peak(path: Path, entry) -> int:
+        """Peak traced bytes while writing 4,000 ``entry(i)`` from a generator."""
+        _write_json(path, {"plans": [entry(0)]})  # warm up lazy set-up
+        tracemalloc.start()
         try:
-            _write_json(tmp_path / "plans.json", {"plans": (
-                dict(p.to_dict(), refactorings=suggest_refactorings(p)) for p in plans)})
-            assert gc.collect() == 0
+            _write_json(path, {"plans": (entry(i) for i in range(4000))})
+            return tracemalloc.get_traced_memory()[1]
         finally:
-            gc.enable()
+            tracemalloc.stop()
 
     def test_a_streamed_document_is_never_whole_in_memory(self, tmp_path):
         # Python 3.11, 4,000 entries (5.3 MB of JSON): a traced peak of about
         # 46 MiB when the entries were a list joined into one text, about
         # 0.2 MiB when they stream from a generator in batches.
         path = tmp_path / "plans.json"
-        _write_json(path, {"plans": [plan_shaped(0)]})  # warm up lazy set-up
-        tracemalloc.start()
-        try:
-            _write_json(path, {"plans": (plan_shaped(i) for i in range(4000))})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self.traced_peak(path, plan_shaped)
+        assert path.stat().st_size > 5_000_000
+        assert peak < 2 * 2**20
+
+    def test_a_streamed_document_with_shared_entries_is_never_whole_in_memory(self, tmp_path):
+        # The writer keeps one text per distinct shared entry, not per plan.
+        path = tmp_path / "plans.json"
+        peak = self.traced_peak(path, plan_shared)
         assert path.stat().st_size > 5_000_000
         assert peak < 2 * 2**20
 

@@ -383,6 +383,19 @@ class TestWindows:
         assert [r.to_dict() for r in results] == [r.to_dict() for r in refit]
         assert any(r.changes_per_plan.max > 0 for r in results)
 
+    def test_a_planner_refitted_per_window_plans_as_fresh_ones(self):
+        # Each fit starts a fresh memo of moves, so no window plans with a
+        # move of the previous window's tree.
+        project = tie_heavy_history()
+        fresh = [
+            ktest(project, s, s + 1, s + 2, make_planner("xtree").fit(project.versions[s]))
+            for s in evaluate.windows(project)
+        ]
+        results = evaluate_windows(project, make_planner("xtree"))
+        assert len(results) == 2
+        assert [repr(r.to_dict()) for r in results] == [repr(r.to_dict()) for r in fresh]
+        assert all(r.changes_per_plan.max > 0 for r in results)
+
     def test_alves_and_shatnawi_share_one_screen_per_release(self, monkeypatch):
         fits = count_calls(monkeypatch, planners, "fit_univariate_logistic")
         project = tie_heavy_history()

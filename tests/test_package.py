@@ -183,6 +183,37 @@ def test_mutate_swaps_and_with_or():
     ]
 
 
+def test_mutate_swaps_multiplication_with_division():
+    # Outer operators come first; the one inside the raise builds a message.
+    source = "x = a * b / c\ny //= 2\nz *= 3\nraise E(a / b)\n"
+    assert mutated_lines(source) == [
+        ("x = a * b * c", "/ -> *"),
+        ("x = a / b / c", "* -> /"),
+        ("z /= 3", "* -> /"),
+    ]
+
+
+def test_mutate_swaps_min_with_max():
+    # Only the builtins' calls: a method or attribute of that name is kept,
+    # and the raise builds a message.
+    source = ("x = min(a, max(b, c))\ny = np.min(d) + e.max()\nz = max\n"
+              "raise E(min(a))\n")
+    assert mutated_lines(source) == [
+        ("x = max(a, max(b, c))", "min -> max"),
+        ("x = min(a, min(b, c))", "max -> min"),
+        ("y = np.min(d) - e.max()", "+ -> -"),
+    ]
+
+
+def test_mutate_leaves_annotations_alone():
+    # Annotations are never evaluated; a default value and a body are.
+    source = "def f(a: int | None = b | c) -> A | B:\n    d: C | D = a | 1\n"
+    assert mutated_lines(source) == [
+        ("def f(a: int | None=b & c) -> A | B:", "| -> &"),
+        ("    d: C | D = a & 1", "| -> &"),
+    ]
+
+
 def test_mutate_drops_a_not():
     # Each ``not`` of a nested pair is dropped alone; ``is not`` is a
     # comparison, and the raise builds a message.

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import json
 import math
+import pickle
 import random
 import warnings
 from functools import lru_cache
@@ -435,6 +438,190 @@ class TestPlanTargets:
         plans = [planner.plan(r) for r in make_dataset(records).records]
         assert (len(searches), len(enumerations)) == (1, 1)
         assert any(changes_count(p) for p in plans)
+
+
+def records_on_the_cuts_grid(values):
+    """One record per row of ``values``, each over the six metrics that
+    ``random_trees`` split."""
+    return [make_record(f"r{i}", **dict(zip(METRICS[:6], row))) for i, row in enumerate(values)]
+
+
+def twin_split_tree():
+    """loc splits the root; each side splits rfc at its own cut (10 on the
+    low side, 20 on the high side), and each side's high rfc leaf scores 8
+    against its low leaf's 1. Moves on both sides share a metric, range
+    index, direction and position, but not a range."""
+    def side(cut, level):
+        return TreeNode(
+            score=4.5, support=10, level=level,
+            split_bins=BinMap("rfc", (cut,), 0.0, 40.0),
+            children={0: TreeNode(score=1.0, support=5, level=level + 1),
+                      1: TreeNode(score=8.0, support=5, level=level + 1)},
+        )
+
+    return TreeNode(
+        score=4.5, support=20, level=0,
+        split_bins=BinMap("loc", (50.0,), 0.0, 100.0),
+        children={0: side(10.0, 1), 1: side(20.0, 1)},
+    )
+
+
+class TestSharedMoves:
+    """Plans planned with one memo of moves share their Actions; the plans
+    each class gets from ``reference_xtree_plan`` are the oracle, bit for bit."""
+
+    @staticmethod
+    def assert_memoised_plans_match(tree, records, seeds, gamma=0.5):
+        targets = plan_targets(tree, gamma)
+        moves = {}  # one memo for the tree, across seeds
+        for seed in seeds:
+            for record in records:
+                plan = xtree_plan(tree, targets, record, seed, moves=moves)
+                expected = reference_xtree_plan(tree, targets, record, seed)
+                assert plan == expected
+                assert repr(plan) == repr(expected)  # float bits, -0.0 included
+        return moves
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=random_trees(), gamma=st.sampled_from((0.25, 0.5, 0.75)),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+           values=st.lists(st.lists(st.sampled_from((5.0, 10.0, 15.0, 25.0, 35.0)),
+                                    min_size=6, max_size=6), min_size=1, max_size=12))
+    def test_random_trees(self, tree, gamma, seeds, values):
+        self.assert_memoised_plans_match(tree, records_on_the_cuts_grid(values), seeds, gamma)
+
+    @pytest.mark.parametrize("index", range(len(hand_built_trees())))
+    def test_hand_built_trees(self, index):
+        grid = [[a, b, c, 1.0, 1.0, 1.0] for a in (5.0, 35.0) for b in (5.0, 15.0, 60.0)
+                for c in (5.0, 25.0)]
+        records = records_on_the_cuts_grid(grid)
+        records += [make_record(f"loc{loc}", loc=loc, rfc=rfc, wmc=wmc, cbo=cbo)
+                    for loc in (10.0, 90.0) for rfc in (5.0, 30.0)
+                    for wmc in (3.0, 15.0) for cbo in (2.0, 10.0, 20.0)]
+        tree = hand_built_trees()[index]
+        moves = 0
+        for gamma in (0.25, 0.5, 0.9):
+            moves += len(self.assert_memoised_plans_match(tree, records, (0, 7), gamma))
+        assert (moves > 0) == any(t is not None for t in plan_targets(tree, 0.9).values())
+
+    def test_a_metric_split_at_two_cuts_keeps_two_moves(self):
+        records = [make_record("low", loc=10.0, rfc=15.0), make_record("high", loc=90.0, rfc=30.0)]
+        moves = self.assert_memoised_plans_match(twin_split_tree(), records, (0,))
+        ranges = sorted(action.target_range for action in moves.values())
+        assert ranges == [(0.0, 10.0), (0.0, 20.0)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_communities(self, seed):
+        projects = planted_community(seed).projects
+        planner = make_planner("xtree", seed=seed).fit(projects[2].versions[0])
+        changed = 0
+        for project in projects:
+            for record in project.versions[0].records:
+                plan = planner.plan(record)
+                expected = reference_xtree_plan(planner.tree, planner.targets, record, seed)
+                assert plan == expected and repr(plan) == repr(expected)
+                changed += changes_count(plan)
+        assert changed > 0
+
+    def test_a_refit_never_reuses_a_move_of_the_previous_tree(self):
+        history = tie_heavy_history()
+        first, second = history.versions[0], history.versions[2]
+        records = [r for version in history.versions for r in version.records]
+        planner = make_planner("xtree").fit(first)
+        before = [planner.plan(record) for record in records]
+        planner.fit(second)
+        # Keyed by the id of a tree's BinMap, a kept move could be found
+        # again by a later tree's BinMap at a freed one's address.
+        assert planner._moves == {}
+        after = [planner.plan(record) for record in records]
+        fresh = make_planner("xtree").fit(second)
+        assert [repr(p) for p in after] == [repr(fresh.plan(r)) for r in records]
+        old = {id(a) for plan in before for a in plan.actions.values() if a.direction != NO_CHANGE}
+        new = {id(a) for plan in after for a in plan.actions.values() if a.direction != NO_CHANGE}
+        assert old and new and not old & new
+        assert [repr(p) for p in before] != [repr(p) for p in after]
+
+
+class TestPlanEntries:
+    """An Action's entry in ``Plan.to_dict`` is built once, shared and read-only."""
+
+    @staticmethod
+    def entry():
+        return Action(DECREASE, (0.0, 3.0), 1.5)._entry
+
+    @pytest.mark.parametrize("mutate", [
+        lambda e: e.update(action="+"), lambda e: e.setdefault("x", 1),
+        lambda e: e.pop("action"), lambda e: e.pop("missing", None), lambda e: e.popitem(),
+        lambda e: e.clear(),
+    ], ids=["update", "setdefault", "pop", "pop-default", "popitem", "clear"])
+    def test_every_mutator_raises(self, mutate):
+        entry = self.entry()
+        with pytest.raises(TypeError):
+            mutate(entry)
+        assert entry == {"action": DECREASE, "target_low": 0.0, "target_high": 3.0,
+                         "suggested": 1.5}
+
+    def test_in_place_operators_raise(self):
+        entry = self.entry()
+        with pytest.raises(TypeError):
+            entry["action"] = "+"
+        with pytest.raises(TypeError):
+            entry |= {"x": 1}
+        with pytest.raises(TypeError):
+            del entry["suggested"]
+
+    @pytest.mark.parametrize("action", [
+        Action(), Action(INCREASE, (1.0, 2.0)), Action(DECREASE, (-0.0, 0.0), -0.0),
+        Action(DECREASE, (0.0, 3.0), 1.5),
+    ])
+    def test_an_entry_equals_its_plain_dict(self, action):
+        plain = {"action": action.direction}
+        if action.target_range is not None:
+            plain["target_low"], plain["target_high"] = action.target_range
+        if action.suggested is not None:
+            plain["suggested"] = action.suggested
+        entry = action._entry
+        assert entry == plain and plain == entry
+        assert repr(entry) == repr(plain)
+        assert json.dumps(entry, indent=2, sort_keys=True) == json.dumps(
+            plain, indent=2, sort_keys=True)
+        assert entry is action._entry
+
+    def test_copies_and_pickles_are_plain_dicts(self):
+        entry = self.entry()
+        for copied in (copy.copy(entry), copy.deepcopy(entry), entry.copy(),
+                       pickle.loads(pickle.dumps(entry)), dict(entry)):
+            assert type(copied) is dict and copied == entry
+            copied["action"] = "+"
+        assert entry["action"] == DECREASE
+
+    def test_a_copied_action_builds_its_own_read_only_entry(self):
+        action = Action(DECREASE, (0.0, 3.0), 1.5)
+        action._entry  # built before the copy
+        for copied in (copy.deepcopy(action), pickle.loads(pickle.dumps(action))):
+            assert copied == action
+            assert type(copied._entry) is planners._Entry
+            assert copied._entry is not action._entry
+            assert copied._entry == action._entry
+
+    def test_a_plan_document_holds_the_shared_entries(self):
+        plan = threshold_plan([ThresholdRule("loc", 3.0)], make_record("A", loc=5.0))
+        doc = plan.to_dict()
+        assert doc["actions"]["loc"] is plan.actions["loc"]._entry
+        doc["actions"]["loc"] = {"action": "+"}  # the plan's own dict stays mutable
+        assert plan.to_dict()["actions"]["loc"]["action"] == DECREASE
+        assert json.loads(json.dumps(plan.to_dict()))["actions"]["loc"] == {
+            "action": DECREASE, "target_low": 0.0, "target_high": 3.0}
+
+    def test_the_no_change_entry_is_one_object(self):
+        train = tie_heavy_community().projects[0].versions[0]
+        entries = {id(no_change_plan("A", "test").to_dict()["actions"]["loc"])}
+        for name in ("xtree", "alves", "oliveira"):
+            planner = make_planner(name).fit(train)
+            for record in train.records:
+                actions = planner.plan(record).to_dict()["actions"]
+                entries |= {id(e) for e in actions.values() if e["action"] == NO_CHANGE}
+        assert entries == {id(planners._KEEP._entry)}
 
 
 class TestAlves:
@@ -897,14 +1084,18 @@ class TestFollowedPlans:
         assert decreased > 0
 
 
-def unmet_conditions(planner, record):
-    """Conditions of the record's desired branch it does not yet satisfy."""
+def move_keys(planner, record):
+    """The record's moves by metric, range index, direction and position
+    among its plan's changes: the conditions of its desired branch that it
+    does not yet satisfy."""
     desired = planner.targets[locate(planner.tree, record).conditions]
-    node, unmet = planner.tree, 0
+    node, keys = planner.tree, []
     for metric, index in desired.conditions if desired is not None else ():
-        unmet += apply_bins(node.split_bins, record.metrics[metric]) != index
+        idx = apply_bins(node.split_bins, record.metrics[metric])
+        if idx != index:
+            keys.append((metric, index, INCREASE if idx < index else DECREASE, len(keys)))
         node = node.children[index]
-    return unmet
+    return keys
 
 
 class TestPlanAllocation:
@@ -963,16 +1154,30 @@ class TestPlanAllocation:
         assert constructed == []
         assert 0 < broken < 30 * len(rules)
 
-    def test_xtree_plan_constructs_one_action_per_unmet_condition(self, constructed):
+    def test_a_fit_constructs_one_action_per_distinct_move(self, constructed):
         project = tie_heavy_community().projects[0]
         planner = XTreePlanner().fit(pool_versions(project))
-        counts = []
-        for record in project.versions[1].records:
-            before = len(constructed)
-            planner.plan(record)
-            counts.append(len(constructed) - before)
-            assert counts[-1] == unmet_conditions(planner, record)
-        assert 0 in counts and max(counts) >= 2
+        records = project.versions[1].records
+        plans = [planner.plan(record) for record in records]
+        keys = [move_keys(planner, record) for record in records]
+        distinct = {key for plan_keys in keys for key in plan_keys}
+        assert len(constructed) == len(distinct)
+        assert 0 < len(distinct) < sum(map(len, keys))  # some plans share a move
+        assert {len(plan_keys) for plan_keys in keys} >= {0, 2}
+        assert [changes_count(plan) for plan in plans] == list(map(len, keys))
+        by_key = {}  # equal moves are one Action
+        for plan, plan_keys in zip(plans, keys):
+            for key in plan_keys:
+                action = plan.actions[key[0]]
+                assert by_key.setdefault(key, action) is action
+
+        # The same records again: every move comes from the memo.
+        del constructed[:]
+        again = [planner.plan(record) for record in records]
+        assert constructed == []
+        for first, second in zip(plans, again):
+            assert first == second
+            assert all(first.actions[m] is second.actions[m] for m in METRICS)
 
     def test_plans_never_share_an_actions_dict(self):
         train = tie_heavy_community().projects[0].versions[0]
