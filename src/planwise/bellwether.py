@@ -1,12 +1,13 @@
 """Exemplar-project discovery.
 
 A community's exemplar ("bellwether") is the project whose pooled data
-trains the best defect predictor for the other projects. Each source's
-defect tree is grown by ``XTreePlanner().grow``, the tree xtree plans with
-at its default options. Cross-project plans then come from
-``make_planner("belltree")`` fitted on that exemplar's pooled data instead
-of local history. ``exemplar_train`` finds that exemplar without the
-target, so belltree never trains on what it is scored on.
+(``pool_versions``: each class once, as its latest row) trains the best
+defect predictor for the other projects. Each source's defect tree is grown
+by ``XTreePlanner().grow``, the tree xtree plans with at its default
+options. Cross-project plans then come from ``make_planner("belltree")``
+fitted on that exemplar's pooled data instead of local history.
+``exemplar_train`` finds that exemplar without the target, so belltree
+never trains on what it is scored on.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ def discover(
 ) -> BellwetherReport:
     """Round-robin search for the community's exemplar project.
 
-    Every project's pooled data trains a defect tree that is scored against
-    every other project; the exemplar is the source with the highest median
-    cross-project score (ties resolved to the lexicographically first name).
-    One pooled source is alive at a time: a target is scored on its releases'
-    records in release order, the rows and labels of its pooled copy. Each
-    target's labels are read once per discovery; a pair's confusion counts
-    follow from its per-record predictions and the target's positives.
+    Every project's pooled data, one row per class, trains a defect tree
+    that is scored against every other project; the exemplar is the source
+    with the highest median cross-project score (ties resolved to the
+    lexicographically first name). One pooled source is alive at a time. A
+    target is scored on every record of every release, in release order, so
+    a class counts once per release it lives through. Each target's labels
+    are read once per discovery; a pair's confusion counts follow from its
+    per-record predictions and the target's positives.
     """
     if len(community.projects) < 2:
         raise ValueError("bellwether discovery needs at least two projects")
@@ -131,10 +133,11 @@ def discover(
 def exemplar_train(
     community: Community, target: Project, quality_measure: str = "g-score"
 ) -> VersionedDataset:
-    """The pooled exemplar that belltree trains on to plan for ``target``: the
-    bellwether of the other projects, leaving out any project named like the
-    target or holding a release with the records of one of its releases, in
-    any row order and under any labels. At least two must remain."""
+    """The pooled exemplar that belltree trains on to plan for ``target``,
+    each of its classes once as its latest row: the bellwether of the other
+    projects, leaving out any project named like the target or holding a
+    release with the records of one of its releases, in any row order and
+    under any labels. At least two must remain."""
     held = {frozenset(v.records) for v in target.versions}
     others = tuple(
         p for p in community.projects

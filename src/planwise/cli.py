@@ -194,7 +194,8 @@ def _add_options(parser: argparse.ArgumentParser, planners, only=None) -> None:
 
 
 def _load_train(paths: list[str]) -> VersionedDataset:
-    """The training CSVs, pooled as releases of one project."""
+    """The training CSVs as releases of one project, pooled: each class
+    once, as its row in the latest release that holds it."""
     return pool_versions(load_project(paths))
 
 
@@ -361,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                           **fmt)
     plan.add_argument("--planner", required=True, choices=PLANNER_NAMES)
     plan.add_argument("--train", nargs="+", required=True,
-                      help="training CSV(s); several files are pooled")
+                      help="training CSV(s); several files are pooled, each class "
+                           "as its latest row")
     plan.add_argument("--test", required=True, help="release CSV to plan for")
     plan.add_argument("--out", required=True)
     plan.add_argument("--format", choices=("json", "csv"), default="json")

@@ -388,24 +388,15 @@ def load_community(root: str | Path) -> Community:
 
 
 def pool_versions(project: Project) -> VersionedDataset:
-    """Pool all releases of a project into one training dataset.
+    """Pool a project's releases into one training dataset, release ``pooled``.
 
-    Class names colliding across releases are disambiguated with a version
-    prefix, repeated while the name is taken (releases may share a label),
-    so the pooled dataset keeps the unique-name invariant.
+    Each class enters once, as the record of the latest release that holds
+    it (the release's own ``ClassRecord``), so a class that lives through
+    several releases counts as one row and a class that died earlier is
+    kept. Classes keep the order in which they first appear.
     """
-    records: list[ClassRecord] = []
-    seen: set[str] = set()
-    for version in project.versions:
-        for rec in version.records:
-            name = rec.class_name
-            if name in seen:
-                while name in seen:
-                    name = f"{version.version}:{name}"
-                rec = ClassRecord(name, rec.values, rec.defects)
-            seen.add(name)
-            records.append(rec)
-    return VersionedDataset(project.name, "pooled", tuple(records))
+    latest = {rec.class_name: rec for version in project.versions for rec in version.records}
+    return VersionedDataset(project.name, "pooled", tuple(latest.values()))
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -88,8 +88,10 @@ class KTestResult:
     """Outcome of one train/plan/validate window for one planner.
 
     ``versions`` maps ``train``, ``test`` and ``validation`` to the window's
-    release labels. ``plan_changes`` is each plan's count of changed
-    metrics, in record order, which ``changes_per_plan`` summarises.
+    release labels; an external training set that ``evaluate_windows``
+    fitted is named ``<project>-<version>`` instead, as in ``alpha-pooled``.
+    ``plan_changes`` is each plan's count of changed metrics, in record
+    order, which ``changes_per_plan`` summarises.
     ``followed`` counts the matched classes whose plan was not empty and
     whose developers made every planned move, then the defects those
     classes lost and gained. ``to_dict`` is the result's JSON document,
@@ -242,7 +244,8 @@ def evaluate_windows(
     """Fit and score every consecutive three-release window.
 
     Each window fits ``planner`` on its first release; an external ``train``
-    (cross-project planning) is fitted once and serves every window.
+    (cross-project planning) is fitted once, serves every window, and is
+    each result's ``versions["train"]``.
     """
     starts = windows(project)
     _check_epsilon(epsilon)  # before any fit
@@ -252,5 +255,8 @@ def evaluate_windows(
     for s in starts:
         if train is None:
             planner.fit(project.versions[s])
-        results.append(ktest(project, s, s + 1, s + 2, planner, epsilon))
+        result = ktest(project, s, s + 1, s + 2, planner, epsilon)
+        if train is not None:
+            result.versions["train"] = f"{train.project}-{train.version}"
+        results.append(result)
     return results

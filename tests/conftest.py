@@ -61,6 +61,24 @@ def write_csv(dataset: VersionedDataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
+def stacked_releases(project: Project) -> VersionedDataset:
+    """Every record of every release of ``project``, in release order, as one
+    dataset. A class name already taken is prefixed with its release's label,
+    again while it is taken (``A``, ``2:A``, ``3:2:A``). Tests whose recorded
+    values were taken on this stack feed it as their input data; pooling
+    itself keeps one row per class (``pool_versions``)."""
+    records: list[ClassRecord] = []
+    seen: set[str] = set()
+    for version in project.versions:
+        for rec in version.records:
+            name = rec.class_name
+            while name in seen:
+                name = f"{version.version}:{name}"
+            seen.add(name)
+            records.append(ClassRecord(name, rec.values, rec.defects))
+    return VersionedDataset(project.name, "pooled", tuple(records))
+
+
 def changes_count(plan) -> int:
     """Number of metrics a plan asks to change."""
     return sum(a.direction != NO_CHANGE for a in plan.actions.values())
@@ -236,16 +254,21 @@ def planted_history(
     return make_project(versions, name="planted")
 
 
-def followed_tallies(project: Project, planners: dict) -> tuple[dict[str, int], dict[str, float]]:
+def followed_tallies(
+    project: Project, planners: dict
+) -> tuple[dict[str, int], dict[str, float | None]]:
     """Two sums over ``evaluate_windows(project, make_planner(name), train=train)``
     for each entry ``label: (name, train)`` of ``planners``: the defects lost
     by classes that followed their plans, and the rate, those defects less the
-    ones the same classes gained, per planned metric change."""
-    reduced, rate = {}, {}
+    ones the same classes gained, per planned metric change. A planner that
+    plans no change has the rate None, as 0/0 is undefined."""
+    reduced: dict[str, int] = {}
+    rate: dict[str, float | None] = {}
     for label, (name, train) in planners.items():
         results = evaluate_windows(project, make_planner(name), train=train)
         _, reduced[label], increased = (sum(c) for c in zip(*(r.followed for r in results)))
-        rate[label] = (reduced[label] - increased) / sum(sum(r.plan_changes) for r in results)
+        changes = sum(sum(r.plan_changes) for r in results)
+        rate[label] = (reduced[label] - increased) / changes if changes else None
     return reduced, rate
 
 

@@ -86,20 +86,34 @@ class TestOtherQualityMeasures:
                                     "recall": recall_score, "precision": precision_score}
 
 
+def latest_rows(project):
+    """Each class of ``project`` once, as its record in the latest release
+    that holds it, in the order the classes first appear."""
+    latest = {}
+    for version in reversed(project.versions):
+        for rec in version.records:
+            latest.setdefault(rec.class_name, rec)
+    first = dict.fromkeys(r.class_name for v in project.versions for r in v.records)
+    return VersionedDataset(project.name, "pooled", tuple(map(latest.get, first)))
+
+
 def pool_everything_discover(community, quality_measure="g-score"):
-    """The earlier ``discover``, which pooled every project before scoring
-    and scored each target against its pooled copy."""
+    """The earlier ``discover``, which pooled every project before scoring:
+    each source trains on ``latest_rows``, and each target is scored on
+    every row of every release."""
     measure = QUALITY_MEASURES[quality_measure]
-    pooled = {p.name: pool_versions(p) for p in community.projects}
-    names = sorted(pooled)
+    projects = {p.name: p for p in community.projects}
+    names = sorted(projects)
+    rows = {name: [r for v in projects[name].versions for r in v.records] for name in names}
     scores, medians = {}, {}
     for source in names:
-        tree = build_tree(pooled[source], fit_bins(pooled[source]))
+        train = latest_rows(projects[source])
+        tree = build_tree(train, fit_bins(train))
         row = {}
         for target in names:
             if target == source:
                 continue
-            records = pooled[target].records
+            records = rows[target]
             if len({r.is_defective() for r in records}) < 2:
                 row[target] = None
                 continue
@@ -119,13 +133,21 @@ def pool_everything_discover(community, quality_measure="g-score"):
     )
 
 
-def planted_releases(seed: int, releases: int = 3) -> Community:
+def planted_releases(seed: int, releases: int = 3, turnover: int = 0) -> Community:
     """``planted_community`` drawn ``releases`` times as the releases of each
-    project, so every class name recurs in each later release."""
+    project, so every class name recurs in each later release. With
+    ``turnover``, each release after the first renames that many of its
+    first classes (``a0`` becomes ``a0@1``), so those classes of one release
+    die before the next, and fresh ones are added."""
     draws = [planted_community(seed=seed + order, n=60) for order in range(releases)]
+
+    def renamed(records, order):
+        return [ClassRecord(f"{r.class_name}@{order}", r.values, r.defects)
+                if order and i < turnover else r for i, r in enumerate(records)]
+
     return Community(tuple(
         Project(name, tuple(
-            make_dataset(list(draw.get(name).versions[0].records), project=name,
+            make_dataset(renamed(draw.get(name).versions[0].records, order), project=name,
                          version=str(order + 1))
             for order, draw in enumerate(draws)
         ))
@@ -134,10 +156,12 @@ def planted_releases(seed: int, releases: int = 3) -> Community:
 
 
 # Single-release planted communities over several seeds, planted projects
-# whose class names recur in every release, and the tie-heavy community.
+# whose class names recur in every release or turn over, and the tie-heavy
+# community.
 COMMUNITIES = {
     **{f"planted-{seed}": partial(planted_community, seed=seed) for seed in (1, 4, 8)},
     **{f"releases-{seed}": partial(planted_releases, seed) for seed in (11, 30)},
+    "turnover-11": partial(planted_releases, 11, turnover=20),
     "tie-heavy": tie_heavy_community,
 }
 
@@ -201,8 +225,9 @@ class TestDiscover:
 
     def test_scores_one_record_per_predict_defective_call(self, monkeypatch):
         # Per-record prediction is a contract: traces count these calls, so
-        # batching the predictions must fail here.
-        community = planted_community(seed=2, n=60)
+        # batching the predictions must fail here. Every row of every
+        # release is scored, not only the rows a pool keeps.
+        community = planted_releases(seed=2, turnover=20)
         clean = Project(
             "allclean",
             (make_dataset([make_record(f"z{i}") for i in range(25)], project="allclean"),),
@@ -210,13 +235,13 @@ class TestDiscover:
         community = Community(community.projects + (clean,))
         calls = count_calls(monkeypatch, bellwether, "predict_defective")
         discover(community)
-        pooled = {p.name: pool_versions(p) for p in community.projects}
+        rows = {p.name: [r for v in p.versions for r in v.records] for p in community.projects}
         scorable = [
-            name for name, ds in pooled.items()
-            if len({r.is_defective() for r in ds.records}) == 2
+            name for name, records in rows.items()
+            if len({r.is_defective() for r in records}) == 2
         ]
         expected = sum(
-            len(pooled[target]) for source in pooled for target in scorable
+            len(rows[target]) for source in rows for target in scorable
             if target != source
         )
         assert "allclean" not in scorable

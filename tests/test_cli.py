@@ -343,9 +343,12 @@ class TestBelltreeEvaluation:
             ]
         )
         assert code == EXIT_OK
-        doc = json.loads((out_dir / "exemplar-1-2-3-belltree.json").read_text())
+        name = f"exemplar-{source.name}-pooled-2-3-belltree.json"
+        doc = json.loads((out_dir / name).read_text())
         want = json.loads(json.dumps(expected[0].to_dict()))
         assert doc == dict(want, schema_version="1")
+        assert doc["versions"] == {"train": f"{source.name}-pooled", "test": "2",
+                                   "validation": "3"}
 
     @pytest.mark.parametrize("removed", [["beta"], ["alpha", "beta"]])
     def test_fewer_than_two_other_projects_fails(
@@ -458,9 +461,9 @@ class TestBelltreeEvaluation:
         community = load_community(root)
         others = Community((community.get("alpha"), community.get("beta")))
         target = Project("exemplar", community.get("apache-exemplar").versions)
+        source = discover(others).bellwether
         expected = evaluate_windows(
-            target, make_planner("belltree"),
-            train=pool_versions(others.get(discover(others).bellwether)),
+            target, make_planner("belltree"), train=pool_versions(others.get(source)),
         )
         calls = []
         monkeypatch.setattr(
@@ -472,13 +475,15 @@ class TestBelltreeEvaluation:
                      "--project-dir", str(root / "apache-exemplar"),
                      "--out-dir", str(out_dir)])
         assert code == EXIT_OK
-        doc = json.loads((out_dir / "exemplar-1-2-3-belltree.json").read_text())
+        doc = json.loads((out_dir / f"exemplar-{source}-pooled-2-3-belltree.json").read_text())
         assert doc == dict(json.loads(json.dumps(expected[0].to_dict())), schema_version="1")
         assert calls == [["alpha", "beta"]]
 
 
 class TestOtherCommands:
     def test_several_train_files_are_pooled(self, toy_project_dir, tmp_path):
+        # The toy releases hold the same 60 classes, so two files pool to
+        # the later one's rows.
         train = [str(toy_project_dir / f"toy-{v}.csv") for v in ("1.0", "1.1")]
         test = str(toy_project_dir / "toy-1.2.csv")
         runs = {
@@ -486,16 +491,19 @@ class TestOtherCommands:
             "thresholds": ["--planner", "alves"],
             "tree": [],
         }
+        docs = {}
         for command, extra in runs.items():
-            out = tmp_path / f"{command}.json"
-            argv = [command, "--train", *train, *extra, "--out", str(out)]
-            assert main(argv) == EXIT_OK
-        tree = json.loads((tmp_path / "tree.json").read_text())
-        assert tree["tree"]["support"] == 120
-        plans = json.loads((tmp_path / "plan.json").read_text())
-        assert plans["train"] == train
+            for files in (train, train[1:]):
+                out = tmp_path / f"{command}-{len(files)}.json"
+                assert main([command, "--train", *files, *extra, "--out", str(out)]) == EXIT_OK
+                docs[command, len(files)] = json.loads(out.read_text())
+        assert docs["tree", 2]["tree"]["support"] == 60
+        plans = docs["plan", 2]
+        assert plans.pop("train") == train and docs["plan", 1].pop("train") == train[1:]
         assert len(plans["plans"]) == 60
-        assert json.loads((tmp_path / "thresholds.json").read_text())["rules"]
+        assert docs["thresholds", 2]["rules"]
+        for command in runs:
+            assert docs[command, 2] == docs[command, 1], command
 
     @pytest.mark.parametrize("options", [{}, {"min_leaf": 1, "max_depth": 20}],
                              ids=["defaults", "deep"])
@@ -717,7 +725,8 @@ OPTION_SURFACE = {
         ("<options>", [
             _HELP,
             (("--planner",), None, None, None),
-            (("--train",), None, None, "training CSV(s); several files are pooled"),
+            (("--train",), None, None,
+             "training CSV(s); several files are pooled, each class as its latest row"),
             (("--test",), None, None, "release CSV to plan for"),
             (("--out",), None, None, None),
             (("--format",), None, "json", None),
@@ -920,7 +929,7 @@ class TestNumpyLoadsOnlyWhereUsed:
             "evaluate", "--planner", "belltree", "--community", str(exemplar_community_dir),
             "--target", "exemplar", "--out-dir", str(out_dir),
         ])
-        assert (out_dir / "exemplar-1-2-3-belltree.json").exists()
+        assert (out_dir / "exemplar-alpha-pooled-2-3-belltree.json").exists()
 
     def test_importing_the_cli_loads_neither_numpy_nor_statistics(self):
         assert not fresh_modules([]) & ({"numpy"} | STATISTICS_IMPORTS)

@@ -883,37 +883,62 @@ class TestPoolingAndOrdering:
         assert project.name == "beta"
         assert [v.version for v in project.versions] == ["0", "0"]
         assert [v.records[0].metrics["loc"] for v in project.versions] == [0.0, 1.0]
-        assert len(pool_versions(project)) == 2
+
+    def test_a_class_that_dies_before_the_last_release_is_kept(self):
+        v1 = make_dataset([make_record("A", loc=1), make_record("B", loc=1)], version="1")
+        v2 = make_dataset([make_record("B", loc=2)], version="2")
+        pooled = pool_versions(Project("p", (v1, v2)))
+        assert pooled.records == (v1.records[0], v2.records[0])
+        assert (pooled.project, pooled.version) == ("p", "pooled")
+
+    def test_a_class_added_late_is_kept(self):
+        v1 = make_dataset([make_record("A", loc=1)], version="1")
+        v2 = make_dataset([make_record("A", loc=2), make_record("B", loc=2)], version="2")
+        v3 = make_dataset([make_record("A", loc=3), make_record("C", loc=3)], version="3")
+        pooled = pool_versions(Project("p", (v1, v2, v3)))
+        assert pooled.records == (v3.records[0], v2.records[1], v3.records[1])
+
+    def test_a_class_in_several_releases_keeps_its_latest_values(self):
+        versions = tuple(make_dataset([make_record("A", defects=n, loc=n)], version=str(n))
+                         for n in range(4))
+        (kept,) = pool_versions(Project("p", versions)).records
+        assert (kept.metrics["loc"], kept.defects) == (3.0, 3)
 
     def test_pool_versions_keeps_names_unique(self):
-        v1 = make_dataset([make_record("A", loc=1)], version="1")
-        v2 = make_dataset([make_record("A", loc=2)], version="2")
-        pooled = pool_versions(Project("p", (v1, v2)))
-        assert len(pooled) == 2
-        assert {r.class_name for r in pooled.records} == {"A", "2:A"}
-
-    def test_releases_sharing_a_label_pool_with_repeated_prefixes(self):
-        versions = [make_dataset([make_record("C0", loc=n), make_record(f"D{n}")], version="0")
-                    for n in range(4)]
-        pooled = pool_versions(Project("p", tuple(versions)))
-        assert [r.class_name for r in pooled.records] == [
-            "C0", "D0", "0:C0", "D1", "0:0:C0", "D2", "0:0:0:C0", "D3",
-        ]
-        assert [r.metrics["loc"] for r in pooled.records[::2]] == [0.0, 1.0, 2.0, 3.0]
-
-    def test_a_prefixed_name_taken_by_a_later_class_is_prefixed_again(self):
-        v1 = make_dataset([make_record("A")], version="2")
+        # Releases sharing a label, and a class named like a prefixed copy.
+        v1 = make_dataset([make_record("A", loc=1)], version="2")
         v2 = make_dataset([make_record("A", loc=2), make_record("2:A", loc=3)], version="2")
         pooled = pool_versions(Project("p", (v1, v2)))
-        assert [r.class_name for r in pooled.records] == ["A", "2:A", "2:2:A"]
+        assert pooled.records == v2.records
 
     def test_unlabelled_files_pool_however_many_there_are(self, tmp_path):
+        # Unlabelled files keep the order they are given in: the later wins.
         header = "name," + ",".join(METRICS) + ",bug"
         paths = [tmp_path / f"{stem}.csv" for stem in ("alpha", "beta", "gamma", "delta")]
-        for path in paths:
-            write_rows(path, ["C0," + ",".join(["1"] * len(METRICS)) + ",0"], header=header)
-        pooled = pool_versions(load_project(paths))
-        assert [r.class_name for r in pooled.records] == ["C0", "0:C0", "0:0:C0", "0:0:0:C0"]
+        for loc, path in enumerate(paths):
+            rows = [name + "," + ",".join([str(float(loc))] * len(METRICS)) + ",0"
+                    for name in ("C0", f"D{loc}")]
+            write_rows(path, rows, header=header)
+        for given in (paths, paths[::-1]):
+            pooled = pool_versions(load_project(given))
+            order = [paths.index(path) for path in given]
+            assert [r.class_name for r in pooled.records] == ["C0", *(f"D{k}" for k in order)]
+            assert pooled.records[0].metrics["loc"] == order[-1]
+
+    @given(st.lists(st.sets(st.sampled_from("ABCDEF"), min_size=1), min_size=1, max_size=5),
+           st.booleans())
+    def test_every_pooled_record_is_the_latest_releases_record(self, releases, one_label):
+        versions = tuple(
+            make_dataset([make_record(name, loc=k) for name in sorted(names)],
+                         version="0" if one_label else str(k))
+            for k, names in enumerate(releases)
+        )
+        pooled = pool_versions(Project("p", versions))
+        names = list(dict.fromkeys(r.class_name for v in versions for r in v.records))
+        assert [r.class_name for r in pooled.records] == names
+        for rec in pooled.records:
+            latest = [v for v in versions if rec.class_name in v.by_name()][-1]
+            assert rec is latest.by_name()[rec.class_name]
 
 
 def test_jureczko_ant_17_has_745_records(jureczko_root):

@@ -380,6 +380,13 @@ class TestWindows:
         results = evaluate_windows(project, XTreePlanner(min_leaf=5), train=train)
         assert [data for _, data in fits] == [train]
         assert len(windows) == 3
+        # The windows name the fitted set; a direct ktest names release i.
+        assert [r.versions for r in results] == [
+            {"train": "proj-x", "test": str(s + 2), "validation": str(s + 3)} for s in range(3)
+        ]
+        assert [r.versions["train"] for r in refit] == ["1", "2", "3"]
+        for r in refit:
+            r.versions["train"] = "proj-x"
         assert [r.to_dict() for r in results] == [r.to_dict() for r in refit]
         assert any(r.changes_per_plan.max > 0 for r in results)
 

@@ -15,6 +15,11 @@ recorded while every plan still built a fresh ``Action`` for every metric,
 so they pin the shared no-change action, the set-free plan check and the
 item-set overlap to the per-key results: any change to a curve, an area, a
 changes-per-plan summary or a matched count changes them.
+
+The tree, discovery and pooled plan digests were recorded while pooling
+stacked every row of every release, so they take that stack,
+``conftest.stacked_releases``, as their input data; ``pool_versions`` now
+keeps one row per class, and its own tests are in ``test_datasets``.
 """
 
 import hashlib
@@ -22,13 +27,13 @@ import json
 
 import pytest
 
+from planwise import bellwether
 from planwise.bellwether import discover
-from planwise.datasets import pool_versions
 from planwise.evaluate import evaluate_windows
 from planwise.planners import XTreePlanner, make_planner
 from planwise.tree import build_tree, fit_bins, tree_to_dict
 
-from conftest import tie_heavy_community, tie_heavy_history
+from conftest import stacked_releases, tie_heavy_community, tie_heavy_history
 
 
 def _sha(doc) -> str:
@@ -60,8 +65,8 @@ EXPECTED_DISCOVER = (
 )
 
 # (fit, gamma) -> digest of the plans for every class of one release. A
-# pooled fit on p0 plans p1's second release; a single-release fit on p2's
-# first release plans its second.
+# fit on p0's stacked releases plans p1's second release; a single-release
+# fit on p2's first release plans its second.
 EXPECTED_PLANS = {
     ("pooled", 0.3): (
         "de0d256a50fbde194f5a149a910231b5c0868da623f17b24ebe98cb5e58417a1"
@@ -108,12 +113,13 @@ def community():
 @pytest.mark.parametrize("name,min_leaf", sorted(EXPECTED_TREES, key=str))
 def test_tree_digest(community, name, min_leaf):
     project = next(p for p in community.projects if p.name == name)
-    pooled = pool_versions(project)
+    pooled = stacked_releases(project)
     tree = build_tree(pooled, fit_bins(pooled), min_leaf=min_leaf)
     assert _sha(tree_to_dict(tree)) == EXPECTED_TREES[(name, min_leaf)]
 
 
-def test_discover_digest(community):
+def test_discover_digest(community, monkeypatch):
+    monkeypatch.setattr(bellwether, "pool_versions", stacked_releases)
     assert _sha(discover(community).to_dict()) == EXPECTED_DISCOVER
 
 
@@ -121,7 +127,7 @@ def test_discover_digest(community):
 def test_plan_digest(community, fit, gamma):
     projects = {p.name: p for p in community.projects}
     if fit == "pooled":
-        train, release = pool_versions(projects["p0"]), projects["p1"].versions[1]
+        train, release = stacked_releases(projects["p0"]), projects["p1"].versions[1]
     else:
         train, release = projects["p2"].versions[0], projects["p2"].versions[1]
     planner = XTreePlanner(gamma=gamma).fit(train)

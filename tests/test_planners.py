@@ -44,6 +44,7 @@ from conftest import (
     make_record,
     planted_community,
     random_trees,
+    stacked_releases,
     tie_heavy_community,
     tie_heavy_history,
     unpopulated_middle_tree,
@@ -1155,8 +1156,9 @@ class TestPlanAllocation:
         assert 0 < broken < 30 * len(rules)
 
     def test_a_fit_constructs_one_action_per_distinct_move(self, constructed):
+        # Both releases' rows: one release's tree plans no class two moves.
         project = tie_heavy_community().projects[0]
-        planner = XTreePlanner().fit(pool_versions(project))
+        planner = XTreePlanner().fit(stacked_releases(project))
         records = project.versions[1].records
         plans = [planner.plan(record) for record in records]
         keys = [move_keys(planner, record) for record in records]
@@ -1294,7 +1296,9 @@ class TestPlannerInterface:
     @pytest.mark.parametrize(
         "options", [{"max_depth": 2}, {"min_leaf": 40}, {"max_depth": 3, "min_leaf": 20}])
     def test_grow_grows_at_the_planners_depth_and_leaf_size(self, options):
-        train = pool_versions(tie_heavy_community().projects[0])
+        # Both releases' rows: one release's tree is too small for these
+        # options to change it.
+        train = stacked_releases(tie_heavy_community().projects[0])
         grown = tree_to_dict(make_planner("xtree", **options).grow(train))
         assert grown == tree_to_dict(build_tree(train, fit_bins(train), **options))
         assert grown != tree_to_dict(make_planner("xtree").grow(train))
