@@ -1,11 +1,8 @@
 """Command-line surface for planning, exemplar discovery, and evaluation.
 
-Every command is a pure function of its input files and options: re-running
-with the same configuration produces byte-identical outputs. Every numeric
-option can also be set through its ``PLANWISE_``-prefixed environment
-variable (e.g. ``PLANWISE_GAMMA=0.4``, ``PLANWISE_MIN_LEAF=8``); explicit
-flags win, and ``--format``/``--quality-measure`` have no such twin. A bad
-value fails only the commands that take that option, with a usage error.
+Every command is a pure function of its input files and command-line
+options: re-running it with the same arguments produces byte-identical
+outputs. No option is read from the environment.
 """
 
 from __future__ import annotations
@@ -48,12 +45,6 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _env(name: str, fallback):
-    # A raw string: argparse casts a string default with the option's type
-    # only for the subcommand being parsed, so a bad value fails only there.
-    return os.environ.get(f"PLANWISE_{name}", fallback)
 
 
 # Encoder chunks held before each write: a document is never whole in memory.
@@ -155,7 +146,7 @@ def _write_csv(path: Path, rows, newline: str = "\n") -> None:
 
 # Every planner option by --help group: name -> (type, help). A command
 # registers those its planners take, each with the default its planner
-# declares in PLANNERS; PLANWISE_<NAME> overrides that default.
+# declares in PLANNERS.
 OPTION_GROUPS = {
     "planner options": {
         "gamma": (float, "better-sibling score factor for the tree planners"),
@@ -187,10 +178,8 @@ def _add_options(parser: argparse.ArgumentParser, planners, only=None) -> None:
         group = parser.add_argument_group(title)
         for name in names:
             kind, text = options[name]
-            group.add_argument(
-                "--" + name.replace("_", "-"), type=kind,
-                default=_env(name.upper(), defaults[name]), help=text,
-            )
+            group.add_argument("--" + name.replace("_", "-"), type=kind,
+                               default=defaults[name], help=text)
 
 
 def _load_train(paths: list[str]) -> VersionedDataset:
@@ -308,11 +297,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     # 1-based positions when two releases share a label (unlabelled files).
     labels = [version.version for version in project.versions]
     by_position = len(set(labels)) < len(labels)
+    # Every planner scores before anything is written, so a planner that
+    # fails leaves no result of the others behind.
+    scored = [
+        evaluate_windows(project, make_planner(name, **vars(args)), epsilon=args.epsilon,
+                         train=belltree_train if name == "belltree" else None)
+        for name in names
+    ]
     rows = []
-    for name in names:
-        planner = make_planner(name, **vars(args))
-        train = belltree_train if name == "belltree" else None
-        results = evaluate_windows(project, planner, epsilon=args.epsilon, train=train)
+    for results in scored:
         for window, result in enumerate(results, start=1):
             versions = range(window, window + 3) if by_position else result.versions.values()
             json_path, curve_path = _result_paths(out_dir, result.project, versions, result.planner)
@@ -387,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--target", help="project to evaluate when using --community")
     ev.add_argument("--out-dir", required=True,
                     help="result directory; keep it outside the data directories")
-    ev.add_argument("--epsilon", type=float, default=_env("EPSILON", 0.0),
+    ev.add_argument("--epsilon", type=float, default=0.0,
                     help="relative tolerance when diffing developer changes")
     ev.add_argument("--quality-measure", choices=sorted(QUALITY_MEASURES),
                     default="g-score")
@@ -418,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a DatasetError is a ValueError
         print(f"planwise: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

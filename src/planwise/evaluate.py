@@ -257,6 +257,7 @@ def evaluate_windows(
             planner.fit(project.versions[s])
         result = ktest(project, s, s + 1, s + 2, planner, epsilon)
         if train is not None:
-            result.versions["train"] = f"{train.project}-{train.version}"
+            result = replace(result, versions=dict(
+                result.versions, train=f"{train.project}-{train.version}"))
         results.append(result)
     return results

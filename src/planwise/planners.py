@@ -187,11 +187,12 @@ def plan_targets(tree: TreeNode, gamma: float = DEFAULT_GAMMA) -> PlanTargets:
     """Each leaf's desired branch, keyed by the leaf's conditions.
 
     A leaf's candidates are the other leaves scoring below ``gamma`` times
-    its score. The search ascends from the leaf's parent and stops at the
-    first ancestor with a candidate below it, so the winner is the candidate
-    sharing the longest condition prefix with the leaf; ties go to fewest
-    differing conditions, then lower score, then branch order. A leaf
-    without candidates maps to None.
+    its score. They are ranked by the longest condition prefix shared with
+    the leaf, then the fewest differing conditions, then the lower score,
+    then branch order, and the first wins. That is the candidate an ascent
+    from the leaf's parent would pick, stopping at the first ancestor with
+    a candidate below it and breaking ties the same way. A leaf without
+    candidates maps to None.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")

@@ -480,6 +480,56 @@ class TestBelltreeEvaluation:
         assert calls == [["alpha", "beta"]]
 
 
+# The environment variables that once set an option, each with a valid
+# value other than the option's default; PLANWISE_FORMAT and
+# PLANWISE_QUALITY_MEASURE never did.
+FORMER_VARIABLES = {
+    "PLANWISE_GAMMA": "0.25", "PLANWISE_SEED": "7", "PLANWISE_MAX_DEPTH": "2",
+    "PLANWISE_MIN_LEAF": "30", "PLANWISE_PERCENTILE": "40", "PLANWISE_P0": "0.5",
+    "PLANWISE_P1": "0.5", "PLANWISE_MIN_COMPLIANCE": "60", "PLANWISE_TAIL": "60",
+    "PLANWISE_EPSILON": "0.5", "PLANWISE_FORMAT": "csv",
+    "PLANWISE_QUALITY_MEASURE": "precision",
+}
+
+
+def run_every_command(community: Path, out: Path, capsys, flags: bool = False) -> dict:
+    """Each command's exit code, stdout, stderr and files (their bytes by path
+    under its own directory of ``out``), run on ``community``'s exemplar. With
+    ``flags``, each command is also given the options of ``FORMER_VARIABLES``
+    it takes."""
+    project = community / "exemplar"
+    train = ["--train", str(project / "exemplar-1.csv"), str(project / "exemplar-2.csv")]
+    test = ["--test", str(project / "exemplar-3.csv")]
+    commands = {
+        "plan-json": ["plan", "--planner", "xtree", *train, *test],
+        "plan-csv": ["plan", "--planner", "xtree", "--format", "csv", *train, *test],
+        **{f"thresholds-{name}": ["thresholds", "--planner", name, *train]
+           for name in ("alves", "shatnawi", "oliveira")},
+        "tree": ["tree", *train],
+        "bellwether": ["bellwether", "--community", str(community)],
+        "evaluate": ["evaluate", "--planner", "all", "--community", str(community),
+                     "--target", "exemplar"],
+    }
+    runs = {}
+    for name, argv in commands.items():
+        directory = out / name
+        argv = argv + (["--out-dir", str(directory)] if name == "evaluate"
+                       else ["--out", str(directory / "out")])
+        if flags:
+            known = subparser(argv[0])._option_string_actions
+            for variable, value in FORMER_VARIABLES.items():
+                flag = "--" + variable.removeprefix("PLANWISE_").lower().replace("_", "-")
+                argv += [flag, value] if flag in known else []
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        written = {path.relative_to(directory).as_posix(): path.read_bytes()
+                   for path in sorted(directory.rglob("*"))} if directory.exists() else {}
+        runs[name] = (code, *capsys.readouterr(), written)
+    return runs
+
+
 class TestOtherCommands:
     def test_several_train_files_are_pooled(self, toy_project_dir, tmp_path):
         # The toy releases hold the same 60 classes, so two files pool to
@@ -612,65 +662,27 @@ class TestOtherCommands:
         assert "tree" in doc
         assert doc["tree"]["support"] == 60
 
-    def test_env_variable_overrides_defaults(self, monkeypatch):
-        monkeypatch.setenv("PLANWISE_GAMMA", "0.25")
-        parser = build_parser()
-        args = parser.parse_args(
-            ["plan", "--planner", "xtree", "--train", "t.csv",
-             "--test", "v.csv", "--out", "o.json"]
-        )
-        assert args.gamma == 0.25
-
-    def test_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("PLANWISE_SEED", "7")
-        parser = build_parser()
-        args = parser.parse_args(
-            ["plan", "--planner", "xtree", "--train", "t.csv",
-             "--test", "v.csv", "--out", "o.json", "--seed", "3"]
-        )
-        assert args.seed == 3
-
-    @pytest.mark.parametrize(
-        "variable, command",
-        [("PLANWISE_MIN_LEAF", "bellwether"), ("PLANWISE_GAMMA", "tree")],
-    )
-    def test_bad_environment_value_spares_commands_without_the_option(
-        self, monkeypatch, toy_community_dir, tmp_path, variable, command
+    def test_no_environment_variable_changes_a_run(
+        self, monkeypatch, capsys, exemplar_community_dir, tmp_path
     ):
-        monkeypatch.setenv(variable, "abc")
-        if command == "bellwether":
-            argv = ["bellwether", "--community", str(toy_community_dir)]
-        else:
-            argv = ["tree", "--train", str(toy_community_dir / "apple" / "apple-1.csv")]
-        assert main(argv + ["--out", str(tmp_path / "o.json")]) == EXIT_OK
-
-    @pytest.mark.parametrize(
-        "variable, option, command",
-        [("PLANWISE_MIN_LEAF", "--min-leaf", "tree"),
-         ("PLANWISE_GAMMA", "--gamma", "plan")],
-    )
-    def test_bad_environment_value_is_a_usage_error_where_read(
-        self, monkeypatch, capsys, variable, option, command
-    ):
-        monkeypatch.setenv(variable, "abc")
-        argv = [command, "--train", "t.csv", "--out", "o.json"]
-        if command == "plan":
-            argv += ["--planner", "xtree", "--test", "v.csv"]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == EXIT_USAGE
-        assert f"argument {option}: invalid" in capsys.readouterr().err
-
-    def test_format_has_no_environment_twin(self, monkeypatch, toy_project_dir, tmp_path):
-        monkeypatch.setenv("PLANWISE_FORMAT", "csv")
-        out = tmp_path / "plans.out"
-        code = main(
-            ["plan", "--planner", "xtree",
-             "--train", str(toy_project_dir / "toy-1.0.csv"),
-             "--test", str(toy_project_dir / "toy-1.1.csv"), "--out", str(out)]
-        )
-        assert code == EXIT_OK
-        assert len(json.loads(out.read_text())["plans"]) == 60
+        # The former PLANWISE_* option variables, once invalid and once valid
+        # but not the default, leave every exit code, message and byte as a
+        # run without them leaves it.
+        for variable in FORMER_VARIABLES:
+            monkeypatch.delenv(variable, raising=False)
+        bare = run_every_command(exemplar_community_dir, tmp_path / "bare", capsys)
+        assert all(code == EXIT_OK for code, *_ in bare.values())
+        for label, values in (("invalid", dict.fromkeys(FORMER_VARIABLES, "abc")),
+                              ("valid", FORMER_VARIABLES)):
+            for variable, value in values.items():
+                monkeypatch.setenv(variable, value)
+            got = run_every_command(exemplar_community_dir, tmp_path / label, capsys)
+            assert got == bare, label
+        # The valid values matter: given as flags, they change every output.
+        flagged = run_every_command(exemplar_community_dir, tmp_path / "flagged", capsys,
+                                    flags=True)
+        assert all(flagged[name][3] != bare[name][3] for name in bare), [
+            name for name in bare if flagged[name][3] == bare[name][3]]
 
     def test_help_lists_spec_defaults(self, capsys):
         parser = build_parser()
@@ -791,9 +803,7 @@ def option_surface(command: str) -> list:
 
 class TestOptionSurface:
     @pytest.mark.parametrize("command", sorted(OPTION_SURFACE))
-    def test_options_are_pinned(self, monkeypatch, command):
-        for variable in [v for v in os.environ if v.startswith("PLANWISE_")]:
-            monkeypatch.delenv(variable)
+    def test_options_are_pinned(self, command):
         assert option_surface(command) == OPTION_SURFACE[command]
 
     def test_every_subcommand_is_pinned(self):
@@ -814,9 +824,7 @@ class TestPlannerOptionsFollowTheTable:
         assert planner_option_dests("tree") == options
 
     @pytest.mark.parametrize("name", PLANNERS)
-    def test_a_bare_command_line_plans_at_the_library_defaults(self, monkeypatch, name):
-        for variable in [v for v in os.environ if v.startswith("PLANWISE_")]:
-            monkeypatch.delenv(variable)
+    def test_a_bare_command_line_plans_at_the_library_defaults(self, name):
         args = build_parser().parse_args(
             ["plan", "--planner", name, "--train", "a.csv", "--test", "b.csv", "--out", "c.json"])
         # tie_heavy_history, not tie_heavy_community: on the latter shatnawi
@@ -841,8 +849,8 @@ def fresh_modules(argv):
     """The modules a fresh interpreter holds after ``planwise argv``, or after
     ``import planwise.cli`` alone when ``argv`` is empty."""
     src = str(Path(planwise.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PLANWISE_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", _MAIN_THEN_REPORT_MODULES, *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -874,8 +882,8 @@ def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
             write_csv(release, community / project.name / f"{project.name}-{release.version}.csv")
     history = community / "p3"
     src = str(Path(planwise.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PLANWISE_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     outputs = {}
     for hash_seed in ("0", "12345"):
         out = tmp_path / f"out-{hash_seed}"
@@ -970,22 +978,40 @@ class TestEvaluateEdgeCases:
         )
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
-    @pytest.mark.parametrize("from_env", [False, True])
-    def test_bad_epsilon_fails_and_writes_nothing(
-        self, toy_project_dir, tmp_path, capsys, monkeypatch, value, from_env
-    ):
+    def test_bad_epsilon_fails_and_writes_nothing(self, toy_project_dir, tmp_path, capsys, value):
         # A NaN or infinite tolerance once exited 0 with every developer move
         # read as no change.
         argv = ["evaluate", "--planner", "all", "--project-dir", str(toy_project_dir),
-                "--out-dir", str(tmp_path / "out")]
-        if from_env:
-            monkeypatch.setenv("PLANWISE_EPSILON", value)
-        else:
-            argv += ["--epsilon", value]
+                "--out-dir", str(tmp_path / "out"), "--epsilon", value]
         assert main(argv) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("planwise: epsilon must be finite and >= 0") and value in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, value, problem", [
+        ("--tail", "100", "min_compliance and tail must lie in (0, 100)"),
+        ("--percentile", "0", "percentile must lie in (0, 100)"),
+    ], ids=["tail", "percentile"])
+    def test_a_planner_that_fails_leaves_no_result_of_the_others(
+        self, toy_project_dir, tmp_path, capsys, option, value, problem
+    ):
+        # oliveira (--tail) scores last and alves (--percentile) second: the
+        # planners before them once wrote their windows and then exited 1.
+        code = main(["evaluate", "--planner", "all", "--project-dir", str(toy_project_dir),
+                     "--out-dir", str(tmp_path / "out"), option, value])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == f"planwise: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("selection", [[], ["--community", "c"], ["--target", "t"]],
+                             ids=["neither", "community-alone", "target-alone"])
+    def test_evaluate_needs_a_project(self, tmp_path, capsys, selection):
+        out_dir = tmp_path / "out"
+        code = main(["evaluate", "--planner", "xtree", "--out-dir", str(out_dir), *selection])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "planwise: give --project-dir, or --community with --target\n")
+        assert not out_dir.exists()
 
     def test_empty_project_dir_fails_cleanly(self, tmp_path, capsys):
         empty = tmp_path / "empty"

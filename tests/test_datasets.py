@@ -19,6 +19,7 @@ from planwise.datasets import (
     DatasetError,
     Project,
     diff_versions,
+    load_community,
     load_csv,
     load_project,
     pool_versions,
@@ -110,6 +111,27 @@ class TestLoadCsv:
             header = "name," + ",".join(METRICS) + f",{alias}"
             write_rows(path, ["A," + ",".join(["2"] * len(METRICS)) + ",4"], header)
             assert load_csv(path).records[0].defects == 4
+
+    def test_missing_defect_column_names_the_aliases(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write_rows(path, ["A," + ",".join(["1"] * len(METRICS))], "name," + ",".join(METRICS))
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: missing defect column (one of bug, bugs, defects)"
+
+    def test_a_row_with_too_few_cells_is_rejected(self, tmp_path):
+        path = tmp_path / "ant-1.7.csv"
+        write_rows(path, [jureczko_row("A"), jureczko_row("B").rsplit(",", 1)[0]])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: row 3 has too few cells"
+
+    def test_an_empty_class_name_is_rejected(self, tmp_path):
+        path = tmp_path / "ant-1.7.csv"
+        write_rows(path, [jureczko_row("A"), jureczko_row("B"), jureczko_row(" ")])
+        with pytest.raises(DatasetError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: row 4 has empty class name"
 
     def test_metric_names_match_case_insensitively(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -693,6 +715,40 @@ class TestValidation:
             path.parent.mkdir()
             write_rows(path, [jureczko_row("org.A", defects=1) + tail])
         assert load_csv(padded) == load_csv(plain)
+
+    def test_a_record_with_negative_defects_is_rejected(self):
+        with pytest.raises(DatasetError) as excinfo:
+            make_record("A", defects=-1)
+        assert str(excinfo.value) == "record 'A' has negative defects"
+
+    def test_a_project_without_versions_is_rejected(self):
+        with pytest.raises(DatasetError) as excinfo:
+            Project("ant", ())
+        assert str(excinfo.value) == "project 'ant' has no versions"
+
+    def test_load_project_needs_a_file(self):
+        with pytest.raises(DatasetError) as excinfo:
+            load_project([])
+        assert str(excinfo.value) == "no version CSVs given"
+
+    def test_a_community_needs_a_subdirectory_with_csvs(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "notes").mkdir()
+        (tmp_path / "notes" / "readme.txt").write_text("no data\n")
+        write_rows(tmp_path / "ant-1.7.csv", [jureczko_row("A")])  # not in a subdirectory
+        with pytest.raises(DatasetError) as excinfo:
+            load_community(tmp_path)
+        assert str(excinfo.value) == f"{tmp_path}: no project subdirectories with CSV files"
+
+    def test_a_community_skips_subdirectories_without_csvs(self, tmp_path):
+        for name in ("ant", "camel"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "ant" / "notes.txt").write_text("no data\n")
+        write_rows(tmp_path / "camel" / "camel-1.6.csv", [jureczko_row("A", project="camel",
+                                                                       version="1.6")])
+        community = load_community(tmp_path)
+        assert [p.name for p in community.projects] == ["camel"]
+        assert [v.version for v in community.get("camel").versions] == ["1.6"]
 
     def test_dataset_rejects_duplicates(self):
         with pytest.raises(DatasetError, match="duplicate"):

@@ -377,13 +377,18 @@ class TestWindows:
         ]
         fits = count_calls(monkeypatch, XTreePlanner, "fit")
         windows = count_calls(monkeypatch, evaluate, "ktest")
+        returned, counted = [], evaluate.ktest
+        monkeypatch.setattr(evaluate, "ktest",
+                            lambda *args: returned.append(counted(*args)) or returned[-1])
         results = evaluate_windows(project, XTreePlanner(min_leaf=5), train=train)
         assert [data for _, data in fits] == [train]
         assert len(windows) == 3
-        # The windows name the fitted set; a direct ktest names release i.
+        # The windows name the fitted set; a direct ktest names release i,
+        # and the results it returned inside evaluate_windows still do.
         assert [r.versions for r in results] == [
             {"train": "proj-x", "test": str(s + 2), "validation": str(s + 3)} for s in range(3)
         ]
+        assert [r.versions["train"] for r in returned] == ["1", "2", "3"]
         assert [r.versions["train"] for r in refit] == ["1", "2", "3"]
         for r in refit:
             r.versions["train"] = "proj-x"

@@ -88,6 +88,43 @@ def test_orphaned_helper_check_sees_a_leftover():
     assert _orphaned_helpers(sources) == ["a.py: _left"]
 
 
+# What reads the process environment through the os module.
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Where a module reads the environment: ``os.environ`` or ``os.getenv``
+    (and their bytes forms), as an attribute of ``os`` or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"line {node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"line {node.lineno}: from os import {alias.name}"
+                      for alias in node.names if alias.name in _ENVIRONMENT]
+    return sorted(found)
+
+
+def test_no_module_reads_the_environment():
+    # Options come from the command line only, so the arguments fix a run.
+    package = Path(planwise.__file__).parent
+    reads = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _environment_reads(path.read_text(encoding="utf-8")))
+    }
+    assert reads == {}
+
+
+def test_environment_check_sees_a_read():
+    source = ("import os\nfrom os import getenv, path\n"
+              "a = os.environ.get('X', 1)\nb = os.getenv('Y')\nc = os.urandom(6)\n")
+    assert _environment_reads(source) == [
+        "line 2: from os import getenv", "line 3: os.environ", "line 4: os.getenv",
+    ]
+
+
 def _script(name):
     path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)

@@ -356,7 +356,9 @@ def fitted_trees():
         ))
     shifted = make_dataset(records)
     trees = []
-    for train in [pool_versions(p) for p in tie_heavy_community().projects] + [shifted]:
+    pooled = [pool(p) for p in tie_heavy_community().projects
+              for pool in (pool_versions, stacked_releases)]
+    for train in pooled + [shifted]:
         bins = fit_bins(train)
         for min_leaf, max_depth in ((1, 10), (2, 10), (5, 10), (None, 10), (2, 3)):
             trees.append(build_tree(train, bins, max_depth=max_depth, min_leaf=min_leaf))
@@ -1343,9 +1345,10 @@ def continuous_set(seed, intercept):
 
 @lru_cache(maxsize=None)
 def row_order_sets():
-    """The tie-heavy pooled projects (integer metrics) and two sets of
-    continuous metrics, where the order of a floating-point sum shows."""
-    pooled = [pool_versions(p) for p in tie_heavy_community().projects]
+    """The tie-heavy projects (integer metrics), pooled and stacked, and two
+    sets of continuous metrics, where the order of a floating-point sum shows."""
+    pooled = [pool(p) for p in tie_heavy_community().projects
+              for pool in (pool_versions, stacked_releases)]
     return tuple(pooled) + (continuous_set(17, -4.0), continuous_set(18, -3.0))
 
 

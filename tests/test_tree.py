@@ -32,6 +32,7 @@ from conftest import (
     make_dataset,
     make_record,
     random_trees,
+    stacked_releases,
     tie_heavy_community,
     unpopulated_middle_tree,
 )
@@ -257,7 +258,7 @@ class TestBuildTree:
         assert one_row_nodes >= 100 and splits >= 100  # both paths exercised
 
     def test_a_fitted_tree_leaves_no_garbage_cycle(self):
-        ds = pool_versions(tie_heavy_community().projects[0])
+        ds = stacked_releases(tie_heavy_community().projects[0])
         bins = fit_bins(ds)
         gc.collect()
         gc.disable()
@@ -372,9 +373,12 @@ class TestBitsetGrowth:
 
     @pytest.mark.parametrize("project", range(3))
     def test_pooled_tie_heavy_community(self, project):
-        ds = pool_versions(tie_heavy_community().projects[project])
-        tree = assert_matches_scalar(ds, fit_bins(ds), options=((10, None), (20, 1)))
-        assert not tree.is_leaf
+        # Pooling keeps each class's last release; the stack keeps every
+        # release's rows, so values tie across releases too.
+        project = tie_heavy_community().projects[project]
+        for ds in (pool_versions(project), stacked_releases(project)):
+            tree = assert_matches_scalar(ds, fit_bins(ds), options=((10, None), (20, 1)))
+            assert not tree.is_leaf
 
 
 class TestLocate:
@@ -488,8 +492,8 @@ def oracle_trees():
     planted = planted_dataset(seed=5)
     trees.append(build_tree(planted, fit_bins(planted), min_leaf=3))
     for project in tie_heavy_community().projects:
-        pooled = pool_versions(project)
-        trees.append(build_tree(pooled, fit_bins(pooled), min_leaf=2))
+        for pooled in (pool_versions(project), stacked_releases(project)):
+            trees.append(build_tree(pooled, fit_bins(pooled), min_leaf=2))
     return tuple(trees)
 
 
