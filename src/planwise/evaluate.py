@@ -9,7 +9,9 @@ actions and what developers actually changed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields, replace
+from types import MappingProxyType
 from typing import Optional
 
 from .datasets import (
@@ -87,9 +89,11 @@ class ChangesSummary:
 class KTestResult:
     """Outcome of one train/plan/validate window for one planner.
 
-    ``versions`` maps ``train``, ``test`` and ``validation`` to the window's
-    release labels; an external training set that ``evaluate_windows``
-    fitted is named ``<project>-<version>`` instead, as in ``alpha-pooled``.
+    ``versions`` is a read-only view of its own copy of the mapping from
+    ``train``, ``test`` and ``validation`` to the window's release labels;
+    an external training set that ``evaluate_windows`` fitted is named
+    ``<project>-<version>`` instead, as in ``alpha-pooled``. ``curve`` is
+    kept as a tuple, so a result cannot change after ``ktest`` returns it.
     ``plan_changes`` is each plan's count of changed metrics, in record
     order, which ``changes_per_plan`` summarises.
     ``followed`` counts the matched classes whose plan was not empty and
@@ -99,9 +103,9 @@ class KTestResult:
     """
 
     project: str
-    versions: dict[str, str]
+    versions: Mapping[str, str]
     planner: str
-    curve: list[CurvePoint]
+    curve: tuple[CurvePoint, ...]
     aupec_reduced: Optional[float]
     aupec_increased: Optional[float]
     changes_per_plan: ChangesSummary
@@ -110,11 +114,17 @@ class KTestResult:
     plan_changes: tuple[int, ...]
     followed: tuple[int, int, int]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "versions", MappingProxyType(dict(self.versions)))
+        object.__setattr__(self, "curve", tuple(self.curve))
+
     def to_dict(self) -> dict:
-        # Emptied first, as asdict would copy the counts one by one.
-        doc = asdict(replace(self, plan_changes=(), followed=()))
-        del doc["plan_changes"], doc["followed"]
-        return doc
+        # Field by field: asdict cannot copy the read-only versions, and would
+        # copy the plan tallies, which the document leaves out, one by one.
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("plan_changes", "followed")}
+        return dict(doc, versions=dict(self.versions), curve=list(map(asdict, self.curve)),
+                    changes_per_plan=asdict(self.changes_per_plan))
 
 
 def _aupec(curve_heights: list[int], matched_defects: int) -> Optional[float]:

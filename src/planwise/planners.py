@@ -3,8 +3,7 @@
 Every planner turns one class record into a `Plan`: a per-metric vector of
 increase/decrease/no-change actions, optionally with a concrete target range.
 ``alves`` and ``shatnawi`` filter one logistic screen kept on the training
-dataset, and ``oliveira`` minimises its (p, k) penalty in closed form. numpy
-is loaded only by the screen (in ``stats``) and ``oliveira_thresholds``.
+dataset, and ``oliveira`` minimises its (p, k) penalty in closed form.
 
 Plans share their frozen Actions: every no-change entry is ``_KEEP``, a
 threshold plan takes its rule's ``decrease``, and a fitted ``XTreePlanner``
@@ -17,6 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import groupby
@@ -389,42 +389,44 @@ def oliveira_thresholds(
     """
     if not 0.0 < min_compliance < 100.0 or not 0.0 < tail < 100.0:
         raise ValueError("min_compliance and tail must lie in (0, 100)")
-    import numpy as np
     rules = []
     for metric in METRICS:
-        ordered = np.sort(np.array(train.column(metric), dtype=float))
+        ordered = sorted(train.column(metric))
+        if not all(map(math.isfinite, ordered)):
+            raise ValueError(f"metric {metric!r} holds a non-finite value")
         n = len(ordered)
-        first = np.ones(n, dtype=bool)  # the first of each run: np.unique's pick
-        first[1:] = ordered[1:] != ordered[:-1]
-        ks = ordered[first]
 
         # np.percentile's linear method, by its float steps. The cut is read
         # only through ``>``, so the sign of a zero cut cannot matter.
         virtual = (n - 1) * (tail / 100)
         low = math.floor(virtual)  # at most n - 1, as tail < 100
-        a, b = float(ordered[low]), float(ordered[min(low + 1, n - 1)])
+        a, b = ordered[low], ordered[min(low + 1, n - 1)]
         t = virtual - low
         tail_cut = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
-        above = ordered[ordered > tail_cut].tolist()
-        tail_median = median(above) if above else float(ordered[-1])
+        above = ordered[bisect_right(ordered, tail_cut):]
+        tail_median = median(above) if above else ordered[-1]
         denominator = tail_median if tail_median > 0 else 1.0
-        # A subnormal tail median overflows a quotient to +inf, as it does in
-        # numpy's matrix search: the penalty is infinite, not an error.
-        with np.errstate(over="ignore"):
-            penalty2 = np.abs(ks - tail_median) / denominator
 
+        # One step per distinct value k, as np.unique gives them.
         # The rate is k's share of values for p <= share and 0 above, so each
         # k's best p is the largest the share reaches, or 99 when all p tie.
-        share = 100.0 * np.searchsorted(ordered, ks, side="right") / n
-        held = np.maximum(0.0, min_compliance - share) + penalty2
-        broken = min_compliance + penalty2
-        total = np.where(share >= 1.0, held, broken)
-        best_p = np.where(
-            (share >= 1.0) & (held < broken), np.minimum(99.0, np.floor(share)), 99.0)
-        # Ties: larger p first, then smaller k.
-        col = max(np.flatnonzero(total == total.min()), key=lambda c: (best_p[c], -c))
-        rules.append(ThresholdRule(
-            metric, upper=float(ks[col]), p_fraction=float(best_p[col]) / 100.0))
+        # A subnormal tail median overflows a quotient to +inf, as it does in
+        # numpy's matrix search: the penalty is infinite, not an error.
+        candidates = []
+        end = 0
+        while end < n:
+            k = ordered[end]
+            end = bisect_right(ordered, k, end)
+            share = 100.0 * end / n
+            penalty2 = abs(k - tail_median) / denominator
+            held = max(0.0, min_compliance - share) + penalty2
+            broken = min_compliance + penalty2
+            total = held if share >= 1.0 else broken
+            p = min(99, math.floor(share)) if share >= 1.0 and held < broken else 99
+            candidates.append((total, -p, k))
+        # The least penalty; ties go to larger p, then smaller k.
+        _, neg_p, k = min(candidates)
+        rules.append(ThresholdRule(metric, upper=k, p_fraction=-neg_p / 100.0))
     return rules
 
 

@@ -1,13 +1,10 @@
 """Shared numerical routines: entropy, median, univariate logistic regression,
-Simpson.
-
-numpy is imported only inside the logistic fit, which only the ``alves`` and
-``shatnawi`` logistic screen runs.
-"""
+Simpson."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -52,20 +49,25 @@ def median(values: Iterable[float]) -> float:
     return (data[n // 2 - 1] + data[n // 2]) / 2
 
 
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
-
-
-def _log_likelihood(y: np.ndarray, p: np.ndarray) -> float:
-    import numpy as np
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def _perfectly_separated(x: np.ndarray, y: np.ndarray) -> bool:
-    x0, x1 = x[y == 0], x[y == 1]
-    return float(x0.max()) < float(x1.min()) or float(x1.max()) < float(x0.min())
+def _loglik_and_newton_terms(
+    groups: list[tuple[float, int, int]], alpha: float, beta: float
+) -> tuple[float, float, float, float, float, float]:
+    """The log-likelihood at ``(alpha, beta)``, its gradient and the 2x2
+    information matrix (the negated Hessian), in one pass over the
+    ``(x, rows, positives)`` groups: ``(loglik, g0, g1, h00, h01, h11)``."""
+    loglik = g0 = g1 = h00 = h01 = h11 = 0.0
+    for x, rows, positives in groups:
+        # Clipped by conditionals, which cost less than min and max calls.
+        eta = alpha + beta * x
+        p = 1.0 / (1.0 + math.exp(-(-35.0 if eta < -35.0 else 35.0 if eta > 35.0 else eta)))
+        clipped = 1e-12 if p < 1e-12 else 1.0 - 1e-12 if p > 1.0 - 1e-12 else p
+        loglik += positives * math.log(clipped) + (rows - positives) * math.log(1.0 - clipped)
+        residual = positives - rows * p
+        g0, g1 = g0 + residual, g1 + residual * x
+        weight = p * (1.0 - p)
+        weight = rows * (1e-12 if weight < 1e-12 else weight)
+        h00, h01, h11 = h00 + weight, h01 + weight * x, h11 + weight * x * x
+    return loglik, g0, g1, h00, h01, h11
 
 
 def fit_univariate_logistic(
@@ -73,69 +75,56 @@ def fit_univariate_logistic(
 ) -> LogisticFit:
     """Maximum-likelihood logistic regression of binary ``y`` on one feature.
 
-    Fit by iteratively reweighted least squares; the reported p-value is the
-    Wald test on the slope. Perfect separation or non-convergence yields
-    ``converged=False`` so callers can reject the metric outright. Rows are
-    sorted by ``x``, then ``y``, before fitting, so row order cannot change a bit.
+    Fit by Newton's method (iteratively reweighted least squares) over the
+    distinct ``x`` values, each weighted by its row and positive counts, in
+    sorted order, so row order cannot change a bit; the reported p-value is
+    the Wald test on the slope. Perfect separation, a singular information
+    matrix or non-convergence yields ``converged=False`` so callers can
+    reject the metric outright.
     """
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
+    if len(x) != len(y):
         raise ValueError("x and y must be 1-d sequences of equal length")
     if len(x) < 2:
         raise ValueError("need at least two observations")
-    labels = set(y.tolist())  # np.unique would import numpy.ma
+    y = [float(label) for label in y]
+    labels = set(y)
     if not labels <= {0.0, 1.0}:
         raise ValueError("y must be binary 0/1 labels")
     if len(labels) < 2:
         raise ValueError("y must contain both labels")
 
-    order = np.lexsort((y, x))
-    x, y = x[order], y[order]
+    x = [float(value) for value in x]
+    rows = Counter(x)
+    positives = Counter(value for value, label in zip(x, y) if label)
+    negatives = rows - positives
     failed = LogisticFit(alpha=math.nan, beta=math.nan, p_value=1.0, converged=False)
-    if np.ptp(x) == 0.0 or _perfectly_separated(x, y):
-        return failed
+    if len(rows) < 2 or max(negatives) < min(positives) or max(positives) < min(negatives):
+        return failed  # a constant feature, or perfectly separated labels
+    groups = [(value, rows[value], positives[value]) for value in sorted(rows)]
 
-    design = np.column_stack([np.ones_like(x), x])
-    base_rate = float(np.mean(y))
-    coef = np.array([math.log(base_rate / (1.0 - base_rate)), 0.0])
-    p = _sigmoid(design @ coef)  # the probabilities at ``coef``, kept in step
-    loglik = _log_likelihood(y, p)
-    converged = False
+    base_rate = sum(y) / len(y)
+    alpha, beta = math.log(base_rate / (1.0 - base_rate)), 0.0
+    loglik, g0, g1, h00, h01, h11 = _loglik_and_newton_terms(groups, alpha, beta)
     for _ in range(MAX_IRLS_ITERATIONS):
-        weights = np.clip(p * (1.0 - p), 1e-12, None)
-        gradient = design.T @ (y - p)
-        hessian = (design.T * weights) @ design
-        try:
-            step = np.linalg.solve(hessian, gradient)
-        except np.linalg.LinAlgError:
+        det = h00 * h11 - h01 * h01
+        if det == 0.0:
             return failed
-        coef = coef + step
-        p = _sigmoid(design @ coef)
-        new_loglik = _log_likelihood(y, p)
+        alpha += (h11 * g0 - h01 * g1) / det
+        beta += (h00 * g1 - h01 * g0) / det
+        new_loglik, g0, g1, h00, h01, h11 = _loglik_and_newton_terms(groups, alpha, beta)
         if abs(new_loglik - loglik) < LOGLIK_TOLERANCE:
-            loglik = new_loglik
-            converged = True
             break
         loglik = new_loglik
-    if not converged:
+    else:
         return failed
 
-    # Wald covariance at the converged estimate.
-    weights = np.clip(p * (1.0 - p), 1e-12, None)
-    try:
-        covariance = np.linalg.inv((design.T * weights) @ design)
-    except np.linalg.LinAlgError:
-        return failed
-    se_beta = math.sqrt(max(covariance[1, 1], 0.0))
+    # Wald variance of the slope at the converged estimate.
+    det = h00 * h11 - h01 * h01
+    se_beta = math.sqrt(max(h00 / det, 0.0)) if det else math.nan
     if not math.isfinite(se_beta) or se_beta == 0.0:
         return failed
-    z = coef[1] / se_beta
-    p_value = math.erfc(abs(z) / math.sqrt(2.0))
-    return LogisticFit(
-        alpha=float(coef[0]), beta=float(coef[1]), p_value=p_value, converged=True
-    )
+    p_value = math.erfc(abs(beta / se_beta) / math.sqrt(2.0))
+    return LogisticFit(alpha=alpha, beta=beta, p_value=p_value, converged=True)
 
 
 def simpson_integrate(points: Sequence[tuple[float, float]]) -> float:

@@ -835,43 +835,33 @@ class TestPlannerOptionsFollowTheTable:
         assert cli == library and any(map(changes_count, library))
 
 
-# Runs one command in a fresh interpreter (this process has numpy loaded
-# through conftest) and prints the exit code and the modules it imported.
-_MAIN_THEN_REPORT_MODULES = (
-    "import json, sys\n"
-    "from planwise.cli import main\n"
-    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print(json.dumps([code, sorted(sys.modules)]))\n"
-)
-
-
-def fresh_modules(argv):
-    """The modules a fresh interpreter holds after ``planwise argv``, or after
-    ``import planwise.cli`` alone when ``argv`` is empty."""
-    src = str(Path(planwise.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", _MAIN_THEN_REPORT_MODULES, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    code, modules = json.loads(done.stdout.splitlines()[-1])
-    assert code == EXIT_OK, done.stderr
-    return set(modules)
-
-
-def run_fresh(argv):
-    return "numpy" in fresh_modules(argv)
-
-
-# Runs each command of a JSON list of argument lists in one interpreter.
+# Runs each command of a JSON list of argument lists in one fresh
+# interpreter (this process has numpy loaded through conftest), and prints
+# the names of the modules loaded after the import and after each command,
+# each list on a line of its own after a marker.
 _RUN_COMMANDS = (
     "import json, sys\n"
     "from planwise.cli import main\n"
+    "print('modules:', json.dumps(sorted(sys.modules)))\n"
     "for argv in json.loads(sys.argv[1]):\n"
     "    assert main(argv) == 0, argv\n"
+    "    print('modules:', json.dumps(sorted(sys.modules)))\n"
 )
+
+
+def run_in_one_interpreter(commands, **env):
+    """The modules loaded after ``import planwise.cli`` and after each
+    command, run in that order in one fresh interpreter."""
+    src = str(Path(planwise.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return [set(json.loads(line.removeprefix("modules: ")))
+            for line in done.stdout.splitlines() if line.startswith("modules: ")]
 
 
 def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
@@ -881,26 +871,17 @@ def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
         for release in project.versions:
             write_csv(release, community / project.name / f"{project.name}-{release.version}.csv")
     history = community / "p3"
-    src = str(Path(planwise.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     outputs = {}
     for hash_seed in ("0", "12345"):
         out = tmp_path / f"out-{hash_seed}"
-        commands = [
+        run_in_one_interpreter([
             ["plan", "--planner", "xtree", "--train", str(history / "p3-1.csv"),
              str(history / "p3-2.csv"), "--test", str(history / "p3-3.csv"),
              "--out", str(out / "plans.json")],
             ["bellwether", "--community", str(community), "--out", str(out / "bellwether.json")],
             ["evaluate", "--planner", "all", "--community", str(community), "--target", "p3",
              "--out-dir", str(out / "evaluate")],
-        ]
-        done = subprocess.run(
-            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
-            capture_output=True, text=True, env=dict(env, PYTHONHASHSEED=hash_seed),
-            timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
+        ], PYTHONHASHSEED=hash_seed)
         outputs[hash_seed] = {
             path.relative_to(out).as_posix(): path.read_bytes()
             for path in out.rglob("*") if path.is_file()
@@ -911,8 +892,15 @@ def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
     assert outputs["0"] == outputs["12345"]
 
 
-# What ``statistics`` imports and planwise does not need.
-STATISTICS_IMPORTS = {"statistics", "decimal", "fractions"}
+# What no planwise command loads: numpy, and what ``statistics`` imports
+# and planwise does not need.
+UNWANTED = {"numpy", "numpy.ma", "statistics", "decimal", "fractions"}
+
+
+def unwanted_after(commands):
+    """The unwanted modules loaded after ``import planwise.cli`` and after
+    each command, run in that order in one fresh interpreter."""
+    return [modules & UNWANTED for modules in run_in_one_interpreter(commands)]
 
 
 class TestNumpyLoadsOnlyWhereUsed:
@@ -926,39 +914,45 @@ class TestNumpyLoadsOnlyWhereUsed:
             "tree": ["tree", "--train", train],
             "plan": ["plan", "--planner", "xtree", "--train", train, "--test", test],
         }
-        for name, argv in runs.items():
-            out = tmp_path / f"{name}.json"
-            assert not run_fresh(argv + ["--out", str(out)]), name
-            assert out.exists()
+        commands = [argv + ["--out", str(tmp_path / f"{name}.json")] for name, argv in runs.items()]
+        assert unwanted_after(commands) == [set()] * (1 + len(commands))
+        assert all((tmp_path / f"{name}.json").exists() for name in runs)
 
     def test_belltree_evaluation_never_imports_numpy(self, exemplar_community_dir, tmp_path):
         out_dir = tmp_path / "out"
-        assert not run_fresh([
+        assert unwanted_after([[
             "evaluate", "--planner", "belltree", "--community", str(exemplar_community_dir),
             "--target", "exemplar", "--out-dir", str(out_dir),
-        ])
+        ]]) == [set()] * 2
         assert (out_dir / "exemplar-alpha-pooled-2-3-belltree.json").exists()
 
     def test_importing_the_cli_loads_neither_numpy_nor_statistics(self):
-        assert not fresh_modules([]) & ({"numpy"} | STATISTICS_IMPORTS)
+        assert unwanted_after([]) == [set()]
 
-    def test_evaluating_every_planner_never_imports_numpy_ma(self, toy_project_dir, tmp_path):
+    def test_evaluating_every_planner_never_imports_numpy_ma(
+        self, toy_project_dir, exemplar_community_dir, tmp_path
+    ):
         out_dir = tmp_path / "out"
-        loaded = fresh_modules([
-            "evaluate", "--planner", "all", "--project-dir", str(toy_project_dir),
-            "--out-dir", str(out_dir),
-        ])
-        assert "numpy" in loaded
-        assert not loaded & ({"numpy.ma"} | STATISTICS_IMPORTS)
-        assert (out_dir / "summary.json").exists()
+        assert unwanted_after([
+            ["evaluate", "--planner", "all", "--project-dir", str(toy_project_dir),
+             "--out-dir", str(out_dir / "toy")],
+            ["evaluate", "--planner", "all", "--community", str(exemplar_community_dir),
+             "--target", "exemplar", "--out-dir", str(out_dir / "exemplar")],
+        ]) == [set()] * 3
+        assert (out_dir / "toy" / "summary.json").exists()
+        assert (out_dir / "exemplar" / "exemplar-1-2-3-shatnawi.json").exists()
 
-    def test_oliveira_thresholds_do_import_numpy(self, toy_project_dir, tmp_path):
-        out = tmp_path / "rules.json"
-        assert run_fresh([
-            "thresholds", "--planner", "oliveira",
-            "--train", str(toy_project_dir / "toy-1.0.csv"), "--out", str(out),
-        ])
-        assert json.loads(out.read_text())["rules"]
+    def test_oliveira_thresholds_never_import_numpy(self, toy_project_dir, tmp_path):
+        train, test = (str(toy_project_dir / f"toy-{v}.csv") for v in ("1.0", "1.1"))
+        commands = [
+            ["plan", "--planner", "alves", "--train", train, "--test", test, "--format", "csv",
+             "--out", str(tmp_path / "alves.csv")],
+            *(["thresholds", "--planner", name, "--train", train,
+               "--out", str(tmp_path / f"{name}.json")]
+              for name in ("alves", "shatnawi", "oliveira")),
+        ]
+        assert unwanted_after(commands) == [set()] * (1 + len(commands))
+        assert json.loads((tmp_path / "oliveira.json").read_text())["rules"]
 
 
 class TestEvaluateEdgeCases:

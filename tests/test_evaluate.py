@@ -1,6 +1,6 @@
 import math
 import statistics
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -213,7 +213,7 @@ class TestKTest:
         v3 = make_dataset([make_record("Z1", defects=2)], version="3")
         renamed = make_project([project.versions[0], project.versions[1], v3])
         result = ktest(renamed, 0, 1, 2, ReduceLocStub())
-        assert result.curve == []
+        assert result.curve == ()
         assert result.aupec_reduced is None
         assert result.aupec_increased is None
         assert result.matched_classes == 0
@@ -272,6 +272,12 @@ class TestKTest:
         # test_result_serializes pins the nine keys in order.
         doc = ktest(hand_project(), 0, 1, 2, ReduceLocStub()).to_dict()
         assert [f.name for f in fields(KTestResult)] == [*doc, "plan_changes", "followed"]
+
+    def test_a_result_cannot_change_after_ktest_returns_it(self):
+        result = ktest(hand_project(), 0, 1, 2, ReduceLocStub())
+        with pytest.raises(TypeError):
+            result.versions["train"] = "x"
+        assert type(result.curve) is tuple
 
     def test_a_result_document_shares_nothing_with_the_result(self):
         result = ktest(hand_project(), 0, 1, 2, ReduceLocStub())
@@ -390,9 +396,8 @@ class TestWindows:
         ]
         assert [r.versions["train"] for r in returned] == ["1", "2", "3"]
         assert [r.versions["train"] for r in refit] == ["1", "2", "3"]
-        for r in refit:
-            r.versions["train"] = "proj-x"
-        assert [r.to_dict() for r in results] == [r.to_dict() for r in refit]
+        renamed = [replace(r, versions=dict(r.versions, train="proj-x")) for r in refit]
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in renamed]
         assert any(r.changes_per_plan.max > 0 for r in results)
 
     def test_a_planner_refitted_per_window_plans_as_fresh_ones(self):

@@ -1,6 +1,9 @@
 import ast
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import planwise
 
@@ -123,6 +126,44 @@ def test_environment_check_sees_a_read():
     assert _environment_reads(source) == [
         "line 2: from os import getenv", "line 3: os.environ", "line 4: os.getenv",
     ]
+
+
+def _outside_the_standard_library(source: str) -> list[str]:
+    """The modules a module imports that are neither in the standard library
+    nor relative imports of its own package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_every_module_imports_only_the_standard_library():
+    package = Path(planwise.__file__).parent
+    imports = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _outside_the_standard_library(path.read_text(encoding="utf-8")))
+    }
+    assert imports == {}
+
+
+def test_standard_library_check_sees_a_third_party_import():
+    source = ("import math, numpy as np\nfrom os import path\nfrom . import stats\n"
+              "from .tree import build_tree\n\ndef f():\n    from scipy.stats import norm\n")
+    assert _outside_the_standard_library(source) == ["line 1: numpy", "line 7: scipy.stats"]
+
+
+def test_the_package_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert "dependencies" not in tomllib.loads(pyproject.read_text())["project"]
 
 
 def _script(name):

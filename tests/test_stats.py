@@ -1,24 +1,27 @@
 import math
 import statistics
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planwise.datasets import METRICS, load_community
 from planwise.stats import (
     LOGLIK_TOLERANCE,
     MAX_IRLS_ITERATIONS,
     LogisticFit,
     _entropy_of_counts,
-    _log_likelihood,
-    _perfectly_separated,
-    _sigmoid,
+    _loglik_and_newton_terms,
     fit_univariate_logistic,
     median,
     simpson_integrate,
 )
+
+from conftest import tie_heavy_community
+from test_datasets import bench_corpus
 
 
 def entropy(labels) -> float:
@@ -252,9 +255,25 @@ def test_logistic_fit_matches_scipy_oracle(seed):
     assert fit.p_value == pytest.approx(want_p, abs=1e-6)
 
 
+# The numpy fit: the oracle of the standard-library one, with its helpers.
+def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
+
+
+def _log_likelihood(y: np.ndarray, p: np.ndarray) -> float:
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def _perfectly_separated(x: np.ndarray, y: np.ndarray) -> bool:
+    x0, x1 = x[y == 0], x[y == 1]
+    return float(x0.max()) < float(x1.min()) or float(x1.max()) < float(x0.min())
+
+
 def recomputing_logistic(x, y):
-    """The fit with the IRLS loop that recomputes the probabilities at the
-    top of every iteration and again after convergence."""
+    """The numpy IRLS fit, on rows sorted by ``x`` then ``y``, with a loop that
+    recomputes the probabilities at the top of every iteration and again
+    after convergence. It leaves the label checks out."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     order = np.lexsort((y, x))
@@ -300,6 +319,11 @@ def recomputing_logistic(x, y):
     )
 
 
+def log_likelihood_at(fit, x, y):
+    eta = fit.alpha + fit.beta * np.asarray(x, dtype=float)
+    return _log_likelihood(np.asarray(y, dtype=float), _sigmoid(eta))
+
+
 @given(
     st.lists(
         st.tuples(
@@ -311,7 +335,53 @@ def recomputing_logistic(x, y):
     ).filter(lambda rows: len({label for _, label in rows}) == 2)
 )
 @settings(max_examples=300, deadline=None)
-def test_logistic_fit_matches_the_recomputing_loop_bit_for_bit(rows):
+def test_logistic_fit_agrees_with_the_numpy_oracle(rows):
+    # Coefficients are not compared: on a quasi-separated column the
+    # likelihood is all but flat along a ridge, so the two fits may stop at
+    # points more than 1e-9 apart, with p near 1, and equal likelihoods.
     x = [value for value, _ in rows]
     y = [label for _, label in rows]
-    assert repr(fit_univariate_logistic(x, y)) == repr(recomputing_logistic(x, y))
+    fit, oracle = fit_univariate_logistic(x, y), recomputing_logistic(x, y)
+    assert fit.converged == oracle.converged
+    assert (fit.p_value > 0.05) == (oracle.p_value > 0.05)
+    if fit.converged:
+        assert abs(log_likelihood_at(fit, x, y) - log_likelihood_at(oracle, x, y)) <= 1e-9
+
+
+@given(
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 4), st.integers(0, 4)),
+             min_size=1, max_size=12, unique_by=lambda group: group[0]),
+    st.floats(-60.0, 60.0),
+    st.floats(-20.0, 20.0),
+)
+# eta = 40 saturates p, so the log-likelihood reads the clip at 1 - 1e-12.
+@example(groups=[(0, 2, 1)], alpha=40.0, beta=0.0)
+@settings(max_examples=200, deadline=None)
+def test_one_pass_gives_the_numpy_loglik_gradient_and_information(groups, alpha, beta):
+    groups = sorted((float(x), rows, min(positives, rows)) for x, rows, positives in groups)
+    x = np.repeat([value for value, _, _ in groups], [rows for _, rows, _ in groups])
+    y = np.concatenate([[1.0] * k + [0.0] * (n - k) for _, n, k in groups])
+    design = np.column_stack([np.ones_like(x), x])
+    p = _sigmoid(design @ np.array([alpha, beta]))
+    information = (design.T * np.clip(p * (1.0 - p), 1e-12, None)) @ design
+    want = (_log_likelihood(y, p), *design.T @ (y - p),
+            information[0, 0], information[0, 1], information[1, 1])
+    assert _loglik_and_newton_terms(groups, alpha, beta) == pytest.approx(
+        want, rel=1e-9, abs=1e-9)
+
+
+def test_logistic_fit_matches_the_numpy_oracle_on_the_bench_corpus(tmp_path):
+    releases = [release for seed in (41, 7, 11) for project in load_community(
+        bench_corpus().generate(tmp_path / str(seed), seed=seed)).projects
+        for release in project.versions]
+    releases += [release for project in tie_heavy_community().projects
+                 for release in project.versions]
+    for release in releases:
+        labels = [1 if r.is_defective() else 0 for r in release.records]
+        for metric in METRICS:
+            x = release.column(metric)
+            fit, oracle = fit_univariate_logistic(x, labels), recomputing_logistic(x, labels)
+            assert fit.converged == oracle.converged, (release.project, release.version, metric)
+            if fit.converged:
+                for got, want in zip(astuple(fit)[:3], astuple(oracle)[:3]):
+                    assert math.isclose(got, want, rel_tol=1e-9), (release.version, metric)
