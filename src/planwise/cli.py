@@ -3,6 +3,13 @@
 Every command is a pure function of its input files and command-line
 options: re-running it with the same arguments produces byte-identical
 outputs. No option is read from the environment.
+
+Each input has one spelling. ``evaluate`` loads its project from
+``--project-dir`` alone, and the project's name is the one its files hold;
+``--community`` is read only for belltree's exemplar. An output's format is
+its name's: ``plan`` writes CSV exactly when ``--out`` ends in ``.csv``, the
+files ``load_project`` reads as releases, and the commands that write only
+JSON refuse such an ``--out``.
 """
 
 from __future__ import annotations
@@ -188,6 +195,15 @@ def _load_train(paths: list[str]) -> VersionedDataset:
     return pool_versions(load_project(paths))
 
 
+def _json_out(value: str) -> str:
+    """An ``--out`` that a command fills with JSON: a ``*.csv`` name, which a
+    later load would read back as a release, is a usage error."""
+    if Path(value).name.endswith(".csv"):
+        raise argparse.ArgumentTypeError(
+            f"{value} would be read back as a release; a JSON output cannot end in .csv")
+    return value
+
+
 def _read_back(option: str, out: Path, inputs) -> bool:
     """Whether a CSV that ``option out`` writes would be read back as a
     release, as ``load_project`` reads every CSV at a directory's top level;
@@ -204,8 +220,9 @@ def _read_back(option: str, out: Path, inputs) -> bool:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    as_csv = out.name.endswith(".csv")  # as load_project's *.csv glob matches it
     inputs = [("--train", p) for p in args.train] + [("--test", args.test)]
-    if out.suffix == ".csv" and _read_back("--out", out, [
+    if as_csv and _read_back("--out", out, [
         (flag, p, out.parent, Path(p).parent) for flag, p in inputs
     ]):
         return EXIT_USAGE
@@ -216,7 +233,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     plans = map(planner.plan, test.records)
 
     # Lazy: each plan, row or entry lives only while it is written.
-    if args.format == "csv":
+    if as_csv:
         rows = ([plan.class_name, *(plan.actions[m].direction for m in METRICS),
                  ";".join(suggest_refactorings(plan))] for plan in plans)
         _write_csv(out, chain([["class_name", *METRICS, "refactorings"]], rows))
@@ -261,12 +278,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-    if not args.project_dir and not (args.community and args.target):
-        print(
-            "planwise: give --project-dir, or --community with --target",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     # Under --community, every direct subdirectory is a project.
     if _read_back("--out-dir", out_dir, [
         ("--project-dir", args.project_dir, out_dir, args.project_dir),
@@ -274,24 +285,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     ]):
         return EXIT_USAGE
 
-    community = None
-    if args.project_dir:
-        project_dir = Path(args.project_dir)
-        paths = sorted(project_dir.glob("*.csv"))
-        if not paths:
-            state = ("holds no version CSVs" if project_dir.is_dir()
-                     else "is not a directory" if project_dir.exists() else "does not exist")
-            raise DatasetError(f"project directory {project_dir} {state}")
-        project = load_project(paths)
-    else:
-        community = load_community(args.community)
-        project = community.get(args.target)
+    project_dir = Path(args.project_dir)
+    paths = sorted(project_dir.glob("*.csv"))
+    if not paths:
+        state = ("holds no version CSVs" if project_dir.is_dir()
+                 else "is not a directory" if project_dir.exists() else "does not exist")
+        raise DatasetError(f"project directory {project_dir} {state}")
+    project = load_project(paths)
     windows(project)  # too few releases and a bad epsilon fail here, before discovery
     _check_epsilon(args.epsilon)
     belltree_train = None
     if "belltree" in names:
-        community = community or load_community(args.community)
-        belltree_train = exemplar_train(community, project, args.quality_measure)
+        belltree_train = exemplar_train(load_community(args.community), project,
+                                        args.quality_measure)
 
     # Windows are named by their release labels, or by their releases'
     # 1-based positions when two releases share a label (unlabelled files).
@@ -358,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="training CSV(s); several files are pooled, each class "
                            "as its latest row")
     plan.add_argument("--test", required=True, help="release CSV to plan for")
-    plan.add_argument("--out", required=True)
-    plan.add_argument("--format", choices=("json", "csv"), default="json")
+    plan.add_argument("--out", required=True,
+                      help="plan document: a CSV when it ends in .csv, else JSON")
     _add_options(plan, PLANNER_NAMES)
     plan.set_defaults(func=_cmd_plan)
 
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                           **fmt)
     bell.add_argument("--community", required=True,
                       help="directory of <project>/<version>.csv subdirectories")
-    bell.add_argument("--out", required=True)
+    bell.add_argument("--out", required=True, type=_json_out)
     bell.add_argument("--quality-measure", choices=sorted(QUALITY_MEASURES),
                       default="g-score")
     bell.set_defaults(func=_cmd_bellwether)
@@ -375,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="run the three-version protocol per window",
                         **fmt)
     ev.add_argument("--planner", required=True, choices=PLANNER_NAMES + ("all",))
-    ev.add_argument("--project-dir", help="directory of one project's version CSVs")
+    ev.add_argument("--project-dir", required=True,
+                    help="directory of the evaluated project's version CSVs; results "
+                         "carry the project name those files hold")
     ev.add_argument("--community", help="community directory (needed for belltree)")
-    ev.add_argument("--target", help="project to evaluate when using --community")
     ev.add_argument("--out-dir", required=True,
                     help="result directory; keep it outside the data directories")
     ev.add_argument("--epsilon", type=float, default=0.0,
@@ -392,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     baselines = [n for n, (kind, _) in PLANNERS.items() if kind is ThresholdPlanner]
     thresholds.add_argument("--planner", required=True, choices=baselines)
     thresholds.add_argument("--train", nargs="+", required=True)
-    thresholds.add_argument("--out", required=True)
+    thresholds.add_argument("--out", required=True, type=_json_out)
     _add_options(thresholds, baselines)
     thresholds.set_defaults(func=_cmd_thresholds)
 
     tree = sub.add_parser("tree", help="dump the fitted defect tree as JSON",
                           **fmt)
     tree.add_argument("--train", nargs="+", required=True)
-    tree.add_argument("--out", required=True)
+    tree.add_argument("--out", required=True, type=_json_out)
     _add_options(tree, ["xtree"], only=("max_depth", "min_leaf"))
     tree.set_defaults(func=_cmd_tree)
 

@@ -117,7 +117,6 @@ class TestPlanCommand:
                 "--train", str(toy_project_dir / "toy-1.0.csv"),
                 "--test", str(toy_project_dir / "toy-1.1.csv"),
                 "--out", str(out),
-                "--format", "csv",
             ]
         )
         assert code == EXIT_OK
@@ -127,15 +126,15 @@ class TestPlanCommand:
 
     # A plan CSV beside its inputs was read back as a release: the next
     # evaluate of that directory failed on the plan's missing 'name' column.
-    @pytest.mark.parametrize("flag, out, fmt", [
-        ("--train", "toy/plans.csv", "csv"),
-        ("--train", "toy/plans.csv", "json"),
-        ("--train", "toy/new/../plans.csv", "csv"),
-        ("--train", "link/plans.csv", "csv"),
-        ("--test", "held/plans.csv", "csv"),
-    ])
+    # Each id ends in the format that its --out's name selects.
+    @pytest.mark.parametrize("flag, out", [
+        ("--train", "toy/plans.csv"),
+        ("--train", "toy/new/../plans.csv"),
+        ("--train", "link/plans.csv"),
+        ("--test", "held/plans.csv"),
+    ], ids=lambda value: value if value.startswith("--") else f"{value}-csv")
     def test_a_csv_out_beside_an_input_is_refused(
-        self, toy_project_dir, tmp_path, capsys, flag, out, fmt
+        self, toy_project_dir, tmp_path, capsys, flag, out
     ):
         (tmp_path / "held").mkdir()
         test = tmp_path / "held" / "toy-1.2.csv"
@@ -144,7 +143,7 @@ class TestPlanCommand:
         train = toy_project_dir / "toy-1.0.csv"
         before = listing(tmp_path)
         code = main(["plan", "--planner", "xtree", "--train", str(train), "--test", str(test),
-                     "--out", str(tmp_path / out), "--format", fmt])
+                     "--out", str(tmp_path / out)])
         assert code == EXIT_USAGE
         data = train if flag == "--train" else test
         assert capsys.readouterr().err == (
@@ -159,10 +158,25 @@ class TestPlanCommand:
         root = toy_project_dir
         for out in (root / "plans" / "plans.csv", root / "plans.json"):
             assert main(["plan", "--planner", "xtree", "--train", str(root / "toy-1.0.csv"),
-                         "--test", str(root / "toy-1.1.csv"), "--out", str(out),
-                         "--format", out.suffix[1:]]) == EXIT_OK
+                         "--test", str(root / "toy-1.1.csv"), "--out", str(out)]) == EXIT_OK
         assert main(["evaluate", "--planner", "xtree", "--project-dir", str(root),
                      "--out-dir", str(tmp_path / "results")]) == EXIT_OK
+
+    @pytest.mark.parametrize("name, fmt", [
+        ("p.csv", "csv"), (".csv", "csv"),
+        ("p.json", "json"), ("p", "json"), ("p.csv.json", "json"),
+    ])
+    def test_the_out_name_chooses_the_format(self, toy_project_dir, tmp_path, name, fmt):
+        # A name that load_project's *.csv glob matches holds CSV; any other, JSON.
+        out = tmp_path / "plans" / name
+        train, test = (str(toy_project_dir / f"toy-{v}.csv") for v in ("1.0", "1.1"))
+        assert main(["plan", "--planner", "xtree", "--train", train, "--test", test,
+                     "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        if fmt == "csv":
+            assert text.startswith("class_name,wmc,") and len(text.splitlines()) == 61
+        else:
+            assert len(json.loads(text)["plans"]) == 60
 
     def test_unknown_planner_is_a_usage_error(self, toy_project_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -314,10 +328,14 @@ class TestEvaluateCommand:
 
 
 class TestBelltreeEvaluation:
+    # "target": the project directory is the community's own; "project-dir":
+    # a copy of it outside the community.
     @pytest.mark.parametrize("select", ["target", "project-dir"])
     def test_discovery_leaves_the_target_out(
         self, exemplar_community_dir, tmp_path, select
     ):
+        import shutil
+
         community = load_community(exemplar_community_dir)
         assert discover(community).bellwether == "exemplar"
         target = community.get("exemplar")
@@ -328,17 +346,15 @@ class TestBelltreeEvaluation:
         )
 
         out_dir = tmp_path / "out"
-        selection = (
-            ["--target", "exemplar"]
-            if select == "target"
-            else ["--project-dir", str(exemplar_community_dir / "exemplar")]
-        )
+        project_dir = exemplar_community_dir / "exemplar"
+        if select == "project-dir":
+            project_dir = shutil.copytree(project_dir, tmp_path / "held" / "exemplar")
         code = main(
             [
                 "evaluate",
                 "--planner", "belltree",
+                "--project-dir", str(project_dir),
                 "--community", str(exemplar_community_dir),
-                *selection,
                 "--out-dir", str(out_dir),
             ]
         )
@@ -362,8 +378,8 @@ class TestBelltreeEvaluation:
             [
                 "evaluate",
                 "--planner", "belltree",
+                "--project-dir", str(exemplar_community_dir / "exemplar"),
                 "--community", str(exemplar_community_dir),
-                "--target", "exemplar",
                 "--out-dir", str(tmp_path / "out"),
             ]
         )
@@ -382,8 +398,8 @@ class TestBelltreeEvaluation:
             [
                 "evaluate",
                 "--planner", "belltree",
+                "--project-dir", str(exemplar_community_dir / "exemplar"),
                 "--community", str(exemplar_community_dir),
-                "--target", "exemplar",
                 "--out-dir", str(tmp_path / "out"),
             ]
         )
@@ -402,7 +418,8 @@ class TestBelltreeEvaluation:
             "planwise.bellwether.discover", lambda *a, **k: calls.append(a) or discover(*a, **k)
         )
         argv = ["evaluate", "--planner", "belltree",
-                "--community", str(exemplar_community_dir), "--target", "alpha"]
+                "--project-dir", str(exemplar_community_dir / "alpha"),
+                "--community", str(exemplar_community_dir)]
         code = main([*argv, "--out-dir", str(tmp_path / "bad"), "--epsilon", "nan"])
         assert code == EXIT_FAILURE
         assert calls == [] and not (tmp_path / "bad").exists()
@@ -479,6 +496,27 @@ class TestBelltreeEvaluation:
         assert doc == dict(json.loads(json.dumps(expected[0].to_dict())), schema_version="1")
         assert calls == [["alpha", "beta"]]
 
+    def test_results_are_named_by_the_files_project_not_the_directory(
+        self, exemplar_community_dir, tmp_path
+    ):
+        # The project's one spelling is --project-dir, and its files name it;
+        # the directory's name under --community (once --target) names nothing.
+        root = exemplar_community_dir
+        (root / "exemplar").rename(root / "apache-exemplar")
+        argv = ["evaluate", "--planner", "all", "--project-dir", str(root / "apache-exemplar"),
+                "--community", str(root), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert len(names) == 2 + 5 * 2 and names[-2:] == ["summary.csv", "summary.json"]
+        assert all(name.startswith("exemplar-") for name in names[:-2]), names
+        rows = json.loads((tmp_path / "out" / "summary.json").read_text())["rows"]
+        assert {row["dataset"] for row in rows} == {"exemplar-1"}
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--planner", "all", "--community", str(root),
+                  "--target", "apache-exemplar", "--out-dir", str(tmp_path / "by-dir")])
+        assert excinfo.value.code == EXIT_USAGE
+        assert not (tmp_path / "by-dir").exists()
+
 
 # The environment variables that once set an option, each with a valid
 # value other than the option's default; PLANWISE_FORMAT and
@@ -502,19 +540,20 @@ def run_every_command(community: Path, out: Path, capsys, flags: bool = False) -
     test = ["--test", str(project / "exemplar-3.csv")]
     commands = {
         "plan-json": ["plan", "--planner", "xtree", *train, *test],
-        "plan-csv": ["plan", "--planner", "xtree", "--format", "csv", *train, *test],
+        "plan-csv": ["plan", "--planner", "xtree", *train, *test],
         **{f"thresholds-{name}": ["thresholds", "--planner", name, *train]
            for name in ("alves", "shatnawi", "oliveira")},
         "tree": ["tree", *train],
         "bellwether": ["bellwether", "--community", str(community)],
-        "evaluate": ["evaluate", "--planner", "all", "--community", str(community),
-                     "--target", "exemplar"],
+        "evaluate": ["evaluate", "--planner", "all", "--project-dir", str(project),
+                     "--community", str(community)],
     }
     runs = {}
     for name, argv in commands.items():
         directory = out / name
+        written_to = directory / ("out.csv" if name == "plan-csv" else "out")
         argv = argv + (["--out-dir", str(directory)] if name == "evaluate"
-                       else ["--out", str(directory / "out")])
+                       else ["--out", str(written_to)])
         if flags:
             known = subparser(argv[0])._option_string_actions
             for variable, value in FORMER_VARIABLES.items():
@@ -571,6 +610,53 @@ class TestOtherCommands:
         assert targets == []
         fitted = make_planner("xtree", **options).fit(pool_versions(load_project(train)))
         assert json.loads(out.read_text())["tree"] == tree_to_dict(fitted.tree)
+
+    @pytest.mark.parametrize("command", ["tree", "thresholds", "bellwether"])
+    @pytest.mark.parametrize("name", ["out.csv", ".csv"])
+    def test_a_json_command_refuses_a_csv_out(
+        self, toy_project_dir, toy_community_dir, tmp_path, capsys, command, name
+    ):
+        # A JSON document named *.csv among a project's releases was read back
+        # as one: the next evaluate or bellwether failed on its missing 'name'.
+        train = ["--train", str(toy_project_dir / "toy-1.0.csv")]
+        argv = {"tree": ["tree", *train],
+                "thresholds": ["thresholds", "--planner", "alves", *train],
+                "bellwether": ["bellwether", "--community", str(toy_community_dir)]}[command]
+        out = toy_community_dir / "apple" / name
+        before = listing(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(out)])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --out: {out} would be read back as a release; "
+            "a JSON output cannot end in .csv\n")
+        assert listing(tmp_path) == before
+
+    @pytest.mark.parametrize("command, removed", [
+        ("plan", ["--format", "csv"]),
+        ("plan", ["--format", "json"]),
+        ("evaluate", ["--target", "toy"]),
+    ], ids=["format-csv", "format-json", "target"])
+    def test_a_removed_option_is_a_usage_error(
+        self, toy_project_dir, tmp_path, capsys, command, removed
+    ):
+        # --target once named a community's project, and lost silently to a
+        # --project-dir given beside it; --format repeated what --out's name says.
+        argv = {
+            "plan": ["plan", "--planner", "xtree",
+                     "--train", str(toy_project_dir / "toy-1.0.csv"),
+                     "--test", str(toy_project_dir / "toy-1.1.csv"),
+                     "--out", str(tmp_path / "out" / "plans.csv")],
+            "evaluate": ["evaluate", "--planner", "xtree", "--project-dir", str(toy_project_dir),
+                         "--out-dir", str(tmp_path / "out")],
+        }[command]
+        before = listing(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *removed])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(removed)}\n")
+        assert listing(tmp_path) == before
 
     @pytest.mark.parametrize(
         "argv",
@@ -740,8 +826,7 @@ OPTION_SURFACE = {
             (("--train",), None, None,
              "training CSV(s); several files are pooled, each class as its latest row"),
             (("--test",), None, None, "release CSV to plan for"),
-            (("--out",), None, None, None),
-            (("--format",), None, "json", None),
+            (("--out",), None, None, "plan document: a CSV when it ends in .csv, else JSON"),
         ]),
         _GAMMA_SEED, _TREE, _BASELINE,
     ],
@@ -751,7 +836,7 @@ OPTION_SURFACE = {
             _HELP,
             (("--community",), None, None,
              "directory of <project>/<version>.csv subdirectories"),
-            (("--out",), None, None, None),
+            (("--out",), "_json_out", None, None),
             (("--quality-measure",), None, "g-score", None),
         ]),
     ],
@@ -760,9 +845,10 @@ OPTION_SURFACE = {
         ("<options>", [
             _HELP,
             (("--planner",), None, None, None),
-            (("--project-dir",), None, None, "directory of one project's version CSVs"),
+            (("--project-dir",), None, None,
+             "directory of the evaluated project's version CSVs; results carry the project "
+             "name those files hold"),
             (("--community",), None, None, "community directory (needed for belltree)"),
-            (("--target",), None, None, "project to evaluate when using --community"),
             (("--out-dir",), None, None,
              "result directory; keep it outside the data directories"),
             (("--epsilon",), "float", 0.0,
@@ -777,13 +863,14 @@ OPTION_SURFACE = {
             _HELP,
             (("--planner",), None, None, None),
             (("--train",), None, None, None),
-            (("--out",), None, None, None),
+            (("--out",), "_json_out", None, None),
         ]),
         _BASELINE,
     ],
     "tree": [
         ("<positionals>", []),
-        ("<options>", [_HELP, (("--train",), None, None, None), (("--out",), None, None, None)]),
+        ("<options>", [_HELP, (("--train",), None, None, None),
+                       (("--out",), "_json_out", None, None)]),
         _TREE,
     ],
 }
@@ -879,8 +966,8 @@ def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
              str(history / "p3-2.csv"), "--test", str(history / "p3-3.csv"),
              "--out", str(out / "plans.json")],
             ["bellwether", "--community", str(community), "--out", str(out / "bellwether.json")],
-            ["evaluate", "--planner", "all", "--community", str(community), "--target", "p3",
-             "--out-dir", str(out / "evaluate")],
+            ["evaluate", "--planner", "all", "--project-dir", str(history),
+             "--community", str(community), "--out-dir", str(out / "evaluate")],
         ], PYTHONHASHSEED=hash_seed)
         outputs[hash_seed] = {
             path.relative_to(out).as_posix(): path.read_bytes()
@@ -921,8 +1008,9 @@ class TestNumpyLoadsOnlyWhereUsed:
     def test_belltree_evaluation_never_imports_numpy(self, exemplar_community_dir, tmp_path):
         out_dir = tmp_path / "out"
         assert unwanted_after([[
-            "evaluate", "--planner", "belltree", "--community", str(exemplar_community_dir),
-            "--target", "exemplar", "--out-dir", str(out_dir),
+            "evaluate", "--planner", "belltree",
+            "--project-dir", str(exemplar_community_dir / "exemplar"),
+            "--community", str(exemplar_community_dir), "--out-dir", str(out_dir),
         ]]) == [set()] * 2
         assert (out_dir / "exemplar-alpha-pooled-2-3-belltree.json").exists()
 
@@ -936,8 +1024,9 @@ class TestNumpyLoadsOnlyWhereUsed:
         assert unwanted_after([
             ["evaluate", "--planner", "all", "--project-dir", str(toy_project_dir),
              "--out-dir", str(out_dir / "toy")],
-            ["evaluate", "--planner", "all", "--community", str(exemplar_community_dir),
-             "--target", "exemplar", "--out-dir", str(out_dir / "exemplar")],
+            ["evaluate", "--planner", "all",
+             "--project-dir", str(exemplar_community_dir / "exemplar"),
+             "--community", str(exemplar_community_dir), "--out-dir", str(out_dir / "exemplar")],
         ]) == [set()] * 3
         assert (out_dir / "toy" / "summary.json").exists()
         assert (out_dir / "exemplar" / "exemplar-1-2-3-shatnawi.json").exists()
@@ -945,7 +1034,7 @@ class TestNumpyLoadsOnlyWhereUsed:
     def test_oliveira_thresholds_never_import_numpy(self, toy_project_dir, tmp_path):
         train, test = (str(toy_project_dir / f"toy-{v}.csv") for v in ("1.0", "1.1"))
         commands = [
-            ["plan", "--planner", "alves", "--train", train, "--test", test, "--format", "csv",
+            ["plan", "--planner", "alves", "--train", train, "--test", test,
              "--out", str(tmp_path / "alves.csv")],
             *(["thresholds", "--planner", name, "--train", train,
                "--out", str(tmp_path / f"{name}.json")]
@@ -956,21 +1045,6 @@ class TestNumpyLoadsOnlyWhereUsed:
 
 
 class TestEvaluateEdgeCases:
-    def test_unknown_target_lists_known_projects(self, toy_community_dir, tmp_path, capsys):
-        code = main(
-            [
-                "evaluate",
-                "--planner", "xtree",
-                "--community", str(toy_community_dir),
-                "--target", "durian",
-                "--out-dir", str(tmp_path / "out"),
-            ]
-        )
-        assert code == EXIT_FAILURE
-        assert capsys.readouterr().err == (
-            "planwise: no project 'durian' in the community (have: apple, berry)\n"
-        )
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
     def test_bad_epsilon_fails_and_writes_nothing(self, toy_project_dir, tmp_path, capsys, value):
         # A NaN or infinite tolerance once exited 0 with every developer move
@@ -1001,10 +1075,11 @@ class TestEvaluateEdgeCases:
                              ids=["neither", "community-alone", "target-alone"])
     def test_evaluate_needs_a_project(self, tmp_path, capsys, selection):
         out_dir = tmp_path / "out"
-        code = main(["evaluate", "--planner", "xtree", "--out-dir", str(out_dir), *selection])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "planwise: give --project-dir, or --community with --target\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--planner", "xtree", "--out-dir", str(out_dir), *selection])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: --project-dir\n")
         assert not out_dir.exists()
 
     def test_empty_project_dir_fails_cleanly(self, tmp_path, capsys):
@@ -1054,7 +1129,7 @@ class TestEvaluateEdgeCases:
         ("--community", "planted/new"),
     ])
     def test_an_out_dir_read_as_data_is_refused(
-        self, exemplar_community_dir, tmp_path, capsys, monkeypatch, flag, out
+        self, exemplar_community_dir, toy_project_dir, tmp_path, capsys, monkeypatch, flag, out
     ):
         calls = []
         monkeypatch.setattr(
@@ -1062,10 +1137,10 @@ class TestEvaluateEdgeCases:
         )
         root = exemplar_community_dir
         (tmp_path / "link").symlink_to(root / "exemplar")
-        data, target = ((root / "exemplar", []) if flag == "--project-dir"
-                        else (root, ["--target", "exemplar"]))
+        data, project = ((root / "exemplar", []) if flag == "--project-dir"
+                         else (root, ["--project-dir", str(toy_project_dir)]))
         before = listing(tmp_path)
-        code = main(["evaluate", "--planner", "all", flag, str(data), *target,
+        code = main(["evaluate", "--planner", "all", flag, str(data), *project,
                      "--out-dir", str(tmp_path / out)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
@@ -1079,7 +1154,8 @@ class TestEvaluateEdgeCases:
         root = exemplar_community_dir
         project = ["--project-dir", str(root / "exemplar"),
                    "--out-dir", str(root / "exemplar" / "results")]
-        community = ["--community", str(root), "--target", "exemplar", "--out-dir", str(root)]
+        community = ["--project-dir", str(root / "exemplar"), "--community", str(root),
+                     "--out-dir", str(root)]
         for _ in range(2):  # the rerun reads data the first run wrote beside
             for argv in (project, community):
                 assert main(["evaluate", "--planner", "xtree", *argv]) == EXIT_OK

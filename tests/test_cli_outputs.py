@@ -39,10 +39,10 @@ COMMANDS = [
     ["plan", "--planner", "xtree", "--train", *TRAIN, "--test", TEST,
      "--out", "out/plans-xtree.json"],
     ["plan", "--planner", "alves", "--train", *TRAIN, "--test", TEST,
-     "--out", "out/plans-alves.csv", "--format", "csv"],
+     "--out", "out/plans-alves.csv"],
     ["bellwether", "--community", "planted", "--out", "out/bellwether.json"],
-    ["evaluate", "--planner", "all", "--community", "planted",
-     "--target", "exemplar", "--out-dir", "out/evaluate"],
+    ["evaluate", "--planner", "all", "--project-dir", "planted/exemplar",
+     "--community", "planted", "--out-dir", "out/evaluate"],
     ["thresholds", "--planner", "alves", "--train", *TRAIN,
      "--out", "out/thresholds-alves.json"],
     ["thresholds", "--planner", "shatnawi", "--train", *TRAIN,
@@ -152,7 +152,7 @@ def _plan_csv_rows(tmp_path, names):
             "plan", "--planner", "xtree",
             "--train", str(tmp_path / "train.csv"),
             "--test", str(tmp_path / "test.csv"),
-            "--out", str(out), "--format", "csv",
+            "--out", str(out),
         ]
     )
     assert code == EXIT_OK
@@ -419,8 +419,7 @@ class TestStreamedJson:
             calls.clear()
             out = tmp_path / "out" / f"plans.{fmt}"
             code = main(["plan", "--planner", "xtree", "--train", str(tmp_path / "v0.csv"),
-                         "--test", str(tmp_path / "v1.csv"), "--out", str(out),
-                         "--format", fmt])
+                         "--test", str(tmp_path / "v1.csv"), "--out", str(out)])
             assert code == EXIT_FAILURE
             assert capsys.readouterr().err == "planwise: no refactoring for this plan\n"
             assert not list((tmp_path / "out").glob("*"))
@@ -448,7 +447,7 @@ class TestStreamedJson:
             files.clear()
             code = main(["plan", "--planner", "xtree", "--train", str(tmp_path / "v0.csv"),
                          "--test", str(tmp_path / "v1.csv"),
-                         "--out", str(out_dir / f"plans.{fmt}"), "--format", fmt])
+                         "--out", str(out_dir / f"plans.{fmt}")])
             assert code == EXIT_FAILURE
             assert capsys.readouterr().err == "planwise: no plan for this class\n"
             assert len(calls) == 5
