@@ -12,9 +12,11 @@ Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
 and ``-``, ``*`` and ``/``, ``&`` and ``|``, ``<<`` and ``>>`` (also in
 augmented assignments such as ``+=``), or ``and`` and ``or``; or it calls
 ``max`` for ``min`` or ``min`` for ``max``; or it drops a ``not``, so that
-``not x`` becomes ``x``. Operators inside ``raise`` statements only
-build messages, and those inside annotations are never evaluated (the
-modules import ``annotations`` from ``__future__``): both are left alone.
+``not x`` becomes ``x``; or it moves an integer constant 0, 1 or 2 down or
+up by one, in two mutants (``0`` becomes ``-1`` and ``1``). Operators and
+constants inside ``raise`` statements only build messages, and those inside
+annotations are never evaluated (the modules import ``annotations`` from
+``__future__``): both are left alone.
 A mutant is killed when a test fails, errors or its tests run longer than
 ``TIMEOUT_FACTOR`` times the untraced baseline of step 1; it survives when
 every test that runs its line passes.
@@ -79,6 +81,8 @@ SYMBOLS = {
 }
 # Builtins whose calls a mutant swaps by name.
 CALL_SWAPS = {"min": "max", "max": "min"}
+# Integer constants a mutant moves by -1 and by +1.
+MOVED_INTS = (0, 1, 2)
 # A mutant's tests may run this many times as long as the whole untraced
 # suite; longer counts as killed (a mutated loop bound may never end).
 TIMEOUT_FACTOR = 3
@@ -91,9 +95,11 @@ COLLECTION = "<collection>"
 
 
 def mutation_sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
-    """``(node, i)`` for each swappable operator, each ``not`` and each call
-    of ``min`` or ``max`` outside ``raise`` statements and annotations, in
-    source order; ``i`` indexes a comparison's operators, else is None."""
+    """``(node, i)`` for each swappable operator, each ``not``, each call
+    of ``min`` or ``max`` and, twice, each integer constant of
+    ``MOVED_INTS`` outside ``raise`` statements and annotations, in source
+    order; ``i`` indexes a comparison's operators, or is a constant's move
+    (-1 or +1), else is None."""
     skipped = [r for r in ast.walk(tree) if isinstance(r, ast.Raise)]
     for node in ast.walk(tree):
         if isinstance(node, (ast.arg, ast.AnnAssign)):
@@ -113,7 +119,11 @@ def mutation_sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in CALL_SWAPS):
             sites.append((node, None))
-    return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+        elif (isinstance(node, ast.Constant) and type(node.value) is int
+              and node.value in MOVED_INTS):
+            sites += [(node, -1), (node, 1)]
+    # Stable: at one position, the outer node first, then its operators or moves in order.
+    return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset))
 
 
 class _Replace(ast.NodeTransformer):
@@ -136,6 +146,12 @@ def mutant(source: str, k: int) -> tuple[str, range, str]:
         old_name = node.func.id
         node.func.id = CALL_SWAPS[old_name]
         return ast.unparse(tree), lines, f"{old_name} -> {node.func.id}"
+    if isinstance(node, ast.Constant):
+        moved = node.value + i
+        # -1 as the parser reads it, so ``ast.unparse`` keeps its precedence.
+        new_node = ast.UnaryOp(ast.USub(), ast.Constant(1)) if moved < 0 else ast.Constant(moved)
+        _Replace(node, new_node).visit(tree)
+        return ast.unparse(tree), lines, f"{node.value} -> {moved}"
     old = node.op if i is None else node.ops[i]
     new = SWAPS[type(old)]
     if new is None:  # a dropped ``not``: its operand takes its place

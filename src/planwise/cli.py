@@ -4,12 +4,13 @@ Every command is a pure function of its input files and command-line
 options: re-running it with the same arguments produces byte-identical
 outputs. No option is read from the environment.
 
-Each input has one spelling. ``evaluate`` loads its project from
-``--project-dir`` alone, and the project's name is the one its files hold;
-``--community`` is read only for belltree's exemplar. An output's format is
-its name's: ``plan`` writes CSV exactly when ``--out`` ends in ``.csv``, the
-files ``load_project`` reads as releases, and the commands that write only
-JSON refuse such an ``--out``.
+Each input has one spelling, and each option only its full name, never a
+prefix of it. ``evaluate`` loads its project from ``--project-dir`` alone,
+and the project's name is the one its files hold; ``--community`` is read
+only for belltree's exemplar. An output's format is its name's: ``plan``
+writes CSV exactly when ``--out`` ends in ``.csv``, the files
+``load_project`` reads as releases, and the commands that write only JSON
+refuse such an ``--out``.
 """
 
 from __future__ import annotations
@@ -347,15 +348,16 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No option has a second spelling by prefix: ``--out`` never means ``--out-dir``.
+    fmt = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter, "allow_abbrev": False}
     parser = argparse.ArgumentParser(
-        prog="planwise",
+        prog="planwise", **fmt,
         description=(
             "Learn metric-change plans from versioned defect datasets and "
             "score them against developer behavior."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
     plan = sub.add_parser("plan", help="generate plans for every class of a release",
                           **fmt)

@@ -3,20 +3,19 @@
 Cut points are accepted only when the information gain of a binary split
 clears the minimum-description-length criterion, so noisy metrics end up
 with no cuts at all. A column is grouped once into its distinct values' class
-counts; the recursion reads every interval's counts from their prefix sums.
+counts, by ``stats._group_by_value``, the grouping the logistic screen also
+uses; the recursion reads every interval's counts from their prefix sums.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate
 from math import inf, isfinite, log2
-from operator import sub
 
-from .stats import _entropy_of_counts
+from .stats import _entropy_of_counts, _group_by_value
 
 
 @dataclass(frozen=True)
@@ -53,18 +52,6 @@ class BinMap:
 def apply_bins(bins: BinMap, value: float) -> int:
     """Index of the range containing ``value`` (left range is value <= cut)."""
     return bisect_left(bins.cut_points, value)
-
-
-def _group_by_value(
-    values: Sequence[float], labels: Sequence[int]
-) -> tuple[list[float], list[int], list[int]]:
-    """Sorted distinct values as floats, with their negative and positive
-    counts; the first seen of two equal values (``-0.0``/``0.0``) stands for both."""
-    totals = Counter(map(float, values))
-    positives = Counter(map(float, compress(values, labels)))
-    distinct = sorted(totals)
-    pos = list(map(positives.get, distinct, repeat(0)))
-    return distinct, list(map(sub, map(totals.__getitem__, distinct), pos)), pos
 
 
 def _mdl_accepts(

@@ -1,5 +1,10 @@
-"""Shared numerical routines: entropy, median, univariate logistic regression,
-Simpson."""
+"""Shared numerical routines: entropy, median, grouping a column by value,
+univariate logistic regression, Simpson.
+
+One grouping, ``_group_by_value``, serves both the MDL discretizer and the
+logistic screen; the screen's Newton pass takes a single log for a group of
+one row, whose other term is zero.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,8 @@ import math
 from collections import Counter
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, sub
 
 MAX_IRLS_ITERATIONS = 50
 LOGLIK_TOLERANCE = 1e-8
@@ -49,24 +56,45 @@ def median(values: Iterable[float]) -> float:
     return (data[n // 2 - 1] + data[n // 2]) / 2
 
 
+def _group_by_value(
+    values: Sequence[float], labels: Sequence[int]
+) -> tuple[list[float], list[int], list[int]]:
+    """Sorted distinct values as floats, with their negative and positive
+    counts; the first seen of two equal values (``-0.0``/``0.0``) stands for both."""
+    totals = Counter(map(float, values))
+    positives = Counter(map(float, compress(values, labels)))
+    distinct = sorted(totals)
+    pos = list(map(positives.get, distinct, repeat(0)))
+    return distinct, list(map(sub, map(totals.__getitem__, distinct), pos)), pos
+
+
 def _loglik_and_newton_terms(
     groups: list[tuple[float, int, int]], alpha: float, beta: float
 ) -> tuple[float, float, float, float, float, float]:
     """The log-likelihood at ``(alpha, beta)``, its gradient and the 2x2
     information matrix (the negated Hessian), in one pass over the
-    ``(x, rows, positives)`` groups: ``(loglik, g0, g1, h00, h01, h11)``."""
+    ``(x, rows, positives)`` groups: ``(loglik, g0, g1, h00, h01, h11)``.
+
+    A group of one row takes one log: its other term, ``0 * log(...)``, is a
+    signed zero that leaves the sum's bits as they are, and a factor of one
+    row is exact, so both paths give the same bits."""
     loglik = g0 = g1 = h00 = h01 = h11 = 0.0
     for x, rows, positives in groups:
         # Clipped by conditionals, which cost less than min and max calls.
         eta = alpha + beta * x
         p = 1.0 / (1.0 + math.exp(-(-35.0 if eta < -35.0 else 35.0 if eta > 35.0 else eta)))
         clipped = 1e-12 if p < 1e-12 else 1.0 - 1e-12 if p > 1.0 - 1e-12 else p
-        loglik += positives * math.log(clipped) + (rows - positives) * math.log(1.0 - clipped)
-        residual = positives - rows * p
-        g0, g1 = g0 + residual, g1 + residual * x
         weight = p * (1.0 - p)
-        weight = rows * (1e-12 if weight < 1e-12 else weight)
-        h00, h01, h11 = h00 + weight, h01 + weight * x, h11 + weight * x * x
+        weight = 1e-12 if weight < 1e-12 else weight
+        if rows == 1:
+            loglik += math.log(clipped) if positives else math.log(1.0 - clipped)
+            residual = positives - p
+        else:
+            loglik += positives * math.log(clipped) + (rows - positives) * math.log(1.0 - clipped)
+            residual, weight = positives - rows * p, rows * weight
+        g0, g1 = g0 + residual, g1 + residual * x
+        weighted_x = weight * x
+        h00, h01, h11 = h00 + weight, h01 + weighted_x, h11 + weighted_x * x
     return loglik, g0, g1, h00, h01, h11
 
 
@@ -93,16 +121,14 @@ def fit_univariate_logistic(
     if len(labels) < 2:
         raise ValueError("y must contain both labels")
 
-    x = [float(value) for value in x]
-    rows = Counter(x)
-    positives = Counter(value for value, label in zip(x, y) if label)
-    negatives = rows - positives
+    distinct, negatives, positives = _group_by_value(x, y)
     failed = LogisticFit(alpha=math.nan, beta=math.nan, p_value=1.0, converged=False)
-    if len(rows) < 2 or max(negatives) < min(positives) or max(positives) < min(negatives):
+    neg_xs, pos_xs = list(compress(distinct, negatives)), list(compress(distinct, positives))
+    if len(distinct) < 2 or neg_xs[-1] < pos_xs[0] or pos_xs[-1] < neg_xs[0]:
         return failed  # a constant feature, or perfectly separated labels
-    groups = [(value, rows[value], positives[value]) for value in sorted(rows)]
+    groups = list(zip(distinct, map(add, negatives, positives), positives))
 
-    base_rate = sum(y) / len(y)
+    base_rate = sum(positives) / len(y)
     alpha, beta = math.log(base_rate / (1.0 - base_rate)), 0.0
     loglik, g0, g1, h00, h01, h11 = _loglik_and_newton_terms(groups, alpha, beta)
     for _ in range(MAX_IRLS_ITERATIONS):

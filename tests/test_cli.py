@@ -658,6 +658,19 @@ class TestOtherCommands:
             f"error: unrecognized arguments: {' '.join(removed)}\n")
         assert listing(tmp_path) == before
 
+    def test_a_prefix_spelling_is_a_usage_error(self, toy_project_dir, tmp_path, capsys):
+        # With argparse's abbreviations on, --out read as --out-dir and --plan
+        # as --planner, so every option had a second spelling.
+        out = tmp_path / "out"
+        before = listing(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--plan", "xtree", "--proj", str(toy_project_dir),
+                  "--out", str(out), "--comm", str(toy_project_dir.parent)])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "error: the following arguments are required: --planner, --project-dir, " \
+               "--out-dir" in capsys.readouterr().err
+        assert listing(tmp_path) == before
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -895,6 +908,22 @@ class TestOptionSurface:
 
     def test_every_subcommand_is_pinned(self):
         assert set(build_parser()._subparsers._group_actions[0].choices) == set(OPTION_SURFACE)
+
+    @pytest.mark.parametrize("command", sorted(OPTION_SURFACE))
+    def test_each_option_has_its_full_spelling_only(self, command):
+        # Every option of the command, spelled in full, parses; the same line
+        # with any one option cut by its last letter is a usage error.
+        argv = [command]
+        for action in subparser(command)._actions:
+            if action.option_strings and action.dest != "help":
+                value = (action.choices[0] if action.choices
+                         else "1" if action.type in (int, float) else "x.json")
+                argv += [max(action.option_strings, key=len), str(value)]
+        assert build_parser().parse_args(argv).command == command
+        for i in range(1, len(argv), 2):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([*argv[:i], argv[i][:-1], *argv[i + 1:]])
+            assert excinfo.value.code == EXIT_USAGE
 
 
 class TestPlannerOptionsFollowTheTable:

@@ -230,14 +230,21 @@ def mutated_lines(source: str) -> list[tuple[str, str]]:
 
 
 def test_mutate_swaps_the_bitwise_operators():
-    # Outer operators come first; the one inside the raise builds a message.
+    # Outer operators come first, then the constants' moves; the operator
+    # inside the raise builds a message.
     source = "x = a & b | c\ny = d << 2 >> 1\nz |= 1\nraise E(a | b)\n"
     assert mutated_lines(source) == [
         ("x = a & b & c", "| -> &"),
         ("x = a | b | c", "& -> |"),
         ("y = d << 2 << 1", ">> -> <<"),
         ("y = d >> 2 >> 1", "<< -> >>"),
+        ("y = d << 1 >> 1", "2 -> 1"),
+        ("y = d << 3 >> 1", "2 -> 3"),
+        ("y = d << 2 >> 0", "1 -> 0"),
+        ("y = d << 2 >> 2", "1 -> 2"),
         ("z &= 1", "| -> &"),
+        ("z |= 0", "1 -> 0"),
+        ("z |= 2", "1 -> 2"),
     ]
 
 
@@ -267,6 +274,8 @@ def test_mutate_swaps_multiplication_with_division():
     assert mutated_lines(source) == [
         ("x = a * b * c", "/ -> *"),
         ("x = a / b / c", "* -> /"),
+        ("y //= 1", "2 -> 1"),
+        ("y //= 3", "2 -> 3"),
         ("z /= 3", "* -> /"),
     ]
 
@@ -289,6 +298,8 @@ def test_mutate_leaves_annotations_alone():
     assert mutated_lines(source) == [
         ("def f(a: int | None=b & c) -> A | B:", "| -> &"),
         ("    d: C | D = a & 1", "| -> &"),
+        ("    d: C | D = a | 0", "1 -> 0"),
+        ("    d: C | D = a | 2", "1 -> 2"),
     ]
 
 
@@ -303,6 +314,30 @@ def test_mutate_drops_a_not():
         ("y = f(b and c)", "not -> (dropped)"),
         ("z = not d", "not -> (dropped)"),
         ("z = not d", "not -> (dropped)"),
+    ]
+
+
+def test_mutate_moves_the_integer_constants_zero_to_two():
+    # Each of 0, 1 and 2 moves down, then up; bools, floats, 3 and a
+    # constant inside the raise stay. A -1 keeps its precedence under ``**``.
+    source = ("x = a[0] + b[-1]\ny = 0 ** 2 < f(True, 1.0, 3, k=2)\n"
+              "z = [x][1:] * 4\nraise E(x[1])\n")
+    assert mutated_lines(source) == [
+        ("x = a[0] - b[-1]", "+ -> -"),
+        ("x = a[-1] + b[-1]", "0 -> -1"),
+        ("x = a[1] + b[-1]", "0 -> 1"),
+        ("x = a[0] + b[-0]", "1 -> 0"),
+        ("x = a[0] + b[-2]", "1 -> 2"),
+        ("y = 0 ** 2 <= f(True, 1.0, 3, k=2)", "< -> <="),
+        ("y = (-1) ** 2 < f(True, 1.0, 3, k=2)", "0 -> -1"),
+        ("y = 1 ** 2 < f(True, 1.0, 3, k=2)", "0 -> 1"),
+        ("y = 0 ** 1 < f(True, 1.0, 3, k=2)", "2 -> 1"),
+        ("y = 0 ** 3 < f(True, 1.0, 3, k=2)", "2 -> 3"),
+        ("y = 0 ** 2 < f(True, 1.0, 3, k=1)", "2 -> 1"),
+        ("y = 0 ** 2 < f(True, 1.0, 3, k=3)", "2 -> 3"),
+        ("z = [x][1:] / 4", "* -> /"),
+        ("z = [x][0:] * 4", "1 -> 0"),
+        ("z = [x][2:] * 4", "1 -> 2"),
     ]
 
 

@@ -201,6 +201,10 @@ class TestLogisticFit:
     def test_constant_feature_flags_unusable(self):
         fit = fit_univariate_logistic([3.0] * 10, [0, 1] * 5)
         assert not fit.converged
+        # Here the information matrix of the first pass rounds to a nonzero
+        # determinant, so only the distinct-value check refuses the column.
+        fit = fit_univariate_logistic([0.704] * 7, [0, 1, 0, 1, 0, 0, 1])
+        assert not fit.converged
 
     def test_single_label_rejected(self):
         with pytest.raises(ValueError, match="both labels"):
@@ -385,3 +389,135 @@ def test_logistic_fit_matches_the_numpy_oracle_on_the_bench_corpus(tmp_path):
             if fit.converged:
                 for got, want in zip(astuple(fit)[:3], astuple(oracle)[:3]):
                     assert math.isclose(got, want, rel_tol=1e-9), (release.version, metric)
+
+
+# The scalar fit as it stood before the fit shared ``_group_by_value`` and
+# its Newton pass took one log per single-row group, copied verbatim: the
+# bit-exact reference of the current one.
+def reference_loglik_and_newton_terms(
+    groups: list[tuple[float, int, int]], alpha: float, beta: float
+) -> tuple[float, float, float, float, float, float]:
+    """The log-likelihood at ``(alpha, beta)``, its gradient and the 2x2
+    information matrix (the negated Hessian), in one pass over the
+    ``(x, rows, positives)`` groups: ``(loglik, g0, g1, h00, h01, h11)``."""
+    loglik = g0 = g1 = h00 = h01 = h11 = 0.0
+    for x, rows, positives in groups:
+        # Clipped by conditionals, which cost less than min and max calls.
+        eta = alpha + beta * x
+        p = 1.0 / (1.0 + math.exp(-(-35.0 if eta < -35.0 else 35.0 if eta > 35.0 else eta)))
+        clipped = 1e-12 if p < 1e-12 else 1.0 - 1e-12 if p > 1.0 - 1e-12 else p
+        loglik += positives * math.log(clipped) + (rows - positives) * math.log(1.0 - clipped)
+        residual = positives - rows * p
+        g0, g1 = g0 + residual, g1 + residual * x
+        weight = p * (1.0 - p)
+        weight = rows * (1e-12 if weight < 1e-12 else weight)
+        h00, h01, h11 = h00 + weight, h01 + weight * x, h11 + weight * x * x
+    return loglik, g0, g1, h00, h01, h11
+
+
+def reference_fit(x, y) -> LogisticFit:
+    if len(x) != len(y):
+        raise ValueError("x and y must be 1-d sequences of equal length")
+    if len(x) < 2:
+        raise ValueError("need at least two observations")
+    y = [float(label) for label in y]
+    labels = set(y)
+    if not labels <= {0.0, 1.0}:
+        raise ValueError("y must be binary 0/1 labels")
+    if len(labels) < 2:
+        raise ValueError("y must contain both labels")
+
+    x = [float(value) for value in x]
+    rows = Counter(x)
+    positives = Counter(value for value, label in zip(x, y) if label)
+    negatives = rows - positives
+    failed = LogisticFit(alpha=math.nan, beta=math.nan, p_value=1.0, converged=False)
+    if len(rows) < 2 or max(negatives) < min(positives) or max(positives) < min(negatives):
+        return failed  # a constant feature, or perfectly separated labels
+    groups = [(value, rows[value], positives[value]) for value in sorted(rows)]
+
+    base_rate = sum(y) / len(y)
+    alpha, beta = math.log(base_rate / (1.0 - base_rate)), 0.0
+    loglik, g0, g1, h00, h01, h11 = reference_loglik_and_newton_terms(groups, alpha, beta)
+    for _ in range(MAX_IRLS_ITERATIONS):
+        det = h00 * h11 - h01 * h01
+        if det == 0.0:
+            return failed
+        alpha += (h11 * g0 - h01 * g1) / det
+        beta += (h00 * g1 - h01 * g0) / det
+        new_loglik, g0, g1, h00, h01, h11 = reference_loglik_and_newton_terms(
+            groups, alpha, beta)
+        if abs(new_loglik - loglik) < LOGLIK_TOLERANCE:
+            break
+        loglik = new_loglik
+    else:
+        return failed
+
+    # Wald variance of the slope at the converged estimate.
+    det = h00 * h11 - h01 * h01
+    se_beta = math.sqrt(max(h00 / det, 0.0)) if det else math.nan
+    if not math.isfinite(se_beta) or se_beta == 0.0:
+        return failed
+    p_value = math.erfc(abs(beta / se_beta) / math.sqrt(2.0))
+    return LogisticFit(alpha=alpha, beta=beta, p_value=p_value, converged=True)
+
+
+def same_fit(got: LogisticFit, want: LogisticFit) -> bool:
+    """Equal ``converged`` and, bit for bit, equal alpha, beta and p-value:
+    a zero keeps its sign, and a failed fit's NaNs match."""
+    return got.converged == want.converged and all(
+        map(same_number, astuple(got)[:3], astuple(want)[:3]))
+
+
+_GROUP_X = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+_ROWS_AND_POSITIVES = st.one_of(
+    st.sampled_from([(1, 0), (1, 1)]),  # single-row groups, each pure
+    st.integers(2, 6).flatmap(lambda rows: st.tuples(st.just(rows), st.integers(0, rows))),
+)
+
+
+@given(
+    st.lists(st.tuples(_GROUP_X, _ROWS_AND_POSITIVES).map(lambda g: (g[0], *g[1])),
+             min_size=1, max_size=12),
+    st.floats(-80.0, 80.0),
+    st.floats(-40.0, 40.0),
+)
+# |eta| past 35 clips eta; p within 1e-12 of 1 (eta near 27.63) or of 0
+# clips p; beyond |eta| of about 27.6, p * (1 - p) falls below 1e-12.
+@example(groups=[(0.0, 1, 1), (1.0, 3, 2)], alpha=40.0, beta=0.0)
+@example(groups=[(-0.0, 1, 0), (0.0, 2, 1)], alpha=-40.0, beta=1.0)
+@example(groups=[(1.0, 1, 1), (2.0, 1, 0)], alpha=27.6, beta=0.0305)
+@example(groups=[(1.0, 1, 0), (2.0, 4, 4)], alpha=-27.6, beta=-0.0305)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_keeps_the_bits_of_the_reference(groups, alpha, beta):
+    got = _loglik_and_newton_terms(groups, alpha, beta)
+    want = reference_loglik_and_newton_terms(groups, alpha, beta)
+    assert all(map(same_number, got, want)), (got, want)
+
+
+@given(st.lists(
+    st.tuples(st.one_of(st.sampled_from([-0.0, 0.0, 0, 1, 3.5]), st.integers(-4, 4),
+                        st.floats(-1e3, 1e3)),
+              st.sampled_from([0, 1, False, True, 0.0, 1.0, -0.0, "0", "1"])),
+    min_size=2, max_size=40,
+).filter(lambda rows: len({float(label) for _, label in rows}) == 2))
+@settings(max_examples=300, deadline=None)
+def test_logistic_fit_keeps_the_bits_of_the_reference_on_raw_columns(rows):
+    # Bool, int, float and numeric-string labels; int and signed-zero values.
+    x = [value for value, _ in rows]
+    y = [label for _, label in rows]
+    assert same_fit(fit_univariate_logistic(x, y), reference_fit(x, y))
+
+
+def test_logistic_fit_keeps_the_bits_of_the_reference_on_the_bench_corpus(tmp_path):
+    releases = [release for seed in (41, 7, 11) for project in load_community(
+        bench_corpus().generate(tmp_path / str(seed), seed=seed)).projects
+        for release in project.versions]
+    releases += [release for project in tie_heavy_community().projects
+                 for release in project.versions]
+    for release in releases:
+        labels = [1 if r.is_defective() else 0 for r in release.records]
+        for metric in METRICS:
+            x = release.column(metric)
+            assert same_fit(fit_univariate_logistic(x, labels), reference_fit(x, labels)), (
+                release.project, release.version, metric)
