@@ -306,11 +306,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     by_position = len(set(labels)) < len(labels)
     # Every planner scores before anything is written, so a planner that
     # fails leaves no result of the others behind.
-    scored = [
-        evaluate_windows(project, make_planner(name, **vars(args)), epsilon=args.epsilon,
-                         train=belltree_train if name == "belltree" else None)
+    scored = evaluate_windows(project, [
+        (make_planner(name, **vars(args)), belltree_train if name == "belltree" else None)
         for name in names
-    ]
+    ], epsilon=args.epsilon)
     rows = []
     for results in scored:
         for window, result in enumerate(results, start=1):

@@ -11,7 +11,7 @@ import math
 import re
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 # Canonical metric universe. Order is stable and used everywhere plans are
@@ -49,8 +49,8 @@ class ClassRecord:
     ``values`` is a tuple in ``METRICS`` order (``METRIC_INDEX`` maps a name
     to its position); ``from_metrics`` builds a record from a name -> value
     mapping. Frozen, slotted and holding only immutable fields, a record
-    cannot change once built, so the memos kept on its dataset and project
-    stay valid, and it is hashable.
+    cannot change once built, so a memo of its dataset's logistic screen
+    stays valid, and it is hashable.
     """
 
     class_name: str
@@ -97,8 +97,6 @@ class VersionedDataset:
     project: str
     version: str
     records: tuple[ClassRecord, ...]
-    # The planners' logistic screen, memoised; records cannot change, so it holds.
-    screen: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -130,9 +128,6 @@ class Project:
 
     name: str
     versions: tuple[VersionedDataset, ...]
-    # Each window's matched classes: name -> (developer moves, their no-change
-    # count, defects in release k), memoised by ``ktest`` by (j, k, epsilon).
-    diffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.versions:

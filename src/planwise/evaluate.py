@@ -9,7 +9,7 @@ actions and what developers actually changed.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, fields, replace
 from types import MappingProxyType
 from typing import Optional
@@ -142,6 +142,14 @@ def _aupec(curve_heights: list[int], matched_defects: int) -> Optional[float]:
     return 100.0 * area / (matched_defects * CURVE_SPAN)
 
 
+def _matched_classes(version_j, version_k, epsilon: float) -> dict:
+    """A window's matched classes: name -> (developer moves, their no-change
+    count, defects in release ``k``)."""
+    k_records = version_k.by_name()
+    return {name: (moves, list(moves.values()).count(NO_CHANGE), k_records[name].defects)
+            for name, moves in diff_versions(version_j, version_k, epsilon).items()}
+
+
 def ktest(
     project: Project,
     i: int,
@@ -149,11 +157,14 @@ def ktest(
     k: int,
     planner: PlannerBase,
     epsilon: float = 0.0,
+    *, _matched: dict | None = None,
 ) -> KTestResult:
     """Score a fitted planner: plan for release ``j``, validate against ``k``.
 
     ``i`` names the training release (``evaluate_windows`` fits). Indices
     address ``project.versions``; they must be strictly increasing.
+    ``_matched`` is the window's ``_matched_classes`` table, which
+    ``evaluate_windows`` builds once for all its planners.
 
     Each class is planned once, in record order. A matched class's overlap
     starts from the metrics its developers left unchanged; each metric the
@@ -168,13 +179,8 @@ def ktest(
             f"{len(project.versions)} available"
         )
     version_j, version_k = project.versions[j], project.versions[k]
-    if (j, k, epsilon) not in project.diffs:  # once per window, for every planner
-        k_records = version_k.by_name()
-        project.diffs[j, k, epsilon] = {
-            name: (moves, list(moves.values()).count(NO_CHANGE), k_records[name].defects)
-            for name, moves in diff_versions(version_j, version_k, epsilon).items()
-        }
-    matched = project.diffs[j, k, epsilon]
+    if _matched is None:  # not a truth test: a window without matches is empty
+        _matched = _matched_classes(version_j, version_k, epsilon)
     reduced = [0] * N_BUCKETS
     increased = [0] * N_BUCKETS
     classes = [0] * N_BUCKETS
@@ -188,7 +194,7 @@ def ktest(
             if action.direction != NO_CHANGE
         ]
         counts.append(len(changed))
-        memo = matched.get(rec.class_name)
+        memo = _matched.get(rec.class_name)
         if memo is None:
             continue
         moves, agree, k_defects = memo
@@ -247,27 +253,28 @@ def windows(project: Project) -> range:
 
 def evaluate_windows(
     project: Project,
-    planner: PlannerBase,
+    planners: Sequence[tuple[PlannerBase, VersionedDataset | None]],
     epsilon: float = 0.0,
-    train: VersionedDataset | None = None,
-) -> list[KTestResult]:
-    """Fit and score every consecutive three-release window.
+) -> list[list[KTestResult]]:
+    """Fit and score each ``(planner, train)`` pair on every consecutive
+    three-release window; one result list per pair, in window order.
 
-    Each window fits ``planner`` on its first release; an external ``train``
-    (cross-project planning) is fitted once, serves every window, and is
-    each result's ``versions["train"]``.
+    A ``None`` train fits the planner on each window's first release; an
+    external one (cross-project planning) is fitted once, serves every
+    window, and is each result's ``versions["train"]``. Windows run outside
+    and planners inside, so a window's developer diff is built once for all.
     """
     starts = windows(project)
     _check_epsilon(epsilon)  # before any fit
-    if train is not None:
-        planner.fit(train)
-    results = []
+    results: list[list[KTestResult]] = [[] for _ in planners]
     for s in starts:
-        if train is None:
-            planner.fit(project.versions[s])
-        result = ktest(project, s, s + 1, s + 2, planner, epsilon)
-        if train is not None:
-            result = replace(result, versions=dict(
-                result.versions, train=f"{train.project}-{train.version}"))
-        results.append(result)
+        matched = _matched_classes(project.versions[s + 1], project.versions[s + 2], epsilon)
+        for (planner, train), scored in zip(planners, results):
+            if train is None or s == starts[0]:
+                planner.fit(project.versions[s] if train is None else train)
+            result = ktest(project, s, s + 1, s + 2, planner, epsilon, _matched=matched)
+            if train is not None:
+                result = replace(result, versions=dict(
+                    result.versions, train=f"{train.project}-{train.version}"))
+            scored.append(result)
     return results

@@ -2,8 +2,9 @@
 
 Every planner turns one class record into a `Plan`: a per-metric vector of
 increase/decrease/no-change actions, optionally with a concrete target range.
-``alves`` and ``shatnawi`` filter one logistic screen kept on the training
-dataset, and ``oliveira`` minimises its (p, k) penalty in closed form.
+``alves`` and ``shatnawi`` filter one logistic screen, kept for the last
+training dataset screened, and ``oliveira`` minimises its (p, k) penalty in
+closed form.
 
 Plans share their frozen Actions: every no-change entry is ``_KEEP``, a
 threshold plan takes its rule's ``decrease``, and a fitted ``XTreePlanner``
@@ -279,14 +280,21 @@ def xtree_plan(
 # Threshold baselines
 
 
+# The last dataset screened, held so that no other can take its identity,
+# and its 20 fits: alves and shatnawi screen a window's release back to back.
+_screened: tuple[Optional[VersionedDataset], dict[str, Optional[LogisticFit]]] = (None, {})
+
+
 def _screen(train: VersionedDataset, level: float) -> dict[str, LogisticFit]:
     """Logistic screen shared by the supervised baselines: metric -> fit, for
     each metric whose fit converged with a slope significant at ``level``.
 
-    The 20 fits (None where a fit raised ValueError) are made once per
-    dataset and kept in ``train.screen``; each baseline filters them.
+    The 20 fits (None where a fit raised ValueError) are kept for the last
+    dataset screened, so a second baseline on the same dataset refits none;
+    each baseline filters them.
     """
-    if not train.screen:
+    global _screened
+    if _screened[0] is not train:
         labels = [1 if r.is_defective() else 0 for r in train.records]
         fits = {}
         for metric in METRICS:
@@ -294,8 +302,8 @@ def _screen(train: VersionedDataset, level: float) -> dict[str, LogisticFit]:
                 fits[metric] = fit_univariate_logistic(train.column(metric), labels)
             except ValueError:
                 fits[metric] = None
-        train.screen.update(fits)
-    return {m: fit for m, fit in train.screen.items()
+        _screened = train, fits
+    return {m: fit for m, fit in _screened[1].items()
             if fit is not None and fit.converged and not fit.p_value > level}
 
 

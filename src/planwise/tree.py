@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
-from operator import lt
+from operator import add, lt
 from typing import Optional
 
 from .datasets import METRIC_INDEX, METRICS, ClassRecord, VersionedDataset
@@ -169,15 +170,17 @@ def build_tree(
                 continue
             # Groups in key order: with three or more groups the weighted-
             # entropy sum depends on the order of its terms, so a fixed order
-            # keeps the tree independent of the row order.
+            # keeps the tree independent of the row order. The sum adds left
+            # to right from 0.0, as ``sum`` did before Python 3.12 changed its
+            # float algorithm, so every supported Python grows the same tree.
             parts = [(key, part) for key, mask in ranges if (part := rows & mask)]
             sizes = [part.bit_count() for _, part in parts]
             if len(parts) < 2 or min(sizes) < min_leaf:
                 continue
-            weighted = sum(
+            weighted = reduce(add, (
                 size * _entropy_of_counts((size - p, p))
                 for size, p in zip(sizes, [(part & positive).bit_count() for _, part in parts])
-            ) / support
+            ), 0.0) / support
             gain = parent - weighted
             if gain > best_gain + 1e-12:
                 best_metric, best_gain, best_parts = metric, gain, parts

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from pathlib import Path
 
@@ -257,19 +258,46 @@ def planted_history(
 def followed_tallies(
     project: Project, planners: dict
 ) -> tuple[dict[str, int], dict[str, float | None]]:
-    """Two sums over ``evaluate_windows(project, make_planner(name), train=train)``
+    """Two sums over the windows of ``make_planner(name)`` fitted on ``train``
     for each entry ``label: (name, train)`` of ``planners``: the defects lost
     by classes that followed their plans, and the rate, those defects less the
     ones the same classes gained, per planned metric change. A planner that
-    plans no change has the rate None, as 0/0 is undefined."""
+    plans no change has the rate None, as 0/0 is undefined. One
+    ``evaluate_windows`` call scores them all, so the baselines fitted on one
+    release share its logistic screen."""
     reduced: dict[str, int] = {}
     rate: dict[str, float | None] = {}
-    for label, (name, train) in planners.items():
-        results = evaluate_windows(project, make_planner(name), train=train)
+    scored = evaluate_windows(
+        project, [(make_planner(name), train) for name, train in planners.values()])
+    for label, results in zip(planners, scored):
         _, reduced[label], increased = (sum(c) for c in zip(*(r.followed for r in results)))
         changes = sum(sum(r.plan_changes) for r in results)
         rate[label] = (reduced[label] - increased) / changes if changes else None
     return reduced, rate
+
+
+ALL_SEEDS = range(20)  # the seeds every claim test counts over
+
+
+def sign_test_p(holds: int, seeds: int) -> float:
+    """One-sided sign-test p-value: the chance that a fair coin comes up
+    heads on at least ``holds`` of ``seeds`` tosses."""
+    return sum(math.comb(seeds, k) for k in range(holds, seeds + 1)) / 2**seeds
+
+
+def assert_holds_on_at_least(count: int, bar, row) -> None:
+    """Assert that ``bar(seed)`` holds on at least ``count`` of ``ALL_SEEDS``.
+
+    The message holds the per-seed table, each seed's ``row(seed)`` beside
+    whether the bar held, and the one-sided sign-test p-value of the count.
+    """
+    table = [(seed, row(seed), bool(bar(seed))) for seed in ALL_SEEDS]
+    holds = sum(held for *_, held in table)
+    lines = [f"seed {seed:2}: {'holds' if held else 'fails'}  {cells}"
+             for seed, cells, held in table]
+    assert holds >= count, "\n".join([
+        f"holds on {holds}/{len(table)} seeds, under the {count} pinned "
+        f"(one-sided sign-test p = {sign_test_p(holds, len(table)):.4f})", *lines])
 
 
 # Upper bounds (exclusive) of each metric's integer range in

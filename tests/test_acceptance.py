@@ -201,7 +201,8 @@ def criterion_10_measurements(
     median_changes: dict[str, dict[str, float]] = {}
     planner_names = ("xtree", "alves", "shatnawi", "oliveira")
     for project in projects:
-        results = {name: evaluate_windows(project, make_planner(name)) for name in planner_names}
+        scored = evaluate_windows(project, [(make_planner(name), None) for name in planner_names])
+        results = dict(zip(planner_names, scored))
         for result in results["xtree"]:
             if result.aupec_reduced is not None:
                 if result.aupec_reduced > result.aupec_increased:

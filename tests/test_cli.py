@@ -33,6 +33,7 @@ from conftest import (
     tie_heavy_community,
     tie_heavy_history,
     write_csv,
+    write_planted_community,
 )
 
 
@@ -341,9 +342,7 @@ class TestBelltreeEvaluation:
         target = community.get("exemplar")
         others = Community(tuple(p for p in community.projects if p.name != "exemplar"))
         source = others.get(discover(others).bellwether)
-        expected = evaluate_windows(
-            target, make_planner("belltree"), train=pool_versions(source)
-        )
+        [expected] = evaluate_windows(target, [(make_planner("belltree"), pool_versions(source))])
 
         out_dir = tmp_path / "out"
         project_dir = exemplar_community_dir / "exemplar"
@@ -479,8 +478,8 @@ class TestBelltreeEvaluation:
         others = Community((community.get("alpha"), community.get("beta")))
         target = Project("exemplar", community.get("apache-exemplar").versions)
         source = discover(others).bellwether
-        expected = evaluate_windows(
-            target, make_planner("belltree"), train=pool_versions(others.get(source)),
+        [expected] = evaluate_windows(
+            target, [(make_planner("belltree"), pool_versions(others.get(source)))]
         )
         calls = []
         monkeypatch.setattr(
@@ -530,11 +529,10 @@ FORMER_VARIABLES = {
 }
 
 
-def run_every_command(community: Path, out: Path, capsys, flags: bool = False) -> dict:
-    """Each command's exit code, stdout, stderr and files (their bytes by path
-    under its own directory of ``out``), run on ``community``'s exemplar. With
-    ``flags``, each command is also given the options of ``FORMER_VARIABLES``
-    it takes."""
+def every_command(community: Path, out: Path, flags: bool = False) -> dict[str, list[str]]:
+    """Each command's arguments, run on ``community``'s exemplar and writing
+    under its own directory of ``out``. With ``flags``, each command is also
+    given the options of ``FORMER_VARIABLES`` it takes."""
     project = community / "exemplar"
     train = ["--train", str(project / "exemplar-1.csv"), str(project / "exemplar-2.csv")]
     test = ["--test", str(project / "exemplar-3.csv")]
@@ -548,24 +546,35 @@ def run_every_command(community: Path, out: Path, capsys, flags: bool = False) -
         "evaluate": ["evaluate", "--planner", "all", "--project-dir", str(project),
                      "--community", str(community)],
     }
-    runs = {}
     for name, argv in commands.items():
         directory = out / name
         written_to = directory / ("out.csv" if name == "plan-csv" else "out")
-        argv = argv + (["--out-dir", str(directory)] if name == "evaluate"
-                       else ["--out", str(written_to)])
+        argv += (["--out-dir", str(directory)] if name == "evaluate"
+                 else ["--out", str(written_to)])
         if flags:
             known = subparser(argv[0])._option_string_actions
             for variable, value in FORMER_VARIABLES.items():
                 flag = "--" + variable.removeprefix("PLANWISE_").lower().replace("_", "-")
                 argv += [flag, value] if flag in known else []
+    return commands
+
+
+def written_under(directory: Path) -> dict[str, bytes]:
+    """The bytes of each file under ``directory``, by relative path."""
+    return {path.relative_to(directory).as_posix(): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def run_every_command(community: Path, out: Path, capsys, flags: bool = False) -> dict:
+    """Each command of ``every_command``'s exit code, stdout, stderr and files
+    (their bytes by path under its own directory of ``out``)."""
+    runs = {}
+    for name, argv in every_command(community, out, flags).items():
         try:
             code = main(argv)
         except SystemExit as exc:  # a usage error
             code = exc.code
-        written = {path.relative_to(directory).as_posix(): path.read_bytes()
-                   for path in sorted(directory.rglob("*"))} if directory.exists() else {}
-        runs[name] = (code, *capsys.readouterr(), written)
+        runs[name] = (code, *capsys.readouterr(), written_under(out / name))
     return runs
 
 
@@ -1008,6 +1017,67 @@ def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
     assert outputs["0"] == outputs["12345"]
 
 
+# The other supported Pythons, looked up at pyenv's fixed install paths
+# rather than through PATH, whose shims may point elsewhere.
+PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
+OTHER_PYTHONS = ("3.10", "3.12", "3.13")
+
+
+def newest_python(version: str) -> Path | None:
+    """``<version>.<patch>/bin/python3`` of pyenv's highest patch release of
+    ``version``, or None."""
+    found = PYENV_VERSIONS.glob(f"{version}.*/bin/python3")
+    return max(found, default=None, key=lambda path: [
+        int(part) if part.isdigit() else -1 for part in path.parts[-3].split(".")])
+
+
+@pytest.fixture(scope="module")
+def isolated_runs(tmp_path_factory):
+    """``every_command`` on a planted community, plus ``tree`` grown as deep
+    as it goes, as a function from an interpreter to each file's bytes. Each
+    run sees only the standard library and planwise's sources."""
+    root = tmp_path_factory.mktemp("interpreters")
+    community = write_planted_community(root / "planted", seed=20)
+    src = str(Path(planwise.__file__).resolve().parents[1])
+    program = "import sys; sys.path.insert(0, sys.argv.pop(1))\n" + _RUN_COMMANDS
+
+    runs: dict[str, dict[str, bytes]] = {}
+
+    def run(python: str) -> dict[str, bytes]:
+        if python in runs:
+            return runs[python]
+        out = root / f"run-{len(runs)}"
+        commands = every_command(community, out)
+        commands["tree-deep"] = [*commands["tree"][:-2], "--min-leaf", "1", "--max-depth", "20",
+                                 "--out", str(out / "tree-deep" / "out")]
+        done = subprocess.run(
+            [python, "-I", "-S", "-B", "-c", program, src, json.dumps(list(commands.values()))],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[python] = written_under(out)
+        return runs[python]
+
+    return run
+
+
+@pytest.mark.parametrize("version", OTHER_PYTHONS)
+def test_every_supported_python_writes_the_same_bytes(isolated_runs, version):
+    # Python 3.12 changed how sum() adds floats; the tree's weighted entropy
+    # is summed left to right, so every version grows the same tree.
+    if sys.version.startswith(version + "."):
+        pytest.skip(f"Python {version} is the interpreter running the tests")
+    python = newest_python(version)
+    if python is None:
+        pytest.skip(f"no Python {version} at {PYENV_VERSIONS}/{version}.*/bin/python3")
+    expected = isolated_runs(sys.executable)
+    # plans, rules, trees and bellwether, then a result and a curve per
+    # planner (5 planners, 1 window), plus the two summaries
+    assert len(expected) == 2 + 3 + 2 + 1 + 5 * 2 + 2
+    got = isolated_runs(str(python))
+    assert got.keys() == expected.keys()
+    assert [name for name in expected if got[name] != expected[name]] == []
+
+
 # What no planwise command loads: numpy, and what ``statistics`` imports
 # and planwise does not need.
 UNWANTED = {"numpy", "numpy.ma", "statistics", "decimal", "fractions"}
@@ -1270,7 +1340,8 @@ class TestReleaseLabels:
         assert [(row["dataset"], row["planner"]) for row in rows] == [
             (f"alpha-{w}", p) for p in planners for w in (1, 2)
         ]
-        windows = evaluate_windows(load_project(sorted(root.glob("*.csv"))), make_planner("xtree"))
+        [windows] = evaluate_windows(load_project(sorted(root.glob("*.csv"))),
+                                     [(make_planner("xtree"), None)])
         for row, stem in zip(rows, stems):
             doc = json.loads((out_dir / f"{stem}.json").read_text())
             assert doc["versions"] == {"train": "0", "test": "0", "validation": "0"}

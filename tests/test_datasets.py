@@ -679,8 +679,8 @@ class TestValidation:
         assert all(a is b for a, b in zip(metrics.values(), rec.values))
 
     def test_a_loaded_record_cannot_change(self, tmp_path):
-        # The screen and diff memos are valid only while records stay as
-        # they were: the dict a record hands out must be a copy.
+        # The planners' screen memo is valid only while a dataset's records
+        # stay as they were: the dict a record hands out must be a copy.
         path = bench_corpus().generate(tmp_path, seed=0, projects={"xalan"})
         path = path / "xalan" / "xalan-2.7.csv"
         ds = load_csv(path)

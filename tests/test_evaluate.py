@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from planwise import evaluate, planners
 from planwise.datasets import (
-    DECREASE, METRICS, NO_CHANGE, ClassRecord, VersionedDataset, diff_versions,
+    DECREASE, METRICS, NO_CHANGE, ClassRecord, Project, VersionedDataset, diff_versions,
 )
 from planwise.evaluate import (
     BUCKET_MIDPOINTS,
@@ -23,12 +23,14 @@ from planwise.evaluate import (
     overlap,
 )
 from planwise.planners import (
-    Action, Plan, PlannerBase, XTreePlanner, alves_thresholds, make_planner,
+    Action, Plan, PlannerBase, XTreePlanner, make_planner,
 )
 
 from conftest import (
     changes_count, count_calls, make_dataset, make_project, make_record, tie_heavy_history,
 )
+
+FOUR = ("xtree", "alves", "shatnawi", "oliveira")  # the planners that fit each window
 
 
 class TestOverlap:
@@ -294,14 +296,14 @@ class TestKTest:
         assert not hasattr(summary, "to_dict")
 
 
-def test_memos_are_not_part_of_equality_or_repr():
+def test_a_project_and_its_releases_hold_data_only():
+    # Evaluation keeps each window's developer diff and planners keep the
+    # logistic screen, so scoring leaves a project as a fresh one.
+    assert [f.name for f in fields(VersionedDataset)] == ["project", "version", "records"]
+    assert [f.name for f in fields(Project)] == ["name", "versions"]
     project = hand_project()
-    evaluate_windows(project, ReduceLocStub())
-    alves_thresholds(project.versions[0])
-    assert project.diffs and project.versions[0].screen
-    assert project == hand_project()
-    assert project.versions[0] == hand_project().versions[0]
-    assert "diffs" not in repr(project) and "screen" not in repr(project)
+    evaluate_windows(project, [(ReduceLocStub(), None), (make_planner("alves"), None)])
+    assert project == hand_project() and repr(project) == repr(hand_project())
 
 
 class TestWindows:
@@ -314,7 +316,7 @@ class TestWindows:
             for i in range(5)
         ]
         project = make_project(versions, name="five")
-        results = evaluate_windows(project, ReduceLocStub())
+        [results] = evaluate_windows(project, [(ReduceLocStub(), None)])
         assert len(results) == 3
         assert [r.versions for r in results] == [
             {"train": "1", "test": "2", "validation": "3"},
@@ -333,7 +335,7 @@ class TestWindows:
         project = make_project(
             [make_dataset([make_record("C1")], version=str(i + 1)) for i in range(5)]
         )
-        evaluate_windows(project, Recording())
+        evaluate_windows(project, [(Recording(), None)])
         assert fits == ["1", "2", "3"]
 
     def test_ktest_only_scores_a_fitted_planner(self):
@@ -356,12 +358,13 @@ class TestWindows:
             versions.append(make_dataset(records, version=str(i + 1)))
         project = make_project(versions)
         calls = count_calls(monkeypatch, XTreePlanner, "plan")
-        evaluate_windows(project, XTreePlanner(min_leaf=2))
+        evaluate_windows(project, [(XTreePlanner(min_leaf=2), None)])
         assert len(calls) == sum(len(v) for v in versions[1:-1]) == 90
 
     def test_external_train_is_fitted_once(self, monkeypatch):
         # Belltree hands every window the same exemplar data: one fit must
-        # give what a refit per window gives, with one ktest per window.
+        # give what a refit per window gives, with one ktest per window. A
+        # local partner in the same call still fits each window's first release.
         rng = np.random.default_rng(9)
 
         def release(version, size=60, prefix="C"):
@@ -381,20 +384,24 @@ class TestWindows:
             ktest(project, s, s + 1, s + 2, XTreePlanner(min_leaf=5).fit(train))
             for s in range(3)
         ]
+        alone = evaluate_windows(project, [(XTreePlanner(min_leaf=5), None)])
         fits = count_calls(monkeypatch, XTreePlanner, "fit")
         windows = count_calls(monkeypatch, evaluate, "ktest")
         returned, counted = [], evaluate.ktest
-        monkeypatch.setattr(evaluate, "ktest",
-                            lambda *args: returned.append(counted(*args)) or returned[-1])
-        results = evaluate_windows(project, XTreePlanner(min_leaf=5), train=train)
-        assert [data for _, data in fits] == [train]
-        assert len(windows) == 3
+        monkeypatch.setattr(evaluate, "ktest", lambda *args, **kwargs: returned.append(
+            counted(*args, **kwargs)) or returned[-1])
+        external, local = XTreePlanner(min_leaf=5), XTreePlanner(min_leaf=5)
+        results, locals_ = evaluate_windows(project, [(external, train), (local, None)])
+        assert [data for planner, data in fits if planner is external] == [train]
+        assert [data for planner, data in fits if planner is local] == list(project.versions[:3])
+        assert len(windows) == 6
+        assert [r.to_dict() for r in locals_] == [r.to_dict() for r in alone[0]]
         # The windows name the fitted set; a direct ktest names release i,
         # and the results it returned inside evaluate_windows still do.
         assert [r.versions for r in results] == [
             {"train": "proj-x", "test": str(s + 2), "validation": str(s + 3)} for s in range(3)
         ]
-        assert [r.versions["train"] for r in returned] == ["1", "2", "3"]
+        assert [r.versions["train"] for r in returned[::2]] == ["1", "2", "3"]
         assert [r.versions["train"] for r in refit] == ["1", "2", "3"]
         renamed = [replace(r, versions=dict(r.versions, train="proj-x")) for r in refit]
         assert [r.to_dict() for r in results] == [r.to_dict() for r in renamed]
@@ -408,7 +415,7 @@ class TestWindows:
             ktest(project, s, s + 1, s + 2, make_planner("xtree").fit(project.versions[s]))
             for s in evaluate.windows(project)
         ]
-        results = evaluate_windows(project, make_planner("xtree"))
+        [results] = evaluate_windows(project, [(make_planner("xtree"), None)])
         assert len(results) == 2
         assert [repr(r.to_dict()) for r in results] == [repr(r.to_dict()) for r in fresh]
         assert all(r.changes_per_plan.max > 0 for r in results)
@@ -416,28 +423,23 @@ class TestWindows:
     def test_alves_and_shatnawi_share_one_screen_per_release(self, monkeypatch):
         fits = count_calls(monkeypatch, planners, "fit_univariate_logistic")
         project = tie_heavy_history()
-        for name in ("alves", "shatnawi"):
-            evaluate_windows(project, make_planner(name))
+        evaluate_windows(project, [(make_planner(name), None) for name in FOUR])
         assert len(fits) == len(METRICS) * len(evaluate.windows(project)) == 40
 
     def test_every_planner_scores_one_developer_diff_per_window(self, monkeypatch):
         diffs = count_calls(monkeypatch, evaluate, "diff_versions")
         project = tie_heavy_history()
-        shared = {
-            name: [r.to_dict() for r in evaluate_windows(project, make_planner(name))]
-            for name in ("xtree", "alves", "shatnawi", "oliveira")
-        }
+        shared = evaluate_windows(project, [(make_planner(name), None) for name in FOUR])
         assert [args[:2] for args in diffs] == [project.versions[1:3], project.versions[2:4]]
-        for name, results in shared.items():
-            alone = evaluate_windows(tie_heavy_history(), make_planner(name))
-            assert results == [r.to_dict() for r in alone], name
+        for name, results in zip(FOUR, shared):
+            [alone] = evaluate_windows(tie_heavy_history(), [(make_planner(name), None)])
+            assert [r.to_dict() for r in results] == [r.to_dict() for r in alone], name
 
     def test_release_k_is_indexed_once_per_window(self, monkeypatch):
         indexed = count_calls(monkeypatch, VersionedDataset, "by_name")
         project = tie_heavy_history()
-        for name in ("xtree", "alves", "shatnawi", "oliveira"):
-            evaluate_windows(project, make_planner(name))
-        # Per window: diff_versions' index of release k, and the one ktest keeps.
+        evaluate_windows(project, [(make_planner(name), None) for name in FOUR])
+        # Per window: diff_versions' index of release k, and the table's.
         v2, v3 = project.versions[2:4]
         assert [id(d) for (d,) in indexed] == [id(v2), id(v2), id(v3), id(v3)]
 
@@ -446,12 +448,13 @@ class TestWindows:
     def test_bad_epsilon_fails_before_any_fit(self, monkeypatch, epsilon, external):
         project = tie_heavy_history()
         train = project.versions[0] if external else None
+        diffs = count_calls(monkeypatch, evaluate, "diff_versions")
         for name, rule in (("xtree", "fit_bins"), ("alves", "alves_thresholds")):
             fits = count_calls(monkeypatch, planners, rule)
             with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-                evaluate_windows(project, make_planner(name), epsilon, train=train)
+                evaluate_windows(project, [(make_planner(name), train)], epsilon)
             assert fits == [], name
-        assert project.diffs == {}
+        assert diffs == []
 
     def test_too_few_releases_explains_the_requirement(self):
         project = make_project(
@@ -461,7 +464,7 @@ class TestWindows:
             ]
         )
         with pytest.raises(ValueError, match="at least 3"):
-            evaluate_windows(project, ReduceLocStub())
+            evaluate_windows(project, [(ReduceLocStub(), None)])
 
 
 def dense_ktest(project, i, j, k, planner, epsilon=0.0):
@@ -574,9 +577,11 @@ class TestKTestOracle:
         ])
         table = {n: plan for n, (_, _, plan, _) in zip(names, drawn)}
         expected = dense_ktest(project, 0, 1, 2, TablePlanner(table), epsilon)
-        for _ in range(2):  # the second call reuses the window memo
+        # A direct call, then one handed the window's table as evaluate_windows does.
+        matched = evaluate._matched_classes(*project.versions[1:], epsilon)
+        for options in ({}, {"_matched": matched}):
             planner = TablePlanner(table)
-            assert ktest(project, 0, 1, 2, planner, epsilon) == expected
+            assert ktest(project, 0, 1, 2, planner, epsilon, **options) == expected
             assert planner.asked == names
 
     @given(st.lists(st.integers(0, 20) | st.integers(-2**70, 2**70), min_size=1))

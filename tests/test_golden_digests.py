@@ -137,5 +137,5 @@ def test_plan_digest(community, fit, gamma):
 
 @pytest.mark.parametrize("planner", sorted(EXPECTED_EVALUATIONS))
 def test_evaluation_digest(planner):
-    results = evaluate_windows(tie_heavy_history(), make_planner(planner))
+    [results] = evaluate_windows(tie_heavy_history(), [(make_planner(planner), None)])
     assert _sha([r.to_dict() for r in results]) == EXPECTED_EVALUATIONS[planner]

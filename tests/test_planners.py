@@ -730,16 +730,18 @@ class TestShatnawi:
         (2.0, 9.0, True),
         (2.0, math.nextafter(9.0, math.inf), False),
     ])
-    def test_boundaries_of_the_kept_thresholds(self, low, threshold, kept):
+    def test_boundaries_of_the_kept_thresholds(self, monkeypatch, low, threshold, kept):
         # At p1 = 0.5 the logit is 0, so the threshold is exactly -alpha.
         train = make_dataset([make_record(f"c{i}", loc=v) for i, v in enumerate((low, 5.0, 9.0))])
-        train.screen["loc"] = LogisticFit(-threshold, 1.0, 0.0, True)
+        monkeypatch.setattr(planners, "_screened",
+                            (train, {"loc": LogisticFit(-threshold, 1.0, 0.0, True)}))
         expected = [ThresholdRule("loc", upper=threshold)] if kept else []
         assert shatnawi_thresholds(train, p1=0.5) == expected
 
-    def test_a_p_value_equal_to_p0_passes_the_screen(self):
+    def test_a_p_value_equal_to_p0_passes_the_screen(self, monkeypatch):
         train = make_dataset([make_record(f"c{i}", loc=v) for i, v in enumerate((2.0, 5.0, 9.0))])
-        train.screen["loc"] = LogisticFit(-5.0, 1.0, 0.05, True)
+        monkeypatch.setattr(planners, "_screened",
+                            (train, {"loc": LogisticFit(-5.0, 1.0, 0.05, True)}))
         assert shatnawi_thresholds(train, p0=0.05, p1=0.5) == [ThresholdRule("loc", upper=5.0)]
         assert shatnawi_thresholds(train, p0=math.nextafter(0.05, 0.0), p1=0.5) == []
 
@@ -754,7 +756,7 @@ class TestShatnawi:
                               for i, (v, d) in enumerate(zip(loc, defects))])
         for p0 in (0.05, 0.5, math.nextafter(1.0, 0.0)):
             assert shatnawi_thresholds(train, p0=p0, p1=0.5) == []
-        assert train.screen["loc"] == fit
+        assert planners._screened[0] is train and planners._screened[1]["loc"] == fit
 
     def test_parameter_domain(self):
         train = self._risky_metric_set(alpha=-4.0, beta=0.35, seed=11)
@@ -766,7 +768,8 @@ class TestShatnawi:
 
 
 class TestSharedScreen:
-    """alves and shatnawi filter one set of 20 logistic fits per dataset."""
+    """alves and shatnawi filter one set of 20 logistic fits, kept for the
+    last dataset screened."""
 
     @pytest.fixture
     def fits(self, monkeypatch):
@@ -786,7 +789,17 @@ class TestSharedScreen:
         train = make_dataset([make_record(f"c{i}", wmc=float(i)) for i in range(10)])
         assert alves_thresholds(train) == shatnawi_thresholds(train) == []
         assert len(fits) == len(METRICS)
-        assert list(train.screen.values()) == [None] * len(METRICS)
+        assert planners._screened == (train, dict.fromkeys(METRICS))
+
+    def test_screening_another_dataset_serves_no_stale_fits(self, fits):
+        # The memo holds one dataset: A, then B, then A again refits A, and
+        # each screen is the one a fresh copy of its dataset gets.
+        a, b = continuous_set(17, -4.0), continuous_set(18, -3.0)
+        screens = [planners._screen(train, 1.0) for train in (a, b, a)]
+        assert len(fits) == 3 * len(METRICS)
+        assert screens[0] != screens[1]
+        for train, screen in zip((a, b, a), screens):
+            assert screen == planners._screen(make_dataset(list(train.records)), 1.0)
 
 
 def oracle_relative_threshold(values, min_compliance, tail):
@@ -1361,19 +1374,29 @@ def fitted_state(name, train):
     return planner.rules
 
 
+ROW_ORDER_PLANNERS = ("xtree", "alves", "shatnawi", "oliveira")
+
+
+@lru_cache(maxsize=None)
+def row_order_states():
+    """Each planner's fitted state on each of ``row_order_sets``, by name."""
+    return tuple({name: fitted_state(name, train) for name in ROW_ORDER_PLANNERS}
+                 for train in row_order_sets())
+
+
 class TestRowOrderInvariance:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_shuffled_train_fits_the_same_planner(self, seed):
-        for train in row_order_sets():
+        for train, states in zip(row_order_sets(), row_order_states()):
             records = list(train.records)
             random.Random(seed).shuffle(records)
             shuffled = make_dataset(records)
-            for name in ("xtree", "alves", "shatnawi", "oliveira"):
-                assert fitted_state(name, shuffled) == fitted_state(name, train), name
+            for name in ROW_ORDER_PLANNERS:
+                assert fitted_state(name, shuffled) == states[name], name
 
     def test_the_continuous_sets_keep_screened_rules(self):
         # Otherwise the property above could hold on empty rule lists.
-        for train in row_order_sets()[-2:]:
-            assert fitted_state("shatnawi", train)
-            assert fitted_state("alves", train)
+        for states in row_order_states()[-2:]:
+            assert states["shatnawi"]
+            assert states["alves"]
