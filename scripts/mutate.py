@@ -11,12 +11,12 @@ Each mutant swaps one operator in one module of ``src/planwise``: ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``+``
 and ``-``, ``*`` and ``/``, ``&`` and ``|``, ``<<`` and ``>>`` (also in
 augmented assignments such as ``+=``), or ``and`` and ``or``; or it calls
-``max`` for ``min`` or ``min`` for ``max``; or it drops a ``not``, so that
-``not x`` becomes ``x``; or it moves an integer constant 0, 1 or 2 down or
-up by one, in two mutants (``0`` becomes ``-1`` and ``1``). Operators and
-constants inside ``raise`` statements only build messages, and those inside
-annotations are never evaluated (the modules import ``annotations`` from
-``__future__``): both are left alone.
+``max`` for ``min``, ``min`` for ``max`` or ``len`` for ``sum``; or it
+drops a ``not``, so that ``not x`` becomes ``x``; or it moves an integer
+constant 0, 1 or 2 down or up by one, in two mutants (``0`` becomes ``-1``
+and ``1``). Operators and constants inside ``raise`` statements only build
+messages, and those inside annotations are never evaluated (the modules
+import ``annotations`` from ``__future__``): both are left alone.
 A mutant is killed when a test fails, errors or its tests run longer than
 ``TIMEOUT_FACTOR`` times the untraced baseline of step 1; it survives when
 every test that runs its line passes.
@@ -80,7 +80,7 @@ SYMBOLS = {
     ast.And: "and", ast.Or: "or", ast.Not: "not", None: "(dropped)",
 }
 # Builtins whose calls a mutant swaps by name.
-CALL_SWAPS = {"min": "max", "max": "min"}
+CALL_SWAPS = {"min": "max", "max": "min", "sum": "len"}
 # Integer constants a mutant moves by -1 and by +1.
 MOVED_INTS = (0, 1, 2)
 # A mutant's tests may run this many times as long as the whole untraced
@@ -96,7 +96,7 @@ COLLECTION = "<collection>"
 
 def mutation_sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
     """``(node, i)`` for each swappable operator, each ``not``, each call
-    of ``min`` or ``max`` and, twice, each integer constant of
+    of ``min``, ``max`` or ``sum`` and, twice, each integer constant of
     ``MOVED_INTS`` outside ``raise`` statements and annotations, in source
     order; ``i`` indexes a comparison's operators, or is a constant's move
     (-1 or +1), else is None."""

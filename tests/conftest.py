@@ -6,6 +6,7 @@ import csv
 import math
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from planwise.datasets import (
 )
 from planwise.discretize import BinMap
 from planwise.evaluate import evaluate_windows
-from planwise.planners import make_planner
+from planwise.planners import PlannerBase, make_planner, no_change_plan
+from planwise.stats import median
 from planwise.tree import TreeNode
 
 # Version CSVs of the public Jureczko corpus, as ``<project>/<project>-<v>.csv``
@@ -55,11 +57,21 @@ def write_csv(dataset: VersionedDataset, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "version", "name"] + list(METRICS) + ["bug"])
-        for rec in dataset.records:
-            row = [dataset.project, dataset.version, rec.class_name]
-            row += [repr(rec.metrics[m]) for m in METRICS]
-            row.append(str(rec.defects))
-            writer.writerow(row)
+        writer.writerows(
+            [dataset.project, dataset.version, rec.class_name, *map(repr, rec.values), rec.defects]
+            for rec in dataset.records)
+
+
+def write_community(projects, root: Path) -> Path:
+    """Write each release of ``projects`` as ``root/<name>/<name>-<version>.csv``,
+    the layout ``load_community`` reads, each row labelled with its project's
+    name."""
+    for project in projects:
+        (root / project.name).mkdir(parents=True)
+        for release in project.versions:
+            labelled = VersionedDataset(project.name, release.version, release.records)
+            write_csv(labelled, root / project.name / f"{project.name}-{release.version}.csv")
+    return root
 
 
 def stacked_releases(project: Project) -> VersionedDataset:
@@ -191,18 +203,15 @@ def planted_community(seed: int, n: int = 200) -> Community:
 
 def write_planted_community(root: Path, seed: int, n: int = 120, releases: int = 3) -> Path:
     """Write ``releases`` releases each of alpha, beta and exemplar under
-    ``root`` as ``<name>/<name>-<k>.csv``; release k's classes are those of
+    ``root`` with ``write_community``; release k's classes are those of
     ``planted_community(seed + k - 1, n)``. Class names persist across
     releases, while their metrics are redrawn."""
     drawn = [planted_community(seed=seed + order, n=n) for order in range(releases)]
-    for name in ("alpha", "beta", "exemplar"):
-        (root / name).mkdir(parents=True)
-        for order, community in enumerate(drawn):
-            version = str(order + 1)
-            records = list(community.get(name).versions[0].records)
-            ds = make_dataset(records, project=name, version=version)
-            write_csv(ds, root / name / f"{name}-{version}.csv")
-    return root
+    return write_community([
+        Project(name, tuple(
+            VersionedDataset(name, str(order + 1), community.get(name).versions[0].records)
+            for order, community in enumerate(drawn)))
+        for name in ("alpha", "beta", "exemplar")], root)
 
 
 @pytest.fixture
@@ -248,32 +257,77 @@ def planted_history(
         risk = sum(values[:, col] / scale for col, (_, scale) in zip(columns, rule))
         defects = np.where(risk < 1.0, 0, np.where(risk < 1.4, 1, 3))
         records = [
-            ClassRecord.from_metrics(f"C{i}", dict(zip(METRICS, row)), int(d))
+            ClassRecord(f"C{i}", tuple(row), int(d))
             for i, (row, d) in enumerate(zip(values.tolist(), defects))
         ]
         versions.append(make_dataset(records, project="planted", version=str(order + 1)))
     return make_project(versions, name="planted")
 
 
-def followed_tallies(
-    project: Project, planners: dict
-) -> tuple[dict[str, int], dict[str, float | None]]:
-    """Two sums over the windows of ``make_planner(name)`` fitted on ``train``
-    for each entry ``label: (name, train)`` of ``planners``: the defects lost
-    by classes that followed their plans, and the rate, those defects less the
-    ones the same classes gained, per planned metric change. A planner that
-    plans no change has the rate None, as 0/0 is undefined. One
+class NoChangePlanner(PlannerBase):
+    """The control: a plan with no changes for every class."""
+
+    name = "no-change"
+
+    def fit(self, train):
+        return self
+
+    def plan(self, record):
+        return no_change_plan(record.class_name, self.name)
+
+
+class Totals(NamedTuple):
+    """One planner's results summed over a project's windows (``window_totals``).
+
+    ``reduced`` and ``increased`` are the defects lost and gained by the
+    classes that followed their plans, and ``changes`` the planned metric
+    changes; ``aupec_reduced`` is the mean over the scored windows, and
+    ``median_changes`` the median changes per plan. ``wins`` counts the
+    windows whose ``aupec_reduced`` exceeds their ``aupec_increased``, and
+    ``losses`` the other scored ones, as criterion 10 counts them.
+    """
+
+    reduced: int
+    increased: int
+    changes: int
+    aupec_reduced: float | None
+    median_changes: float
+    wins: int
+    losses: int
+
+    @property
+    def rate(self) -> float | None:
+        """The defects reduced less those increased, per planned change; None
+        for a planner that planned no change, as 0/0 is undefined."""
+        return (self.reduced - self.increased) / self.changes if self.changes else None
+
+
+def window_totals(project: Project, planners: dict) -> dict[str, Totals]:
+    """The ``Totals`` of each entry ``label: (planner, train)`` of ``planners``,
+    where ``planner`` is a planner or a name for ``make_planner``, fitted on
+    ``train`` or, for None, on each window's first release. One
     ``evaluate_windows`` call scores them all, so the baselines fitted on one
     release share its logistic screen."""
-    reduced: dict[str, int] = {}
-    rate: dict[str, float | None] = {}
-    scored = evaluate_windows(
-        project, [(make_planner(name), train) for name, train in planners.values()])
+    scored = evaluate_windows(project, [
+        (make_planner(planner) if isinstance(planner, str) else planner, train)
+        for planner, train in planners.values()])
+    totals = {}
     for label, results in zip(planners, scored):
-        _, reduced[label], increased = (sum(c) for c in zip(*(r.followed for r in results)))
-        changes = sum(sum(r.plan_changes) for r in results)
-        rate[label] = (reduced[label] - increased) / changes if changes else None
-    return reduced, rate
+        _, reduced, increased = (sum(c) for c in zip(*(r.followed for r in results)))
+        changes = [count for r in results for count in r.plan_changes]
+        with_aupec = [r for r in results if r.aupec_reduced is not None]
+        wins = sum(r.aupec_reduced > r.aupec_increased for r in with_aupec)
+        mean = sum(r.aupec_reduced for r in with_aupec) / len(with_aupec) if with_aupec else None
+        totals[label] = Totals(reduced, increased, sum(changes), mean, median(changes),
+                               wins, len(with_aupec) - wins)
+    return totals
+
+
+def rate_at_least(totals: dict[str, Totals], label: str, factor: float, other: str) -> bool:
+    """Whether ``label``'s rate is at least ``factor`` times ``other``'s. A
+    None rate fails: a planner that planned no change ranks against nothing."""
+    rate, other_rate = totals[label].rate, totals[other].rate
+    return None not in (rate, other_rate) and rate >= factor * other_rate
 
 
 ALL_SEEDS = range(20)  # the seeds every claim test counts over

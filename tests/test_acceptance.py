@@ -5,7 +5,6 @@ defect corpus on disk and is skipped with a notice when it is absent.
 
 import math
 import time
-from statistics import median
 
 import numpy as np
 import pytest
@@ -14,14 +13,14 @@ from planwise.bellwether import discover
 from planwise.cli import main
 from planwise.datasets import Community, load_community
 from planwise.discretize import mdlp_cuts
-from planwise.evaluate import evaluate_windows, ktest, overlap
-from planwise.planners import XTreePlanner, make_planner, varl
+from planwise.evaluate import ktest, overlap
+from planwise.planners import XTreePlanner, varl
 from planwise.stats import LogisticFit, fit_univariate_logistic, simpson_integrate
 from planwise.tree import locate
 
 from conftest import (
-    changes_count, make_dataset, make_project, make_record, planted_community, write_csv,
-    write_planted_community,
+    changes_count, make_dataset, make_project, make_record, planted_community, window_totals,
+    write_csv, write_planted_community,
 )
 from test_cli import toy_version
 from test_discretize import oracle_cuts, random_dataset
@@ -188,50 +187,27 @@ def test_criterion_9_evaluation_determinism(tmp_path):
     check(9, "evaluation determinism", snapshots[0] == snapshots[1])
 
 
-def criterion_10_measurements(
-    community: Community,
-) -> tuple[str, int, int, dict[str, dict[str, float]]]:
-    """Criterion 10's measurements on ``community``: its bellwether; how
-    many of xtree's windows reduce more defects than they add
-    (``aupec_reduced > aupec_increased``) and how many do not, over the
-    projects with at least three releases; and, for each such project and
-    planner, the median number of metrics a plan changes."""
-    projects = [p for p in community.projects if len(p.versions) >= 3]
-    wins = losses = 0
-    median_changes: dict[str, dict[str, float]] = {}
-    planner_names = ("xtree", "alves", "shatnawi", "oliveira")
-    for project in projects:
-        scored = evaluate_windows(project, [(make_planner(name), None) for name in planner_names])
-        results = dict(zip(planner_names, scored))
-        for result in results["xtree"]:
-            if result.aupec_reduced is not None:
-                if result.aupec_reduced > result.aupec_increased:
-                    wins += 1
-                else:
-                    losses += 1
-        median_changes[project.name] = {
-            name: median([count for result in windows for count in result.plan_changes])
-            for name, windows in results.items()
-        }
-    return discover(community).bellwether, wins, losses, median_changes
+def criterion_10_measurements(community: Community) -> tuple[str, dict[str, dict]]:
+    """Criterion 10's measurements on ``community``: its bellwether, and for
+    each project with at least three releases, the ``window_totals`` of
+    xtree and the three baselines, each fitted on every window's first
+    release."""
+    planners = {name: (name, None) for name in ("xtree", "alves", "shatnawi", "oliveira")}
+    totals = {project.name: window_totals(project, planners)
+              for project in community.projects if len(project.versions) >= 3}
+    return discover(community).bellwether, totals
 
 
 def test_criterion_10_published_directions(jureczko_root):
     started = time.perf_counter()
-    bellwether, wins, losses, median_changes = criterion_10_measurements(
-        load_community(jureczko_root))
+    bellwether, totals = criterion_10_measurements(load_community(jureczko_root))
+    xtree = [planners["xtree"] for planners in totals.values()]
     check(10, "10a bellwether is lucene", bellwether == "lucene")
-    check(10, "10b defects reduced beats increased in most windows", wins > losses)
-
-    frugality_ok = True
-    for baseline in ("alves", "shatnawi", "oliveira"):
-        leaner = sum(
-            1
-            for name in median_changes
-            if median_changes[name]["xtree"] < median_changes[name][baseline]
-        )
-        if leaner < 7:
-            frugality_ok = False
+    check(10, "10b defects reduced beats increased in most windows",
+          sum(t.wins for t in xtree) > sum(t.losses for t in xtree))
+    frugality_ok = all(
+        sum(p["xtree"].median_changes < p[baseline].median_changes for p in totals.values()) >= 7
+        for baseline in ("alves", "shatnawi", "oliveira"))
     check(10, "10c xtree changes fewest metrics", frugality_ok)
     assert time.perf_counter() - started < 300.0
 
@@ -256,10 +232,10 @@ def test_criterion_10_measurements_on_a_planted_community(tmp_path, seed):
       paper's seven.
     """
     community = load_community(write_planted_community(tmp_path / "planted", seed=seed))
-    bellwether, wins, losses, median_changes = criterion_10_measurements(community)
+    bellwether, totals = criterion_10_measurements(community)
     assert bellwether == "exemplar"
-    assert wins + losses == 3
-    assert sorted(median_changes) == ["alpha", "beta", "exemplar"]
-    for medians in median_changes.values():
-        assert medians["shatnawi"] == medians["oliveira"] == 0
-        assert max(medians.values()) <= 1
+    assert sorted(totals) == ["alpha", "beta", "exemplar"]
+    assert sum(p["xtree"].wins + p["xtree"].losses for p in totals.values()) == 3
+    for planners in totals.values():
+        assert planners["shatnawi"].median_changes == planners["oliveira"].median_changes == 0
+        assert max(t.median_changes for t in planners.values()) <= 1

@@ -32,6 +32,7 @@ from conftest import (
     make_record,
     tie_heavy_community,
     tie_heavy_history,
+    write_community,
     write_csv,
     write_planted_community,
 )
@@ -65,15 +66,10 @@ def toy_project_dir(tmp_path):
 
 @pytest.fixture
 def toy_community_dir(tmp_path):
-    root = tmp_path / "community"
-    for name, seed in (("apple", 1), ("berry", 2)):
-        sub = root / name
-        sub.mkdir(parents=True)
-        for order, version in enumerate(("1", "2")):
-            ds = toy_version(version, order, seed=seed)
-            ds = make_dataset(list(ds.records), project=name, version=version)
-            write_csv(ds, sub / f"{name}-{version}.csv")
-    return root
+    return write_community([
+        Project(name, tuple(toy_version(version, order, seed=seed)
+                            for order, version in enumerate(("1", "2"))))
+        for name, seed in (("apple", 1), ("berry", 2))], tmp_path / "community")
 
 
 class TestPlanCommand:
@@ -990,11 +986,8 @@ def run_in_one_interpreter(commands, **env):
 
 
 def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
-    community = tmp_path / "community"
-    for project in (*tie_heavy_community().projects, tie_heavy_history()):
-        (community / project.name).mkdir(parents=True)
-        for release in project.versions:
-            write_csv(release, community / project.name / f"{project.name}-{release.version}.csv")
+    community = write_community(
+        (*tie_heavy_community().projects, tie_heavy_history()), tmp_path / "community")
     history = community / "p3"
     outputs = {}
     for hash_seed in ("0", "12345"):
@@ -1017,18 +1010,24 @@ def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
     assert outputs["0"] == outputs["12345"]
 
 
-# The other supported Pythons, looked up at pyenv's fixed install paths
-# rather than through PATH, whose shims may point elsewhere.
+# The other supported Pythons, looked up at fixed install paths rather than
+# through PATH, whose shims may point elsewhere: pyenv's versions, and the
+# tool cache where a GitHub Actions runner's setup-python installs them.
 PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
 OTHER_PYTHONS = ("3.10", "3.12", "3.13")
 
 
 def newest_python(version: str) -> Path | None:
-    """``<version>.<patch>/bin/python3`` of pyenv's highest patch release of
-    ``version``, or None."""
-    found = PYENV_VERSIONS.glob(f"{version}.*/bin/python3")
-    return max(found, default=None, key=lambda path: [
-        int(part) if part.isdigit() else -1 for part in path.parts[-3].split(".")])
+    """The python3 of the highest patch release of ``version``, or None:
+    pyenv's ``<version>.<patch>/bin/python3``, or the runner tool cache's
+    ``Python/<version>.<patch>/x64/bin/python3``, where the version is the
+    fourth-last part of the path."""
+    found = [(path, path.parts[-3]) for path in PYENV_VERSIONS.glob(f"{version}.*/bin/python3")]
+    if cache := os.environ.get("RUNNER_TOOL_CACHE"):
+        found += [(path, path.parts[-4])
+                  for path in Path(cache, "Python").glob(f"{version}.*/x64/bin/python3")]
+    return max(found, default=(None,), key=lambda pair: [
+        int(part) if part.isdigit() else -1 for part in pair[1].split(".")])[0]
 
 
 @pytest.fixture(scope="module")
@@ -1062,13 +1061,19 @@ def isolated_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("version", OTHER_PYTHONS)
 def test_every_supported_python_writes_the_same_bytes(isolated_runs, version):
-    # Python 3.12 changed how sum() adds floats; the tree's weighted entropy
-    # is summed left to right, so every version grows the same tree.
+    """Every command writes the bytes that the running interpreter writes.
+
+    This catches gross differences between Python versions. The seed-20
+    planted community's splits are far from tied, so a last-bit difference
+    in the weighted-entropy sum (Python 3.12 changed how ``sum`` adds
+    floats) would not move its trees; ``tests/test_tree.py``'s
+    ``test_entropies_moved_a_few_ulps_grow_the_same_trees`` covers that case.
+    """
     if sys.version.startswith(version + "."):
         pytest.skip(f"Python {version} is the interpreter running the tests")
     python = newest_python(version)
     if python is None:
-        pytest.skip(f"no Python {version} at {PYENV_VERSIONS}/{version}.*/bin/python3")
+        pytest.skip(f"no Python {version} under {PYENV_VERSIONS} or $RUNNER_TOOL_CACHE")
     expected = isolated_runs(sys.executable)
     # plans, rules, trees and bellwether, then a result and a curve per
     # planner (5 planners, 1 window), plus the two summaries

@@ -4,14 +4,15 @@ Projects s0, s1 and s2 share ``planted_history``'s defect rule,
 ``wmc/60 + cbo/40``; a fourth, ``odd``, follows ``rfc/100 + loc/1000``.
 The target is s0. Belltree and the threshold baselines are fitted on
 ``exemplar_train(community, s0)``, local xtree on each window's first
-release, and a control belltree on ``odd``. ``KTestResult.followed`` and
-``plan_changes``, summed over the windows, score each: by the defects lost
+release, and a control belltree on ``odd``, all in one ``window_totals``
+call. ``KTestResult.followed`` and ``plan_changes``, summed over the
+windows, score each: by the defects lost
 by classes that followed their plans, and by its rate, those defects less
 the ones the same classes gained, per planned metric change. A planner that
-plans no change has no rate (None), and every rate bar fails on it. Each
-pool holds a class once, as its latest row (``pool_versions``). Seven facts
-hold on all 20 seeds in 0..19; each is pinned on 0..4 and 14, and once
-more on all 20:
+plans no change has no rate (None), and every rate bar fails on it
+(``rate_at_least``). Each pool holds a class once, as its latest row
+(``pool_versions``). Seven facts hold on all 20 seeds in 0..19; each is an
+entry of ``PINNED``, asserted on 0..4 and 14 and once more on all 20:
 
 - the exemplar is never ``odd``;
 - belltree reduces at least as many defects as oliveira on the same exemplar;
@@ -25,7 +26,8 @@ more on all 20:
 - belltree's rate is at least shatnawi's (1.243x at least, on seed 17).
 
 Bars that fail on some seeds of this community are counted, not pinned:
-each must hold on at least as many of the 20 seeds as it does today.
+each ``COUNTED`` entry must hold on at least as many of the 20 seeds as it
+does today.
 
 - belltree at least 0.85x local xtree holds on 19 (70 defects against 86
   on seed 14);
@@ -74,13 +76,13 @@ from functools import lru_cache
 import pytest
 
 from planwise.bellwether import discover, exemplar_train
-from planwise.datasets import Community, Project, pool_versions
+from planwise.datasets import Community, Project, load_community, pool_versions
 from planwise.stats import median
 from planwise.tree import fit_bins
 
 from conftest import (
-    ALL_SEEDS, assert_holds_on_at_least, followed_tallies, make_dataset, make_record,
-    planted_history,
+    ALL_SEEDS, assert_holds_on_at_least, make_dataset, make_record, planted_history,
+    rate_at_least, window_totals, write_community,
 )
 
 SEEDS = (0, 1, 2, 3, 4, 14)
@@ -95,90 +97,67 @@ def odd_one_out_community(seed: int) -> Community:
     return Community((*projects, Project("odd", odd.versions)))
 
 
-@lru_cache
-def tallies(seed: int) -> tuple[str, dict[str, int], dict[str, float | None]]:
-    """The exemplar picked for s0, and ``followed_tallies`` of local xtree, of
-    belltree and each baseline fitted on the exemplar, and of the control."""
-    community = odd_one_out_community(seed)
+def community_tallies(community: Community) -> tuple[str, dict]:
+    """The exemplar picked for s0, and the ``window_totals`` of local xtree,
+    of belltree and each baseline fitted on the exemplar, and of the control."""
     target = community.get("s0")
     train = exemplar_train(community, target)
     planners = {name: (name, train) for name in ("belltree", *BASELINES)}
     odd = pool_versions(community.get("odd"))
     planners |= {"local xtree": ("xtree", None), "control": ("belltree", odd)}
-    return (train.project, *followed_tallies(target, planners))
+    return train.project, window_totals(target, planners)
 
 
-def defined(rate: dict[str, float | None], *labels: str) -> list[float]:
-    """The rates of ``labels``. A None rate, a planner that planned no
-    change, fails the bar: 0/0 ranks against nothing."""
-    values = [rate[label] for label in labels]
-    assert None not in values, rate
-    return values
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_the_exemplar_shares_the_targets_defect_rule(seed):
-    assert tallies(seed)[0] != "odd"
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_belltree_reduces_at_least_oliveira_on_the_same_exemplar(seed):
-    reduced = tallies(seed)[1]
-    assert reduced["belltree"] >= reduced["oliveira"], reduced
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_a_belltree_trained_on_the_odd_project_falls_short(seed):
-    reduced = tallies(seed)[1]
-    assert reduced["control"] < 0.4 * reduced["local xtree"], reduced
-    assert reduced["belltree"] >= 2.5 * reduced["control"], reduced
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_local_xtree_reduces_more_per_change_than_shatnawi_and_oliveira(seed):
-    rate = tallies(seed)[2]
-    local, shatnawi, oliveira = defined(rate, "local xtree", "shatnawi", "oliveira")
-    assert local >= 1.8 * shatnawi, rate
-    assert local >= 5 * oliveira, rate
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_belltree_reduces_at_least_as_much_per_change_as_shatnawi(seed):
-    rate = tallies(seed)[2]
-    belltree, shatnawi = defined(rate, "belltree", "shatnawi")
-    assert belltree >= shatnawi, rate
-
-
-def rate_at_least(rate: dict[str, float | None], label: str, factor: float, other: str) -> bool:
-    """Whether ``label``'s rate is at least ``factor`` times ``other``'s; a
-    None rate fails, as in ``defined``."""
-    return None not in (rate[label], rate[other]) and rate[label] >= factor * rate[other]
+@lru_cache
+def tallies(seed: int) -> tuple[str, dict]:
+    return community_tallies(odd_one_out_community(seed))
 
 
 # Each pinned fact, as a check of one seed's ``tallies``.
 PINNED = {
-    "exemplar": lambda exemplar, reduced, rate: exemplar != "odd",
-    "belltree-oliveira": lambda _, reduced, rate: reduced["belltree"] >= reduced["oliveira"],
-    "control-local": lambda _, reduced, rate: reduced["control"] < 0.4 * reduced["local xtree"],
-    "belltree-control": lambda _, reduced, rate: reduced["belltree"] >= 2.5 * reduced["control"],
-    "local-shatnawi-rate": lambda _, reduced, rate: rate_at_least(
-        rate, "local xtree", 1.8, "shatnawi"),
-    "local-oliveira-rate": lambda _, reduced, rate: rate_at_least(
-        rate, "local xtree", 5, "oliveira"),
-    "belltree-shatnawi-rate": lambda _, reduced, rate: rate_at_least(
-        rate, "belltree", 1, "shatnawi"),
+    "exemplar": lambda exemplar, t: exemplar != "odd",
+    "belltree-oliveira": lambda _, t: t["belltree"].reduced >= t["oliveira"].reduced,
+    "control-local": lambda _, t: t["control"].reduced < 0.4 * t["local xtree"].reduced,
+    "belltree-control": lambda _, t: t["belltree"].reduced >= 2.5 * t["control"].reduced,
+    "local-shatnawi-rate": lambda _, t: rate_at_least(t, "local xtree", 1.8, "shatnawi"),
+    "local-oliveira-rate": lambda _, t: rate_at_least(t, "local xtree", 5, "oliveira"),
+    "belltree-shatnawi-rate": lambda _, t: rate_at_least(t, "belltree", 1, "shatnawi"),
 }
 
 # Each counted bar: the seeds of 0..19 it holds on today, and its check.
 COUNTED = {
-    "belltree-local": (19, lambda _, reduced, rate: (
-        reduced["belltree"] >= 0.85 * reduced["local xtree"])),
-    "local-alves-rate": (18, lambda _, reduced, rate: rate_at_least(
-        rate, "local xtree", 1, "alves")),
-    "belltree-alves": (15, lambda _, reduced, rate: reduced["belltree"] >= reduced["alves"]),
-    "belltree-alves-rate": (15, lambda _, reduced, rate: rate_at_least(
-        rate, "belltree", 1, "alves")),
+    "belltree-local": (19, lambda _, t: t["belltree"].reduced >= 0.85 * t["local xtree"].reduced),
+    "local-alves-rate": (18, lambda _, t: rate_at_least(t, "local xtree", 1, "alves")),
+    "belltree-alves": (15, lambda _, t: t["belltree"].reduced >= t["alves"].reduced),
+    "belltree-alves-rate": (15, lambda _, t: rate_at_least(t, "belltree", 1, "alves")),
 }
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_exemplar_shares_the_targets_defect_rule(seed):
+    assert PINNED["exemplar"](*tallies(seed)), tallies(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_belltree_reduces_at_least_oliveira_on_the_same_exemplar(seed):
+    assert PINNED["belltree-oliveira"](*tallies(seed)), tallies(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_belltree_trained_on_the_odd_project_falls_short(seed):
+    assert PINNED["control-local"](*tallies(seed)), tallies(seed)
+    assert PINNED["belltree-control"](*tallies(seed)), tallies(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_local_xtree_reduces_more_per_change_than_shatnawi_and_oliveira(seed):
+    assert PINNED["local-shatnawi-rate"](*tallies(seed)), tallies(seed)
+    assert PINNED["local-oliveira-rate"](*tallies(seed)), tallies(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_belltree_reduces_at_least_as_much_per_change_as_shatnawi(seed):
+    assert PINNED["belltree-shatnawi-rate"](*tallies(seed)), tallies(seed)
 
 
 @pytest.mark.parametrize("fact", PINNED)
@@ -192,16 +171,24 @@ def test_each_counted_bar_holds_on_at_least_its_count(bar):
     assert_holds_on_at_least(count, lambda seed: holds(*tallies(seed)), tallies)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_community_read_back_from_csvs_scores_as_in_memory(tmp_path, seed):
+    # load_community lists the projects by name, so odd comes first.
+    community = load_community(write_community(odd_one_out_community(seed).projects, tmp_path))
+    assert community.projects[0].name == "odd"
+    assert community_tallies(community) == tallies(seed)
+
+
 def test_a_planner_that_plans_no_change_has_no_rate():
     # A tree fitted on defect-free classes is one leaf, so it plans nothing.
     clean = make_dataset([make_record(f"z{i}", loc=float(i)) for i in range(30)])
-    reduced, rate = followed_tallies(
+    totals = window_totals(
         planted_history(0), {"none": ("xtree", clean), "local xtree": ("xtree", None)}
     )
-    assert (reduced["none"], rate["none"]) == (0, None)
-    assert rate["local xtree"] > 0
-    with pytest.raises(AssertionError):
-        defined(rate, "local xtree", "none")
+    assert (totals["none"].reduced, totals["none"].rate) == (0, None)
+    assert totals["local xtree"].rate > 0
+    assert not rate_at_least(totals, "local xtree", 0, "none")
+    assert not rate_at_least(totals, "none", 0, "local xtree")
 
 
 def test_leave_target_out_oracle():

@@ -292,6 +292,16 @@ def test_mutate_swaps_min_with_max():
     ]
 
 
+def test_mutate_calls_len_for_sum():
+    # Only the builtin's calls: a method or attribute of that name is kept,
+    # and the raise builds a message.
+    source = "x = sum(a) + np.sum(b)\ny = c.sum()\nz = sum\nraise E(sum(a))\n"
+    assert mutated_lines(source) == [
+        ("x = sum(a) - np.sum(b)", "+ -> -"),
+        ("x = len(a) + np.sum(b)", "sum -> len"),
+    ]
+
+
 def test_mutate_leaves_annotations_alone():
     # Annotations are never evaluated; a default value and a body are.
     source = "def f(a: int | None = b | c) -> A | B:\n    d: C | D = a | 1\n"

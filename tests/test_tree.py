@@ -34,6 +34,7 @@ from conftest import (
     random_trees,
     stacked_releases,
     tie_heavy_community,
+    tie_heavy_history,
     unpopulated_middle_tree,
 )
 
@@ -379,6 +380,42 @@ class TestBitsetGrowth:
         for ds in (pool_versions(project), stacked_releases(project)):
             tree = assert_matches_scalar(ds, fit_bins(ds), options=((10, None), (20, 1)))
             assert not tree.is_leaf
+
+
+def tie_heavy_sets():
+    """The 16 tie-heavy training sets: each project of ``tie_heavy_community``
+    pooled and stacked, and each release of it and of ``tie_heavy_history``."""
+    projects = tie_heavy_community().projects
+    return [*(pool(p) for p in projects for pool in (pool_versions, stacked_releases)),
+            *(release for p in (*projects, tie_heavy_history()) for release in p.versions)]
+
+
+def entropy_moved(ulps, sign):
+    """``_entropy_of_counts`` moved ``ulps`` floats, up when ``sign`` times
+    the parity of the positive count is +1 and down otherwise; the direction
+    is fixed by the counts, so no hash seed enters."""
+    def moved(counts):
+        value = _entropy_of_counts(counts)
+        toward = math.inf if sign * (-1) ** counts[-1] > 0 else -math.inf
+        for _ in range(ulps):
+            value = math.nextafter(value, toward)
+        return value
+    return moved
+
+
+def test_entropies_moved_a_few_ulps_grow_the_same_trees(monkeypatch):
+    # Adding the same floats in another way, as Python 3.12's sum does, may
+    # change a weighted entropy's last bits; the 1e-12 margin a gain must
+    # clear keeps such differences out of every tree.
+    cases = [(ds, fit_bins(ds), options) for ds in tie_heavy_sets()
+             for options in ({}, {"min_leaf": 1, "max_depth": 20})]
+    expected = [tree_to_dict(build_tree(ds, bins, **options)) for ds, bins, options in cases]
+    for ulps in (1, 2, 3):
+        for sign in (1, -1):
+            monkeypatch.setattr("planwise.tree._entropy_of_counts", entropy_moved(ulps, sign))
+            moved = [k for k, (ds, bins, options) in enumerate(cases)
+                     if tree_to_dict(build_tree(ds, bins, **options)) != expected[k]]
+            assert moved == [], (ulps, sign)
 
 
 class TestLocate:
