@@ -281,16 +281,17 @@ class Totals(NamedTuple):
 
     ``reduced`` and ``increased`` are the defects lost and gained by the
     classes that followed their plans, and ``changes`` the planned metric
-    changes; ``aupec_reduced`` is the mean over the scored windows, and
-    ``median_changes`` the median changes per plan. ``wins`` counts the
-    windows whose ``aupec_reduced`` exceeds their ``aupec_increased``, and
-    ``losses`` the other scored ones, as criterion 10 counts them.
+    changes; ``aupec_reduced`` is the mean over every window, or NaN, which
+    fails every bar, if some window has none; ``median_changes`` is the
+    median changes per plan. ``wins`` counts the windows whose
+    ``aupec_reduced`` exceeds their ``aupec_increased``, and ``losses`` the
+    other scored ones, as criterion 10 counts them.
     """
 
     reduced: int
     increased: int
     changes: int
-    aupec_reduced: float | None
+    aupec_reduced: float
     median_changes: float
     wins: int
     losses: int
@@ -317,7 +318,8 @@ def window_totals(project: Project, planners: dict) -> dict[str, Totals]:
         changes = [count for r in results for count in r.plan_changes]
         with_aupec = [r for r in results if r.aupec_reduced is not None]
         wins = sum(r.aupec_reduced > r.aupec_increased for r in with_aupec)
-        mean = sum(r.aupec_reduced for r in with_aupec) / len(with_aupec) if with_aupec else None
+        mean = (sum(r.aupec_reduced for r in results) / len(results)
+                if len(with_aupec) == len(results) else math.nan)
         totals[label] = Totals(reduced, increased, sum(changes), mean, median(changes),
                                wins, len(with_aupec) - wins)
     return totals
@@ -423,7 +425,7 @@ def mirrored_tie_column() -> tuple[list[float], list[int]]:
 
 
 def gain_floor_split(
-    reverse: bool = False,
+    reverse: bool = False, largest_first: bool = False,
 ) -> tuple[VersionedDataset, dict[str, BinMap]]:
     """2,693 rows whose only splittable metric, wmc, has the values 0, 1 and
     2, with defect rates that differ by about 1e-6.
@@ -431,9 +433,15 @@ def gain_floor_split(
     The split's information gain lies within two float steps of the 1e-12
     floor that ``build_tree`` requires, so whether the root splits depends
     on the order in which the weighted entropies of the three groups are
-    added. ``reverse`` writes the groups' rows in the opposite order.
+    added, and on how. ``reverse`` writes the groups' rows in the opposite
+    order. ``largest_first`` gives the largest group wmc 0 instead of 2:
+    added left to right in key order, its gain then clears the floor by one
+    float step, and added with compensation, as ``math.fsum`` and Python
+    3.12's ``sum`` add, it falls short.
     """
     groups = [(553, 192), (553, 192), (1587, 551)]  # (rows, defective rows)
+    if largest_first:
+        groups.reverse()
     records = []
     for value in [2, 1, 0] if reverse else [0, 1, 2]:
         rows, defective = groups[value]

@@ -1010,24 +1010,18 @@ def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
     assert outputs["0"] == outputs["12345"]
 
 
-# The other supported Pythons, looked up at fixed install paths rather than
-# through PATH, whose shims may point elsewhere: pyenv's versions, and the
-# tool cache where a GitHub Actions runner's setup-python installs them.
+# The other supported Pythons, looked up at pyenv's fixed install paths
+# rather than through PATH, whose shims may point elsewhere.
 PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
 OTHER_PYTHONS = ("3.10", "3.12", "3.13")
 
 
 def newest_python(version: str) -> Path | None:
-    """The python3 of the highest patch release of ``version``, or None:
-    pyenv's ``<version>.<patch>/bin/python3``, or the runner tool cache's
-    ``Python/<version>.<patch>/x64/bin/python3``, where the version is the
-    fourth-last part of the path."""
-    found = [(path, path.parts[-3]) for path in PYENV_VERSIONS.glob(f"{version}.*/bin/python3")]
-    if cache := os.environ.get("RUNNER_TOOL_CACHE"):
-        found += [(path, path.parts[-4])
-                  for path in Path(cache, "Python").glob(f"{version}.*/x64/bin/python3")]
-    return max(found, default=(None,), key=lambda pair: [
-        int(part) if part.isdigit() else -1 for part in pair[1].split(".")])[0]
+    """``<version>.<patch>/bin/python3`` of pyenv's highest patch release of
+    ``version``, or None."""
+    found = PYENV_VERSIONS.glob(f"{version}.*/bin/python3")
+    return max(found, default=None, key=lambda path: [
+        int(part) if part.isdigit() else -1 for part in path.parts[-3].split(".")])
 
 
 @pytest.fixture(scope="module")
@@ -1067,13 +1061,13 @@ def test_every_supported_python_writes_the_same_bytes(isolated_runs, version):
     planted community's splits are far from tied, so a last-bit difference
     in the weighted-entropy sum (Python 3.12 changed how ``sum`` adds
     floats) would not move its trees; ``tests/test_tree.py``'s
-    ``test_entropies_moved_a_few_ulps_grow_the_same_trees`` covers that case.
+    ``test_gain_at_the_floor_is_summed_left_to_right`` covers that case.
     """
     if sys.version.startswith(version + "."):
         pytest.skip(f"Python {version} is the interpreter running the tests")
     python = newest_python(version)
     if python is None:
-        pytest.skip(f"no Python {version} under {PYENV_VERSIONS} or $RUNNER_TOOL_CACHE")
+        pytest.skip(f"no Python {version} at {PYENV_VERSIONS}/{version}.*/bin/python3")
     expected = isolated_runs(sys.executable)
     # plans, rules, trees and bellwether, then a result and a curve per
     # planner (5 planners, 1 window), plus the two summaries

@@ -50,6 +50,8 @@ COMMANDS = [
     ["thresholds", "--planner", "oliveira", "--train", *TRAIN,
      "--out", "out/thresholds-oliveira.json"],
     ["tree", "--train", *TRAIN, "--out", "out/tree.json"],
+    ["tree", "--train", *TRAIN, "--min-leaf", "1", "--max-depth", "20",
+     "--out", "out/tree-deep.json"],
 ]
 
 # output file (relative to out/) -> sha256 of its bytes. Both plans, the
@@ -111,6 +113,11 @@ EXPECTED = {
     ),
     "thresholds-shatnawi.json": (
         "d35bc007ca289578f9214ea3ef278fdd726116c285405c45cab7eb3df43b4cbe"
+    ),
+    # With --min-leaf 1 --max-depth 20 the tree is the default one: neither
+    # bound binds on this community.
+    "tree-deep.json": (
+        "bcd65fcf289431ab2c8892bb9e1734bfb9dda7d499243e78c4e1acd8447562a8"
     ),
     "tree.json": (
         "bcd65fcf289431ab2c8892bb9e1734bfb9dda7d499243e78c4e1acd8447562a8"

@@ -235,6 +235,16 @@ class TestBuildTree:
         assert tree_to_dict(forward) == tree_to_dict(backward)
         assert forward.is_leaf and backward.is_leaf
 
+    def test_gain_at_the_floor_is_summed_left_to_right(self, monkeypatch):
+        # Added left to right from 0.0, this split's weighted entropies give
+        # a gain one float step above the floor; added with compensation, as
+        # Python 3.12's ``sum`` and ``math.fsum`` add them, one below. The
+        # tree adds them with ``reduce``, so every Python splits here. A
+        # ``sum`` in its place would call the ``fsum`` patched in here, on
+        # any Python, and leave a leaf.
+        monkeypatch.setattr("planwise.tree.sum", math.fsum, raising=False)
+        assert not build_tree(*gain_floor_split(largest_first=True)).is_leaf
+
     def test_matches_the_scalar_path_on_random_datasets(self):
         one_row_nodes = splits = 0
         for seed in range(60):
@@ -404,9 +414,12 @@ def entropy_moved(ulps, sign):
 
 
 def test_entropies_moved_a_few_ulps_grow_the_same_trees(monkeypatch):
-    # Adding the same floats in another way, as Python 3.12's sum does, may
-    # change a weighted entropy's last bits; the 1e-12 margin a gain must
-    # clear keeps such differences out of every tree.
+    # On these 16 tie-heavy sets no split decision lies within 3 ulps of
+    # the 1e-12 margin a gain must clear, so last-bit differences in the
+    # entropies leave their trees alone. The margin does not remove the
+    # cut-off, it moves it (``gain_floor_split`` sits on it); what keeps an
+    # interpreter's ``sum`` out of the trees is the left-to-right ``reduce``,
+    # which ``test_gain_at_the_floor_is_summed_left_to_right`` checks.
     cases = [(ds, fit_bins(ds), options) for ds in tie_heavy_sets()
              for options in ({}, {"min_leaf": 1, "max_depth": 20})]
     expected = [tree_to_dict(build_tree(ds, bins, **options)) for ds, bins, options in cases]
